@@ -59,6 +59,11 @@ class SpecFileError(ValueError):
 # -- tower spec (de)serialization -------------------------------------------
 
 
+def _is_int(value) -> bool:
+    # JSON ``true``/``false`` decode to ``bool``, a subclass of ``int``.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _poly_to_triples(poly: LaurentPoly, where: str) -> list[list[int]]:
     triples = []
     for mono, coeff in poly.terms():
@@ -79,7 +84,7 @@ def _poly_from_triples(raw, where: str) -> LaurentPoly:
         if (
             not isinstance(item, list)
             or len(item) != 3
-            or not all(isinstance(x, int) for x in item)
+            or not all(_is_int(x) for x in item)
         ):
             raise SpecFileError(f"{where}[{pos}]: expected an [exp, num, den] integer triple")
         exp, num, den = item
@@ -125,7 +130,7 @@ def tower_spec_from_doc(doc) -> TowerSpec:
     if not isinstance(doc, dict):
         raise SpecFileError("top level: expected a JSON object")
     k = doc.get("k")
-    if not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise SpecFileError("k: expected a non-negative integer")
     raw_bases = doc.get("base_generators", [])
     if not isinstance(raw_bases, list):
@@ -134,6 +139,8 @@ def tower_spec_from_doc(doc) -> TowerSpec:
     for pos, item in enumerate(raw_bases):
         if not isinstance(item, dict) or "name" not in item or "degree" not in item:
             raise SpecFileError(f"base_generators[{pos}]: expected {{name, degree}}")
+        if not _is_int(item["degree"]):
+            raise SpecFileError(f"base_generators[{pos}].degree: expected an integer")
         bases.append((str(item["name"]), item["degree"]))
     raw_levels = doc.get("levels")
     if not isinstance(raw_levels, list):
@@ -153,7 +160,7 @@ def tower_spec_from_doc(doc) -> TowerSpec:
             if not isinstance(raw_factor, dict):
                 raise SpecFileError(f"{fwhere}: expected an object")
             m = raw_factor.get("m")
-            if not isinstance(m, list) or not all(isinstance(x, int) for x in m):
+            if not isinstance(m, list) or not all(_is_int(x) for x in m):
                 raise SpecFileError(f"{fwhere}.m: expected a list of integers")
             num = _poly_from_triples(raw_factor.get("q_num"), f"{fwhere}.q_num")
             den = _poly_from_triples(raw_factor.get("q_den"), f"{fwhere}.q_den")
@@ -168,7 +175,7 @@ def tower_spec_from_doc(doc) -> TowerSpec:
         aux = tuple(aux_variable(name, index) for name in raw_aux)
         levels.append(TowerLevel(index, tuple(factors), aux))
     cap = doc.get("base_degree_cap")
-    if cap is not None and (not isinstance(cap, int) or cap < 0):
+    if cap is not None and (not _is_int(cap) or cap < 0):
         raise SpecFileError("base_degree_cap: expected a non-negative integer")
     spec = TowerSpec(k, tuple(levels), tuple(bases), cap)
     validate_tower(spec)
@@ -221,16 +228,6 @@ class ResultTable:
             "rows": [{"exponents": list(exps), "value": value} for exps, value in self.rows],
         }
 
-    @classmethod
-    def from_json_doc(cls, doc: dict) -> "ResultTable":
-        return cls(
-            tuple(doc["header"]),
-            tuple(
-                (tuple(int(e) for e in row["exponents"]), str(row["value"]))
-                for row in doc["rows"]
-            ),
-        )
-
 
 # -- verification sweeps -----------------------------------------------------
 
@@ -270,9 +267,19 @@ def run_verify(
     trials: int,
     towers: int = DEFAULT_TOWERS,
 ) -> list[VerifyCase]:
-    """Triple-agreement sweep plus the randomized closed-vs-stepwise corpus."""
+    """Triple-agreement sweep plus the randomized closed-vs-stepwise corpus.
+
+    Sizes under which a run could pass vacuously are refused before any
+    work; ``towers=0`` skips only the random corpus.
+    """
     if max_k > MAX_VERIFY_K:
         raise ValueError(f"max_k above the configured ceiling {MAX_VERIFY_K}")
+    if max_k < 1:
+        raise ValueError(f"--max-k must be at least 1, got {max_k}")
+    if towers < 0:
+        raise ValueError(f"--towers must be non-negative, got {towers}")
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     cases: list[VerifyCase] = []
 
     empty = TowerSpec(0, ())

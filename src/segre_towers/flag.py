@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,21 +25,6 @@ from .tower import (
 )
 
 LOCALIZATION_SEED = 20260811
-
-
-@dataclass(frozen=True)
-class FlagSpec:
-    """Complete flags in a space of dimension k+1."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("flag towers need k >= 1")
-
-    @property
-    def dimension(self) -> int:
-        return self.k * (self.k + 1) // 2
 
 
 class LocalizationDisagreement(RuntimeError):

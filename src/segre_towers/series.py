@@ -13,12 +13,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-Rational = Fraction
-
 _KINDS = ("tower", "aux", "taut", "base")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _accumulate(data: dict, items) -> dict:
+    """Add each (key, value) of ``items`` into ``data``, dropping zero sums."""
+    get = data.get
+    for key, value in items:
+        old = get(key)
+        if old is None:
+            if value:
+                data[key] = value
+        else:
+            total = old + value
+            if total:
+                data[key] = total
+            else:
+                del data[key]
+    return data
 
 
 @dataclass(frozen=True)
@@ -64,13 +79,7 @@ class Monomial:
     __slots__ = ("_entries", "_hash")
 
     def __init__(self, entries: Iterable[tuple[VariableId, int]] = ()) -> None:
-        merged: dict[VariableId, int] = {}
-        for var, exp in entries:
-            e = merged.get(var, 0) + int(exp)
-            if e:
-                merged[var] = e
-            elif var in merged:
-                del merged[var]
+        merged = _accumulate({}, ((var, int(exp)) for var, exp in entries))
         self._entries: tuple[tuple[VariableId, int], ...] = tuple(
             sorted(merged.items(), key=lambda item: item[0].sort_key)
         )
@@ -159,15 +168,15 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()) -> None:
-        data: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
-        for mono, coeff in items:
-            c = data.get(mono, _ZERO) + _coerce_coeff(coeff)
-            if c:
-                data[mono] = c
-            elif mono in data:
-                del data[mono]
-        self._terms = data
+        self._terms = _accumulate({}, ((m, _coerce_coeff(c)) for m, c in items))
+
+    @classmethod
+    def _wrap(cls, data: dict[Monomial, Fraction]) -> "LaurentPoly":
+        # ``data`` must already be canonical: Fraction values, no zeros.
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -226,11 +235,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(m.exponent(var) for m in self._terms)
 
-    def min_exponent_in(self, var: VariableId) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return min(m.exponent(var) for m in self._terms)
-
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if any variable occurs)."""
         if not self._terms:
@@ -257,23 +261,12 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = data.get(mono, _ZERO) + coeff
-            if c:
-                data[mono] = c
-            elif mono in data:
-                del data[mono]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = data
-        return out
+        return LaurentPoly._wrap(_accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return LaurentPoly._wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -296,18 +289,12 @@ class LaurentPoly:
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        data: dict[Monomial, Fraction] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 * m2
-                c = data.get(m, _ZERO) + c1 * c2
-                if c:
-                    data[m] = c
-                elif m in data:
-                    del data[m]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = data
-        return out
+        return LaurentPoly._wrap(
+            _accumulate(
+                {},
+                ((m1 * m2, c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()),
+            )
+        )
 
     __rmul__ = __mul__
 
@@ -497,14 +484,10 @@ def shift_expand(
                 continue
             scale = coeff * b
             stem = rest * Monomial.of(pivot, alpha - beta) if alpha != beta else rest
-            for smono, scoeff in powers[beta].items():
-                m = stem * smono
-                c = data.get(m, _ZERO) + scale * scoeff
-                if c:
-                    data[m] = c
-                elif m in data:
-                    del data[m]
-    result = LaurentPoly(data)
+            _accumulate(
+                data, ((stem * smono, scale * scoeff) for smono, scoeff in powers[beta].items())
+            )
+    result = LaurentPoly._wrap(data)
     if shift_vars:
         result = result.filter_terms(lambda m: m.degree_in(shift_vars) <= degree_cap)
     return result
@@ -545,13 +528,9 @@ def coefficient_of(
     for v in target.variables():
         if v not in over_set:
             raise ValueError(f"target monomial involves {v.name!r} outside the extraction set")
-    data: dict[Monomial, Fraction] = {}
-    for mono, coeff in poly.items():
-        if mono.restrict(over_set) == target:
-            rest = mono.without(over_set)
-            c = data.get(rest, _ZERO) + coeff
-            if c:
-                data[rest] = c
-            elif rest in data:
-                del data[rest]
-    return LaurentPoly(data)
+    matches = (
+        (mono.without(over_set), coeff)
+        for mono, coeff in poly.items()
+        if mono.restrict(over_set) == target
+    )
+    return LaurentPoly._wrap(_accumulate({}, matches))

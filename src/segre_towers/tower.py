@@ -9,17 +9,21 @@ the level's tautological class.
 Two independent computations of the tower Segre series are provided:
 
 * ``closed_formula_segre`` multiplies the shifted factors in the formal
-  tower variables and applies the all-negative-exponents projection once at
-  the end.
+  tower variables, pruning each level's variable to terms that can still
+  reach the requested window.
 * ``stepwise_pushforward`` pushes tautological powers down one level at a
   time, replacing each power of a tautological class by the matching
   coefficient of that level's own Segre series.  It never uses the closed
   formula's resummation, which makes it an independent oracle.
+
+Both return exactly the window of the paper's all-negative projection:
+every tower variable u_i has exponent in [-a_i-1, -1] and every auxiliary
+variable in [-b-1, -1].  Neither filters its result afterwards; each
+function's docstring says why no term outside the window can arise.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,15 +37,12 @@ from .series import (
     coefficient_of,
     descending_expand,
     geometric_expand,
-    negative_part,
     rename_variables,
     shift_expand,
 )
 
 #: Reserved expansion pivot for univariate rational functions.
 PIVOT = VariableId("u", "tower", 0)
-
-DEGREE_CAP_ENV = "SEGRE_TOWERS_DEGREE_CAP"
 
 
 def tower_variable(level: int) -> VariableId:
@@ -223,9 +224,9 @@ class TruncationRequest:
 
     ``tower_orders[i-1] = a`` guarantees exact coefficients of u_i^(-t-1)
     for all t <= a; ``aux_orders`` does the same per auxiliary variable.
-    ``degree_cap`` is the derived global truncation bound; it may be raised
-    (never lowered) explicitly or via the SEGRE_TOWERS_DEGREE_CAP
-    environment variable.  The per-level caps are internal plumbing derived
+    ``degree_cap`` is the derived global truncation bound; the ``degree_cap``
+    argument may raise it (never lower it), which pads every per-level cap
+    by the same amount.  The per-level caps are internal plumbing derived
     alongside it.
     """
 
@@ -272,15 +273,12 @@ class TruncationRequest:
         derived = max(max(budgets, default=0), floor)
 
         requested = derived
-        env = os.environ.get(DEGREE_CAP_ENV)
-        if env is not None:
-            requested = max(requested, _parse_cap(env, derived))
         if degree_cap is not None:
             if degree_cap < derived:
                 raise ValueError(
                     f"degree_cap {degree_cap} is below the derived bound {derived}"
                 )
-            requested = max(requested, degree_cap)
+            requested = degree_cap
         pad = requested - derived
         shift_caps = tuple(b + pad for b in budgets)
         incoming = tuple(
@@ -299,18 +297,6 @@ class TruncationRequest:
             if n == name:
                 return b
         raise KeyError(name)
-
-
-def _parse_cap(raw: str, derived: int) -> int:
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{DEGREE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if value < derived:
-        raise ValueError(
-            f"{DEGREE_CAP_ENV}={value} is below the derived bound {derived}"
-        )
-    return value
 
 
 def _base_weights(spec: TowerSpec) -> dict[VariableId, int]:
@@ -359,34 +345,16 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     return result
 
 
-def _window_bounds(
-    spec: TowerSpec, req: TruncationRequest
-) -> list[tuple[VariableId, int]]:
-    bounds = [(tower_variable(i + 1), a) for i, a in enumerate(req.tower_orders)]
-    bounds += [(v, req.aux_order(v.name)) for v in spec.aux_variables()]
-    return bounds
-
-
-def _restrict_window(
-    poly: LaurentPoly, spec: TowerSpec, req: TruncationRequest
-) -> LaurentPoly:
-    bounds = _window_bounds(spec, req)
-
-    def keep(m: Monomial) -> bool:
-        return all(-a - 1 <= m.exponent(v) <= -1 for v, a in bounds)
-
-    return poly.filter_terms(keep)
-
-
 def closed_formula_product(
     spec: TowerSpec, req: TruncationRequest, prune: bool = True
 ) -> LaurentPoly:
-    """The closed-formula product before the all-negative projection.
+    """The closed-formula product of the shifted factors, level by level.
 
     With ``prune`` the running product is restricted to terms that can still
-    reach the requested window, which leaves window coefficients unchanged;
+    reach the requested window, and each level ends restricted to its window
+    range, so the result is the window itself (``closed_formula_segre``);
     without it the full truncated product is returned (used by diagnostics
-    that inspect the pre-projection series).
+    that inspect the series before the all-negative projection).
     """
     validate_tower(spec)
     result = LaurentPoly.one()
@@ -416,12 +384,14 @@ def closed_formula_product(
                 floor = -a_i - 1 - future_up
                 result = result.filter_terms(lambda m, f=floor: m.exponent(u_i) >= f)
         for var in lvl.aux:
+            # The only source of ``var``: its exponents lie in [-b-1, -1].
             result = result * geometric_expand(var, u_i, req.aux_order(var.name))
             future_up -= req.aux_order(var.name)
             if prune:
                 floor = -a_i - 1 - future_up
                 result = result.filter_terms(lambda m, f=floor: m.exponent(u_i) >= f)
         if prune:
+            # Lower levels shift only u_1..u_{i-1}, so u_i stays in this range.
             result = result.filter_terms(
                 lambda m: -a_i - 1 <= m.exponent(u_i) <= -1
             )
@@ -431,12 +401,14 @@ def closed_formula_product(
 def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
     """Tower Segre series by the closed formula, restricted to the window.
 
-    Every returned coefficient is exact; every monomial has strictly
-    negative exponent in each tower and auxiliary variable.
+    Every returned coefficient is exact.  The pruned product already is the
+    window, so no projection follows it: each level's last prune fixes the
+    exponent of u_i to [-a_i-1, -1], and the lower levels, whose twists
+    involve only u_1..u_{i-1}, never shift u_i again.  An auxiliary
+    variable enters only through ``geometric_expand``, with exponents in
+    [-b-1, -1].
     """
-    product = closed_formula_product(spec, req, prune=True)
-    filter_vars = spec.tower_variables() + spec.aux_variables()
-    return _restrict_window(negative_part(product, filter_vars), spec, req)
+    return closed_formula_product(spec, req, prune=True)
 
 
 def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
@@ -445,9 +417,14 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     Starts from the truncated generating product of all tautological powers
     inside the window and, for each level from the top down, replaces every
     power of that level's tautological class by the matching descending
-    coefficient of the level's own Segre series, applying the all-negative
-    projection after each step.  No closed-form resummation is used, so this
-    serves as an independent oracle for ``closed_formula_segre``.
+    coefficient of the level's own Segre series.  No closed-form
+    resummation is used, so this serves as an independent oracle for
+    ``closed_formula_segre``.
+
+    The result is the window with no projection applied: the initial
+    blocks set every u_i exponent to [-a_i-1, -1] and every auxiliary
+    exponent to [-b-1, -1], and the level series multiplied in afterwards
+    involve only the pivot and the tautological variables c_j.
     """
     validate_tower(spec)
     state = LaurentPoly.one()
@@ -465,7 +442,6 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
             state = state * LaurentPoly(
                 (Monomial(((c_i, g), (var, -g - 1))), Fraction(1)) for g in range(b + 1)
             )
-    filter_vars = spec.tower_variables() + spec.aux_variables()
     for j in range(spec.k, 0, -1):
         if state.is_zero():
             break
@@ -486,9 +462,10 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
             piece = coefficient_of(series, Monomial.of(PIVOT, -gamma - 1), {PIVOT})
             if piece.is_zero():
                 continue
+            # ``piece`` holds only c's and base variables, so the u and aux
+            # exponents the blocks set are never changed.
             state = state + _cap_base(LaurentPoly(terms) * piece, spec)
-        state = negative_part(state, filter_vars)
-    return _restrict_window(state, spec, req)
+    return state
 
 
 def pushforward_monomial(

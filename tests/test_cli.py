@@ -57,6 +57,25 @@ def test_spec_file_error_names_the_field():
     with pytest.raises(Exception) as info:
         tower_spec_from_doc(doc)
     assert "level 2" in str(info.value)
+    # Booleans are JSON literals, not integers, wherever an integer is required.
+    cases = [
+        (("k",), "k"),
+        (("levels", 1, "factors", 1, "m", 0), "levels[2].factors[1].m"),
+        (("levels", 0, "factors", 0, "q_num", 0, 1), "levels[1].factors[0].q_num[0]"),
+        (("base_generators", 0, "degree"), "base_generators[0].degree"),
+        (("base_degree_cap",), "base_degree_cap"),
+    ]
+    for path, field in cases:
+        for value in (True, False):
+            doc = tower_spec_to_doc(flag_tower(2))
+            doc["base_generators"] = [{"name": "g", "degree": 1}]
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            with pytest.raises(cli_mod.SpecFileError) as info:
+                tower_spec_from_doc(doc)
+            assert str(info.value).startswith(field + ":"), (field, value)
 
 
 def test_spec_file_rejects_zero_denominator_triples():
@@ -77,8 +96,13 @@ def test_result_table_round_trip():
     req = TruncationRequest.derive(spec, (2, 2))
     series = closed_formula_segre(spec, req)
     table = ResultTable.from_poly(series, spec.tower_variables())
-    again = ResultTable.from_json_doc(json.loads(json.dumps(table.to_json_doc())))
-    assert again == table
+    assert json.loads(json.dumps(table.to_json_doc())) == {
+        "header": ["u1", "u2"],
+        "rows": [
+            {"exponents": [-3, -2], "value": "1"},
+            {"exponents": [-2, -3], "value": "-1"},
+        ],
+    }
     assert table.rows == (((-3, -2), "1"), ((-2, -3), "-1"))
 
 
@@ -158,13 +182,6 @@ def test_cmd_tower_segre_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cmd_tower_segre_env_cap_rejected_below_derived(tmp_path, capsys, monkeypatch):
-    path = write_spec(tmp_path, flag_tower(2))
-    monkeypatch.setenv("SEGRE_TOWERS_DEGREE_CAP", "1")
-    assert main(["tower-segre", path, "--orders", "2,2"]) == 1
-    assert "below the derived bound" in capsys.readouterr().err
-
-
 def test_cmd_tower_segre_aux_orders(tmp_path, capsys):
     from segre_towers import RationalFunction1V, TowerFactor, TowerLevel, TowerSpec
     from segre_towers.series import LaurentPoly
@@ -201,6 +218,7 @@ def test_cmd_verify_small_sweep(capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
+    assert "PASS degenerate k=0" in out
     assert "PASS flag k=1" in out
     assert "PASS flag k=2" in out
     assert out.count("PASS tower") == 5
@@ -208,10 +226,32 @@ def test_cmd_verify_small_sweep(capsys):
 
 
 def test_cmd_verify_vacuous_max_k0(capsys):
+    # An empty flag sweep would pass vacuously, so it is refused up front.
     code = main(["verify", "--max-k", "0", "--seed", "7", "--towers", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--max-k" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-k", "-1"), ("--towers", "-3"), ("--trials", "0"), ("--trials", "-2")],
+)
+def test_cmd_verify_rejects_vacuous_sizes(capsys, flag, value):
+    code = main(["verify", "--max-k", "2", "--towers", "2", flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: {flag} must be" in captured.err
+
+
+def test_cmd_verify_zero_towers_runs_the_flag_sweep(capsys):
+    code = main(["verify", "--max-k", "1", "--towers", "0", "--trials", "1"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "degenerate k=0" in out
+    assert "PASS flag k=1" in out
+    assert "PASS tower" not in out
 
 
 def test_cmd_verify_rejects_k_above_ceiling(capsys):

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from segre_towers import (
-    FlagSpec,
     LaurentPoly,
     LocalizationDisagreement,
     Monomial,
@@ -26,13 +25,6 @@ from segre_towers.cli import flag_exponent_tuples
 from segre_towers.tower import PIVOT
 
 from _helpers import U
-
-
-def test_flag_spec_dimension():
-    assert FlagSpec(1).dimension == 1
-    assert FlagSpec(4).dimension == 10
-    with pytest.raises(ValueError):
-        FlagSpec(0)
 
 
 def test_flag_tower_k1_structure():
