@@ -31,6 +31,7 @@ from .tower import (
     TowerFactor,
     TowerLevel,
     TowerSpec,
+    TruncationOverrun,
     TruncationRequest,
     aux_variable,
     closed_formula_segre,
@@ -141,7 +142,9 @@ def tower_spec_from_doc(doc) -> TowerSpec:
             raise SpecFileError(f"base_generators[{pos}]: expected {{name, degree}}")
         if not _is_int(item["degree"]):
             raise SpecFileError(f"base_generators[{pos}].degree: expected an integer")
-        bases.append((str(item["name"]), item["degree"]))
+        if not isinstance(item["name"], str):
+            raise SpecFileError(f"base_generators[{pos}].name: expected a string")
+        bases.append((item["name"], item["degree"]))
     raw_levels = doc.get("levels")
     if not isinstance(raw_levels, list):
         raise SpecFileError("levels: expected a list")
@@ -502,7 +505,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SpecFileError, InvalidTowerError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except flag_mod.LocalizationDisagreement as exc:
+    except (flag_mod.LocalizationDisagreement, TruncationOverrun) as exc:
         print(f"internal-consistency failure: {exc}", file=sys.stderr)
         return 1
 

@@ -456,6 +456,10 @@ def shift_expand(
     Each term r*pivot^a of q contributes r * C(a, b) * shift^b * pivot^(a-b)
     for b = 0..degree_cap; monomials of total shift-variable degree above
     degree_cap are discarded.  Exact up to that degree.
+
+    Powers of the shift are built only while a binomial can be nonzero: when
+    every pivot exponent a of q is non-negative, C(a, b) = 0 for b > a, so
+    the powers stop at the largest a; a negative exponent keeps degree_cap.
     """
     if degree_cap < 0:
         raise ValueError("degree_cap must be non-negative")
@@ -468,8 +472,12 @@ def shift_expand(
                 raise ValueError("shift must be a polynomial (non-negative exponents only)")
     if shift_vars & q.variables():
         raise ValueError("q must not involve the shift variables")
+    alphas = [mono.exponent(pivot) for mono, _ in q.items()]
+    top = degree_cap
+    if min(alphas, default=0) >= 0:
+        top = min(max(alphas, default=0), degree_cap)
     powers = [LaurentPoly.one()]
-    for _ in range(degree_cap):
+    for _ in range(top):
         nxt = powers[-1] * shift
         if nxt.is_zero():
             break

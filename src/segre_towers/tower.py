@@ -20,6 +20,14 @@ Both return exactly the window of the paper's all-negative projection:
 every tower variable u_i has exponent in [-a_i-1, -1] and every auxiliary
 variable in [-b-1, -1].  Neither filters its result afterwards; each
 function's docstring says why no term outside the window can arise.
+
+``pushforward_monomial`` needs one coefficient of that window, not all of
+it, so it runs the closed-formula product in point mode.  The invariant
+behind both the window and the pin is the same: once level i is done, a
+term's u_i and auxiliary exponents never change.  So each level can be
+pinned to its target exponent, and its variables dropped, as soon as it is
+done.  The shift expansions stop at the last nonzero binomial, which for the
+flag tower's linear factors is the first power (see ``shift_expand``).
 """
 
 from __future__ import annotations
@@ -206,6 +214,14 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
     return out
 
 
+class TruncationOverrun(RuntimeError):
+    """A computation met a degree above its derived truncation cap.
+
+    The derived caps are proven bounds, so this signals an internal
+    inconsistency, never bad input.
+    """
+
+
 def validate_tower(spec: TowerSpec) -> None:
     """Raise ``InvalidTowerError`` listing every invariant breach, if any."""
     violations = tower_violations(spec)
@@ -346,7 +362,7 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
 
 
 def closed_formula_product(
-    spec: TowerSpec, req: TruncationRequest, prune: bool = True
+    spec: TowerSpec, req: TruncationRequest, prune: bool = True, point: bool = False
 ) -> LaurentPoly:
     """The closed-formula product of the shifted factors, level by level.
 
@@ -355,6 +371,17 @@ def closed_formula_product(
     range, so the result is the window itself (``closed_formula_segre``);
     without it the full truncated product is returned (used by diagnostics
     that inspect the series before the all-negative projection).
+
+    With ``point`` each level instead ends pinned to the window's corner:
+    only the coefficient of u_i^(-a_i-1) times v^(-b-1) for each of the
+    level's auxiliary variables v is kept, and those variables are dropped.
+    The result is that one coefficient, a polynomial in the base variables
+    (``pushforward_monomial``).  Pinning is exact because after level i a
+    term's u_i and auxiliary exponents never change: the lower levels'
+    twists involve only u_1..u_{i-1}, and an auxiliary variable enters only
+    through ``geometric_expand`` at its own level.  So terms with different
+    values of those exponents never combine, and those off the target never
+    reach it.
     """
     validate_tower(spec)
     result = LaurentPoly.one()
@@ -390,7 +417,11 @@ def closed_formula_product(
             if prune:
                 floor = -a_i - 1 - future_up
                 result = result.filter_terms(lambda m, f=floor: m.exponent(u_i) >= f)
-        if prune:
+        if point:
+            corner = [(u_i, -a_i - 1)]
+            corner += [(v, -req.aux_order(v.name) - 1) for v in lvl.aux]
+            result = coefficient_of(result, Monomial(corner), (u_i,) + lvl.aux)
+        elif prune:
             # Lower levels shift only u_1..u_{i-1}, so u_i stays in this range.
             result = result.filter_terms(
                 lambda m: -a_i - 1 <= m.exponent(u_i) <= -1
@@ -452,7 +483,7 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
             slices.setdefault(gamma, {})[mono.without({c_j})] = coeff
         gamma_max = max(slices)
         if gamma_max > req.degree_cap:
-            raise RuntimeError(
+            raise TruncationOverrun(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.degree_cap}"
             )
@@ -477,8 +508,11 @@ def pushforward_monomial(
 
     ``tower_exponents`` gives the power of each level's tautological class;
     ``aux_exponents`` gives powers for the extra copies carried by auxiliary
-    variables.  The value is read off as the coefficient of the matching
-    all-negative monomial of the closed-formula Segre series.
+    variables.  The value is the coefficient of the matching all-negative
+    monomial of the closed-formula Segre series, computed alone: the product
+    runs in point mode, which pins each level to its target exponent as soon
+    as the level is done, so no other coefficient of the window is carried
+    down the lower levels.
     """
     exps = tuple(int(a) for a in tower_exponents)
     if any(a < 0 for a in exps):
@@ -487,14 +521,7 @@ def pushforward_monomial(
     if any(b < 0 for b in aux.values()):
         raise ValueError("auxiliary exponents must be non-negative")
     req = TruncationRequest.derive(spec, exps, aux)
-    series = closed_formula_segre(spec, req)
-    entries = [(tower_variable(i + 1), -a - 1) for i, a in enumerate(exps)]
-    entries += [
-        (v, -req.aux_order(v.name) - 1) for v in spec.aux_variables()
-    ]
-    target = Monomial(entries)
-    over = set(spec.tower_variables()) | set(spec.aux_variables())
-    return coefficient_of(series, target, over)
+    return closed_formula_product(spec, req, point=True)
 
 
 def inverse_chern_series(

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and the spec-file round trip."""
 
+import dataclasses
 import json
 import random
 
@@ -57,16 +58,19 @@ def test_spec_file_error_names_the_field():
     with pytest.raises(Exception) as info:
         tower_spec_from_doc(doc)
     assert "level 2" in str(info.value)
-    # Booleans are JSON literals, not integers, wherever an integer is required.
+    # Booleans are JSON literals, not integers, wherever an integer is required;
+    # a generator name must be a string, never coerced (null is not "None").
+    flags = (True, False)
     cases = [
-        (("k",), "k"),
-        (("levels", 1, "factors", 1, "m", 0), "levels[2].factors[1].m"),
-        (("levels", 0, "factors", 0, "q_num", 0, 1), "levels[1].factors[0].q_num[0]"),
-        (("base_generators", 0, "degree"), "base_generators[0].degree"),
-        (("base_degree_cap",), "base_degree_cap"),
+        (("k",), "k", flags),
+        (("levels", 1, "factors", 1, "m", 0), "levels[2].factors[1].m", flags),
+        (("levels", 0, "factors", 0, "q_num", 0, 1), "levels[1].factors[0].q_num[0]", flags),
+        (("base_generators", 0, "degree"), "base_generators[0].degree", flags),
+        (("base_degree_cap",), "base_degree_cap", flags),
+        (("base_generators", 0, "name"), "base_generators[0].name", (None, 3, True, ["g"])),
     ]
-    for path, field in cases:
-        for value in (True, False):
+    for path, field, values in cases:
+        for value in values:
             doc = tower_spec_to_doc(flag_tower(2))
             doc["base_generators"] = [{"name": "g", "degree": 1}]
             target = doc
@@ -207,6 +211,26 @@ def test_cmd_tower_segre_aux_orders(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "u1\tv\tvalue"
     assert set(lines[1:]) == {"-1\t-2\t1", "-2\t-1\t1"}
+
+
+def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
+    # A cap below the stepwise oracle's intermediate degrees is an internal
+    # inconsistency: one reported line and exit 1, not a traceback.
+    from segre_towers import TruncationRequest
+
+    real = TruncationRequest.derive
+
+    def capped(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), degree_cap=0)
+
+    monkeypatch.setattr(TruncationRequest, "derive", staticmethod(capped))
+    path = write_spec(tmp_path, flag_tower(2))
+    assert main(["tower-segre", path, "--orders", "1,1", "--method", "stepwise"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal-consistency failure: ")
+    assert "exceeds the derived cap 0" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 # -- verify command ------------------------------------------------------------------

@@ -107,6 +107,16 @@ def test_permutation_sign_law_k3():
         assert flag_integral(k, exps) == expected
 
 
+@pytest.mark.parametrize("k", [9, 10])
+@pytest.mark.parametrize("reverse", [False, True], ids=["identity", "reversed"])
+def test_permutation_sign_law_deep(k, reverse):
+    # k - a_i runs over 0..k-1 in order (identity) or backwards (reversed).
+    exps = tuple(range(1, k + 1)) if reverse else tuple(range(k, 0, -1))
+    expected = arrangement_sign(tuple(k - a for a in exps))
+    assert expected != 0
+    assert flag_integral(k, exps) == expected
+
+
 # -- localization ------------------------------------------------------------------
 
 

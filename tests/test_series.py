@@ -277,6 +277,49 @@ def test_shift_expand_identity_shift_property(qdict, cap):
     assert shift_expand(q, PIVOT, LaurentPoly.zero(), cap) == q
 
 
+def shift_expand_reference(q, pivot, shift, cap):
+    # Direct sum over b = 0..cap of C(a, b) * shift^b * pivot^(a-b), per term.
+    out = LaurentPoly.zero()
+    for m, coeff in q.items():
+        alpha = m.exponent(pivot)
+        rest = m.without({pivot})
+        for b in range(cap + 1):
+            scale = coeff * falling_factorial_quotient(alpha, b)
+            stem = LaurentPoly.monomial(rest * Monomial.of(pivot, alpha - b), scale)
+            out = out + stem * shift**b
+    shift_vars = shift.variables()
+    return out.filter_terms(lambda m: m.degree_in(shift_vars) <= cap)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-2, 4), st.integers(0, 1)),
+        st.integers(-5, 5).filter(bool),
+        min_size=1,
+        max_size=4,
+    ),
+    st.tuples(st.integers(-2, 2).filter(bool), st.integers(-2, 2).filter(bool)),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) >= 2),
+        st.integers(-3, 3).filter(bool),
+        max_size=2,
+    ),
+    st.integers(0, 5),
+)
+def test_shift_expand_matches_direct_binomial_sum(qdict, linear, extra, headroom):
+    # Mixed-sign pivot exponents and caps above the largest one: building
+    # shift powers only up to the largest non-negative exponent must match
+    # the full sum up to the cap.
+    g = G("g")
+    q = poly({((PIVOT, a), (g, e)): c for (a, e), c in qdict.items()})
+    shift = poly({((U(1), 1),): linear[0], ((U(2), 1),): linear[1]})
+    shift = shift + poly({((U(1), e1), (U(2), e2)): c for (e1, e2), c in extra.items()})
+    cap = max(max(a for a, _ in qdict), 0) + headroom
+    got = shift_expand(q, PIVOT, shift, cap)
+    assert got == shift_expand_reference(q, PIVOT, shift, cap)
+
+
 # -- geometric_expand ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Tests for the tower model, the closed formula, and the stepwise oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from segre_towers import (
     TowerSpec,
     TruncationRequest,
     closed_formula_segre,
+    coefficient_of,
     flag_tower,
     individual_segre,
     inverse_chern_series,
@@ -388,6 +390,47 @@ def test_pushforward_monomial_aux_exponents():
     assert pushforward_monomial(spec, (1,), {"v": 1}).constant_value() == 0
     with pytest.raises(ValueError):
         pushforward_monomial(spec, (0,), {"w": 1})
+
+
+def test_pushforward_monomial_matches_window_coefficients():
+    # The pinned product must give exactly the window's coefficient at every
+    # window point, aux exponents and capped base coefficients included.
+    rng = random.Random(41)
+    cases = []
+    for _ in range(10):
+        spec = random_tower_spec(rng)
+        orders = tuple(rng.randint(0, 2) for _ in range(spec.k))
+        cases.append((spec, orders, {v.name: rng.randint(0, 1) for v in spec.aux_variables()}))
+    g = G("g")
+    den = LaurentPoly.variable(PIVOT, 2) + LaurentPoly.variable(g) * LaurentPoly.variable(PIVOT)
+    based = TowerSpec(
+        2,
+        (
+            TowerLevel(1, (TowerFactor((), RationalFunction1V(PIVOT, 1, den)),)),
+            TowerLevel(2, (TowerFactor((-1,), rf({1: 1, 0: 2}, {2: 1})),)),
+        ),
+        base_generators=(("g", 1),),
+        base_degree_cap=1,
+    )
+    cases.append((based, (2, 2), {}))
+    nonzero = with_base = 0
+    for spec, orders, aux_orders in cases:
+        window = closed_formula_segre(spec, TruncationRequest.derive(spec, orders, aux_orders))
+        aux_vars = spec.aux_variables()
+        over = spec.tower_variables() + aux_vars
+        aux_ranges = [range(aux_orders[v.name] + 1) for v in aux_vars]
+        for exps in itertools.product(*(range(a + 1) for a in orders)):
+            for aux_exps in itertools.product(*aux_ranges):
+                target = Monomial(
+                    [(U(i + 1), -a - 1) for i, a in enumerate(exps)]
+                    + [(v, -b - 1) for v, b in zip(aux_vars, aux_exps)]
+                )
+                aux = {v.name: b for v, b in zip(aux_vars, aux_exps)}
+                value = pushforward_monomial(spec, exps, aux)
+                assert value == coefficient_of(window, target, over), (spec, exps, aux)
+                nonzero += not value.is_zero()
+                with_base += not value.variables().isdisjoint(spec.base_variables())
+    assert nonzero > 0 and with_base > 0
 
 
 def test_pushforward_monomial_rejects_negative_exponents():
