@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -44,6 +45,9 @@ MAX_VERIFY_K = 4
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 3
 DEFAULT_TOWERS = 50
+#: Most permutations the flag-integral cross-checks may walk: each of the
+#: ``trials`` fixed-point sums visits all (k+1)! orderings.
+MAX_PERMUTATION_WALKS = 10**6
 
 
 def format_rational(value: Fraction) -> str:
@@ -351,38 +355,55 @@ def run_verify(
 # -- subcommands -------------------------------------------------------------
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
+def _parse_int_list(raw: str, option: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
         return ()
     try:
         return tuple(int(x) for x in raw.split(","))
     except ValueError as exc:
-        raise ValueError(f"expected a comma-separated integer list, got {raw!r}") from exc
+        raise ValueError(
+            f"{option}: expected a comma-separated integer list, got {raw!r}"
+        ) from exc
 
 
-def _parse_assignments(raw: str) -> dict[str, int]:
+def _parse_assignments(raw: str, option: str) -> dict[str, int]:
     out: dict[str, int] = {}
     if not raw.strip():
         return out
     for item in raw.split(","):
-        name, _, value = item.partition("=")
+        name, _, value = (part.strip() for part in item.partition("="))
         if not name or not value:
-            raise ValueError(f"expected name=value assignments, got {item!r}")
-        out[name.strip()] = int(value)
+            raise ValueError(f"{option}: expected name=value assignments, got {item!r}")
+        if name in out:
+            raise ValueError(f"{option}: {name!r} is given more than once")
+        try:
+            out[name] = int(value)
+        except ValueError as exc:
+            raise ValueError(f"{option}: expected an integer value, got {item!r}") from exc
     return out
 
 
 def cmd_flag_integral(args) -> int:
-    exps = _parse_int_list(args.exps)
+    exps = _parse_int_list(args.exps, "--exps")
     if len(exps) != args.k:
         print(
             f"error: --exps needs exactly {args.k} entries, got {len(exps)}",
             file=sys.stderr,
         )
         return 2
+    cross_check = args.verbose or args.format == "json"
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if cross_check:
+        walks = args.trials * math.factorial(args.k + 1)
+        if walks > MAX_PERMUTATION_WALKS:
+            raise ValueError(
+                f"--k {args.k} with --trials {args.trials} needs {walks} permutation "
+                f"walks for the cross-checks, above the limit {MAX_PERMUTATION_WALKS}"
+            )
     value = flag_mod.flag_integral(args.k, exps)
-    if args.verbose or args.format == "json":
+    if cross_check:
         vdm = flag_mod.vandermonde_integral(args.k, exps)
         loc = flag_mod.localization_integral(
             args.k, exps, trials=args.trials, seed=args.seed
@@ -413,9 +434,9 @@ def cmd_flag_integral(args) -> int:
 
 
 def cmd_tower_segre(args) -> int:
+    orders = _parse_int_list(args.orders, "--orders")
+    aux_orders = _parse_assignments(args.aux_orders, "--aux-orders")
     spec = load_tower_spec(args.spec)
-    orders = _parse_int_list(args.orders)
-    aux_orders = _parse_assignments(args.aux_orders)
     req = TruncationRequest.derive(spec, orders, aux_orders)
     if args.method == "stepwise":
         series = stepwise_pushforward(spec, req)

@@ -9,8 +9,8 @@ which part of its output is exact.  There is no floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 _KINDS = ("tower", "aux", "taut", "base")
@@ -36,31 +36,27 @@ def _accumulate(data: dict, items) -> dict:
     return data
 
 
-@dataclass(frozen=True)
-class VariableId:
-    """A formal variable, totally ordered by (kind, level, name).
+class VariableId(tuple):
+    """A formal variable: the tuple ``(kind, level, name)``.
 
     ``kind`` distinguishes tower variables (one per level of a tower),
     auxiliary variables attached to a level, tautological-class variables
     (used internally by the stepwise push-forward), and generators of the
     base coefficient ring.  ``level`` is 0 for base variables and for the
-    reserved expansion pivot.
+    reserved expansion pivot.  Order, equality and hashing are the tuple's,
+    so variables are totally ordered by (kind, level, name).
     """
 
-    name: str
-    kind: str
-    level: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown variable kind: {self.kind!r}")
+    def __new__(cls, name: str, kind: str, level: int = 0) -> "VariableId":
+        if kind not in _KINDS:
+            raise ValueError(f"unknown variable kind: {kind!r}")
+        return tuple.__new__(cls, (kind, level, name))
 
-    @property
-    def sort_key(self) -> tuple[str, int, str]:
-        return (self.kind, self.level, self.name)
-
-    def __lt__(self, other: "VariableId") -> bool:
-        return self.sort_key < other.sort_key
+    kind = property(itemgetter(0))
+    level = property(itemgetter(1))
+    name = property(itemgetter(2))
 
     def __repr__(self) -> str:
         return f"VariableId({self.name!r}, {self.kind!r}, level={self.level})"
@@ -72,17 +68,16 @@ class VariableId:
 class Monomial:
     """A Laurent monomial: a finite map from variables to nonzero exponents.
 
-    Canonical form: zero exponents are never stored and entries are kept in
-    the fixed variable order, so equality and hashing are structural.
+    Canonical form: zero exponents are never stored and entries are kept
+    sorted by variable.  Equality, the cached hash and the canonical term
+    order of ``LaurentPoly.terms`` are those of the entries tuple.
     """
 
     __slots__ = ("_entries", "_hash")
 
     def __init__(self, entries: Iterable[tuple[VariableId, int]] = ()) -> None:
         merged = _accumulate({}, ((var, int(exp)) for var, exp in entries))
-        self._entries: tuple[tuple[VariableId, int], ...] = tuple(
-            sorted(merged.items(), key=lambda item: item[0].sort_key)
-        )
+        self._entries: tuple[tuple[VariableId, int], ...] = tuple(sorted(merged.items()))
         self._hash = hash(self._entries)
 
     @classmethod
@@ -110,9 +105,6 @@ class Monomial:
     def weighted_degree(self, weights: Mapping[VariableId, int]) -> int:
         return sum(e * weights[v] for v, e in self._entries if v in weights)
 
-    def restrict(self, variables: frozenset[VariableId] | set[VariableId]) -> "Monomial":
-        return Monomial((v, e) for v, e in self._entries if v in variables)
-
     def without(self, variables: frozenset[VariableId] | set[VariableId]) -> "Monomial":
         return Monomial((v, e) for v, e in self._entries if v not in variables)
 
@@ -132,10 +124,6 @@ class Monomial:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def sort_key(self):
-        return tuple((v.sort_key, e) for v, e in self._entries)
 
     def __repr__(self) -> str:
         return f"Monomial({list(self._entries)!r})"
@@ -209,7 +197,7 @@ class LaurentPoly:
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms sorted in the canonical monomial order (deterministic)."""
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key)
+        return sorted(self._terms.items(), key=lambda item: item[0].items())
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(mono, _ZERO)
@@ -393,9 +381,6 @@ class RationalFunction1V:
             and self.denominator == other.denominator
         )
 
-    def __hash__(self) -> int:
-        return hash((self.var, tuple(self.numerator.terms()), tuple(self.denominator.terms())))
-
     def __repr__(self) -> str:
         return f"RationalFunction1V({self.var.name}, ({self.numerator}) / ({self.denominator}))"
 
@@ -536,9 +521,12 @@ def coefficient_of(
     for v in target.variables():
         if v not in over_set:
             raise ValueError(f"target monomial involves {v.name!r} outside the extraction set")
+    # Entries are sorted, so a term matches exactly when its entries over
+    # ``over`` are the target's entries, in the same order.
+    want = target.items()
     matches = (
         (mono.without(over_set), coeff)
         for mono, coeff in poly.items()
-        if mono.restrict(over_set) == target
+        if tuple(entry for entry in mono.items() if entry[0] in over_set) == want
     )
     return LaurentPoly._wrap(_accumulate({}, matches))

@@ -392,8 +392,9 @@ def closed_formula_product(
         inflow = req.incoming[i - 1]
         pluses = [_lead_plus(f) for f in lvl.factors]
         total_plus = sum(pluses)
-        aux_budget = sum(req.aux_order(v.name) for v in lvl.aux)
-        future_up = total_plus + aux_budget
+        # The level's multipliers, each with the most it can raise u_i's
+        # exponent: the shifted factor expansions, then the auxiliary series.
+        multipliers = []
         for factor, own in zip(lvl.factors, pluses):
             depth = -(a_i + 1 + inflow + (total_plus - own))
             expansion = rename_variables(
@@ -404,16 +405,17 @@ def closed_formula_product(
                 for j, t in enumerate(factor.twists)
                 if t
             )
-            result = result * shift_expand(expansion, u_i, shift, req.shift_caps[i - 1])
-            result = _cap_base(result, spec)
-            future_up -= own
-            if prune:
-                floor = -a_i - 1 - future_up
-                result = result.filter_terms(lambda m, f=floor: m.exponent(u_i) >= f)
+            multipliers.append(
+                (shift_expand(expansion, u_i, shift, req.shift_caps[i - 1]), own)
+            )
         for var in lvl.aux:
             # The only source of ``var``: its exponents lie in [-b-1, -1].
-            result = result * geometric_expand(var, u_i, req.aux_order(var.name))
-            future_up -= req.aux_order(var.name)
+            b = req.aux_order(var.name)
+            multipliers.append((geometric_expand(var, u_i, b), b))
+        future_up = sum(up for _, up in multipliers)
+        for poly, up in multipliers:
+            result = _cap_base(result * poly, spec)
+            future_up -= up
             if prune:
                 floor = -a_i - 1 - future_up
                 result = result.filter_terms(lambda m, f=floor: m.exponent(u_i) >= f)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,8 @@ from segre_towers.cli import (
 from segre_towers import cli as cli_mod
 
 from fractions import Fraction
+
+from _helpers import simple_tower
 
 
 def write_spec(tmp_path, spec, name="tower.json"):
@@ -141,6 +144,30 @@ def test_cmd_flag_integral_json(capsys):
     assert doc["value"] == doc["vandermonde"] == doc["localization"] == "1"
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--verbose"], ("--k 10", "--trials 3")),
+        (["--format", "json", "--trials", "1"], ("--k 10", "--trials 1")),
+        (["--trials", "0"], ("--trials",)),
+    ],
+)
+def test_cmd_flag_integral_refuses_before_computing(capsys, monkeypatch, extra, named):
+    # k = 10 would walk trials * 11! permutations: refused before any work.
+    def no_work(*args, **kwargs):
+        raise AssertionError("computation started before the refusal")
+
+    monkeypatch.setattr(cli_mod.flag_mod, "flag_integral", no_work)
+    exps = ",".join(str(a) for a in range(1, 11))
+    code = main(["flag-integral", "--k", "10", "--exps", exps] + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    for text in named:
+        assert text in captured.err
+
+
 # -- tower-segre command ---------------------------------------------------------------
 
 
@@ -233,6 +260,28 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=1,w=0"], "--aux-orders"),
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=x"], "--aux-orders"),
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w"], "--aux-orders"),
+        (["tower-segre", "SPEC", "--orders", "x"], "--orders"),
+        (["tower-segre", "SPEC", "--orders", "1,a"], "--orders"),
+        (["flag-integral", "--k", "2", "--exps", "1,a"], "--exps"),
+        (["flag-integral", "--k", "1", "--exps", "x"], "--exps"),
+    ],
+)
+def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, option):
+    spec = simple_tower(([((), 1, {2: 1})], ("w",)))
+    path = write_spec(tmp_path, spec)
+    code = main([path if arg == "SPEC" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}: ")
+
+
 # -- verify command ------------------------------------------------------------------
 
 
@@ -309,6 +358,20 @@ def test_cmd_verify_reports_injected_mismatch(capsys, monkeypatch):
     assert code == 1
     assert "FAIL flag k=2" in out
     assert "a=(2, 1)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["segre-towers", "flag-integral", "--k", "2", "--exps", "2,1"], 0),
+        (["segre-towers", "verify", "--max-k", "0"], 1),
+    ],
+)
+def test_entry_exits_with_main_status(capsys, monkeypatch, argv, status):
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as info:
+        cli_mod.entry()
+    assert info.value.code == status
 
 
 def test_verify_case_listing_includes_seed_header(capsys):

@@ -82,6 +82,11 @@ def test_monomial_canonical_drops_zero_exponents():
 def test_variable_order_is_kind_level_name():
     g, c1 = G("g"), VariableId("c1", "taut", 1)
     assert sorted([U(2), g, V, c1, U(1)]) == [V, g, c1, U(1), U(2)]
+    assert (c1.name, c1.kind, c1.level) == ("c1", "taut", 1)
+    assert repr(c1) == "VariableId('c1', 'taut', level=1)"
+    assert str(c1) == "c1"
+    with pytest.raises(ValueError, match="unknown variable kind"):
+        VariableId("x", "bogus")
 
 
 def test_poly_addition_cancels_to_zero():
@@ -377,6 +382,22 @@ def test_coefficient_of_examples():
     s2 = poly({((u, -1), (g, 1)): 1})
     assert coefficient_of(s2, mono((u, -1)), {u}) == LaurentPoly.variable(g)
     assert coefficient_of(s2, mono((u, -5)), {u}) == 0
+    # An extraction variable the target lacks must be absent from the term.
+    s3 = poly({((V, -1), (u, -1)): 1, ((g, 1), (u, -1)): 2})
+    assert coefficient_of(s3, mono((u, -1)), {u, V}) == 2 * LaurentPoly.variable(g)
+    # A two-variable corner pin, as in point mode: the base variable sorts
+    # between the pinned ones and is all that remains.
+    s4 = poly(
+        {
+            ((V, -1), (g, 2), (u, -2)): 5,
+            ((V, -1), (u, -2)): 3,
+            ((V, -2), (g, 1), (u, -2)): 1,
+            ((V, -1), (u, -1)): 7,
+            ((g, 1), (u, -2)): 4,
+        }
+    )
+    corner = coefficient_of(s4, mono((u, -2), (V, -1)), (u, V))
+    assert corner == 5 * LaurentPoly.variable(g, 2) + 3
 
 
 def test_coefficient_of_rejects_target_outside_extraction_set():
