@@ -387,11 +387,7 @@ def _parse_assignments(raw: str, option: str) -> dict[str, int]:
 def cmd_flag_integral(args) -> int:
     exps = _parse_int_list(args.exps, "--exps")
     if len(exps) != args.k:
-        print(
-            f"error: --exps needs exactly {args.k} entries, got {len(exps)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--exps: needs exactly {args.k} entries, got {len(exps)}")
     cross_check = args.verbose or args.format == "json"
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")

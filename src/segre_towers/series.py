@@ -405,29 +405,22 @@ def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
     those coefficients are exact.
     """
     var = f.var
-    num = f.numerator
-    if num.is_zero():
-        return LaurentPoly.zero()
     lead_inv = LaurentPoly.monomial(f._lead_mono ** -1, 1 / f._lead_coeff)
-    tail = f.denominator - LaurentPoly.monomial(f._lead_mono, f._lead_coeff)
-    n_max = num.max_exponent_in(var)
-    if tail.is_zero():
-        result = num * lead_inv
-        return result.filter_terms(lambda m: m.exponent(var) >= min_exponent)
-    # 1/den = lead^-1 * sum_s ratio^s with ratio = -(den - lead)/lead, which
-    # strictly lowers the exponent of var at each power.
-    ratio = -(tail * lead_inv)
-    power_floor = min_exponent - n_max + f._lead_exp
-    steps = n_max - f._lead_exp - min_exponent
-    acc = LaurentPoly.one()
-    power = LaurentPoly.one()
-    for _ in range(steps):
-        power = (power * ratio).filter_terms(lambda m: m.exponent(var) >= power_floor)
-        if power.is_zero():
-            break
-        acc = acc + power
-    result = num * lead_inv * acc
-    return result.filter_terms(lambda m: m.exponent(var) >= min_exponent)
+    # 1/den = lead^-1 * sum_s ratio^s with ratio = -(den - lead)/lead.  Every
+    # term of ratio lowers the exponent of var, so a term below min_exponent
+    # never climbs back: each summand num/lead * ratio^s is filtered, and the
+    # sum stops at the first empty one.
+    ratio = -((f.denominator - LaurentPoly.monomial(f._lead_mono, f._lead_coeff)) * lead_inv)
+
+    def keep(m: Monomial) -> bool:
+        return m.exponent(var) >= min_exponent
+
+    term = (f.numerator * lead_inv).filter_terms(keep)
+    data = dict(term.items())
+    while ratio and term:
+        term = (term * ratio).filter_terms(keep)
+        _accumulate(data, term.items())
+    return LaurentPoly._wrap(data)
 
 
 def shift_expand(

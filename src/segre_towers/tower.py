@@ -95,7 +95,10 @@ class TowerSpec:
 
     ``base_generators`` lists (name, degree) pairs for the free graded
     coefficient ring; ``base_degree_cap``, when set, drops terms above that
-    weighted base degree during tower computations.
+    weighted base degree during tower computations.  Dropping them after each
+    product is exact only while no base exponent is negative, so with a cap
+    no factor may have one, and no denominator's leading coefficient may
+    involve a base variable, since the expansion divides by it.
     """
 
     k: int
@@ -174,29 +177,31 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                         f"twist vector must have length {want - 1}, got {len(factor.twists)}",
                     )
                 )
-            if factor.series.var != PIVOT:
-                out.append(
-                    Violation(
-                        want,
-                        f"factors[{fpos}].q",
-                        "series must use the reserved pivot variable",
-                    )
-                )
-            used = {
-                v.name
-                for poly in (factor.series.numerator, factor.series.denominator)
-                for v in poly.variables()
+            q = factor.series
+            base_exps = [
+                (v.name, e)
+                for poly in (q.numerator, q.denominator)
+                for m, _ in poly.items()
+                for v, e in m.items()
                 if v.kind == "base"
-            }
-            missing = used - declared_bases
-            for name in sorted(missing):
-                out.append(
-                    Violation(
-                        want,
-                        f"factors[{fpos}].q",
-                        f"base variable {name!r} is not declared in base_generators",
+            ]
+            problems = [] if q.var == PIVOT else ["series must use the reserved pivot variable"]
+            problems += [
+                f"base variable {name!r} is not declared in base_generators"
+                for name in sorted({name for name, _ in base_exps} - declared_bases)
+            ]
+            if spec.base_degree_cap is not None:
+                top = q.denominator.max_exponent_in(q.var)
+                if any(
+                    m.exponent(q.var) == top and not m.without({q.var}).is_one()
+                    for m, _ in q.denominator.items()
+                ):
+                    problems.append(
+                        "base_degree_cap: leading denominator term has a base variable"
                     )
-                )
+                if any(e < 0 for _, e in base_exps):
+                    problems.append("base_degree_cap: a base exponent is negative")
+            out += [Violation(want, f"factors[{fpos}].q", msg) for msg in problems]
         for apos, var in enumerate(lvl.aux):
             if var.kind != "aux":
                 out.append(Violation(want, f"aux[{apos}]", f"{var.name!r} is not aux-kind"))
@@ -240,17 +245,34 @@ class TruncationRequest:
 
     ``tower_orders[i-1] = a`` guarantees exact coefficients of u_i^(-t-1)
     for all t <= a; ``aux_orders`` does the same per auxiliary variable.
-    ``degree_cap`` is the derived global truncation bound; the ``degree_cap``
-    argument may raise it (never lower it), which pads every per-level cap
-    by the same amount.  The per-level caps are internal plumbing derived
-    alongside it.
+    The ``degree_cap`` argument may raise the derived bound (never lower
+    it), which pads every per-level cap by the same amount.
+
+    Let lead_i be the sum of level i's positive factor leading degrees,
+    aux_i the sum of its auxiliary orders, and
+    reach_j = sum over i >= j of (lead_i + a_i + 1 + aux_i).  The derived
+    bound is ``degree_cap = reach_1`` and level j's cap is
+    ``shift_caps[j-1] = reach_j``, since at most reach_j of tower degree
+    can leave levels >= j on the way to the window:
+
+    * Levels >= j end with every u_i exponent >= -a_i-1.
+    * Those levels gain exponent only from their own factors (at most
+      lead_i) and their auxiliary series (at most aux_i).
+    * A shift moves degree only to lower levels, never back up.
+
+    So the degree shifted out of level j is at most reach_j, and the
+    degree flowing into it is at most reach_{j+1} + aux_j.  Hence a term of
+    a factor's expansion whose u_j exponent is below that factor's positive
+    leading degree minus reach_j never reaches the window, which fixes the
+    depth of the expansion.  In the stepwise oracle, pushing level i down raises the total
+    c-degree by at most lead_i + 1, so the degree of c_j it meets is at
+    most reach_1 - 1, below ``degree_cap``.
     """
 
     tower_orders: tuple[int, ...]
     aux_orders: tuple[tuple[str, int], ...]
     degree_cap: int
     shift_caps: tuple[int, ...] = field(compare=False)
-    incoming: tuple[int, ...] = field(compare=False)
 
     @classmethod
     def derive(
@@ -263,49 +285,31 @@ class TruncationRequest:
         k = spec.k
         orders = tuple(int(a) for a in tower_orders)
         if len(orders) != k:
-            raise ValueError(f"expected {k} tower orders, got {len(orders)}")
+            raise ValueError(f"--orders: expected {k} tower orders, got {len(orders)}")
         if any(a < 0 for a in orders):
-            raise ValueError("tower orders must be non-negative")
+            raise ValueError("--orders: tower orders must be non-negative")
         aux_names = [v.name for v in spec.aux_variables()]
         given = dict(aux_orders or {})
         unknown = set(given) - set(aux_names)
         if unknown:
-            raise ValueError(f"unknown auxiliary variables: {sorted(unknown)}")
+            raise ValueError(f"--aux-orders: unknown auxiliary variables: {sorted(unknown)}")
         aux_map = {name: int(given.get(name, 0)) for name in aux_names}
         if any(b < 0 for b in aux_map.values()):
-            raise ValueError("auxiliary orders must be non-negative")
+            raise ValueError("--aux-orders: auxiliary orders must be non-negative")
 
-        lead_sums = [sum(_lead_plus(f) for f in lvl.factors) for lvl in spec.levels]
-        aux_sums = [sum(aux_map[v.name] for v in lvl.aux) for lvl in spec.levels]
-        # Per-level shift budget: enough to absorb the window, the level's own
-        # positive leading degrees, auxiliary inflow, and every possible dump
-        # from the levels above.
-        budgets = [0] * k
-        for i in range(k, 0, -1):
-            above = sum(budgets[i:])
-            budgets[i - 1] = lead_sums[i - 1] + orders[i - 1] + 1 + aux_sums[i - 1] + above
-        floor = sum(a + 1 for a in orders) + sum(b + 1 for b in aux_map.values())
-        floor += max(lead_sums, default=0)
-        derived = max(max(budgets, default=0), floor)
-
-        requested = derived
-        if degree_cap is not None:
-            if degree_cap < derived:
-                raise ValueError(
-                    f"degree_cap {degree_cap} is below the derived bound {derived}"
-                )
-            requested = degree_cap
-        pad = requested - derived
-        shift_caps = tuple(b + pad for b in budgets)
-        incoming = tuple(
-            aux_sums[i] + sum(shift_caps[i + 1 :]) + pad for i in range(k)
-        )
+        steps = [
+            sum(map(_lead_plus, lvl.factors)) + a + 1 + sum(aux_map[v.name] for v in lvl.aux)
+            for lvl, a in zip(spec.levels, orders)
+        ]
+        derived = sum(steps)
+        if degree_cap is not None and degree_cap < derived:
+            raise ValueError(f"degree_cap {degree_cap} is below the derived bound {derived}")
+        pad = 0 if degree_cap is None else degree_cap - derived
         return cls(
             tower_orders=orders,
             aux_orders=tuple(sorted(aux_map.items())),
-            degree_cap=requested,
-            shift_caps=shift_caps,
-            incoming=incoming,
+            degree_cap=derived + pad,
+            shift_caps=tuple(sum(steps[j:]) + pad for j in range(k)),
         )
 
     def aux_order(self, name: str) -> int:
@@ -389,25 +393,22 @@ def closed_formula_product(
         lvl = spec.levels[i - 1]
         u_i = tower_variable(i)
         a_i = req.tower_orders[i - 1]
-        inflow = req.incoming[i - 1]
-        pluses = [_lead_plus(f) for f in lvl.factors]
-        total_plus = sum(pluses)
+        cap = req.shift_caps[i - 1]
         # The level's multipliers, each with the most it can raise u_i's
         # exponent: the shifted factor expansions, then the auxiliary series.
         multipliers = []
-        for factor, own in zip(lvl.factors, pluses):
-            depth = -(a_i + 1 + inflow + (total_plus - own))
+        for factor in lvl.factors:
+            own = _lead_plus(factor)
+            # Terms below own - cap never reach the window (``TruncationRequest``).
             expansion = rename_variables(
-                descending_expand(factor.series, depth), {PIVOT: u_i}
+                descending_expand(factor.series, own - cap), {PIVOT: u_i}
             )
             shift = LaurentPoly(
                 (Monomial.of(tower_variable(j + 1)), Fraction(t))
                 for j, t in enumerate(factor.twists)
                 if t
             )
-            multipliers.append(
-                (shift_expand(expansion, u_i, shift, req.shift_caps[i - 1]), own)
-            )
+            multipliers.append((shift_expand(expansion, u_i, shift, cap), own))
         for var in lvl.aux:
             # The only source of ``var``: its exponents lie in [-b-1, -1].
             b = req.aux_order(var.name)

@@ -125,11 +125,6 @@ def test_cmd_flag_integral_values(capsys):
     assert capsys.readouterr().out == "0\n"
 
 
-def test_cmd_flag_integral_arity_mismatch(capsys):
-    assert main(["flag-integral", "--k", "2", "--exps", "1,2,3"]) == 2
-    assert "exactly 2" in capsys.readouterr().err
-
-
 def test_cmd_flag_integral_verbose_cross_checks(capsys):
     assert main(["flag-integral", "--k", "2", "--exps", "2,1", "--verbose"]) == 0
     out = capsys.readouterr().out
@@ -270,6 +265,11 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
         (["tower-segre", "SPEC", "--orders", "1,a"], "--orders"),
         (["flag-integral", "--k", "2", "--exps", "1,a"], "--exps"),
         (["flag-integral", "--k", "1", "--exps", "x"], "--exps"),
+        (["flag-integral", "--k", "2", "--exps", "1,2,3"], "--exps"),
+        (["tower-segre", "SPEC", "--orders", "1,1"], "--orders"),
+        (["tower-segre", "SPEC", "--orders", "-1"], "--orders"),
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "x=1"], "--aux-orders"),
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=-1"], "--aux-orders"),
     ],
 )
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, option):

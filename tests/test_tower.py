@@ -204,8 +204,8 @@ def test_closed_equals_stepwise_on_random_towers_smoke():
 
 def test_closed_equals_stepwise_under_large_leading_degrees():
     # Monomial denominators with negative exponents maximize the positive
-    # leading degree of each factor, the worst case for the exponent-flow
-    # budgets behind the derived truncation caps.
+    # leading degree of each factor, the worst case for the mass-flow bound
+    # behind the derived truncation caps.
     rng = random.Random(99)
     for _ in range(15):
         k = rng.randint(2, 3)
@@ -335,6 +335,64 @@ def test_base_degree_cap_drops_high_degrees_only():
     assert out_capped == low
     assert out_capped != out_full
 
+    # Two levels with base coefficients on both, by both routes: each capped
+    # result is the uncapped window filtered to the cap.
+    u = LaurentPoly.variable(PIVOT)
+    g_poly = LaurentPoly.variable(g)
+    bottom = RationalFunction1V(PIVOT, 1, u * u + g_poly * u)
+    top = RationalFunction1V(PIVOT, g_poly * u + 2, u * u + g_poly)
+    levels = (
+        TowerLevel(1, (TowerFactor((), bottom),)),
+        TowerLevel(2, (TowerFactor((-1,), top),)),
+    )
+    full = TowerSpec(2, levels, (("g", 1),))
+    req = TruncationRequest.derive(full, (2, 2))
+    out_full = closed_formula_segre(full, req)
+    dropped = 0
+    for cap in range(4):
+        capped = TowerSpec(2, levels, (("g", 1),), base_degree_cap=cap)
+        low = out_full.filter_terms(lambda m: m.weighted_degree(weights) <= cap)
+        assert closed_formula_segre(capped, req) == low == stepwise_pushforward(capped, req)
+        assert not low.is_zero()
+        dropped += len(out_full) - len(low)
+    assert dropped > 0
+
+
+def test_base_degree_cap_refuses_negative_base_exponents():
+    # Under a cap, 1/(g*u + u^-1) expands with g^-1: the capped routes would
+    # both return 0 for orders (0, 1), while the uncapped window filtered to
+    # base degree 0 holds u1^-1*u2^-2.
+    g = G("g")
+    u = LaurentPoly.variable(PIVOT)
+    g_poly = LaurentPoly.variable(g)
+    bottom = RationalFunction1V(PIVOT, 1, g_poly * u + LaurentPoly.variable(PIVOT, -1))
+    top = RationalFunction1V(PIVOT, g_poly, u * u)
+    levels = (
+        TowerLevel(1, (TowerFactor((), bottom),)),
+        TowerLevel(2, (TowerFactor((-1,), top),)),
+    )
+    uncapped = TowerSpec(2, levels, (("g", 1),))
+    req = TruncationRequest.derive(uncapped, (0, 1))
+    window = closed_formula_segre(uncapped, req)
+    assert window.filter_terms(lambda m: m.exponent(g) <= 0) == poly({((U(1), -1), (U(2), -2)): 1})
+    capped = TowerSpec(2, levels, (("g", 1),), base_degree_cap=0)
+    violations = tower_violations(capped)
+    assert [(v.level, v.field) for v in violations] == [(1, "factors[0].q")]
+    assert "leading denominator term" in violations[0].message
+    for route in (closed_formula_segre, stepwise_pushforward):
+        with pytest.raises(InvalidTowerError):
+            route(capped, req)
+
+    # A negative base exponent anywhere in q is refused as well.
+    inverse_g = LaurentPoly.variable(g, -1)
+    for num, den in ((inverse_g, u), (1, u + inverse_g)):
+        factor = TowerFactor((), RationalFunction1V(PIVOT, num, den))
+        spec = TowerSpec(1, (TowerLevel(1, (factor,)),), (("g", 1),), base_degree_cap=2)
+        violations = tower_violations(spec)
+        assert [(v.level, v.field) for v in violations] == [(1, "factors[0].q")]
+        assert "negative" in violations[0].message
+        assert tower_violations(TowerSpec(1, spec.levels, (("g", 1),))) == []
+
 
 # -- truncation request ----------------------------------------------------------
 
@@ -358,6 +416,30 @@ def test_truncation_request_cap_floor():
         TruncationRequest.derive(spec, (1, 2), degree_cap=req.degree_cap - 1)
     bigger = TruncationRequest.derive(spec, (1, 2), degree_cap=req.degree_cap + 5)
     assert bigger.degree_cap == req.degree_cap + 5
+
+
+def test_derived_caps_are_linear_suffix_sums():
+    # On the full flag window the caps grow quadratically in k, not
+    # exponentially; each is a suffix sum of one linear term per level.
+    for k in range(1, 9):
+        req = TruncationRequest.derive(flag_tower(k), (k,) * k)
+        assert req.degree_cap == (3 * k * k + k) // 2
+    assert TruncationRequest.derive(flag_tower(5), (5,) * 5).shift_caps == (40, 34, 27, 19, 10)
+    rng = random.Random(31)
+    for _ in range(20):
+        spec = random_tower_spec(rng, max_k=4)
+        orders = tuple(rng.randint(0, 3) for _ in range(spec.k))
+        aux = {v.name: rng.randint(0, 2) for v in spec.aux_variables()}
+        req = TruncationRequest.derive(spec, orders, aux)
+        steps = [
+            sum(max(f.series.leading_exponent or 0, 0) for f in lvl.factors)
+            + a
+            + 1
+            + sum(aux[v.name] for v in lvl.aux)
+            for lvl, a in zip(spec.levels, orders)
+        ]
+        assert req.shift_caps == tuple(sum(steps[j:]) for j in range(spec.k))
+        assert req.degree_cap == sum(steps)
 
 
 def test_stabilization_under_cap_increase():
