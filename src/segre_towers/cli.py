@@ -280,7 +280,7 @@ def run_verify(
     work; ``towers=0`` skips only the random corpus.
     """
     if max_k > MAX_VERIFY_K:
-        raise ValueError(f"max_k above the configured ceiling {MAX_VERIFY_K}")
+        raise ValueError(f"--max-k {max_k} is above the ceiling {MAX_VERIFY_K}")
     if max_k < 1:
         raise ValueError(f"--max-k must be at least 1, got {max_k}")
     if towers < 0:
@@ -429,11 +429,21 @@ def cmd_flag_integral(args) -> int:
     return 0
 
 
+_OPTION_OF_PARAMETER = {"tower_orders": "--orders", "aux_orders": "--aux-orders"}
+
+
 def cmd_tower_segre(args) -> int:
     orders = _parse_int_list(args.orders, "--orders")
     aux_orders = _parse_assignments(args.aux_orders, "--aux-orders")
     spec = load_tower_spec(args.spec)
-    req = TruncationRequest.derive(spec, orders, aux_orders)
+    try:
+        req = TruncationRequest.derive(spec, orders, aux_orders)
+    except ValueError as exc:
+        # The library names its parameters; the user gave options.
+        param, _, rest = str(exc).partition(": ")
+        if param not in _OPTION_OF_PARAMETER:
+            raise
+        raise ValueError(f"{_OPTION_OF_PARAMETER[param]}: {rest}") from exc
     if args.method == "stepwise":
         series = stepwise_pushforward(spec, req)
     else:

@@ -20,6 +20,7 @@ from .tower import (
     TowerFactor,
     TowerLevel,
     TowerSpec,
+    _check_exponents,
     pushforward_monomial,
     tower_variable,
 )
@@ -57,15 +58,6 @@ def flag_tower(k: int) -> TowerSpec:
     return TowerSpec(k, tuple(levels))
 
 
-def _check_exponents(k: int, exponents: Sequence[int]) -> tuple[int, ...]:
-    exps = tuple(int(a) for a in exponents)
-    if len(exps) != k:
-        raise ValueError(f"expected {k} exponents, got {len(exps)}")
-    if any(a < 0 for a in exps):
-        raise ValueError("exponents must be non-negative")
-    return exps
-
-
 def vandermonde_product(k: int) -> LaurentPoly:
     """Exact expansion of the product of (u_j - u_i) over all i < j."""
     result = LaurentPoly.one()
@@ -80,14 +72,14 @@ def vandermonde_product(k: int) -> LaurentPoly:
 
 def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Coefficient of prod u_i^(k - a_i) in the expanded Vandermonde product."""
-    exps = _check_exponents(k, exponents)
+    exps = _check_exponents("exponents", exponents, k)
     target = Monomial((tower_variable(i + 1), k - a) for i, a in enumerate(exps))
     return vandermonde_product(k).coefficient(target)
 
 
 def flag_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of c_1^a_1 ... c_k^a_k over the flag variety, via the tower."""
-    exps = _check_exponents(k, exponents)
+    exps = _check_exponents("exponents", exponents, k)
     value = pushforward_monomial(flag_tower(k), exps)
     return value.constant_value()
 
@@ -105,7 +97,7 @@ def localization_integral(
     the product of weight differences.  All trials must agree exactly;
     disagreement raises ``LocalizationDisagreement``.
     """
-    exps = _check_exponents(k, exponents)
+    exps = _check_exponents("exponents", exponents, k)
     if trials < 1:
         raise ValueError("at least one trial is required")
     rng = random.Random(seed)
@@ -138,20 +130,3 @@ def _draw_distinct(rng: random.Random, count: int) -> list[Fraction]:
         if t not in out:
             out.append(t)
     return out
-
-
-def arrangement_sign(values: Sequence[int]) -> Fraction:
-    """Sign of ``values`` as an arrangement of 0..n-1, or 0 if it is not one.
-
-    Computed by inversion counting, independently of any series expansion.
-    """
-    vals = list(values)
-    if sorted(vals) != list(range(len(vals))):
-        return Fraction(0)
-    inversions = sum(
-        1
-        for i in range(len(vals))
-        for j in range(i + 1, len(vals))
-        if vals[i] > vals[j]
-    )
-    return Fraction(-1) ** inversions

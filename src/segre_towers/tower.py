@@ -234,6 +234,32 @@ def validate_tower(spec: TowerSpec) -> None:
         raise InvalidTowerError(violations)
 
 
+def _check_exponents(name: str, values: Sequence[int], n: int) -> tuple[int, ...]:
+    """``values`` as a tuple of ``n`` non-negative ints; errors start with ``name``.
+
+    ``bool`` is refused although it is an ``int``, and nothing is converted,
+    since ``int()`` would silently truncate a float.
+    """
+    exps = tuple(values)
+    if len(exps) != n:
+        raise ValueError(f"{name}: expected {n} entries, got {len(exps)}")
+    for a in exps:
+        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+            raise ValueError(f"{name}: expected non-negative integers, got {a!r}")
+    return exps
+
+
+def _aux_exponents(spec: TowerSpec, given: Mapping[str, int] | None, name: str) -> dict[str, int]:
+    """One non-negative int per auxiliary variable of ``spec``, 0 unless given."""
+    names = [v.name for v in spec.aux_variables()]
+    given = dict(given or {})
+    unknown = set(given) - set(names)
+    if unknown:
+        raise ValueError(f"{name}: unknown auxiliary variables: {sorted(unknown)}")
+    values = _check_exponents(name, [given.get(n, 0) for n in names], len(names))
+    return dict(zip(names, values))
+
+
 def _lead_plus(factor: TowerFactor) -> int:
     lead = factor.series.leading_exponent
     return max(lead, 0) if lead is not None else 0
@@ -283,19 +309,8 @@ class TruncationRequest:
         degree_cap: int | None = None,
     ) -> "TruncationRequest":
         k = spec.k
-        orders = tuple(int(a) for a in tower_orders)
-        if len(orders) != k:
-            raise ValueError(f"--orders: expected {k} tower orders, got {len(orders)}")
-        if any(a < 0 for a in orders):
-            raise ValueError("--orders: tower orders must be non-negative")
-        aux_names = [v.name for v in spec.aux_variables()]
-        given = dict(aux_orders or {})
-        unknown = set(given) - set(aux_names)
-        if unknown:
-            raise ValueError(f"--aux-orders: unknown auxiliary variables: {sorted(unknown)}")
-        aux_map = {name: int(given.get(name, 0)) for name in aux_names}
-        if any(b < 0 for b in aux_map.values()):
-            raise ValueError("--aux-orders: auxiliary orders must be non-negative")
+        orders = _check_exponents("tower_orders", tower_orders, k)
+        aux_map = _aux_exponents(spec, aux_orders, "aux_orders")
 
         steps = [
             sum(map(_lead_plus, lvl.factors)) + a + 1 + sum(aux_map[v.name] for v in lvl.aux)
@@ -366,15 +381,13 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
 
 
 def closed_formula_product(
-    spec: TowerSpec, req: TruncationRequest, prune: bool = True, point: bool = False
+    spec: TowerSpec, req: TruncationRequest, point: bool = False
 ) -> LaurentPoly:
     """The closed-formula product of the shifted factors, level by level.
 
-    With ``prune`` the running product is restricted to terms that can still
-    reach the requested window, and each level ends restricted to its window
-    range, so the result is the window itself (``closed_formula_segre``);
-    without it the full truncated product is returned (used by diagnostics
-    that inspect the series before the all-negative projection).
+    The running product is restricted to terms that can still reach the
+    requested window, and each level ends restricted to its window range,
+    so the result is the window itself (``closed_formula_segre``).
 
     With ``point`` each level instead ends pinned to the window's corner:
     only the coefficient of u_i^(-a_i-1) times v^(-b-1) for each of the
@@ -417,14 +430,13 @@ def closed_formula_product(
         for poly, up in multipliers:
             result = _cap_base(result * poly, spec)
             future_up -= up
-            if prune:
-                floor = -a_i - 1 - future_up
-                result = result.filter_terms(lambda m, f=floor: m.exponent(u_i) >= f)
+            floor = -a_i - 1 - future_up
+            result = result.filter_terms(lambda m, f=floor: m.exponent(u_i) >= f)
         if point:
             corner = [(u_i, -a_i - 1)]
             corner += [(v, -req.aux_order(v.name) - 1) for v in lvl.aux]
             result = coefficient_of(result, Monomial(corner), (u_i,) + lvl.aux)
-        elif prune:
+        else:
             # Lower levels shift only u_1..u_{i-1}, so u_i stays in this range.
             result = result.filter_terms(
                 lambda m: -a_i - 1 <= m.exponent(u_i) <= -1
@@ -442,7 +454,7 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     variable enters only through ``geometric_expand``, with exponents in
     [-b-1, -1].
     """
-    return closed_formula_product(spec, req, prune=True)
+    return closed_formula_product(spec, req)
 
 
 def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
@@ -517,40 +529,10 @@ def pushforward_monomial(
     as the level is done, so no other coefficient of the window is carried
     down the lower levels.
     """
-    exps = tuple(int(a) for a in tower_exponents)
-    if any(a < 0 for a in exps):
-        raise ValueError("tautological exponents must be non-negative")
-    aux = {name: int(b) for name, b in (aux_exponents or {}).items()}
-    if any(b < 0 for b in aux.values()):
-        raise ValueError("auxiliary exponents must be non-negative")
+    exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
+    aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
     req = TruncationRequest.derive(spec, exps, aux)
     return closed_formula_product(spec, req, point=True)
-
-
-def inverse_chern_series(
-    rank: int,
-    chern_coeffs: Sequence[LaurentPoly | Fraction | int],
-    min_exponent: int,
-) -> tuple[RationalFunction1V, LaurentPoly]:
-    """Inverse of the degree-weighted Chern polynomial of a rank-r bundle.
-
-    Builds c(V,u) = u^rank + c_1*u^(rank-1) + ... and returns the rational
-    function 1/c(V,u) together with its descending expansion down to
-    ``min_exponent``.  This is the Segre series of the projectivization of V.
-    """
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
-    coeffs = [
-        c if isinstance(c, LaurentPoly) else LaurentPoly.constant(c)
-        for c in chern_coeffs
-    ]
-    if len(coeffs) > rank:
-        raise ValueError("a rank-r bundle has at most r Chern classes")
-    poly = LaurentPoly.variable(PIVOT, rank)
-    for t, c in enumerate(coeffs, start=1):
-        poly = poly + c * LaurentPoly.variable(PIVOT, rank - t)
-    rf = RationalFunction1V(PIVOT, LaurentPoly.one(), poly)
-    return rf, descending_expand(rf, min_exponent)
 
 
 def random_tower_spec(

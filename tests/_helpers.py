@@ -57,3 +57,20 @@ def simple_tower(*level_descriptions, base_generators=(), base_degree_cap=None):
         aux = tuple(aux_variable(name, index) for name in aux_names)
         levels.append(TowerLevel(index, built, aux))
     return TowerSpec(len(levels), tuple(levels), tuple(base_generators), base_degree_cap)
+
+
+def arrangement_sign(values):
+    """Sign of ``values`` as an arrangement of 0..n-1, or 0 if it is not one.
+
+    Computed by inversion counting, independently of any series expansion.
+    """
+    vals = list(values)
+    if sorted(vals) != list(range(len(vals))):
+        return Fraction(0)
+    inversions = sum(
+        1
+        for i in range(len(vals))
+        for j in range(i + 1, len(vals))
+        if vals[i] > vals[j]
+    )
+    return Fraction(-1) ** inversions

@@ -13,9 +13,7 @@ from segre_towers import (
     LaurentPoly,
     Monomial,
     TruncationRequest,
-    arrangement_sign,
     binomial_general,
-    closed_formula_product,
     closed_formula_segre,
     flag_integral,
     flag_tower,
@@ -33,7 +31,7 @@ from segre_towers import (
 from segre_towers.cli import flag_exponent_tuples
 from segre_towers.tower import PIVOT
 
-from _helpers import U, upoly
+from _helpers import U, arrangement_sign, upoly
 
 SEED_TOWER_CORPUS = 7
 SEED_PROPERTIES = 2026
@@ -225,12 +223,14 @@ def test_criterion_5_property_suites():
 
 
 def test_criterion_6_no_projection_needed_for_flags():
+    # The flag tower's unpruned product is the Vandermonde product times
+    # prod u_i^(-k-1); criterion 1 checks that it equals the window.
     def check():
         for k in range(1, 5):
-            spec = flag_tower(k)
-            req = TruncationRequest.derive(spec, (k,) * k)
-            product = closed_formula_product(spec, req, prune=False)
-            assert negative_part(product, spec.tower_variables()) == product, k
+            tower_vars = [tower_variable(i) for i in range(1, k + 1)]
+            prefactor = Monomial((u, -k - 1) for u in tower_vars)
+            product = vandermonde_product(k) * LaurentPoly.monomial(prefactor)
+            assert product and negative_part(product, tower_vars) == product, k
         return "pre-projection product already all-negative, k <= 4"
 
     report(6, "the all-negative projection is the identity on flag towers", check)

@@ -329,7 +329,9 @@ def test_cmd_verify_zero_towers_runs_the_flag_sweep(capsys):
 
 def test_cmd_verify_rejects_k_above_ceiling(capsys):
     assert main(["verify", "--max-k", "9"]) == 1
-    assert "ceiling" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ceiling" in err
+    assert err.startswith("error: --max-k 9 ")
 
 
 def test_cmd_verify_determinism(capsys):

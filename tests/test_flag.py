@@ -9,8 +9,6 @@ from segre_towers import (
     LocalizationDisagreement,
     Monomial,
     TruncationRequest,
-    arrangement_sign,
-    closed_formula_product,
     closed_formula_segre,
     flag_integral,
     flag_tower,
@@ -24,7 +22,7 @@ from segre_towers import (
 from segre_towers.cli import flag_exponent_tuples
 from segre_towers.tower import PIVOT
 
-from _helpers import U
+from _helpers import U, arrangement_sign
 
 
 def test_flag_tower_k1_structure():
@@ -180,12 +178,16 @@ def test_antisymmetry_of_segre_numerator():
 
 
 def test_no_projection_needed_for_flag_towers():
-    # The pre-projection closed-formula product is already all-negative.
+    # The pre-projection closed-formula product of the flag tower is the
+    # Vandermonde product times prod u_i^(-k-1), and it is already
+    # all-negative.
     for k in (1, 2, 3, 4):
-        spec = flag_tower(k)
-        req = TruncationRequest.derive(spec, (k,) * k)
-        product = closed_formula_product(spec, req, prune=False)
-        assert negative_part(product, spec.tower_variables()) == product
+        tower_vars = [U(i) for i in range(1, k + 1)]
+        product = vandermonde_product(k) * LaurentPoly.monomial(
+            Monomial((u, -k - 1) for u in tower_vars)
+        )
+        assert product
+        assert negative_part(product, tower_vars) == product
 
 
 def test_arrangement_sign():

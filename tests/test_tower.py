@@ -17,14 +17,16 @@ from segre_towers import (
     TruncationRequest,
     closed_formula_segre,
     coefficient_of,
+    flag_integral,
     flag_tower,
     individual_segre,
-    inverse_chern_series,
+    localization_integral,
     pushforward_monomial,
     random_tower_spec,
     stepwise_pushforward,
     tower_violations,
     validate_tower,
+    vandermonde_integral,
 )
 from segre_towers.tower import PIVOT
 
@@ -407,6 +409,42 @@ def test_truncation_request_validates_orders():
         TruncationRequest.derive(spec, (1, 1), {"nope": 1})
 
 
+AUX_TOWER = simple_tower(([((), 1, {2: 1})], ("v",)))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: TruncationRequest.derive(flag_tower(2), (1,)), "tower_orders"),
+        (lambda: TruncationRequest.derive(flag_tower(2), (1, -1)), "tower_orders"),
+        (lambda: TruncationRequest.derive(flag_tower(2), (1, 1.9)), "tower_orders"),
+        (lambda: TruncationRequest.derive(flag_tower(2), (True, 1)), "tower_orders"),
+        (lambda: TruncationRequest.derive(AUX_TOWER, (1,), {"x": 1}), "aux_orders"),
+        (lambda: TruncationRequest.derive(AUX_TOWER, (1,), {"v": -1}), "aux_orders"),
+        (lambda: TruncationRequest.derive(AUX_TOWER, (1,), {"v": 0.5}), "aux_orders"),
+        (lambda: pushforward_monomial(flag_tower(2), (1,)), "tower_exponents"),
+        (lambda: pushforward_monomial(flag_tower(2), (2, -1)), "tower_exponents"),
+        (lambda: pushforward_monomial(flag_tower(2), (1.9, 2.2)), "tower_exponents"),
+        (lambda: pushforward_monomial(flag_tower(2), (True, 2)), "tower_exponents"),
+        (lambda: pushforward_monomial(AUX_TOWER, (0,), {"w": 1}), "aux_exponents"),
+        (lambda: pushforward_monomial(AUX_TOWER, (0,), {"v": False}), "aux_exponents"),
+        (lambda: flag_integral(2, (1.9, 2.2)), "exponents"),
+        (lambda: flag_integral(2, (True, 2)), "exponents"),
+        (lambda: vandermonde_integral(2, (1.5, 2)), "exponents"),
+        (lambda: vandermonde_integral(2, (1, True)), "exponents"),
+        (lambda: localization_integral(2, (1.2, 2), trials=1), "exponents"),
+        (lambda: localization_integral(2, (2, False), trials=1), "exponents"),
+    ],
+)
+def test_library_errors_name_the_parameter(call, name):
+    # Library errors name the function's parameter, never a CLI option, and
+    # a float or a bool is refused rather than truncated by int().
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(f"{name}: ")
+    assert "--" not in str(info.value)
+
+
 def test_truncation_request_cap_floor():
     spec = flag_tower(2)
     req = TruncationRequest.derive(spec, (1, 2))
@@ -518,39 +556,3 @@ def test_pushforward_monomial_matches_window_coefficients():
 def test_pushforward_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         pushforward_monomial(flag_tower(2), (-1, 0))
-
-
-# -- inverse_chern_series -----------------------------------------------------------
-
-
-def test_inverse_chern_trivial_rank2():
-    _, expansion = inverse_chern_series(2, [], -4)
-    assert expansion == upoly({-2: 1})
-
-
-def test_inverse_chern_rank1_geometric():
-    g = G("g")
-    rf_obj, expansion = inverse_chern_series(1, [LaurentPoly.variable(g)], -3)
-    want = poly(
-        {
-            ((PIVOT, -1),): 1,
-            ((PIVOT, -2), (g, 1)): -1,
-            ((PIVOT, -3), (g, 2)): 1,
-        }
-    )
-    assert expansion == want
-    # Re-multiplication leaves only sub-window residue.
-    residual = expansion * rf_obj.denominator - 1
-    assert all(m.exponent(PIVOT) < -2 for m, _ in residual.items())
-
-
-def test_inverse_chern_rank0_is_one():
-    _, expansion = inverse_chern_series(0, [], 0)
-    assert expansion == 1
-
-
-def test_inverse_chern_rejects_bad_input():
-    with pytest.raises(ValueError):
-        inverse_chern_series(-1, [], -2)
-    with pytest.raises(ValueError):
-        inverse_chern_series(1, [LaurentPoly.one(), LaurentPoly.one()], -2)
