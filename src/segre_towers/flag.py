@@ -98,8 +98,8 @@ def localization_integral(
     disagreement raises ``LocalizationDisagreement``.
     """
     exps = _check_exponents("exponents", exponents, k)
-    if trials < 1:
-        raise ValueError("at least one trial is required")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials: expected a positive integer, got {trials!r}")
     rng = random.Random(seed)
     values = []
     for trial in range(trials):

@@ -11,10 +11,11 @@ Two independent computations of the tower Segre series are provided:
 * ``closed_formula_segre`` multiplies the shifted factors in the formal
   tower variables, pruning each level's variable to terms that can still
   reach the requested window.
-* ``stepwise_pushforward`` pushes tautological powers down one level at a
-  time, replacing each power of a tautological class by the matching
-  coefficient of that level's own Segre series.  It never uses the closed
-  formula's resummation, which makes it an independent oracle.
+* ``stepwise_pushforward`` walks the levels once from the top down: at each
+  level it multiplies in the powers of that level's tautological class and
+  replaces each by the matching coefficient of the level's own Segre
+  series.  It never uses the closed formula's resummation, which makes it
+  an independent oracle.
 
 Both return exactly the window of the paper's all-negative projection:
 every tower variable u_i has exponent in [-a_i-1, -1] and every auxiliary
@@ -271,8 +272,6 @@ class TruncationRequest:
 
     ``tower_orders[i-1] = a`` guarantees exact coefficients of u_i^(-t-1)
     for all t <= a; ``aux_orders`` does the same per auxiliary variable.
-    The ``degree_cap`` argument may raise the derived bound (never lower
-    it), which pads every per-level cap by the same amount.
 
     Let lead_i be the sum of level i's positive factor leading degrees,
     aux_i the sum of its auxiliary orders, and
@@ -306,7 +305,6 @@ class TruncationRequest:
         spec: TowerSpec,
         tower_orders: Sequence[int],
         aux_orders: Mapping[str, int] | None = None,
-        degree_cap: int | None = None,
     ) -> "TruncationRequest":
         k = spec.k
         orders = _check_exponents("tower_orders", tower_orders, k)
@@ -316,15 +314,11 @@ class TruncationRequest:
             sum(map(_lead_plus, lvl.factors)) + a + 1 + sum(aux_map[v.name] for v in lvl.aux)
             for lvl, a in zip(spec.levels, orders)
         ]
-        derived = sum(steps)
-        if degree_cap is not None and degree_cap < derived:
-            raise ValueError(f"degree_cap {degree_cap} is below the derived bound {derived}")
-        pad = 0 if degree_cap is None else degree_cap - derived
         return cls(
             tower_orders=orders,
             aux_orders=tuple(sorted(aux_map.items())),
-            degree_cap=derived + pad,
-            shift_caps=tuple(sum(steps[j:]) + pad for j in range(k)),
+            degree_cap=sum(steps),
+            shift_caps=tuple(sum(steps[j:]) for j in range(k)),
         )
 
     def aux_order(self, name: str) -> int:
@@ -358,8 +352,6 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
         raise ValueError(f"level must be in 1..{spec.k}, got {level}")
     lvl = spec.levels[level - 1]
     pluses = [_lead_plus(f) for f in lvl.factors]
-    if any(f.series.numerator.is_zero() for f in lvl.factors):
-        return LaurentPoly.zero()
     total_plus = sum(pluses)
     cap = max(total_plus - min_exponent, 0)
     result = LaurentPoly.one()
@@ -460,38 +452,34 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
 def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
     """Tower Segre series by explicit level-by-level push-forward.
 
-    Starts from the truncated generating product of all tautological powers
-    inside the window and, for each level from the top down, replaces every
-    power of that level's tautological class by the matching descending
-    coefficient of the level's own Segre series.  No closed-form
-    resummation is used, so this serves as an independent oracle for
-    ``closed_formula_segre``.
+    Walks the levels once, from the top down.  At level j it multiplies in
+    the truncated generating blocks of that level's tautological powers,
+    sum_g c_j^g u_j^(-g-1) and the same for each auxiliary variable, then
+    replaces every power of c_j by the matching descending coefficient of
+    the level's own Segre series.  No closed-form resummation is used, so
+    this serves as an independent oracle for ``closed_formula_segre``.
 
-    The result is the window with no projection applied: the initial
-    blocks set every u_i exponent to [-a_i-1, -1] and every auxiliary
-    exponent to [-b-1, -1], and the level series multiplied in afterwards
-    involve only the pivot and the tautological variables c_j.
+    Multiplying level j's blocks in only when c_j is pushed gives the same
+    terms as starting from the product of all blocks: the push at level i
+    changes only c_i and is linear over everything free of c_i, and the
+    blocks of levels below i hold no c_i and no base variable.  So the
+    slices by c_i, their ``gamma_max`` and the base-degree cap all come out
+    the same.
+
+    The result is the window with no projection applied: the blocks set
+    every u_i exponent to [-a_i-1, -1] and every auxiliary exponent to
+    [-b-1, -1], and the level series multiplied in afterwards involve only
+    the pivot and the tautological variables c_j.
     """
     validate_tower(spec)
     state = LaurentPoly.one()
-    for i in range(1, spec.k + 1):
-        lvl = spec.levels[i - 1]
-        c_i = taut_variable(i)
-        u_i = tower_variable(i)
-        a_i = req.tower_orders[i - 1]
-        block = LaurentPoly(
-            (Monomial(((c_i, g), (u_i, -g - 1))), Fraction(1)) for g in range(a_i + 1)
-        )
-        state = state * block
-        for var in lvl.aux:
-            b = req.aux_order(var.name)
-            state = state * LaurentPoly(
-                (Monomial(((c_i, g), (var, -g - 1))), Fraction(1)) for g in range(b + 1)
-            )
     for j in range(spec.k, 0, -1):
         if state.is_zero():
             break
         c_j = taut_variable(j)
+        state = state * geometric_expand(tower_variable(j), c_j, req.tower_orders[j - 1])
+        for var in spec.levels[j - 1].aux:
+            state = state * geometric_expand(var, c_j, req.aux_order(var.name))
         slices: dict[int, dict[Monomial, Fraction]] = {}
         for mono, coeff in state.items():
             gamma = mono.exponent(c_j)
@@ -535,41 +523,30 @@ def pushforward_monomial(
     return closed_formula_product(spec, req, point=True)
 
 
-def random_tower_spec(
-    rng: random.Random,
-    max_k: int = 3,
-    max_factors: int = 3,
-    twist_bound: int = 2,
-    exponent_bound: int = 3,
-    max_aux: int = 2,
-) -> TowerSpec:
+def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:
     """A random tower for cross-validation sweeps.
 
-    Twists lie in [-twist_bound, twist_bound], numerator/denominator
-    supports within [-exponent_bound, exponent_bound], and every coefficient
-    is a small exact rational.  Coefficients stay rational (no base
+    Each level has 1 to 3 factors and 0 to 2 auxiliary variables.  Twists
+    lie in [-2, 2], numerator/denominator supports within [-3, 3], and every
+    coefficient is a small exact rational.  Coefficients stay rational (no base
     generators) so each generated tower serializes through the file format.
     """
     k = rng.randint(1, max_k)
     levels = []
     for i in range(1, k + 1):
         factors = []
-        for _ in range(rng.randint(1, max_factors)):
-            twists = tuple(rng.randint(-twist_bound, twist_bound) for _ in range(i - 1))
-            num_exps = rng.sample(
-                range(-exponent_bound, exponent_bound + 1), rng.randint(1, 3)
-            )
+        for _ in range(rng.randint(1, 3)):
+            twists = tuple(rng.randint(-2, 2) for _ in range(i - 1))
+            num_exps = rng.sample(range(-3, 4), rng.randint(1, 3))
             num = LaurentPoly(
                 (Monomial.of(PIVOT, e), _random_coeff(rng)) for e in num_exps
             )
-            lead = rng.randint(0, exponent_bound)
+            lead = rng.randint(0, 3)
             den = LaurentPoly.variable(PIVOT, lead)
-            for e in rng.sample(range(-exponent_bound, lead), rng.randint(0, 2)):
+            for e in rng.sample(range(-3, lead), rng.randint(0, 2)):
                 den = den + LaurentPoly.monomial(Monomial.of(PIVOT, e), _random_coeff(rng))
             factors.append(TowerFactor(twists, RationalFunction1V(PIVOT, num, den)))
-        aux = tuple(
-            aux_variable(f"w{i}_{t}", i) for t in range(rng.randint(0, max_aux))
-        )
+        aux = tuple(aux_variable(f"w{i}_{t}", i) for t in range(rng.randint(0, 2)))
         levels.append(TowerLevel(i, tuple(factors), aux))
     return TowerSpec(k, tuple(levels))
 

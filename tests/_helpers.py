@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import dataclasses
 from fractions import Fraction
 
 from segre_towers import (
@@ -9,6 +10,7 @@ from segre_towers import (
     TowerFactor,
     TowerLevel,
     TowerSpec,
+    TruncationRequest,
     aux_variable,
     base_variable,
     taut_variable,
@@ -57,6 +59,15 @@ def simple_tower(*level_descriptions, base_generators=(), base_degree_cap=None):
         aux = tuple(aux_variable(name, index) for name in aux_names)
         levels.append(TowerLevel(index, built, aux))
     return TowerSpec(len(levels), tuple(levels), tuple(base_generators), base_degree_cap)
+
+
+def padded(req: TruncationRequest, extra: int) -> TruncationRequest:
+    """``req`` with ``extra`` added to its degree cap and to every level's cap."""
+    return dataclasses.replace(
+        req,
+        degree_cap=req.degree_cap + extra,
+        shift_caps=tuple(cap + extra for cap in req.shift_caps),
+    )
 
 
 def arrangement_sign(values):
