@@ -385,6 +385,8 @@ def _parse_assignments(raw: str, option: str) -> dict[str, int]:
 
 
 def cmd_flag_integral(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k: flag towers need at least 1 level, got {args.k}")
     exps = _parse_int_list(args.exps, "--exps")
     if len(exps) != args.k:
         raise ValueError(f"--exps: needs exactly {args.k} entries, got {len(exps)}")
@@ -392,6 +394,14 @@ def cmd_flag_integral(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if cross_check:
+        # Above the dimension the fixed-point sum is a non-constant
+        # polynomial in the weights, so its trials could never agree.
+        dim = args.k * (args.k + 1) // 2
+        if sum(exps) > dim:
+            raise ValueError(
+                f"--exps: the cross-checks need a total degree of at most the flag "
+                f"dimension {dim}, got {sum(exps)}"
+            )
         walks = args.trials * math.factorial(args.k + 1)
         if walks > MAX_PERMUTATION_WALKS:
             raise ValueError(

@@ -32,6 +32,13 @@ class LocalizationDisagreement(RuntimeError):
     """Raised when independent fixed-point trials fail to agree exactly."""
 
 
+def _check_k(k: int) -> int:
+    """``k`` as a level count: an int >= 1 that is not a ``bool``."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k: expected an integer >= 1, got {k!r}")
+    return k
+
+
 def flag_tower(k: int) -> TowerSpec:
     """The k-level projective-bundle tower of the complete flag variety.
 
@@ -39,8 +46,7 @@ def flag_tower(k: int) -> TowerSpec:
     lower level j, a factor u with twist -1 in slot j, so the single-step
     Segre series is (u - c_1)...(u - c_{i-1}) / u^(k+1).
     """
-    if k < 1:
-        raise ValueError("flag towers need k >= 1")
+    _check_k(k)
     one = LaurentPoly.one()
     u = LaurentPoly.variable(PIVOT)
     levels = []
@@ -72,14 +78,14 @@ def vandermonde_product(k: int) -> LaurentPoly:
 
 def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Coefficient of prod u_i^(k - a_i) in the expanded Vandermonde product."""
-    exps = _check_exponents("exponents", exponents, k)
+    exps = _check_exponents("exponents", exponents, _check_k(k))
     target = Monomial((tower_variable(i + 1), k - a) for i, a in enumerate(exps))
     return vandermonde_product(k).coefficient(target)
 
 
 def flag_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of c_1^a_1 ... c_k^a_k over the flag variety, via the tower."""
-    exps = _check_exponents("exponents", exponents, k)
+    exps = _check_exponents("exponents", exponents, _check_k(k))
     value = pushforward_monomial(flag_tower(k), exps)
     return value.constant_value()
 
@@ -97,7 +103,7 @@ def localization_integral(
     the product of weight differences.  All trials must agree exactly;
     disagreement raises ``LocalizationDisagreement``.
     """
-    exps = _check_exponents("exponents", exponents, k)
+    exps = _check_exponents("exponents", exponents, _check_k(k))
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials: expected a positive integer, got {trials!r}")
     rng = random.Random(seed)

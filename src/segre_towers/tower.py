@@ -6,7 +6,8 @@ the lower levels) whose shifted product is the Segre series of that single
 step, plus an optional set of auxiliary variables that pair extra copies of
 the level's tautological class.
 
-Two independent computations of the tower Segre series are provided:
+Two computations of the tower Segre series share the pruned product of one
+level's shifted factors (the paper's input) but combine the levels differently:
 
 * ``closed_formula_segre`` multiplies the shifted factors in the formal
   tower variables, pruning each level's variable to terms that can still
@@ -15,7 +16,7 @@ Two independent computations of the tower Segre series are provided:
   level it multiplies in the powers of that level's tautological class and
   replaces each by the matching coefficient of the level's own Segre
   series.  It never uses the closed formula's resummation, which makes it
-  an independent oracle.
+  an independent oracle for the combination of the levels.
 
 Both return exactly the window of the paper's all-negative projection:
 every tower variable u_i has exponent in [-a_i-1, -1] and every auxiliary
@@ -34,9 +35,9 @@ flag tower's linear factors is the first power (see ``shift_expand``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .series import (
     LaurentPoly,
@@ -159,9 +160,8 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
     reserved |= {f"c{i}" for i in range(1, spec.k + 1)}
     reserved.add(PIVOT.name)
     seen_names = set(reserved) | declared_bases
-    if len(declared_bases & reserved) > 0:
-        for name in sorted(declared_bases & reserved):
-            out.append(Violation(None, "base_generators", f"name {name!r} is reserved"))
+    for name in sorted(declared_bases & reserved):
+        out.append(Violation(None, "base_generators", f"name {name!r} is reserved"))
 
     for pos, lvl in enumerate(spec.levels):
         want = pos + 1
@@ -275,9 +275,8 @@ class TruncationRequest:
 
     Let lead_i be the sum of level i's positive factor leading degrees,
     aux_i the sum of its auxiliary orders, and
-    reach_j = sum over i >= j of (lead_i + a_i + 1 + aux_i).  The derived
-    bound is ``degree_cap = reach_1`` and level j's cap is
-    ``shift_caps[j-1] = reach_j``, since at most reach_j of tower degree
+    reach_j = sum over i >= j of (lead_i + a_i + 1 + aux_i).  Level j's cap
+    is ``shift_caps[j-1] = reach_j``, since at most reach_j of tower degree
     can leave levels >= j on the way to the window:
 
     * Levels >= j end with every u_i exponent >= -a_i-1.
@@ -289,15 +288,22 @@ class TruncationRequest:
     degree flowing into it is at most reach_{j+1} + aux_j.  Hence a term of
     a factor's expansion whose u_j exponent is below that factor's positive
     leading degree minus reach_j never reaches the window, which fixes the
-    depth of the expansion.  In the stepwise oracle, pushing level i down raises the total
-    c-degree by at most lead_i + 1, so the degree of c_j it meets is at
-    most reach_1 - 1, below ``degree_cap``.
+    depth of the expansion.
+
+    In the stepwise oracle, pushing level i down replaces c_i^g by a
+    coefficient of total c-degree at most g + lead_i + 1, and level i's
+    blocks add at most a_i + aux_i.  So the degree of c_j met at level j is
+    at most a_j + aux_j + reach_{j+1} = reach_j - lead_j - 1, below level
+    j's cap.  ``degree_cap`` is the largest cap, reach_1.
     """
 
     tower_orders: tuple[int, ...]
     aux_orders: tuple[tuple[str, int], ...]
-    degree_cap: int
-    shift_caps: tuple[int, ...] = field(compare=False)
+    shift_caps: tuple[int, ...]
+
+    @property
+    def degree_cap(self) -> int:
+        return self.shift_caps[0] if self.shift_caps else 0
 
     @classmethod
     def derive(
@@ -317,7 +323,6 @@ class TruncationRequest:
         return cls(
             tower_orders=orders,
             aux_orders=tuple(sorted(aux_map.items())),
-            degree_cap=sum(steps),
             shift_caps=tuple(sum(steps[j:]) for j in range(k)),
         )
 
@@ -328,16 +333,49 @@ class TruncationRequest:
         raise KeyError(name)
 
 
-def _base_weights(spec: TowerSpec) -> dict[VariableId, int]:
-    return {base_variable(name): degree for name, degree in spec.base_generators}
-
-
 def _cap_base(poly: LaurentPoly, spec: TowerSpec) -> LaurentPoly:
     if spec.base_degree_cap is None or not spec.base_generators:
         return poly
-    weights = _base_weights(spec)
+    weights = {base_variable(name): degree for name, degree in spec.base_generators}
     cap = spec.base_degree_cap
     return poly.filter_terms(lambda m: m.weighted_degree(weights) <= cap)
+
+
+def _level_product(
+    spec: TowerSpec, result: LaurentPoly, level: int, pivot: VariableId,
+    lower: Callable[[int], VariableId], cap: int, floor: int,
+    extras: Sequence[tuple[LaurentPoly, int]] = (),
+) -> LaurentPoly:
+    """``result`` times the shifted factors of ``level`` in ``pivot``, then ``extras``.
+
+    A factor is shifted by its twisted sum of the lower variables
+    ``lower(j)``, and its expansion stops at its positive leading degree
+    minus ``cap`` (``TruncationRequest``).  Each multiplier comes with
+    ``up``, the most it can raise the pivot's exponent, so a term below
+    ``floor`` minus the ups still to come can never reach ``floor``.
+    """
+    multipliers = []
+    for factor in spec.levels[level - 1].factors:
+        own = _lead_plus(factor)
+        expansion = rename_variables(descending_expand(factor.series, own - cap), {PIVOT: pivot})
+        shift = LaurentPoly(
+            (Monomial.of(lower(j + 1)), Fraction(t)) for j, t in enumerate(factor.twists) if t
+        )
+        multipliers.append((shift_expand(expansion, pivot, shift, cap), own))
+    multipliers += extras
+    future_up = sum(up for _, up in multipliers)
+    for poly, up in multipliers:
+        if result.is_zero():
+            return result
+        future_up -= up
+        least = floor - future_up
+        # A product term's exponent is at most the running product's top plus the
+        # multiplier term's: terms below ``reach`` form only terms below ``least``.
+        reach = least - result.max_exponent_in(pivot)
+        poly = poly.filter_terms(lambda m: m.exponent(pivot) >= reach)
+        result = _cap_base(result * poly, spec)
+        result = result.filter_terms(lambda m: m.exponent(pivot) >= least)
+    return result
 
 
 def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentPoly:
@@ -350,26 +388,8 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     validate_tower(spec)
     if not 1 <= level <= spec.k:
         raise ValueError(f"level must be in 1..{spec.k}, got {level}")
-    lvl = spec.levels[level - 1]
-    pluses = [_lead_plus(f) for f in lvl.factors]
-    total_plus = sum(pluses)
-    cap = max(total_plus - min_exponent, 0)
-    result = LaurentPoly.one()
-    remaining = total_plus
-    for factor, own in zip(lvl.factors, pluses):
-        depth = min_exponent - (total_plus - own)
-        expansion = descending_expand(factor.series, depth)
-        shift = LaurentPoly(
-            (Monomial.of(taut_variable(j + 1)), Fraction(t))
-            for j, t in enumerate(factor.twists)
-            if t
-        )
-        result = result * shift_expand(expansion, PIVOT, shift, cap)
-        result = _cap_base(result, spec)
-        remaining -= own
-        floor = min_exponent - remaining
-        result = result.filter_terms(lambda m, f=floor: m.exponent(PIVOT) >= f)
-    return result
+    cap = max(sum(map(_lead_plus, spec.levels[level - 1].factors)) - min_exponent, 0)
+    return _level_product(spec, LaurentPoly.one(), level, PIVOT, taut_variable, cap, min_exponent)
 
 
 def closed_formula_product(
@@ -398,35 +418,14 @@ def closed_formula_product(
         lvl = spec.levels[i - 1]
         u_i = tower_variable(i)
         a_i = req.tower_orders[i - 1]
+        # The only source of each auxiliary variable: exponents in [-b-1, -1].
+        aux_orders = [req.aux_order(var.name) for var in lvl.aux]
+        aux_series = [(geometric_expand(v, u_i, b), b) for v, b in zip(lvl.aux, aux_orders)]
         cap = req.shift_caps[i - 1]
-        # The level's multipliers, each with the most it can raise u_i's
-        # exponent: the shifted factor expansions, then the auxiliary series.
-        multipliers = []
-        for factor in lvl.factors:
-            own = _lead_plus(factor)
-            # Terms below own - cap never reach the window (``TruncationRequest``).
-            expansion = rename_variables(
-                descending_expand(factor.series, own - cap), {PIVOT: u_i}
-            )
-            shift = LaurentPoly(
-                (Monomial.of(tower_variable(j + 1)), Fraction(t))
-                for j, t in enumerate(factor.twists)
-                if t
-            )
-            multipliers.append((shift_expand(expansion, u_i, shift, cap), own))
-        for var in lvl.aux:
-            # The only source of ``var``: its exponents lie in [-b-1, -1].
-            b = req.aux_order(var.name)
-            multipliers.append((geometric_expand(var, u_i, b), b))
-        future_up = sum(up for _, up in multipliers)
-        for poly, up in multipliers:
-            result = _cap_base(result * poly, spec)
-            future_up -= up
-            floor = -a_i - 1 - future_up
-            result = result.filter_terms(lambda m, f=floor: m.exponent(u_i) >= f)
+        result = _level_product(spec, result, i, u_i, tower_variable, cap, -a_i - 1, aux_series)
         if point:
             corner = [(u_i, -a_i - 1)]
-            corner += [(v, -req.aux_order(v.name) - 1) for v in lvl.aux]
+            corner += [(v, -b - 1) for v, b in zip(lvl.aux, aux_orders)]
             result = coefficient_of(result, Monomial(corner), (u_i,) + lvl.aux)
         else:
             # Lower levels shift only u_1..u_{i-1}, so u_i stays in this range.
@@ -485,10 +484,10 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
             gamma = mono.exponent(c_j)
             slices.setdefault(gamma, {})[mono.without({c_j})] = coeff
         gamma_max = max(slices)
-        if gamma_max > req.degree_cap:
+        if gamma_max > req.shift_caps[j - 1]:
             raise TruncationOverrun(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
-                f"derived cap {req.degree_cap}"
+                f"derived cap {req.shift_caps[j - 1]}"
             )
         series = individual_segre(spec, j, -gamma_max - 1)
         state = LaurentPoly.zero()

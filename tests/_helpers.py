@@ -62,12 +62,8 @@ def simple_tower(*level_descriptions, base_generators=(), base_degree_cap=None):
 
 
 def padded(req: TruncationRequest, extra: int) -> TruncationRequest:
-    """``req`` with ``extra`` added to its degree cap and to every level's cap."""
-    return dataclasses.replace(
-        req,
-        degree_cap=req.degree_cap + extra,
-        shift_caps=tuple(cap + extra for cap in req.shift_caps),
-    )
+    """``req`` with ``extra`` added to every level's cap."""
+    return dataclasses.replace(req, shift_caps=tuple(cap + extra for cap in req.shift_caps))
 
 
 def arrangement_sign(values):

@@ -243,7 +243,8 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
     real = TruncationRequest.derive
 
     def capped(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), degree_cap=0)
+        req = real(*args, **kwargs)
+        return dataclasses.replace(req, shift_caps=(0,) * len(req.shift_caps))
 
     monkeypatch.setattr(TruncationRequest, "derive", staticmethod(capped))
     path = write_spec(tmp_path, flag_tower(2))
@@ -270,6 +271,10 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
         (["tower-segre", "SPEC", "--orders", "-1"], "--orders"),
         (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "x=1"], "--aux-orders"),
         (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=-1"], "--aux-orders"),
+        (["flag-integral", "--k", "-1", "--exps", ""], "--k"),
+        (["flag-integral", "--k", "0", "--exps", ""], "--k"),
+        (["flag-integral", "--k", "2", "--exps", "3,1", "--verbose"], "--exps"),
+        (["flag-integral", "--k", "2", "--exps", "3,1", "--format", "json"], "--exps"),
     ],
 )
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, option):

@@ -17,12 +17,16 @@ from segre_towers import (
     TruncationRequest,
     closed_formula_segre,
     coefficient_of,
+    descending_expand,
     flag_integral,
     flag_tower,
+    geometric_expand,
     individual_segre,
     localization_integral,
     pushforward_monomial,
     random_tower_spec,
+    rename_variables,
+    shift_expand,
     stepwise_pushforward,
     tower_violations,
     validate_tower,
@@ -230,6 +234,45 @@ def test_closed_equals_stepwise_on_random_towers_smoke():
         aux = {v.name: rng.randint(0, 1) for v in spec.aux_variables()}
         req = TruncationRequest.derive(spec, orders, aux)
         assert closed_formula_segre(spec, req) == stepwise_pushforward(spec, req)
+
+
+def unpruned_window(spec, req):
+    """The closed formula with none of its prunes: from the top level down,
+    every level's shifted factors (expanded to depth own - cap) and
+    auxiliary series are multiplied in, and u_i is filtered to its window
+    [-a_i-1, -1] only once level i is done."""
+    result = LaurentPoly.one()
+    for i in range(spec.k, 0, -1):
+        lvl, u_i, cap = spec.levels[i - 1], U(i), req.shift_caps[i - 1]
+        for factor in lvl.factors:
+            own = max(factor.series.leading_exponent or 0, 0)
+            expansion = rename_variables(descending_expand(factor.series, own - cap), {PIVOT: u_i})
+            shift = LaurentPoly(
+                (Monomial.of(U(j + 1)), Fraction(t)) for j, t in enumerate(factor.twists) if t
+            )
+            result = result * shift_expand(expansion, u_i, shift, cap)
+        for var in lvl.aux:
+            result = result * geometric_expand(var, u_i, req.aux_order(var.name))
+        a_i = req.tower_orders[i - 1]
+        result = result.filter_terms(lambda m: -a_i - 1 <= m.exponent(u_i) <= -1)
+    return result
+
+
+def test_both_routes_equal_the_unpruned_closed_formula():
+    # The floors and the multiplier prefilter of both routes drop only terms
+    # that cannot reach the window.  k <= 2 keeps the unpruned products small.
+    rng = random.Random(41)
+    nonempty = 0
+    for _ in range(20):
+        spec = random_tower_spec(rng, max_k=2)
+        orders = tuple(rng.randint(0, 3) for _ in range(spec.k))
+        aux = {v.name: rng.randint(0, 2) for v in spec.aux_variables()}
+        req = TruncationRequest.derive(spec, orders, aux)
+        want = unpruned_window(spec, req)
+        assert closed_formula_segre(spec, req) == want
+        assert stepwise_pushforward(spec, req) == want
+        nonempty += not want.is_zero()
+    assert nonempty >= 10
 
 
 def test_closed_equals_stepwise_under_large_leading_degrees():
@@ -464,6 +507,14 @@ AUX_TOWER = simple_tower(([((), 1, {2: 1})], ("v",)))
         (lambda: localization_integral(2, (1, 2), trials=0), "trials"),
         (lambda: localization_integral(2, (1, 2), trials=1.5), "trials"),
         (lambda: localization_integral(2, (1, 2), trials=True), "trials"),
+        (lambda: flag_tower(0), "k"),
+        (lambda: flag_tower(True), "k"),
+        (lambda: flag_integral(0, ()), "k"),
+        (lambda: flag_integral(-1, ()), "k"),
+        (lambda: vandermonde_integral(0, ()), "k"),
+        (lambda: vandermonde_integral(2.0, (1, 2)), "k"),
+        (lambda: localization_integral(0, ()), "k"),
+        (lambda: localization_integral(True, (1,)), "k"),
     ],
 )
 def test_library_errors_name_the_parameter(call, name):
