@@ -4,12 +4,14 @@ The variety of complete flags in a (k+1)-dimensional space is realized as a
 k-level tower of projective bundles over a point; integrals of monomials in
 the line-bundle classes c_1..c_k are then coefficients of a Vandermonde
 product.  A torus-fixed-point summation provides a third, fully independent
-way to evaluate the same integrals.
+way to evaluate the same integrals.  Its denominator at an ordering w is
+sign(w) V(t), V(t) the Vandermonde determinant of the weights, so the sum is
+the bialternant det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1) (Macdonald,
+*Symmetric Functions and Hall Polynomials*, I.3).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -32,11 +34,11 @@ class LocalizationDisagreement(RuntimeError):
     """Raised when independent fixed-point trials fail to agree exactly."""
 
 
-def _check_k(k: int) -> int:
-    """``k`` as a level count: an int >= 1 that is not a ``bool``."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k: expected an integer >= 1, got {k!r}")
-    return k
+def _check_count(name: str, value: int) -> int:
+    """``value`` as a count: an int >= 1 that is not a ``bool``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name}: expected an integer >= 1, got {value!r}")
+    return value
 
 
 def flag_tower(k: int) -> TowerSpec:
@@ -46,7 +48,7 @@ def flag_tower(k: int) -> TowerSpec:
     lower level j, a factor u with twist -1 in slot j, so the single-step
     Segre series is (u - c_1)...(u - c_{i-1}) / u^(k+1).
     """
-    _check_k(k)
+    _check_count("k", k)
     one = LaurentPoly.one()
     u = LaurentPoly.variable(PIVOT)
     levels = []
@@ -78,14 +80,14 @@ def vandermonde_product(k: int) -> LaurentPoly:
 
 def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Coefficient of prod u_i^(k - a_i) in the expanded Vandermonde product."""
-    exps = _check_exponents("exponents", exponents, _check_k(k))
+    exps = _check_exponents("exponents", exponents, _check_count("k", k))
     target = Monomial((tower_variable(i + 1), k - a) for i, a in enumerate(exps))
     return vandermonde_product(k).coefficient(target)
 
 
 def flag_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of c_1^a_1 ... c_k^a_k over the flag variety, via the tower."""
-    exps = _check_exponents("exponents", exponents, _check_k(k))
+    exps = _check_exponents("exponents", exponents, _check_count("k", k))
     value = pushforward_monomial(flag_tower(k), exps)
     return value.constant_value()
 
@@ -98,34 +100,41 @@ def localization_integral(
 ) -> Fraction:
     """The same flag integral by torus-fixed-point summation.
 
-    Each trial draws distinct random rational weights t_1..t_{k+1} and sums,
-    over all orderings w, the monomial in the reversed weights divided by
-    the product of weight differences.  All trials must agree exactly;
-    disagreement raises ``LocalizationDisagreement``.
+    Each trial draws distinct random rational weights t_0..t_k; the sum over
+    orderings w of prod_i t_w(k+1-i)^a_i / prod_{p<q} (t_w(q) - t_w(p)) has
+    denominators sign(w) V(t), V(t) = prod_{p<q} (t_q - t_p) = det(t_j^p),
+    so it equals det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1).  All trials
+    must agree exactly; disagreement raises ``LocalizationDisagreement``.
     """
-    exps = _check_exponents("exponents", exponents, _check_k(k))
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ValueError(f"trials: expected a positive integer, got {trials!r}")
+    exps = _check_exponents("exponents", exponents, _check_count("k", k))
+    _check_count("trials", trials)
+    powers = (0,) + exps[::-1]
     rng = random.Random(seed)
     values = []
     for trial in range(trials):
         ts = _draw_distinct(rng, k + 1)
-        total = Fraction(0)
-        for w in itertools.permutations(range(k + 1)):
-            num = Fraction(1)
-            for i in range(1, k + 1):
-                num *= ts[w[k + 1 - i]] ** exps[i - 1]
-            den = Fraction(1)
-            for p in range(k + 1):
-                for q in range(p + 1, k + 1):
-                    den *= ts[w[q]] - ts[w[p]]
-            total += num / den
-        values.append(total)
+        values.append(_alternant(ts, powers) / _alternant(ts, range(k + 1)))
     if any(v != values[0] for v in values):
         raise LocalizationDisagreement(
             f"fixed-point trials disagree for k={k}, exponents={exps}: {values}"
         )
     return values[0]
+
+
+def _alternant(ts: Sequence[Fraction], powers: Sequence[int]) -> Fraction:
+    """det(t_j^e_p), exactly: expand along the first column at its first
+    nonzero entry, in row p (sign (-1)^p), after clearing the rest of it."""
+    rows = [[t**e for t in ts] for e in powers]
+    det = Fraction(1)
+    while rows:
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return Fraction(0)
+        det *= -rows[p][0] if p % 2 else rows[p][0]
+        pivot = [x / rows[p][0] for x in rows[p][1:]]
+        rest = rows[:p] + rows[p + 1 :]
+        rows = [[x - row[0] * y for x, y in zip(row[1:], pivot)] for row in rest]
+    return det
 
 
 def _draw_distinct(rng: random.Random, count: int) -> list[Fraction]:

@@ -142,13 +142,16 @@ def test_cmd_flag_integral_json(capsys):
 @pytest.mark.parametrize(
     "extra, named",
     [
-        (["--verbose"], ("--k 10", "--trials 3")),
-        (["--format", "json", "--trials", "1"], ("--k 10", "--trials 1")),
+        (["--verbose"], ("--k",)),
+        (["--format", "json", "--trials", "1"], ("--k",)),
         (["--trials", "0"], ("--trials",)),
+        # The later --k and --exps replace the k = 10 ones.
+        (["--k", "9", "--exps", "1,2,3,4,5,6,7,8,9", "--verbose"], ("--k",)),
     ],
 )
 def test_cmd_flag_integral_refuses_before_computing(capsys, monkeypatch, extra, named):
-    # k = 10 would walk trials * 11! permutations: refused before any work.
+    # Above k = 8 the Vandermonde cross-check would take minutes, whatever
+    # --trials is: refused before any work.
     def no_work(*args, **kwargs):
         raise AssertionError("computation started before the refusal")
 
@@ -158,7 +161,7 @@ def test_cmd_flag_integral_refuses_before_computing(capsys, monkeypatch, extra, 
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(f"error: {named[0]}: ")
     for text in named:
         assert text in captured.err
 
@@ -275,6 +278,8 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
         (["flag-integral", "--k", "0", "--exps", ""], "--k"),
         (["flag-integral", "--k", "2", "--exps", "3,1", "--verbose"], "--exps"),
         (["flag-integral", "--k", "2", "--exps", "3,1", "--format", "json"], "--exps"),
+        (["flag-integral", "--k", "2", "--exps", "1,-1"], "--exps"),
+        (["flag-integral", "--k", "2", "--exps", "1,-1", "--verbose"], "--exps"),
     ],
 )
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, option):
@@ -321,7 +326,7 @@ def test_cmd_verify_rejects_vacuous_sizes(capsys, flag, value):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert f"error: {flag} must be" in captured.err
+    assert captured.err.startswith(f"error: {flag}: must be")
 
 
 def test_cmd_verify_zero_towers_runs_the_flag_sweep(capsys):
@@ -336,7 +341,7 @@ def test_cmd_verify_rejects_k_above_ceiling(capsys):
     assert main(["verify", "--max-k", "9"]) == 1
     err = capsys.readouterr().err
     assert "ceiling" in err
-    assert err.startswith("error: --max-k 9 ")
+    assert err.startswith("error: --max-k: 9 ")
 
 
 def test_cmd_verify_determinism(capsys):

@@ -1,6 +1,8 @@
 """Tests for the flag tower, Vandermonde coefficients, and localization."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,9 @@ from segre_towers import (
     vandermonde_integral,
     vandermonde_product,
 )
+from segre_towers import flag as flag_mod
 from segre_towers.cli import flag_exponent_tuples
+from segre_towers.flag import _draw_distinct
 from segre_towers.tower import PIVOT
 
 from _helpers import U, arrangement_sign
@@ -149,6 +153,69 @@ def test_localization_disagreement_surfaces():
     # reported as an internal-consistency failure.
     with pytest.raises(LocalizationDisagreement):
         localization_integral(2, (4, 2), trials=3, seed=5)
+
+
+def walk(ts, exps):
+    """The fixed-point sum as a walk over all orderings w of the weights:
+    sum_w prod_i t_w(k+1-i)^a_i / prod_{p<q} (t_w(q) - t_w(p))."""
+    k = len(exps)
+    total = Fraction(0)
+    for w in itertools.permutations(range(k + 1)):
+        num = Fraction(1)
+        for i in range(1, k + 1):
+            num *= ts[w[k + 1 - i]] ** exps[i - 1]
+        den = Fraction(1)
+        for p in range(k + 1):
+            for q in range(p + 1, k + 1):
+                den *= ts[w[q]] - ts[w[p]]
+        total += num / den
+    return total
+
+
+def walk_integral(exps, trials, seed):
+    rng = random.Random(seed)
+    values = {walk(_draw_distinct(rng, len(exps) + 1), exps) for _ in range(trials)}
+    assert len(values) == 1
+    return values.pop()
+
+
+def below_dimension_tuples(k, count, rng):
+    """Tuples of total degree below k(k+1)/2 with entries in 0..k+2, so with
+    repeats, zeros and entries above k.  Below that degree some entry of
+    e = (0, a_k, ..., a_1) repeats, so the alternant matrix is singular."""
+    out = []
+    while len(out) < count:
+        exps = tuple(rng.randint(0, k + 2) for _ in range(k))
+        if sum(exps) < k * (k + 1) // 2:
+            out.append(exps)
+    return out
+
+
+@pytest.mark.parametrize("trials, seed", [(1, 7), (3, 11)])
+def test_localization_equals_the_permutation_walk(trials, seed):
+    rng = random.Random(seed)
+    for k in (1, 2, 3):
+        cases = flag_exponent_tuples(k) + below_dimension_tuples(k, 8, rng)
+        for exps in cases:
+            expected = walk_integral(exps, trials, seed)
+            assert localization_integral(k, exps, trials=trials, seed=seed) == expected
+
+
+def test_bialternant_identity_above_dimension(monkeypatch):
+    # Above the dimension the sum depends on the weights, so this checks
+    # det/V = walk itself, not only a constant both happen to reach.  With
+    # t_1 = -t_0 and e = (0, 2, 1, 4) the second pivot is found one row down.
+    exps = (4, 1, 2)
+    weights = (
+        [Fraction(3), Fraction(-3), Fraction(5, 7), Fraction(2)],
+        [Fraction(0), Fraction(1), Fraction(-4, 3), Fraction(7, 2)],
+    )
+    values = []
+    for ts in weights:
+        monkeypatch.setattr(flag_mod, "_draw_distinct", lambda rng, count: list(ts))
+        values.append(localization_integral(3, exps, trials=1))
+        assert values[-1] == walk(ts, exps)
+    assert values[0] != values[1]
 
 
 def test_triple_agreement_k_up_to_3():
