@@ -4,13 +4,16 @@ Everything here is immutable and exact.  Coefficients are
 ``fractions.Fraction``; series are finite Laurent polynomials, so every
 expansion primitive takes an explicit truncation argument and documents
 which part of its output is exact.  There is no floating point anywhere.
+Variables and monomials are canonical tuples, hashed and compared in C.
+Window exponents are mostly -1 and -2, which CPython hashes alike, so
+monomials often collide; tuple equality keeps each collision cheap.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Mapping
 
 _KINDS = ("tower", "aux", "taut", "base")
@@ -65,76 +68,67 @@ class VariableId(tuple):
         return self.name
 
 
-class Monomial:
-    """A Laurent monomial: a finite map from variables to nonzero exponents.
+class Monomial(tuple):
+    """A Laurent monomial: the tuple of its sorted ``(VariableId, exponent)`` entries.
 
-    Canonical form: zero exponents are never stored and entries are kept
-    sorted by variable.  Equality, the cached hash and the canonical term
-    order of ``LaurentPoly.terms`` are those of the entries tuple.
+    The constructor merges repeated variables, drops zero exponents, sorts,
+    and refuses non-integer exponents.  Equality, hashing and the term order
+    of ``LaurentPoly.terms`` are the tuple's.  ``+`` and ``n * m`` would
+    build non-canonical tuples, so they raise ``TypeError``.  The monomial 1
+    is the empty, false tuple: test it with ``is_one()``.
     """
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[tuple[VariableId, int]] = ()) -> None:
-        merged = _accumulate({}, ((var, int(exp)) for var, exp in entries))
-        self._entries: tuple[tuple[VariableId, int], ...] = tuple(sorted(merged.items()))
-        self._hash = hash(self._entries)
+    def __new__(cls, entries: Iterable[tuple[VariableId, int]] = ()) -> "Monomial":
+        merged = _accumulate({}, ((var, index(exp)) for var, exp in entries))
+        return tuple.__new__(cls, sorted(merged.items()))
 
     @classmethod
     def of(cls, var: VariableId, exp: int = 1) -> "Monomial":
         return cls(((var, exp),))
 
-    def items(self) -> tuple[tuple[VariableId, int], ...]:
-        return self._entries
-
     def exponent(self, var: VariableId) -> int:
-        for v, e in self._entries:
+        for v, e in self:
             if v == var:
                 return e
         return 0
 
     def variables(self) -> tuple[VariableId, ...]:
-        return tuple(v for v, _ in self._entries)
+        return tuple(v for v, _ in self)
 
     def is_one(self) -> bool:
-        return not self._entries
+        return not self
 
     def degree_in(self, variables: frozenset[VariableId] | set[VariableId]) -> int:
-        return sum(e for v, e in self._entries if v in variables)
+        return sum(e for v, e in self if v in variables)
 
     def weighted_degree(self, weights: Mapping[VariableId, int]) -> int:
-        return sum(e * weights[v] for v, e in self._entries if v in weights)
+        return sum(e * weights[v] for v, e in self if v in weights)
 
     def without(self, variables: frozenset[VariableId] | set[VariableId]) -> "Monomial":
-        return Monomial((v, e) for v, e in self._entries if v not in variables)
+        return Monomial((v, e) for v, e in self if v not in variables)
 
     def rename(self, mapping: Mapping[VariableId, VariableId]) -> "Monomial":
-        return Monomial((mapping.get(v, v), e) for v, e in self._entries)
+        return Monomial((mapping.get(v, v), e) for v, e in self)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial(self._entries + other._entries)
+        return Monomial((*self, *other))
+
+    __add__ = __rmul__ = None
 
     def __pow__(self, n: int) -> "Monomial":
-        return Monomial((v, e * n) for v, e in self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return self._hash
+        return Monomial((v, e * n) for v, e in self)
 
     def __repr__(self) -> str:
-        return f"Monomial({list(self._entries)!r})"
+        return f"Monomial({list(self)!r})"
 
     def __str__(self) -> str:
-        if not self._entries:
+        if not self:
             return "1"
-        return "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in ((v.name, e) for v, e in self._entries)
-        )
+        return "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in self)
 
 
 def _coerce_coeff(value) -> Fraction:
@@ -197,7 +191,7 @@ class LaurentPoly:
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms sorted in the canonical monomial order (deterministic)."""
-        return sorted(self._terms.items(), key=lambda item: item[0].items())
+        return sorted(self._terms.items(), key=itemgetter(0))
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(mono, _ZERO)
@@ -234,7 +228,7 @@ class LaurentPoly:
         raise ValueError(f"not a constant polynomial: {self}")
 
     def filter_terms(self, keep: Callable[[Monomial], bool]) -> "LaurentPoly":
-        return LaurentPoly({m: c for m, c in self._terms.items() if keep(m)})
+        return LaurentPoly._wrap({m: c for m, c in self._terms.items() if keep(m)})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -432,7 +426,7 @@ def shift_expand(
     if pivot in shift_vars:
         raise ValueError("shift must not involve the pivot variable")
     for mono, _ in shift.items():
-        for _, exp in mono.items():
+        for _, exp in mono:
             if exp < 0:
                 raise ValueError("shift must be a polynomial (non-negative exponents only)")
     if shift_vars & q.variables():
@@ -503,10 +497,9 @@ def coefficient_of(
             raise ValueError(f"target monomial involves {v.name!r} outside the extraction set")
     # Entries are sorted, so a term matches exactly when its entries over
     # ``over`` are the target's entries, in the same order.
-    want = target.items()
     matches = (
         (mono.without(over_set), coeff)
         for mono, coeff in poly.items()
-        if tuple(entry for entry in mono.items() if entry[0] in over_set) == want
+        if tuple(entry for entry in mono if entry[0] in over_set) == target
     )
     return LaurentPoly._wrap(_accumulate({}, matches))

@@ -35,6 +35,7 @@ flag tower's linear factors is the first power (see ``shift_expand``).
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -135,6 +136,16 @@ class InvalidTowerError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
+def _is_reserved(name: str, k: int) -> bool:
+    """Whether ``name`` is the pivot's or one of u1..uk, c1..ck.
+
+    Matched by pattern, so a huge ``k`` allocates nothing; without leading
+    zeros, (length, digits) orders the numbers.
+    """
+    top, match = str(max(k, 0)), re.fullmatch(r"[uc]([1-9][0-9]*)", name)
+    return name == PIVOT.name or (bool(match) and (len(match[1]), match[1]) <= (len(top), top))
+
+
 def tower_violations(spec: TowerSpec) -> list[Violation]:
     """All invariant breaches of a tower description, each naming its location."""
     out: list[Violation] = []
@@ -156,11 +167,8 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
     if spec.base_degree_cap is not None and spec.base_degree_cap < 0:
         out.append(Violation(None, "base_degree_cap", "cap must be non-negative"))
 
-    reserved = {f"u{i}" for i in range(1, spec.k + 1)}
-    reserved |= {f"c{i}" for i in range(1, spec.k + 1)}
-    reserved.add(PIVOT.name)
-    seen_names = set(reserved) | declared_bases
-    for name in sorted(declared_bases & reserved):
+    seen_names = set(declared_bases)
+    for name in sorted(n for n in declared_bases if _is_reserved(n, spec.k)):
         out.append(Violation(None, "base_generators", f"name {name!r} is reserved"))
 
     for pos, lvl in enumerate(spec.levels):
@@ -183,7 +191,7 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                 (v.name, e)
                 for poly in (q.numerator, q.denominator)
                 for m, _ in poly.items()
-                for v, e in m.items()
+                for v, e in m
                 if v.kind == "base"
             ]
             problems = [] if q.var == PIVOT else ["series must use the reserved pivot variable"]
@@ -214,7 +222,7 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                         f"{var.name!r} is attached to level {var.level}, expected {want}",
                     )
                 )
-            if var.name in seen_names:
+            if var.name in seen_names or _is_reserved(var.name, spec.k):
                 out.append(Violation(want, f"aux[{apos}]", f"name {var.name!r} is not unique"))
             seen_names.add(var.name)
     return out
@@ -428,10 +436,8 @@ def closed_formula_product(
             corner += [(v, -b - 1) for v, b in zip(lvl.aux, aux_orders)]
             result = coefficient_of(result, Monomial(corner), (u_i,) + lvl.aux)
         else:
-            # Lower levels shift only u_1..u_{i-1}, so u_i stays in this range.
-            result = result.filter_terms(
-                lambda m: -a_i - 1 <= m.exponent(u_i) <= -1
-            )
+            # Lower levels never shift u_i; the last prune kept only exponents >= -a_i-1.
+            result = result.filter_terms(lambda m: m.exponent(u_i) <= -1)
     return result
 
 

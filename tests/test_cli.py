@@ -4,10 +4,13 @@ import dataclasses
 import json
 import random
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segre_towers import flag_tower, random_tower_spec
+from segre_towers import InvalidTowerError, flag_tower, random_tower_spec
 from segre_towers.cli import (
     ResultTable,
     format_rational,
@@ -83,6 +86,86 @@ def test_spec_file_error_names_the_field():
             with pytest.raises(cli_mod.SpecFileError) as info:
                 tower_spec_from_doc(doc)
             assert str(info.value).startswith(field + ":"), (field, value)
+
+
+def test_spec_file_refuses_a_huge_level_count_at_once():
+    start = time.perf_counter()
+    with pytest.raises(InvalidTowerError) as info:
+        tower_spec_from_doc({"k": 10**12, "levels": []})
+    assert time.perf_counter() - start < 1
+    assert [v.field for v in info.value.violations] == ["levels"]
+
+
+# Spec-shaped JSON documents, mostly near-valid: a well-typed document whose
+# names may be reserved or repeated and whose k may be wrong, negative or up
+# to 10**12, with up to two of its values dropped or replaced by JSON of
+# another type (bools included).  About a fifth decode to a spec.
+_ODD_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**12), st.floats(-2, 2),
+    st.text(max_size=2), st.lists(st.integers(-1, 1), max_size=3),
+    st.dictionaries(st.sampled_from(["k", "name"]), st.none()),
+)
+_NAMES = st.sampled_from(["g", "w", "u", "u1", "c2", "c10", "u01"])
+_TRIPLE = st.tuples(
+    st.integers(-3, 3), st.sampled_from([-2, -1, 1, 3]), st.integers(1, 3)
+).map(list)
+_TRIPLES = st.lists(_TRIPLE, min_size=1, max_size=3)
+
+
+def _slots(node, label="doc"):
+    """Every (field label, container, key) of a JSON document, depth first.
+
+    A list entry is labelled by its list's field with ``[]`` appended, so a
+    fault picks a field first and only then one of its occurrences.
+    """
+    if isinstance(node, dict):
+        pairs = node.items()
+    elif isinstance(node, list):
+        pairs = enumerate(node)
+    else:
+        return
+    for key, child in pairs:
+        name = key if isinstance(node, dict) else label + "[]"
+        yield name, node, key
+        yield from _slots(child, name)
+
+
+@st.composite
+def _spec_docs(draw):
+    levels = []
+    for index in range(1, draw(st.integers(0, 3)) + 1):
+        twists = st.lists(st.integers(-2, 2), min_size=index - 1, max_size=index - 1)
+        factor = st.fixed_dictionaries({"m": twists, "q_num": _TRIPLES, "q_den": _TRIPLES})
+        level = st.fixed_dictionaries(
+            {"factors": st.lists(factor, min_size=1, max_size=2)},
+            optional={"aux": st.lists(_NAMES, max_size=2)},
+        )
+        levels.append(draw(level))
+    base = st.fixed_dictionaries({"name": _NAMES, "degree": st.integers(-1, 2)})
+    doc = draw(st.fixed_dictionaries({}, optional={
+        "base_generators": st.lists(base, max_size=2), "base_degree_cap": st.integers(-1, 3),
+    }))
+    wrong_k = st.one_of(st.integers(-2, 10**12), st.just(10**12))
+    doc.update(k=len(levels) if draw(st.integers(0, 2)) else draw(wrong_k), levels=levels)
+    for _ in range(draw(st.integers(0, 2))):
+        slots = list(_slots(doc))
+        field = draw(st.sampled_from(sorted({label for label, _, _ in slots})))
+        _, node, key = draw(st.sampled_from([slot for slot in slots if slot[0] == field]))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_ODD_JSON)
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_spec_docs())
+def test_spec_decoder_fuzz_returns_a_spec_or_names_the_fault(doc):
+    try:
+        spec = tower_spec_from_doc(doc)
+    except (cli_mod.SpecFileError, InvalidTowerError):
+        return
+    assert tower_spec_from_doc(json.loads(json.dumps(tower_spec_to_doc(spec)))) == spec
 
 
 def test_spec_file_rejects_zero_denominator_triples():

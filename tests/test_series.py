@@ -79,6 +79,38 @@ def test_monomial_canonical_drops_zero_exponents():
     assert mono((U(1), 2), (U(1), -2)) == mono()
 
 
+def test_monomial_is_its_canonical_entries_tuple():
+    m = mono((U(2), -1), (V, 3), (U(1), -2), (U(2), 0), (V, -1))
+    entries = ((V, 2), (U(1), -2), (U(2), -1))
+    assert isinstance(m, tuple) and m == entries and hash(m) == hash(entries)
+    assert m * mono((V, -2)) == entries[1:] and (m ** 0).is_one() and not mono()
+    monos = [mono((U(1), a), (U(2), b), (V, c)) for a in (-2, 1) for b in (-1, 0) for c in (-1, 2)]
+    assert [tuple(x) for x in sorted(monos)] == sorted(tuple(x) for x in monos)
+    # Tuple concatenation and repetition would build non-canonical tuples.
+    for op in (lambda: m + m, lambda: m + (), lambda: 2 * m, lambda: m * 2):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_hash_colliding_monomials_stay_distinct_terms():
+    # CPython hashes -1 and -2 alike, so a -1/-2 swap keeps the hash.
+    a, b = mono((U(1), -1), (U(2), -2)), mono((U(1), -2), (U(2), -1))
+    assert hash(a) == hash(b) and a != b
+    p = LaurentPoly({a: 1, b: 2}) * poly({((V, -1),): 1, ((V, -2),): 1})
+    assert len(p) == 4 and p.coefficient(a * mono((V, -2))) == 1
+    q = p - LaurentPoly.monomial(b * mono((V, -1)), 2)
+    assert len(q) == 3 and q.coefficient(a * mono((V, -1))) == 1
+
+
+@pytest.mark.parametrize("exp", [1.5, 2.0, "2", Fraction(3, 1), None])
+def test_monomial_refuses_non_integer_exponents(exp):
+    # int() would have truncated 1.5 to 1 and parsed "2".
+    with pytest.raises(TypeError):
+        Monomial([(U(1), exp)])
+    with pytest.raises(TypeError):
+        mono((U(1), 2)) ** exp
+
+
 def test_variable_order_is_kind_level_name():
     g, c1 = G("g"), VariableId("c1", "taut", 1)
     assert sorted([U(2), g, V, c1, U(1)]) == [V, g, c1, U(1), U(2)]

@@ -1,5 +1,6 @@
 """Tests for the tower model, the closed formula, and the stepwise oracle."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -76,6 +77,26 @@ def test_duplicate_aux_name_rejected():
         ([((), 1, {2: 1})], ("v", "v")),
     )
     assert any("not unique" in v.message for v in tower_violations(spec))
+
+
+@pytest.mark.parametrize(
+    "k, reserved",
+    [
+        (1, {"u", "u1", "c1"}),
+        (2, {"u", "u1", "c1", "c2"}),
+        (10**12, {"u", "u1", "c1", "c2", "u10"}),
+    ],
+)
+def test_reserved_names_follow_the_level_count(k, reserved):
+    # The pivot's name and u1..uk, c1..ck in canonical decimal, and no others.
+    names = ("u", "u1", "c1", "c2", "u10", "u01", "u+1", "uc1", "w")
+    level = [((), 1, {2: 1})]
+    for spec, message in (
+        (simple_tower((level, names)), "is not unique"),
+        (simple_tower(level, base_generators=[(n, 1) for n in names]), "is reserved"),
+    ):
+        found = tower_violations(dataclasses.replace(spec, k=k))
+        assert {v.message.split("'")[1] for v in found if message in v.message} == reserved
 
 
 def test_level_count_mismatch_rejected():
