@@ -196,8 +196,8 @@ def load_tower_spec(path: str) -> TowerSpec:
             doc = json.load(handle)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer above int's digit limit
+        raise SpecFileError(f"{path} cannot be decoded: {exc}") from exc
     return tower_spec_from_doc(doc)
 
 

@@ -57,6 +57,9 @@ class VariableId(tuple):
             raise ValueError(f"unknown variable kind: {kind!r}")
         return tuple.__new__(cls, (kind, level, name))
 
+    def __getnewargs__(self) -> tuple[str, str, int]:
+        return self.name, self.kind, self.level
+
     kind = property(itemgetter(0))
     level = property(itemgetter(1))
     name = property(itemgetter(2))

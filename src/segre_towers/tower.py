@@ -24,18 +24,17 @@ variable in [-b-1, -1].  Neither filters its result afterwards; each
 function's docstring says why no term outside the window can arise.
 
 ``pushforward_monomial`` needs one coefficient of that window, not all of
-it, so it runs the closed-formula product in point mode.  The invariant
-behind both the window and the pin is the same: once level i is done, a
-term's u_i and auxiliary exponents never change.  So each level can be
-pinned to its target exponent, and its variables dropped, as soon as it is
-done.  The shift expansions stop at the last nonzero binomial, which for the
-flag tower's linear factors is the first power (see ``shift_expand``).
+it, so it runs the same top-down push with one power of c_j per level in
+place of the level's blocks (its docstring proves this exact).  The shift
+expansions stop at the last nonzero binomial, which for the flag tower's
+linear factors is the first power (see ``shift_expand``).
 """
 
 from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -140,21 +139,20 @@ def _is_reserved(name: str, k: int) -> bool:
     """Whether ``name`` is the pivot's or one of u1..uk, c1..ck.
 
     Matched by pattern, so a huge ``k`` allocates nothing; without leading
-    zeros, (length, digits) orders the numbers.
+    zeros, (length, digits) orders the numbers.  No tuple holds more than
+    ``sys.maxsize`` levels, so a larger ``k`` counts as that.
     """
-    top, match = str(max(k, 0)), re.fullmatch(r"[uc]([1-9][0-9]*)", name)
+    top, match = str(min(max(k, 0), sys.maxsize)), re.fullmatch(r"[uc]([1-9][0-9]*)", name)
     return name == PIVOT.name or (bool(match) and (len(match[1]), match[1]) <= (len(top), top))
 
 
 def tower_violations(spec: TowerSpec) -> list[Violation]:
     """All invariant breaches of a tower description, each naming its location."""
     out: list[Violation] = []
-    if spec.k < 0:
-        out.append(Violation(None, "k", f"level count must be non-negative, got {spec.k}"))
-    if len(spec.levels) != max(spec.k, 0):
-        out.append(
-            Violation(None, "levels", f"expected {spec.k} levels, found {len(spec.levels)}")
-        )
+    if not 0 <= spec.k <= sys.maxsize:
+        out.append(Violation(None, "k", f"level count must be in 0..{sys.maxsize}"))
+    elif len(spec.levels) != spec.k:
+        out.append(Violation(None, "levels", f"expected {spec.k} levels, found {len(spec.levels)}"))
     declared_bases = set()
     for name, degree in spec.base_generators:
         if name in declared_bases:
@@ -400,25 +398,12 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     return _level_product(spec, LaurentPoly.one(), level, PIVOT, taut_variable, cap, min_exponent)
 
 
-def closed_formula_product(
-    spec: TowerSpec, req: TruncationRequest, point: bool = False
-) -> LaurentPoly:
+def closed_formula_product(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
     """The closed-formula product of the shifted factors, level by level.
 
     The running product is restricted to terms that can still reach the
     requested window, and each level ends restricted to its window range,
     so the result is the window itself (``closed_formula_segre``).
-
-    With ``point`` each level instead ends pinned to the window's corner:
-    only the coefficient of u_i^(-a_i-1) times v^(-b-1) for each of the
-    level's auxiliary variables v is kept, and those variables are dropped.
-    The result is that one coefficient, a polynomial in the base variables
-    (``pushforward_monomial``).  Pinning is exact because after level i a
-    term's u_i and auxiliary exponents never change: the lower levels'
-    twists involve only u_1..u_{i-1}, and an auxiliary variable enters only
-    through ``geometric_expand`` at its own level.  So terms with different
-    values of those exponents never combine, and those off the target never
-    reach it.
     """
     validate_tower(spec)
     result = LaurentPoly.one()
@@ -431,13 +416,8 @@ def closed_formula_product(
         aux_series = [(geometric_expand(v, u_i, b), b) for v, b in zip(lvl.aux, aux_orders)]
         cap = req.shift_caps[i - 1]
         result = _level_product(spec, result, i, u_i, tower_variable, cap, -a_i - 1, aux_series)
-        if point:
-            corner = [(u_i, -a_i - 1)]
-            corner += [(v, -b - 1) for v, b in zip(lvl.aux, aux_orders)]
-            result = coefficient_of(result, Monomial(corner), (u_i,) + lvl.aux)
-        else:
-            # Lower levels never shift u_i; the last prune kept only exponents >= -a_i-1.
-            result = result.filter_terms(lambda m: m.exponent(u_i) <= -1)
+        # Lower levels never shift u_i; the last prune kept only exponents >= -a_i-1.
+        result = result.filter_terms(lambda m: m.exponent(u_i) <= -1)
     return result
 
 
@@ -454,17 +434,51 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     return closed_formula_product(spec, req)
 
 
+def _push_down(
+    spec: TowerSpec, req: TruncationRequest, block: Callable[[int], LaurentPoly]
+) -> LaurentPoly:
+    """Multiply in ``block(j)``, a polynomial in c_j and level j's own
+    variables, and push c_j down, for each level j from the top.
+
+    Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
+    Segre series; it holds only lower c's and base variables, so the
+    exponents a block sets never change.
+    """
+    validate_tower(spec)
+    state = LaurentPoly.one()
+    for j in range(spec.k, 0, -1):
+        if state.is_zero():
+            break
+        c_j = taut_variable(j)
+        slices: dict[int, dict[Monomial, Fraction]] = {}
+        for mono, coeff in (state * block(j)).items():
+            slices.setdefault(mono.exponent(c_j), {})[mono.without({c_j})] = coeff
+        gamma_max = max(slices)
+        if gamma_max > req.shift_caps[j - 1]:
+            raise TruncationOverrun(
+                f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
+                f"derived cap {req.shift_caps[j - 1]}"
+            )
+        series = individual_segre(spec, j, -gamma_max - 1)
+        state = LaurentPoly.zero()
+        for gamma, terms in slices.items():
+            piece = coefficient_of(series, Monomial.of(PIVOT, -gamma - 1), {PIVOT})
+            if not piece.is_zero():
+                state = state + _cap_base(LaurentPoly(terms) * piece, spec)
+    return state
+
+
 def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
     """Tower Segre series by explicit level-by-level push-forward.
 
-    Walks the levels once, from the top down.  At level j it multiplies in
-    the truncated generating blocks of that level's tautological powers,
-    sum_g c_j^g u_j^(-g-1) and the same for each auxiliary variable, then
-    replaces every power of c_j by the matching descending coefficient of
-    the level's own Segre series.  No closed-form resummation is used, so
-    this serves as an independent oracle for ``closed_formula_segre``.
+    Level j's block is the truncated generating series of its tautological
+    powers, sum_g c_j^g u_j^(-g-1), times the same for each auxiliary
+    variable, and ``_push_down`` replaces every power of c_j by the matching
+    descending coefficient of the level's own Segre series.  No closed-form
+    resummation is used, so this serves as an independent oracle for
+    ``closed_formula_segre``.
 
-    Multiplying level j's blocks in only when c_j is pushed gives the same
+    Multiplying level j's block in only when c_j is pushed gives the same
     terms as starting from the product of all blocks: the push at level i
     changes only c_i and is linear over everything free of c_i, and the
     blocks of levels below i hold no c_i and no base variable.  So the
@@ -476,35 +490,15 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     [-b-1, -1], and the level series multiplied in afterwards involve only
     the pivot and the tautological variables c_j.
     """
-    validate_tower(spec)
-    state = LaurentPoly.one()
-    for j in range(spec.k, 0, -1):
-        if state.is_zero():
-            break
+
+    def block(j: int) -> LaurentPoly:
         c_j = taut_variable(j)
-        state = state * geometric_expand(tower_variable(j), c_j, req.tower_orders[j - 1])
+        out = geometric_expand(tower_variable(j), c_j, req.tower_orders[j - 1])
         for var in spec.levels[j - 1].aux:
-            state = state * geometric_expand(var, c_j, req.aux_order(var.name))
-        slices: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, coeff in state.items():
-            gamma = mono.exponent(c_j)
-            slices.setdefault(gamma, {})[mono.without({c_j})] = coeff
-        gamma_max = max(slices)
-        if gamma_max > req.shift_caps[j - 1]:
-            raise TruncationOverrun(
-                f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
-                f"derived cap {req.shift_caps[j - 1]}"
-            )
-        series = individual_segre(spec, j, -gamma_max - 1)
-        state = LaurentPoly.zero()
-        for gamma, terms in slices.items():
-            piece = coefficient_of(series, Monomial.of(PIVOT, -gamma - 1), {PIVOT})
-            if piece.is_zero():
-                continue
-            # ``piece`` holds only c's and base variables, so the u and aux
-            # exponents the blocks set are never changed.
-            state = state + _cap_base(LaurentPoly(terms) * piece, spec)
-    return state
+            out = out * geometric_expand(var, c_j, req.aux_order(var.name))
+        return out
+
+    return _push_down(spec, req, block)
 
 
 def pushforward_monomial(
@@ -514,18 +508,27 @@ def pushforward_monomial(
 ) -> LaurentPoly:
     """Push-forward of a tautological monomial, as a polynomial in base variables.
 
-    ``tower_exponents`` gives the power of each level's tautological class;
-    ``aux_exponents`` gives powers for the extra copies carried by auxiliary
-    variables.  The value is the coefficient of the matching all-negative
-    monomial of the closed-formula Segre series, computed alone: the product
-    runs in point mode, which pins each level to its target exponent as soon
-    as the level is done, so no other coefficient of the window is carried
-    down the lower levels.
+    ``tower_exponents`` gives the power a_j of each level's tautological
+    class; ``aux_exponents`` gives the power b of each extra copy carried by
+    an auxiliary variable v.  The value is the coefficient of
+    prod u_j^(-a_j-1) prod v^(-b-1) in ``stepwise_pushforward``'s window,
+    computed alone: the same top-down push, with level j's block replaced
+    by the one term c_j^(a_j + sum of the level's b).  That is exact:
+
+    * The push at level j is linear over everything free of c_j, and once
+      level j is done its u_j and auxiliary exponents never change.  So the
+      target coefficient can be taken from each block as it is multiplied in.
+    * Only the g = a_j term of sum_g c_j^g u_j^(-g-1) reaches u_j^(-a_j-1),
+      and only the g = b term of sum_g c_j^g v^(-g-1) reaches v^(-b-1).
+      Their product is that one power of c_j.
+
+    The slices met are among the window's, so its derived caps hold.
     """
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
     aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
     req = TruncationRequest.derive(spec, exps, aux)
-    return closed_formula_product(spec, req, point=True)
+    power = [a + sum(aux[v.name] for v in lvl.aux) for a, lvl in zip(exps, spec.levels)]
+    return _push_down(spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1]))
 
 
 def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:

@@ -13,6 +13,7 @@ from segre_towers import (
     TruncationRequest,
     aux_variable,
     base_variable,
+    flag_tower,
     taut_variable,
     tower_variable,
 )
@@ -81,3 +82,32 @@ def arrangement_sign(values):
         if vals[i] > vals[j]
     )
     return Fraction(-1) ** inversions
+
+
+def flag_bundle(k):
+    """The flag bundle of a rank n = k+1 bundle E, as a test-only tower.
+
+    The base generators e1..en, of degrees 1..n, are the Chern classes of E.
+    Level i is ``flag_tower(k)``'s level i with 1/u^n replaced by
+    1/(u^n - e1*u^(n-1) + ... + (-1)^n*en), so e = 0 gives ``flag_tower(k)``.
+    """
+    n = k + 1
+    den = LaurentPoly.variable(PIVOT, n)
+    for i in range(1, n + 1):
+        den = den + poly({((PIVOT, n - i), (G(f"e{i}"), 1)): (-1) ** i})
+    levels = []
+    for lvl in flag_tower(k).levels:
+        point, *shifted = lvl.factors
+        bundle = TowerFactor(point.twists, RationalFunction1V(PIVOT, 1, den))
+        levels.append(dataclasses.replace(lvl, factors=(bundle, *shifted)))
+    return TowerSpec(k, tuple(levels), tuple((f"e{i}", i) for i in range(1, n + 1)))
+
+
+def evaluate(value, values):
+    """``value``, a Laurent polynomial, with each variable v set to ``values[v]``."""
+    total = Fraction(0)
+    for mono, coeff in value.items():
+        for var, exp in mono:
+            coeff *= values[var] ** exp
+        total += coeff
+    return total

@@ -96,6 +96,22 @@ def test_spec_file_refuses_a_huge_level_count_at_once():
     assert [v.field for v in info.value.violations] == ["levels"]
 
 
+def test_spec_refuses_a_level_count_beyond_int_to_str_digits():
+    # str() of an int above 4300 digits raises; no message may need it.
+    doc = {"k": 10**5000, "levels": [], "base_generators": [{"name": "u1", "degree": 1}]}
+    with pytest.raises(InvalidTowerError) as info:
+        tower_spec_from_doc(doc)
+    assert [v.field for v in info.value.violations] == ["k", "base_generators"]
+
+
+def test_spec_file_with_an_oversized_integer_names_the_path(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"k": 1' + "0" * 5000 + ', "levels": []}', encoding="utf-8")
+    with pytest.raises(cli_mod.SpecFileError) as info:
+        cli_mod.load_tower_spec(str(path))
+    assert str(path) in str(info.value)
+
+
 # Spec-shaped JSON documents, mostly near-valid: a well-typed document whose
 # names may be reserved or repeated and whose k may be wrong, negative or up
 # to 10**12, with up to two of its values dropped or replaced by JSON of

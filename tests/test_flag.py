@@ -1,6 +1,7 @@
 """Tests for the flag tower, Vandermonde coefficients, and localization."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from segre_towers import (
     flag_tower,
     localization_integral,
     negative_part,
+    pushforward_monomial,
     rename_variables,
     validate_tower,
     vandermonde_integral,
@@ -23,10 +25,10 @@ from segre_towers import (
 )
 from segre_towers import flag as flag_mod
 from segre_towers.cli import flag_exponent_tuples
-from segre_towers.flag import _draw_distinct
+from segre_towers.flag import _alternant, _draw_distinct
 from segre_towers.tower import PIVOT
 
-from _helpers import U, arrangement_sign
+from _helpers import G, U, arrangement_sign, evaluate, flag_bundle
 
 
 def test_flag_tower_k1_structure():
@@ -255,6 +257,31 @@ def test_no_projection_needed_for_flag_towers():
         )
         assert product
         assert negative_part(product, tower_vars) == product
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_flag_bundle_pushforwards_match_the_bialternant(k):
+    # By the Gysin formula for flag bundles, the push-forward of
+    # c_1^a_1...c_k^a_k is a_alpha(r)/a_delta(r), alpha = (a_1, ..., a_k, 0),
+    # at the Chern roots r of E: the fixed-point ratio, with roots for weights.
+    spec = flag_bundle(k)
+    rng = random.Random(k)
+    draws = []
+    for _ in range(2):
+        roots = _draw_distinct(rng, k + 1)
+        chern = {
+            G(f"e{i}"): sum(map(math.prod, itertools.combinations(roots, i)))
+            for i in range(1, k + 2)
+        }
+        draws.append((roots, chern))
+    non_constant = 0
+    for exps in itertools.product(range(k + 3), repeat=k):
+        value = pushforward_monomial(spec, exps)
+        for roots, chern in draws:
+            expected = _alternant(roots, (0,) + exps[::-1]) / _alternant(roots, range(k + 1))
+            assert evaluate(value, chern) == expected, (exps, value)
+        non_constant += bool(value.variables())
+    assert non_constant > 0
 
 
 def test_arrangement_sign():

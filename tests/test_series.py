@@ -1,5 +1,8 @@
 """Unit and property tests for the exact Laurent-polynomial kernel."""
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from segre_towers import (
     binomial_general,
     coefficient_of,
     descending_expand,
+    flag_tower,
     geometric_expand,
     negative_part,
     rename_variables,
@@ -413,8 +417,8 @@ def test_coefficient_of_examples():
     # An extraction variable the target lacks must be absent from the term.
     s3 = poly({((V, -1), (u, -1)): 1, ((g, 1), (u, -1)): 2})
     assert coefficient_of(s3, mono((u, -1)), {u, V}) == 2 * LaurentPoly.variable(g)
-    # A two-variable corner pin, as in point mode: the base variable sorts
-    # between the pinned ones and is all that remains.
+    # A two-variable target, as when a window coefficient is read: the base
+    # variable sorts between the target's and is all that remains.
     s4 = poly(
         {
             ((V, -1), (g, 2), (u, -2)): 5,
@@ -437,3 +441,59 @@ def test_rename_variables_merges_collisions():
     u, v = U(1), U(2)
     s = poly({((u, 1),): 1, ((v, 1),): 2})
     assert rename_variables(s, {v: u}) == poly({((u, 1),): 3})
+
+
+def test_values_survive_pickle_and_deepcopy():
+    spec = flag_tower(2)
+    series = poly({((U(1), -2), (G("g"), 1)): Fraction(3, 4), ((V, -1),): -1})
+    for value in (spec, series, V, mono((U(1), -2), (V, 3))):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and type(copied) is type(value)
+
+
+# -- cross-check against sympy's series at infinity ---------------------------
+
+
+def to_sympy(sp, poly_value):
+    return sum(
+        sp.Rational(c.numerator, c.denominator)
+        * sp.Mul(*(sp.Symbol(v.name) ** e for v, e in m))
+        for m, c in poly_value.items()
+    )
+
+
+def random_upoly(rng, exps):
+    return upoly({e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for e in exps})
+
+
+def test_descending_expand_matches_sympy_series_at_infinity():
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol(PIVOT.name)
+    rng = random.Random(5)
+    for _ in range(10):
+        lead = rng.randint(-1, 3)
+        den = random_upoly(rng, rng.sample(range(-2, lead), rng.randint(0, 2))) + upoly({lead: 1})
+        f = RationalFunction1V(PIVOT, random_upoly(rng, rng.sample(range(-2, 4), 2)), den)
+        least = rng.randint(-5, 0)
+        # At infinity, order n keeps every exponent above -n.
+        theirs = sp.series(to_sympy(sp, f.numerator) / to_sympy(sp, den), x, sp.oo, 1 - least)
+        ours = to_sympy(sp, descending_expand(f, least))
+        assert sp.expand(theirs.removeO() - ours) == 0, (f, least)
+
+
+def test_shift_expand_matches_sympy_series_at_infinity():
+    # Each shift variable y is scaled to y/t, so the power t^-d of the series
+    # at t = oo is the part of total shift degree d, the part the cap keeps.
+    sp = pytest.importorskip("sympy")
+    x, t = sp.Symbol(PIVOT.name), sp.Symbol("t")
+    rng = random.Random(6)
+    for _ in range(10):
+        q = random_upoly(rng, rng.sample(range(-3, 4), rng.randint(1, 3)))
+        shift = poly({((U(1), 1),): rng.choice([-2, -1, 1, 2]), ((U(2), 1),): rng.randint(-1, 1)})
+        shift = shift + poly({((U(1), 1), (U(2), 1)): rng.randint(-1, 1)})
+        cap = rng.randint(0, 3)
+        scaled = {sp.Symbol(v.name): sp.Symbol(v.name) / t for v in shift.variables()}
+        argument = x + to_sympy(sp, shift).subs(scaled, simultaneous=True)
+        theirs = sp.series(to_sympy(sp, q).subs(x, argument), t, sp.oo, cap + 1)
+        ours = to_sympy(sp, shift_expand(q, PIVOT, shift, cap))
+        assert sp.expand(theirs.removeO().subs(t, 1) - ours) == 0, (q, shift, cap)

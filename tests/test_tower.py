@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,13 @@ def test_reserved_names_follow_the_level_count(k, reserved):
     ):
         found = tower_violations(dataclasses.replace(spec, k=k))
         assert {v.message.split("'")[1] for v in found if message in v.message} == reserved
+
+
+@pytest.mark.parametrize(
+    "k", [-1, -(10**5000), sys.maxsize + 1, 10**5000], ids=["-1", "-10^5000", "max+1", "10^5000"]
+)
+def test_level_count_out_of_range_names_k(k):
+    assert [v.field for v in tower_violations(TowerSpec(k, ()))] == ["k"]
 
 
 def test_level_count_mismatch_rejected():
@@ -608,8 +616,9 @@ def test_pushforward_monomial_aux_exponents():
 
 
 def test_pushforward_monomial_matches_window_coefficients():
-    # The pinned product must give exactly the window's coefficient at every
-    # window point, aux exponents and capped base coefficients included.
+    # The closed route against the stepwise push of one monomial: each push
+    # must give exactly the closed window's coefficient at every window point,
+    # aux exponents and capped base coefficients included.
     rng = random.Random(41)
     cases = []
     for _ in range(10):
