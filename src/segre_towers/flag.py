@@ -7,12 +7,17 @@ product.  A torus-fixed-point summation provides a third, fully independent
 way to evaluate the same integrals.  Its denominator at an ordering w is
 sign(w) V(t), V(t) the Vandermonde determinant of the weights, so the sum is
 the bialternant det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1) (Macdonald,
-*Symmetric Functions and Hall Polynomials*, I.3).
+*Symmetric Functions and Hall Polynomials*, I.3).  Each determinant is taken
+over the integers: scaling column j by q_j^max(e), q_j the denominator of
+t_j, clears every fraction, fraction-free (Bareiss) elimination computes the
+integer determinant, and one division by prod_j q_j^max(e) undoes the scaling.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,9 +40,14 @@ class LocalizationDisagreement(RuntimeError):
 
 
 def _check_count(name: str, value: int) -> int:
-    """``value`` as a count: an int >= 1 that is not a ``bool``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name}: expected an integer >= 1, got {value!r}")
+    """``value`` as a count: an int in 1..sys.maxsize that is not a ``bool``.
+
+    No tuple holds more than ``sys.maxsize`` entries.  A larger int is not
+    echoed, since it may have more digits than ``str`` converts.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= sys.maxsize:
+        got = "" if isinstance(value, int) and abs(value) > sys.maxsize else f", got {value!r}"
+        raise ValueError(f"{name}: expected an integer in 1..{sys.maxsize}{got}")
     return value
 
 
@@ -78,11 +88,15 @@ def vandermonde_product(k: int) -> LaurentPoly:
     return result
 
 
+def _vandermonde_target(k: int, exps: Sequence[int]) -> Monomial:
+    """The monomial prod u_i^(k - a_i) whose Vandermonde coefficient is the integral."""
+    return Monomial((tower_variable(i + 1), k - a) for i, a in enumerate(exps))
+
+
 def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Coefficient of prod u_i^(k - a_i) in the expanded Vandermonde product."""
     exps = _check_exponents("exponents", exponents, _check_count("k", k))
-    target = Monomial((tower_variable(i + 1), k - a) for i, a in enumerate(exps))
-    return vandermonde_product(k).coefficient(target)
+    return vandermonde_product(k).coefficient(_vandermonde_target(k, exps))
 
 
 def flag_integral(k: int, exponents: Sequence[int]) -> Fraction:
@@ -122,19 +136,30 @@ def localization_integral(
 
 
 def _alternant(ts: Sequence[Fraction], powers: Sequence[int]) -> Fraction:
-    """det(t_j^e_p), exactly: expand along the first column at its first
-    nonzero entry, in row p (sign (-1)^p), after clearing the rest of it."""
-    rows = [[t**e for t in ts] for e in powers]
-    det = Fraction(1)
-    while rows:
-        p = next((i for i, row in enumerate(rows) if row[0]), None)
+    """det(t_j^e_p), exactly, with integer arithmetic only.
+
+    Column j times q_j^E, q_j the denominator of t_j and E = max(e), has the
+    integer entries n_j^e_p q_j^(E - e_p).  Fraction-free (Bareiss)
+    elimination takes their determinant, swapping in a lower row when a
+    pivot is zero: every division in it is exact (Bareiss, Math. Comp. 22,
+    1968).  Dividing by prod_j q_j^E gives det(t_j^e_p).
+    """
+    top = max(powers)
+    fracs = [(t.numerator, t.denominator) for t in ts]
+    rows = [[n**e * d ** (top - e) for n, d in fracs] for e in powers]
+    sign, prev = 1, 1
+    for c in range(len(rows) - 1):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
         if p is None:
             return Fraction(0)
-        det *= -rows[p][0] if p % 2 else rows[p][0]
-        pivot = [x / rows[p][0] for x in rows[p][1:]]
-        rest = rows[:p] + rows[p + 1 :]
-        rows = [[x - row[0] * y for x, y in zip(row[1:], pivot)] for row in rest]
-    return det
+        if p != c:
+            rows[c], rows[p], sign = rows[p], rows[c], -sign
+        head = rows[c][c:]
+        for row in rows[c + 1 :]:
+            lead = row[c]
+            row[c:] = [(x * head[0] - lead * y) // prev for x, y in zip(row[c:], head)]
+        prev = head[0]
+    return Fraction(sign * rows[-1][-1], math.prod(d for _, d in fracs) ** top)
 
 
 def _draw_distinct(rng: random.Random, count: int) -> list[Fraction]:

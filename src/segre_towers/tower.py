@@ -394,6 +394,11 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     validate_tower(spec)
     if not 1 <= level <= spec.k:
         raise ValueError(f"level must be in 1..{spec.k}, got {level}")
+    return _level_series(spec, level, min_exponent)
+
+
+def _level_series(spec: TowerSpec, level: int, min_exponent: int) -> LaurentPoly:
+    """``individual_segre`` of a tower already validated, at a level in range."""
     cap = max(sum(map(_lead_plus, spec.levels[level - 1].factors)) - min_exponent, 0)
     return _level_product(spec, LaurentPoly.one(), level, PIVOT, taut_variable, cap, min_exponent)
 
@@ -459,7 +464,7 @@ def _push_down(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series = individual_segre(spec, j, -gamma_max - 1)
+        series = _level_series(spec, j, -gamma_max - 1)
         state = LaurentPoly.zero()
         for gamma, terms in slices.items():
             piece = coefficient_of(series, Monomial.of(PIVOT, -gamma - 1), {PIVOT})

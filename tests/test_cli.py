@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segre_towers import InvalidTowerError, flag_tower, random_tower_spec
+from segre_towers import (
+    InvalidTowerError,
+    LaurentPoly,
+    Monomial,
+    flag_tower,
+    random_tower_spec,
+    tower_variable,
+)
 from segre_towers.cli import (
     ResultTable,
     format_rational,
@@ -437,10 +444,10 @@ def test_cmd_verify_zero_towers_runs_the_flag_sweep(capsys):
 
 
 def test_cmd_verify_rejects_k_above_ceiling(capsys):
-    assert main(["verify", "--max-k", "9"]) == 1
+    assert main(["verify", "--max-k", "7"]) == 1
     err = capsys.readouterr().err
     assert "ceiling" in err
-    assert err.startswith("error: --max-k: 9 ")
+    assert err.startswith("error: --max-k: 7 ")
 
 
 def test_cmd_verify_determinism(capsys):
@@ -452,23 +459,47 @@ def test_cmd_verify_determinism(capsys):
 
 
 def test_cmd_verify_reports_injected_mismatch(capsys, monkeypatch):
-    # Perturb one Vandermonde value: the sweep must flag it and exit nonzero.
-    import segre_towers.flag as flag_mod
+    # Perturb one coefficient of the k = 2 Vandermonde expansion, which verify
+    # reads every k = 2 value from: it must flag that tuple and exit nonzero.
+    real = cli_mod.flag_mod.vandermonde_product
 
-    real = flag_mod.vandermonde_integral
+    def skewed(k):
+        product = real(k)
+        if k == 2:
+            # u1^(2-2) * u2^(2-1) is the coefficient read for a = (2, 1).
+            product = product + LaurentPoly.variable(tower_variable(2))
+        return product
 
-    def skewed(k, exps):
-        value = real(k, exps)
-        if k == 2 and tuple(exps) == (2, 1):
-            return value + 1
-        return value
-
-    monkeypatch.setattr(cli_mod.flag_mod, "vandermonde_integral", skewed)
+    monkeypatch.setattr(cli_mod.flag_mod, "vandermonde_product", skewed)
     code = main(["verify", "--max-k", "2", "--seed", "7", "--towers", "0"])
     out = capsys.readouterr().out
     assert code == 1
+    assert "PASS flag k=1" in out
     assert "FAIL flag k=2" in out
-    assert "a=(2, 1)" in out
+    assert "a=(2, 1): tower=1 vandermonde=2 localization=1" in out
+
+
+def test_cmd_verify_reports_differing_flag_windows(capsys, monkeypatch):
+    # A closed flag window with one extra term: the FAIL line names k, the
+    # orders and the first differing monomial with both values, which is
+    # enough to rerun the two windows alone.
+    real = cli_mod.closed_formula_segre
+    extra = Monomial([(tower_variable(1), -1), (tower_variable(2), -3)])
+
+    def skewed(spec, req):
+        window = real(spec, req)
+        return window + LaurentPoly.monomial(extra) if spec.k == 2 else window
+
+    monkeypatch.setattr(cli_mod, "closed_formula_segre", skewed)
+    code = main(["verify", "--max-k", "3", "--seed", "7", "--towers", "0", "--trials", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "PASS flag k=1" in out and "PASS flag k=3" in out
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line == (
+        f"FAIL flag k=2: closed and stepwise windows of the flag tower k=2 at orders "
+        f"(2, 2) first differ at monomial {extra}: closed=1 stepwise=0"
+    )
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,40 @@ def test_bialternant_identity_above_dimension(monkeypatch):
     assert values[0] != values[1]
 
 
+def leibniz(matrix):
+    """det by the Leibniz sum over all permutations."""
+    n = len(matrix)
+    return sum(
+        arrangement_sign(perm) * math.prod(matrix[i][perm[i]] for i in range(n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def test_alternant_equals_the_leibniz_determinant():
+    # Seeded weights, small enough that zeros and repeats are common, with
+    # repeated powers too, plus three fixed cases: a zero first pivot on a
+    # nonsingular matrix (t_0 = 0 under a positive power), a zero second
+    # pivot (t_1 = -t_0 under powers 0 and 2), and a singular matrix.
+    rng = random.Random(2026)
+    cases = [
+        ([Fraction(0), Fraction(1), Fraction(-2, 3)], [1, 0, 2]),
+        ([Fraction(3, 2), Fraction(-3, 2), Fraction(5, 7), Fraction(2)], [0, 2, 1, 4]),
+        ([Fraction(1, 2), Fraction(1, 2), Fraction(4)], [0, 1, 3]),
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        ts = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        cases.append((ts, [rng.randint(0, 5) for _ in range(n)]))
+    seen = {"zero first pivot": 0, "singular": 0, "nonzero": 0}
+    for ts, powers in cases:
+        expected = leibniz([[t**e for t in ts] for e in powers])
+        assert _alternant(ts, powers) == expected, (ts, powers)
+        seen["singular"] += expected == 0
+        seen["nonzero"] += expected != 0
+        seen["zero first pivot"] += expected != 0 and ts[0] == 0 and powers[0] > 0
+    assert min(seen.values()) >= 3, seen
+
+
 def test_triple_agreement_k_up_to_3():
     for k in (1, 2, 3):
         for exps in flag_exponent_tuples(k):

@@ -544,6 +544,13 @@ AUX_TOWER = simple_tower(([((), 1, {2: 1})], ("v",)))
         (lambda: vandermonde_integral(2.0, (1, 2)), "k"),
         (lambda: localization_integral(0, ()), "k"),
         (lambda: localization_integral(True, (1,)), "k"),
+        # Counts beyond sys.maxsize match no tuple; 10**5000 cannot be printed.
+        (lambda: flag_integral(10**5000, ()), "k"),
+        (lambda: flag_integral(-(10**5000), ()), "k"),
+        (lambda: vandermonde_integral(10**5000, ()), "k"),
+        (lambda: vandermonde_integral(sys.maxsize + 1, ()), "k"),
+        (lambda: localization_integral(10**5000, (), trials=1), "k"),
+        (lambda: localization_integral(1, (1,), trials=10**5000), "trials"),
     ],
 )
 def test_library_errors_name_the_parameter(call, name):
