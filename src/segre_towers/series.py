@@ -106,9 +106,6 @@ class Monomial(tuple):
     def degree_in(self, variables: frozenset[VariableId] | set[VariableId]) -> int:
         return sum(e for v, e in self if v in variables)
 
-    def weighted_degree(self, weights: Mapping[VariableId, int]) -> int:
-        return sum(e * weights[v] for v, e in self if v in weights)
-
     def without(self, variables: frozenset[VariableId] | set[VariableId]) -> "Monomial":
         return Monomial((v, e) for v, e in self if v not in variables)
 

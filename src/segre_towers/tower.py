@@ -96,17 +96,12 @@ class TowerSpec:
     """A complete tower description.
 
     ``base_generators`` lists (name, degree) pairs for the free graded
-    coefficient ring; ``base_degree_cap``, when set, drops terms above that
-    weighted base degree during tower computations.  Dropping them after each
-    product is exact only while no base exponent is negative, so with a cap
-    no factor may have one, and no denominator's leading coefficient may
-    involve a base variable, since the expansion divides by it.
+    coefficient ring.
     """
 
     k: int
     levels: tuple[TowerLevel, ...]
     base_generators: tuple[tuple[str, int], ...] = ()
-    base_degree_cap: int | None = None
 
     def tower_variables(self) -> tuple[VariableId, ...]:
         return tuple(tower_variable(i) for i in range(1, self.k + 1))
@@ -146,6 +141,13 @@ def _is_reserved(name: str, k: int) -> bool:
     return name == PIVOT.name or (bool(match) and (len(match[1]), match[1]) <= (len(top), top))
 
 
+def _name_problem(name: str) -> str | None:
+    """Why ``name`` cannot head a table column or key an ``--aux-orders`` entry."""
+    if not name or re.search(r"[\s,=]", name):
+        return f"name {name!r} must be nonempty, without whitespace, ',' or '='"
+    return None
+
+
 def tower_violations(spec: TowerSpec) -> list[Violation]:
     """All invariant breaches of a tower description, each naming its location."""
     out: list[Violation] = []
@@ -158,12 +160,12 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
         if name in declared_bases:
             out.append(Violation(None, "base_generators", f"duplicate generator {name!r}"))
         declared_bases.add(name)
+        if problem := _name_problem(name):
+            out.append(Violation(None, "base_generators", problem))
         if not isinstance(degree, int) or degree <= 0:
             out.append(
                 Violation(None, "base_generators", f"generator {name!r} needs a positive degree")
             )
-    if spec.base_degree_cap is not None and spec.base_degree_cap < 0:
-        out.append(Violation(None, "base_degree_cap", "cap must be non-negative"))
 
     seen_names = set(declared_bases)
     for name in sorted(n for n in declared_bases if _is_reserved(n, spec.k)):
@@ -185,29 +187,18 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                     )
                 )
             q = factor.series
-            base_exps = [
-                (v.name, e)
+            base_names = {
+                v.name
                 for poly in (q.numerator, q.denominator)
                 for m, _ in poly.items()
-                for v, e in m
+                for v, _ in m
                 if v.kind == "base"
-            ]
+            }
             problems = [] if q.var == PIVOT else ["series must use the reserved pivot variable"]
             problems += [
                 f"base variable {name!r} is not declared in base_generators"
-                for name in sorted({name for name, _ in base_exps} - declared_bases)
+                for name in sorted(base_names - declared_bases)
             ]
-            if spec.base_degree_cap is not None:
-                top = q.denominator.max_exponent_in(q.var)
-                if any(
-                    m.exponent(q.var) == top and not m.without({q.var}).is_one()
-                    for m, _ in q.denominator.items()
-                ):
-                    problems.append(
-                        "base_degree_cap: leading denominator term has a base variable"
-                    )
-                if any(e < 0 for _, e in base_exps):
-                    problems.append("base_degree_cap: a base exponent is negative")
             out += [Violation(want, f"factors[{fpos}].q", msg) for msg in problems]
         for apos, var in enumerate(lvl.aux):
             if var.kind != "aux":
@@ -220,6 +211,8 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                         f"{var.name!r} is attached to level {var.level}, expected {want}",
                     )
                 )
+            if problem := _name_problem(var.name):
+                out.append(Violation(want, f"aux[{apos}]", problem))
             if var.name in seen_names or _is_reserved(var.name, spec.k):
                 out.append(Violation(want, f"aux[{apos}]", f"name {var.name!r} is not unique"))
             seen_names.add(var.name)
@@ -339,14 +332,6 @@ class TruncationRequest:
         raise KeyError(name)
 
 
-def _cap_base(poly: LaurentPoly, spec: TowerSpec) -> LaurentPoly:
-    if spec.base_degree_cap is None or not spec.base_generators:
-        return poly
-    weights = {base_variable(name): degree for name, degree in spec.base_generators}
-    cap = spec.base_degree_cap
-    return poly.filter_terms(lambda m: m.weighted_degree(weights) <= cap)
-
-
 def _level_product(
     spec: TowerSpec, result: LaurentPoly, level: int, pivot: VariableId,
     lower: Callable[[int], VariableId], cap: int, floor: int,
@@ -379,7 +364,7 @@ def _level_product(
         # multiplier term's: terms below ``reach`` form only terms below ``least``.
         reach = least - result.max_exponent_in(pivot)
         poly = poly.filter_terms(lambda m: m.exponent(pivot) >= reach)
-        result = _cap_base(result * poly, spec)
+        result = result * poly
         result = result.filter_terms(lambda m: m.exponent(pivot) >= least)
     return result
 
@@ -469,7 +454,7 @@ def _push_down(
         for gamma, terms in slices.items():
             piece = coefficient_of(series, Monomial.of(PIVOT, -gamma - 1), {PIVOT})
             if not piece.is_zero():
-                state = state + _cap_base(LaurentPoly(terms) * piece, spec)
+                state = state + LaurentPoly(terms) * piece
     return state
 
 
@@ -486,9 +471,8 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     Multiplying level j's block in only when c_j is pushed gives the same
     terms as starting from the product of all blocks: the push at level i
     changes only c_i and is linear over everything free of c_i, and the
-    blocks of levels below i hold no c_i and no base variable.  So the
-    slices by c_i, their ``gamma_max`` and the base-degree cap all come out
-    the same.
+    blocks of levels below i hold no c_i.  So the slices by c_i and their
+    ``gamma_max`` come out the same.
 
     The result is the window with no projection applied: the blocks set
     every u_i exponent to [-a_i-1, -1] and every auxiliary exponent to

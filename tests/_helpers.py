@@ -46,7 +46,7 @@ def rf(num, den):
     return RationalFunction1V(PIVOT, num, den)
 
 
-def simple_tower(*level_descriptions, base_generators=(), base_degree_cap=None):
+def simple_tower(*level_descriptions, base_generators=()):
     """TowerSpec from per-level (factors, aux_names) tuples.
 
     Each factor is (twists, num, den) with num/den as {exp: coeff} or a
@@ -59,7 +59,7 @@ def simple_tower(*level_descriptions, base_generators=(), base_degree_cap=None):
         built = tuple(TowerFactor(tuple(t), rf(n, d)) for t, n, d in factors)
         aux = tuple(aux_variable(name, index) for name in aux_names)
         levels.append(TowerLevel(index, built, aux))
-    return TowerSpec(len(levels), tuple(levels), tuple(base_generators), base_degree_cap)
+    return TowerSpec(len(levels), tuple(levels), tuple(base_generators))
 
 
 def padded(req: TruncationRequest, extra: int) -> TruncationRequest:

@@ -79,7 +79,6 @@ def test_spec_file_error_names_the_field():
         (("levels", 1, "factors", 1, "m", 0), "levels[2].factors[1].m", flags),
         (("levels", 0, "factors", 0, "q_num", 0, 1), "levels[1].factors[0].q_num[0]", flags),
         (("base_generators", 0, "degree"), "base_generators[0].degree", flags),
-        (("base_degree_cap",), "base_degree_cap", flags),
         (("base_generators", 0, "name"), "base_generators[0].name", (None, 3, True, ["g"])),
     ]
     for path, field, values in cases:
@@ -122,7 +121,8 @@ def test_spec_file_with_an_oversized_integer_names_the_path(tmp_path):
 # Spec-shaped JSON documents, mostly near-valid: a well-typed document whose
 # names may be reserved or repeated and whose k may be wrong, negative or up
 # to 10**12, with up to two of its values dropped or replaced by JSON of
-# another type (bools included).  About a fifth decode to a spec.
+# another type (bools included).  About a fifth decode to a spec.  Some carry
+# ``base_degree_cap``, a key that older files hold and the decoder ignores.
 _ODD_JSON = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 10**12), st.floats(-2, 2),
     st.text(max_size=2), st.lists(st.integers(-1, 1), max_size=3),
@@ -386,9 +386,22 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
         (["flag-integral", "--k", "2", "--exps", "3,1", "--format", "json"], "--exps"),
         (["flag-integral", "--k", "2", "--exps", "1,-1"], "--exps"),
         (["flag-integral", "--k", "2", "--exps", "1,-1", "--verbose"], "--exps"),
+        (["verify", "--max-k", "1", "--towers", "0", "--trials", "99999999999999999999"],
+         "--trials"),
+        (["flag-integral", "--k", "2", "--exps", "2,1", "-v", "--trials", "99999999999999999999"],
+         "--trials"),
+        (["verify", "--towers", str(cli_mod.MAX_VERIFY_TOWERS + 1)], "--towers"),
+        (["verify", "--towers", "99999999999999999999"], "--towers"),
     ],
 )
-def test_cli_parse_errors_name_the_option(tmp_path, capsys, argv, option):
+def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, option):
+    # Every refusal comes before any computation.
+    def no_work(*args, **kwargs):
+        raise AssertionError("computation started before the refusal")
+
+    for name in ("closed_formula_segre", "stepwise_pushforward", "random_tower_spec"):
+        monkeypatch.setattr(cli_mod, name, no_work)
+    monkeypatch.setattr(cli_mod.flag_mod, "flag_integral", no_work)
     spec = simple_tower(([((), 1, {2: 1})], ("w",)))
     path = write_spec(tmp_path, spec)
     code = main([path if arg == "SPEC" else arg for arg in argv])

@@ -66,11 +66,19 @@ def test_empty_factor_list_rejected():
 
 def test_undeclared_base_generator_rejected():
     g = G("g")
-    den = LaurentPoly.variable(PIVOT) + LaurentPoly.variable(g)
+    u = LaurentPoly.variable(PIVOT)
+    den = u + LaurentPoly.variable(g)
     spec = TowerSpec(
         1, (TowerLevel(1, (TowerFactor((), RationalFunction1V(PIVOT, 1, den)),)),)
     )
     assert any("base variable 'g'" in v.message for v in tower_violations(spec))
+    # Declared, a base variable may appear anywhere in q: with a negative
+    # exponent, or in the leading denominator term.
+    inverse_g = LaurentPoly.variable(g, -1)
+    lead_g = LaurentPoly.variable(g) * u + 1
+    for q_num, q_den in ((1, den), (inverse_g, u), (1, u + inverse_g), (1, lead_g)):
+        factor = TowerFactor((), RationalFunction1V(PIVOT, q_num, q_den))
+        assert tower_violations(TowerSpec(1, (TowerLevel(1, (factor,)),), (("g", 1),))) == []
 
 
 def test_duplicate_aux_name_rejected():
@@ -90,14 +98,27 @@ def test_duplicate_aux_name_rejected():
 )
 def test_reserved_names_follow_the_level_count(k, reserved):
     # The pivot's name and u1..uk, c1..ck in canonical decimal, and no others.
+    # A name that is empty or holds whitespace, "," or "=" can head no table
+    # column and key no --aux-orders entry, whatever k is.
     names = ("u", "u1", "c1", "c2", "u10", "u01", "u+1", "uc1", "w")
+    unusable = ("", " w", "a\tb", "a,b", "a=b", "x\n")
     level = [((), 1, {2: 1})]
-    for spec, message in (
-        (simple_tower((level, names)), "is not unique"),
-        (simple_tower(level, base_generators=[(n, 1) for n in names]), "is reserved"),
+    aux_fields = [f"aux[{pos}]" for pos in range(len(names), len(names + unusable))]
+    for spec, message, fields in (
+        (simple_tower((level, names + unusable)), "is not unique", aux_fields),
+        (
+            simple_tower(level, base_generators=[(n, 1) for n in names + unusable]),
+            "is reserved",
+            ["base_generators"] * len(unusable),
+        ),
     ):
         found = tower_violations(dataclasses.replace(spec, k=k))
         assert {v.message.split("'")[1] for v in found if message in v.message} == reserved
+        refused = [v for v in found if "whitespace" in v.message]
+        assert [v.field for v in refused] == fields
+        assert [v.message.split(" must")[0] for v in refused] == [
+            f"name {n!r}" for n in unusable
+        ]
 
 
 @pytest.mark.parametrize(
@@ -332,21 +353,35 @@ def test_closed_equals_stepwise_under_large_leading_degrees():
 
 
 def test_closed_equals_stepwise_with_base_coefficients():
-    # Coefficients from the base ring travel through both computations.
+    # Coefficients from the base ring travel through both computations: on
+    # the bottom level only, on both levels, and with negative base exponents
+    # from 1/(g*u + u^-1), whose expansion divides by g.
     g = G("g")
-    den = LaurentPoly.variable(PIVOT, 2) + LaurentPoly.variable(g) * LaurentPoly.variable(PIVOT)
-    spec = TowerSpec(
-        2,
+    u = LaurentPoly.variable(PIVOT)
+    g_poly = LaurentPoly.variable(g)
+    pairs = [
+        (RationalFunction1V(PIVOT, 1, u * u + g_poly * u), rf({1: 1, 0: 2}, {2: 1})),
         (
-            TowerLevel(1, (TowerFactor((), RationalFunction1V(PIVOT, 1, den)),)),
-            TowerLevel(2, (TowerFactor((-1,), rf({1: 1, 0: 2}, {2: 1})),)),
+            RationalFunction1V(PIVOT, 1, u * u + g_poly * u),
+            RationalFunction1V(PIVOT, g_poly * u + 2, u * u + g_poly),
         ),
-        base_generators=(("g", 1),),
-    )
-    req = TruncationRequest.derive(spec, (2, 2))
-    closed = closed_formula_segre(spec, req)
-    assert closed == stepwise_pushforward(spec, req)
-    assert any(m.exponent(g) > 0 for m, _ in closed.items())
+        (
+            RationalFunction1V(PIVOT, 1, g_poly * u + LaurentPoly.variable(PIVOT, -1)),
+            RationalFunction1V(PIVOT, g_poly, u * u),
+        ),
+    ]
+    exponents = set()
+    for bottom, top in pairs:
+        levels = (
+            TowerLevel(1, (TowerFactor((), bottom),)),
+            TowerLevel(2, (TowerFactor((-1,), top),)),
+        )
+        spec = TowerSpec(2, levels, base_generators=(("g", 1),))
+        req = TruncationRequest.derive(spec, (2, 2))
+        closed = closed_formula_segre(spec, req)
+        assert closed == stepwise_pushforward(spec, req)
+        exponents |= {m.exponent(g) for m, _ in closed.items()}
+    assert min(exponents) < 0 < max(exponents)
 
 
 def test_degenerate_tower_is_constant_one():
@@ -420,79 +455,6 @@ def test_grading_homogeneous_base_coefficients():
     # Homogeneity: every term's base degree matches its forced value.
     for m, _ in out.items():
         assert m.exponent(g) == -m.exponent(U(1)) - 1
-
-
-def test_base_degree_cap_drops_high_degrees_only():
-    g = G("g")
-    den = LaurentPoly.variable(PIVOT) + LaurentPoly.variable(g)
-    factor = TowerFactor((), RationalFunction1V(PIVOT, 1, den))
-    full = TowerSpec(1, (TowerLevel(1, (factor,)),), (("g", 1),))
-    capped = TowerSpec(1, (TowerLevel(1, (factor,)),), (("g", 1),), base_degree_cap=2)
-    req = TruncationRequest.derive(full, (4,))
-    out_full = closed_formula_segre(full, req)
-    out_capped = closed_formula_segre(capped, req)
-    weights = {g: 1}
-    low = out_full.filter_terms(lambda m: m.weighted_degree(weights) <= 2)
-    assert out_capped == low
-    assert out_capped != out_full
-
-    # Two levels with base coefficients on both, by both routes: each capped
-    # result is the uncapped window filtered to the cap.
-    u = LaurentPoly.variable(PIVOT)
-    g_poly = LaurentPoly.variable(g)
-    bottom = RationalFunction1V(PIVOT, 1, u * u + g_poly * u)
-    top = RationalFunction1V(PIVOT, g_poly * u + 2, u * u + g_poly)
-    levels = (
-        TowerLevel(1, (TowerFactor((), bottom),)),
-        TowerLevel(2, (TowerFactor((-1,), top),)),
-    )
-    full = TowerSpec(2, levels, (("g", 1),))
-    req = TruncationRequest.derive(full, (2, 2))
-    out_full = closed_formula_segre(full, req)
-    dropped = 0
-    for cap in range(4):
-        capped = TowerSpec(2, levels, (("g", 1),), base_degree_cap=cap)
-        low = out_full.filter_terms(lambda m: m.weighted_degree(weights) <= cap)
-        assert closed_formula_segre(capped, req) == low == stepwise_pushforward(capped, req)
-        assert not low.is_zero()
-        dropped += len(out_full) - len(low)
-    assert dropped > 0
-
-
-def test_base_degree_cap_refuses_negative_base_exponents():
-    # Under a cap, 1/(g*u + u^-1) expands with g^-1: the capped routes would
-    # both return 0 for orders (0, 1), while the uncapped window filtered to
-    # base degree 0 holds u1^-1*u2^-2.
-    g = G("g")
-    u = LaurentPoly.variable(PIVOT)
-    g_poly = LaurentPoly.variable(g)
-    bottom = RationalFunction1V(PIVOT, 1, g_poly * u + LaurentPoly.variable(PIVOT, -1))
-    top = RationalFunction1V(PIVOT, g_poly, u * u)
-    levels = (
-        TowerLevel(1, (TowerFactor((), bottom),)),
-        TowerLevel(2, (TowerFactor((-1,), top),)),
-    )
-    uncapped = TowerSpec(2, levels, (("g", 1),))
-    req = TruncationRequest.derive(uncapped, (0, 1))
-    window = closed_formula_segre(uncapped, req)
-    assert window.filter_terms(lambda m: m.exponent(g) <= 0) == poly({((U(1), -1), (U(2), -2)): 1})
-    capped = TowerSpec(2, levels, (("g", 1),), base_degree_cap=0)
-    violations = tower_violations(capped)
-    assert [(v.level, v.field) for v in violations] == [(1, "factors[0].q")]
-    assert "leading denominator term" in violations[0].message
-    for route in (closed_formula_segre, stepwise_pushforward):
-        with pytest.raises(InvalidTowerError):
-            route(capped, req)
-
-    # A negative base exponent anywhere in q is refused as well.
-    inverse_g = LaurentPoly.variable(g, -1)
-    for num, den in ((inverse_g, u), (1, u + inverse_g)):
-        factor = TowerFactor((), RationalFunction1V(PIVOT, num, den))
-        spec = TowerSpec(1, (TowerLevel(1, (factor,)),), (("g", 1),), base_degree_cap=2)
-        violations = tower_violations(spec)
-        assert [(v.level, v.field) for v in violations] == [(1, "factors[0].q")]
-        assert "negative" in violations[0].message
-        assert tower_violations(TowerSpec(1, spec.levels, (("g", 1),))) == []
 
 
 # -- truncation request ----------------------------------------------------------
@@ -625,7 +587,7 @@ def test_pushforward_monomial_aux_exponents():
 def test_pushforward_monomial_matches_window_coefficients():
     # The closed route against the stepwise push of one monomial: each push
     # must give exactly the closed window's coefficient at every window point,
-    # aux exponents and capped base coefficients included.
+    # aux exponents and base coefficients included.
     rng = random.Random(41)
     cases = []
     for _ in range(10):
@@ -641,7 +603,6 @@ def test_pushforward_monomial_matches_window_coefficients():
             TowerLevel(2, (TowerFactor((-1,), rf({1: 1, 0: 2}, {2: 1})),)),
         ),
         base_generators=(("g", 1),),
-        base_degree_cap=1,
     )
     cases.append((based, (2, 2), {}))
     nonzero = with_base = 0
