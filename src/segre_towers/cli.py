@@ -25,16 +25,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import flag as flag_mod
-from .series import LaurentPoly, Monomial, RationalFunction1V, VariableId
+from .series import PIVOT, LaurentPoly, Monomial, RationalFunction1V, VariableId
 from .tower import (
-    PIVOT,
     InvalidTowerError,
     TowerFactor,
     TowerLevel,
     TowerSpec,
     TruncationOverrun,
     TruncationRequest,
-    aux_variable,
     closed_formula_segre,
     random_tower_spec,
     stepwise_pushforward,
@@ -57,6 +55,12 @@ DEFAULT_TOWERS = 50
 #: O(k^3) per trial, but ``vandermonde_product(k)`` grows more than 10x per
 #: level: 1.3 s at k = 7 and 20.5 s at k = 8 (2-core Xeon, Python 3.11).
 MAX_CROSS_CHECK_K = 8
+#: Largest ``--k`` of flag-integral.  The point route's time depends on the
+#: tuple: over 10 shuffled permutations of 1..k each (seed 3, single
+#: in-process runs, 2-core Xeon, Python 3.11) the median and the maximum
+#: were 0.23 and 2.6 s at k = 11, 3.2 and 18 s at k = 12, and 10 and 121 s
+#: at k = 13.
+MAX_FLAG_K = 12
 
 
 def format_rational(value: Fraction) -> str:
@@ -121,28 +125,34 @@ def tower_spec_to_doc(spec: TowerSpec) -> dict:
                     {
                         "m": list(f.twists),
                         "q_num": _poly_to_triples(
-                            f.series.numerator, f"levels[{lvl.index}].factors.q_num"
+                            f.series.numerator, f"levels[{index}].factors.q_num"
                         ),
                         "q_den": _poly_to_triples(
-                            f.series.denominator, f"levels[{lvl.index}].factors.q_den"
+                            f.series.denominator, f"levels[{index}].factors.q_den"
                         ),
                     }
                     for f in lvl.factors
                 ],
-                "aux": [v.name for v in lvl.aux],
+                "aux": list(lvl.aux),
             }
-            for lvl in spec.levels
+            for index, lvl in enumerate(spec.levels, 1)
         ],
     }
 
 
 def tower_spec_from_doc(doc) -> TowerSpec:
-    """Decode and validate a tower spec document, naming faulty fields."""
+    """Decode and validate a tower spec document, naming faulty fields.
+
+    ``k`` is stored only as the number of levels, so it is checked against
+    them before any level is decoded.
+    """
     if not isinstance(doc, dict):
         raise SpecFileError("top level: expected a JSON object")
     k = doc.get("k")
-    if not _is_int(k) or k < 0:
-        raise SpecFileError("k: expected a non-negative integer")
+    # No tuple holds more than sys.maxsize levels; a larger k is not echoed,
+    # since it may have more digits than str converts.
+    if not _is_int(k) or not 0 <= k <= sys.maxsize:
+        raise SpecFileError(f"k: expected an integer in 0..{sys.maxsize}")
     raw_bases = doc.get("base_generators", [])
     if not isinstance(raw_bases, list):
         raise SpecFileError("base_generators: expected a list")
@@ -158,9 +168,10 @@ def tower_spec_from_doc(doc) -> TowerSpec:
     raw_levels = doc.get("levels")
     if not isinstance(raw_levels, list):
         raise SpecFileError("levels: expected a list")
+    if len(raw_levels) != k:
+        raise SpecFileError(f"levels: expected {k} levels, found {len(raw_levels)}")
     levels = []
-    for pos, raw_level in enumerate(raw_levels):
-        index = pos + 1
+    for index, raw_level in enumerate(raw_levels, 1):
         where = f"levels[{index}]"
         if not isinstance(raw_level, dict):
             raise SpecFileError(f"{where}: expected an object")
@@ -178,16 +189,15 @@ def tower_spec_from_doc(doc) -> TowerSpec:
             num = _poly_from_triples(raw_factor.get("q_num"), f"{fwhere}.q_num")
             den = _poly_from_triples(raw_factor.get("q_den"), f"{fwhere}.q_den")
             try:
-                series = RationalFunction1V(PIVOT, num, den)
+                series = RationalFunction1V(num, den)
             except (ValueError, ZeroDivisionError) as exc:
                 raise SpecFileError(f"{fwhere}.q_den: {exc}") from exc
             factors.append(TowerFactor(tuple(m), series))
         raw_aux = raw_level.get("aux", [])
         if not isinstance(raw_aux, list) or not all(isinstance(x, str) for x in raw_aux):
             raise SpecFileError(f"{where}.aux: expected a list of names")
-        aux = tuple(aux_variable(name, index) for name in raw_aux)
-        levels.append(TowerLevel(index, tuple(factors), aux))
-    spec = TowerSpec(k, tuple(levels), tuple(bases))
+        levels.append(TowerLevel(tuple(factors), tuple(raw_aux)))
+    spec = TowerSpec(tuple(levels), tuple(bases))
     validate_tower(spec)
     return spec
 
@@ -295,7 +305,7 @@ def run_verify(
     _check_trials(trials)
     cases: list[VerifyCase] = []
 
-    empty = TowerSpec(0, ())
+    empty = TowerSpec(())
     req = TruncationRequest.derive(empty, ())
     degenerate_ok = (
         closed_formula_segre(empty, req) == 1 and stepwise_pushforward(empty, req) == 1
@@ -409,6 +419,8 @@ def _parse_assignments(raw: str, option: str) -> dict[str, int]:
 def cmd_flag_integral(args) -> int:
     if args.k < 1:
         raise ValueError(f"--k: flag towers need at least 1 level, got {args.k}")
+    if args.k > MAX_FLAG_K:
+        raise ValueError(f"--k: {args.k} is above the ceiling {MAX_FLAG_K}")
     exps = _parse_int_list(args.exps, "--exps")
     if len(exps) != args.k:
         raise ValueError(f"--exps: needs exactly {args.k} entries, got {len(exps)}")
@@ -419,8 +431,9 @@ def cmd_flag_integral(args) -> int:
             raise ValueError(
                 f"--k: the cross-checks run up to k = {MAX_CROSS_CHECK_K}, got {args.k}"
             )
-        # Above the dimension the fixed-point sum is a non-constant
-        # polynomial in the weights, so its trials could never agree.
+        # Above the dimension the fixed-point sum is no integral, and
+        # localization_integral refuses it under its parameter; refused here
+        # under the option, before any work.
         dim = args.k * (args.k + 1) // 2
         if sum(exps) > dim:
             raise ValueError(

@@ -21,9 +21,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .series import LaurentPoly, Monomial, RationalFunction1V
+from .series import PIVOT, LaurentPoly, Monomial, RationalFunction1V
 from .tower import (
-    PIVOT,
     TowerFactor,
     TowerLevel,
     TowerSpec,
@@ -59,21 +58,16 @@ def flag_tower(k: int) -> TowerSpec:
     Segre series is (u - c_1)...(u - c_{i-1}) / u^(k+1).
     """
     _check_count("k", k)
-    one = LaurentPoly.one()
-    u = LaurentPoly.variable(PIVOT)
+    point = RationalFunction1V(1, LaurentPoly.variable(PIVOT, k + 1))
+    linear = RationalFunction1V(LaurentPoly.variable(PIVOT), 1)
     levels = []
     for i in range(1, k + 1):
-        factors = [
-            TowerFactor(
-                (0,) * (i - 1),
-                RationalFunction1V(PIVOT, one, LaurentPoly.variable(PIVOT, k + 1)),
-            )
-        ]
+        factors = [TowerFactor((0,) * (i - 1), point)]
         for j in range(1, i):
             twists = tuple(-1 if t == j else 0 for t in range(1, i))
-            factors.append(TowerFactor(twists, RationalFunction1V(PIVOT, u, one)))
-        levels.append(TowerLevel(i, tuple(factors)))
-    return TowerSpec(k, tuple(levels))
+            factors.append(TowerFactor(twists, linear))
+        levels.append(TowerLevel(tuple(factors)))
+    return TowerSpec(tuple(levels))
 
 
 def vandermonde_product(k: int) -> LaurentPoly:
@@ -119,9 +113,15 @@ def localization_integral(
     denominators sign(w) V(t), V(t) = prod_{p<q} (t_q - t_p) = det(t_j^p),
     so it equals det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1).  All trials
     must agree exactly; disagreement raises ``LocalizationDisagreement``.
+
+    Exponents of total degree above the dimension k(k+1)/2 are refused: there
+    the sum is a non-constant polynomial in the weights, not an integral.
     """
     exps = _check_exponents("exponents", exponents, _check_count("k", k))
     _check_count("trials", trials)
+    dim = k * (k + 1) // 2
+    if sum(exps) > dim:
+        raise ValueError(f"exponents: total degree must be at most the flag dimension {dim}")
     powers = (0,) + exps[::-1]
     rng = random.Random(seed)
     values = []

@@ -71,6 +71,10 @@ class VariableId(tuple):
         return self.name
 
 
+#: The one variable of every ``RationalFunction1V``.
+PIVOT = VariableId("u", "tower", 0)
+
+
 class Monomial(tuple):
     """A Laurent monomial: the tuple of its sorted ``(VariableId, exponent)`` entries.
 
@@ -102,9 +106,6 @@ class Monomial(tuple):
 
     def is_one(self) -> bool:
         return not self
-
-    def degree_in(self, variables: frozenset[VariableId] | set[VariableId]) -> int:
-        return sum(e for v, e in self if v in variables)
 
     def without(self, variables: frozenset[VariableId] | set[VariableId]) -> "Monomial":
         return Monomial((v, e) for v, e in self if v not in variables)
@@ -311,17 +312,17 @@ def rename_variables(poly: LaurentPoly, mapping: Mapping[VariableId, VariableId]
 
 
 class RationalFunction1V:
-    """A ratio of univariate Laurent polynomials in one formal variable.
+    """A ratio of univariate Laurent polynomials in the pivot ``PIVOT``.
 
     Coefficients of either side may involve base-kind variables.  The
     denominator must be nonzero and must have a unique highest-degree term
-    in the variable whose coefficient is a nonzero rational times a single
+    in the pivot whose coefficient is a nonzero rational times a single
     base monomial, so the descending expansion is well defined.
     """
 
-    __slots__ = ("var", "numerator", "denominator", "_lead_mono", "_lead_coeff", "_lead_exp")
+    __slots__ = ("numerator", "denominator", "_lead_mono", "_lead_coeff", "_lead_exp")
 
-    def __init__(self, var: VariableId, numerator, denominator) -> None:
+    def __init__(self, numerator, denominator) -> None:
         if not isinstance(numerator, LaurentPoly):
             numerator = LaurentPoly.constant(numerator)
         if not isinstance(denominator, LaurentPoly):
@@ -330,17 +331,16 @@ class RationalFunction1V:
             raise ZeroDivisionError("rational function with zero denominator")
         for side, poly in (("numerator", numerator), ("denominator", denominator)):
             for v in poly.variables():
-                if v != var and v.kind != "base":
+                if v != PIVOT and v.kind != "base":
                     raise ValueError(
-                        f"{side} must involve only {var.name!r} and base variables, found {v.name!r}"
+                        f"{side} must involve only {PIVOT.name!r} and base variables, found {v.name!r}"
                     )
-        lead_exp = denominator.max_exponent_in(var)
-        leads = [(m, c) for m, c in denominator.items() if m.exponent(var) == lead_exp]
+        lead_exp = denominator.max_exponent_in(PIVOT)
+        leads = [(m, c) for m, c in denominator.items() if m.exponent(PIVOT) == lead_exp]
         if len(leads) != 1:
             raise ValueError(
-                f"denominator needs a unique highest-degree term in {var.name!r}"
+                f"denominator needs a unique highest-degree term in {PIVOT.name!r}"
             )
-        self.var = var
         self.numerator = numerator
         self.denominator = denominator
         self._lead_mono, self._lead_coeff = leads[0]
@@ -351,19 +351,15 @@ class RationalFunction1V:
         """Exponent of the leading term of the descending expansion (None if zero)."""
         if self.numerator.is_zero():
             return None
-        return self.numerator.max_exponent_in(self.var) - self._lead_exp
+        return self.numerator.max_exponent_in(PIVOT) - self._lead_exp
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction1V):
             return NotImplemented
-        return (
-            self.var == other.var
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
+        return self.numerator == other.numerator and self.denominator == other.denominator
 
     def __repr__(self) -> str:
-        return f"RationalFunction1V({self.var.name}, ({self.numerator}) / ({self.denominator}))"
+        return f"RationalFunction1V(({self.numerator}) / ({self.denominator}))"
 
 
 def binomial_general(alpha: int, beta: int) -> Fraction:
@@ -380,21 +376,20 @@ def binomial_general(alpha: int, beta: int) -> Fraction:
 
 
 def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
-    """Expand ``f`` as a series in descending powers of its variable.
+    """Expand ``f`` as a series in descending powers of the pivot.
 
-    Keeps exactly the terms whose exponent of the variable is >= min_exponent;
+    Keeps exactly the terms whose exponent of the pivot is >= min_exponent;
     those coefficients are exact.
     """
-    var = f.var
     lead_inv = LaurentPoly.monomial(f._lead_mono ** -1, 1 / f._lead_coeff)
     # 1/den = lead^-1 * sum_s ratio^s with ratio = -(den - lead)/lead.  Every
-    # term of ratio lowers the exponent of var, so a term below min_exponent
-    # never climbs back: each summand num/lead * ratio^s is filtered, and the
-    # sum stops at the first empty one.
+    # term of ratio lowers the exponent of the pivot, so a term below
+    # min_exponent never climbs back: each summand num/lead * ratio^s is
+    # filtered, and the sum stops at the first empty one.
     ratio = -((f.denominator - LaurentPoly.monomial(f._lead_mono, f._lead_coeff)) * lead_inv)
 
     def keep(m: Monomial) -> bool:
-        return m.exponent(var) >= min_exponent
+        return m.exponent(PIVOT) >= min_exponent
 
     term = (f.numerator * lead_inv).filter_terms(keep)
     data = dict(term.items())
@@ -412,9 +407,10 @@ def shift_expand(
 ) -> LaurentPoly:
     """Expand q(pivot + shift) in non-negative powers of the shift variables.
 
-    Each term r*pivot^a of q contributes r * C(a, b) * shift^b * pivot^(a-b)
-    for b = 0..degree_cap; monomials of total shift-variable degree above
-    degree_cap are discarded.  Exact up to that degree.
+    ``shift`` must be a linear form sum_j t_j*x_j.  Each term r*pivot^a of q
+    contributes r * C(a, b) * shift^b * pivot^(a-b) for b = 0..degree_cap;
+    shift^b is homogeneous of degree b in the shift variables, so every
+    term kept has shift degree at most degree_cap and is exact.
 
     Powers of the shift are built only while a binomial can be nonzero: when
     every pivot exponent a of q is non-negative, C(a, b) = 0 for b > a, so
@@ -426,9 +422,8 @@ def shift_expand(
     if pivot in shift_vars:
         raise ValueError("shift must not involve the pivot variable")
     for mono, _ in shift.items():
-        for _, exp in mono:
-            if exp < 0:
-                raise ValueError("shift must be a polynomial (non-negative exponents only)")
+        if len(mono) != 1 or mono[0][1] != 1:
+            raise ValueError(f"shift must be a linear form, found the term {mono}")
     if shift_vars & q.variables():
         raise ValueError("q must not involve the shift variables")
     alphas = [mono.exponent(pivot) for mono, _ in q.items()]
@@ -454,10 +449,7 @@ def shift_expand(
             _accumulate(
                 data, ((stem * smono, scale * scoeff) for smono, scoeff in powers[beta].items())
             )
-    result = LaurentPoly._wrap(data)
-    if shift_vars:
-        result = result.filter_terms(lambda m: m.degree_in(shift_vars) <= degree_cap)
-    return result
+    return LaurentPoly._wrap(data)
 
 
 def geometric_expand(outer: VariableId, inner: VariableId, degree_cap: int) -> LaurentPoly:

@@ -4,7 +4,9 @@ A tower is described level by level: each level carries a list of factors
 (a univariate rational function together with an integer twist vector over
 the lower levels) whose shifted product is the Segre series of that single
 step, plus an optional set of auxiliary variables that pair extra copies of
-the level's tautological class.
+the level's tautological class.  Everything else about a level is its
+position: its number, its variables u_i and c_i, and the level its
+auxiliary variables belong to.
 
 Two computations of the tower Segre series share the pruned product of one
 level's shifted factors (the paper's input) but combine the levels differently:
@@ -34,12 +36,12 @@ from __future__ import annotations
 
 import random
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .series import (
+    PIVOT,
     LaurentPoly,
     Monomial,
     RationalFunction1V,
@@ -50,10 +52,6 @@ from .series import (
     rename_variables,
     shift_expand,
 )
-
-#: Reserved expansion pivot for univariate rational functions.
-PIVOT = VariableId("u", "tower", 0)
-
 
 def tower_variable(level: int) -> VariableId:
     return VariableId(f"u{level}", "tower", level)
@@ -77,7 +75,7 @@ class TowerFactor:
 
     ``twists`` has one integer per lower level; the factor's argument is the
     level variable shifted by the twisted sum of lower tautological classes.
-    ``series`` is the univariate rational function in the reserved pivot.
+    ``series`` is a univariate rational function in the pivot.
     """
 
     twists: tuple[int, ...]
@@ -86,28 +84,35 @@ class TowerFactor:
 
 @dataclass(frozen=True)
 class TowerLevel:
-    index: int
+    """One step of a tower: its factors and the names of its auxiliary variables."""
+
     factors: tuple[TowerFactor, ...]
-    aux: tuple[VariableId, ...] = ()
+    aux: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class TowerSpec:
     """A complete tower description.
 
+    ``levels[i-1]`` is level i, so the level count ``k`` is ``len(levels)``.
     ``base_generators`` lists (name, degree) pairs for the free graded
     coefficient ring.
     """
 
-    k: int
     levels: tuple[TowerLevel, ...]
     base_generators: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def k(self) -> int:
+        return len(self.levels)
 
     def tower_variables(self) -> tuple[VariableId, ...]:
         return tuple(tower_variable(i) for i in range(1, self.k + 1))
 
     def aux_variables(self) -> tuple[VariableId, ...]:
-        return tuple(v for lvl in self.levels for v in lvl.aux)
+        return tuple(
+            aux_variable(name, i) for i, lvl in enumerate(self.levels, 1) for name in lvl.aux
+        )
 
     def base_variables(self) -> tuple[VariableId, ...]:
         return tuple(base_variable(name) for name, _ in self.base_generators)
@@ -133,16 +138,18 @@ class InvalidTowerError(ValueError):
 def _is_reserved(name: str, k: int) -> bool:
     """Whether ``name`` is the pivot's or one of u1..uk, c1..ck.
 
-    Matched by pattern, so a huge ``k`` allocates nothing; without leading
-    zeros, (length, digits) orders the numbers.  No tuple holds more than
-    ``sys.maxsize`` levels, so a larger ``k`` counts as that.
+    Matched as text, so a name with more digits than ``int()`` converts
+    is compared too; without leading zeros, (length, digits) orders the
+    numbers.
     """
-    top, match = str(min(max(k, 0), sys.maxsize)), re.fullmatch(r"[uc]([1-9][0-9]*)", name)
+    top, match = str(k), isinstance(name, str) and re.fullmatch(r"[uc]([1-9][0-9]*)", name)
     return name == PIVOT.name or (bool(match) and (len(match[1]), match[1]) <= (len(top), top))
 
 
-def _name_problem(name: str) -> str | None:
+def _name_problem(name: object) -> str | None:
     """Why ``name`` cannot head a table column or key an ``--aux-orders`` entry."""
+    if not isinstance(name, str):
+        return f"name {name!r} must be a string"
     if not name or re.search(r"[\s,=]", name):
         return f"name {name!r} must be nonempty, without whitespace, ',' or '='"
     return None
@@ -151,10 +158,6 @@ def _name_problem(name: str) -> str | None:
 def tower_violations(spec: TowerSpec) -> list[Violation]:
     """All invariant breaches of a tower description, each naming its location."""
     out: list[Violation] = []
-    if not 0 <= spec.k <= sys.maxsize:
-        out.append(Violation(None, "k", f"level count must be in 0..{sys.maxsize}"))
-    elif len(spec.levels) != spec.k:
-        out.append(Violation(None, "levels", f"expected {spec.k} levels, found {len(spec.levels)}"))
     declared_bases = set()
     for name, degree in spec.base_generators:
         if name in declared_bases:
@@ -171,19 +174,16 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
     for name in sorted(n for n in declared_bases if _is_reserved(n, spec.k)):
         out.append(Violation(None, "base_generators", f"name {name!r} is reserved"))
 
-    for pos, lvl in enumerate(spec.levels):
-        want = pos + 1
-        if lvl.index != want:
-            out.append(Violation(want, "index", f"expected index {want}, got {lvl.index}"))
+    for level, lvl in enumerate(spec.levels, 1):
         if not lvl.factors:
-            out.append(Violation(want, "factors", "factor list must be nonempty"))
+            out.append(Violation(level, "factors", "factor list must be nonempty"))
         for fpos, factor in enumerate(lvl.factors):
-            if len(factor.twists) != want - 1:
+            if len(factor.twists) != level - 1:
                 out.append(
                     Violation(
-                        want,
+                        level,
                         f"factors[{fpos}].m",
-                        f"twist vector must have length {want - 1}, got {len(factor.twists)}",
+                        f"twist vector must have length {level - 1}, got {len(factor.twists)}",
                     )
                 )
             q = factor.series
@@ -194,28 +194,20 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                 for v, _ in m
                 if v.kind == "base"
             }
-            problems = [] if q.var == PIVOT else ["series must use the reserved pivot variable"]
-            problems += [
-                f"base variable {name!r} is not declared in base_generators"
+            out += [
+                Violation(
+                    level,
+                    f"factors[{fpos}].q",
+                    f"base variable {name!r} is not declared in base_generators",
+                )
                 for name in sorted(base_names - declared_bases)
             ]
-            out += [Violation(want, f"factors[{fpos}].q", msg) for msg in problems]
-        for apos, var in enumerate(lvl.aux):
-            if var.kind != "aux":
-                out.append(Violation(want, f"aux[{apos}]", f"{var.name!r} is not aux-kind"))
-            if var.level != want:
-                out.append(
-                    Violation(
-                        want,
-                        f"aux[{apos}]",
-                        f"{var.name!r} is attached to level {var.level}, expected {want}",
-                    )
-                )
-            if problem := _name_problem(var.name):
-                out.append(Violation(want, f"aux[{apos}]", problem))
-            if var.name in seen_names or _is_reserved(var.name, spec.k):
-                out.append(Violation(want, f"aux[{apos}]", f"name {var.name!r} is not unique"))
-            seen_names.add(var.name)
+        for apos, name in enumerate(lvl.aux):
+            if problem := _name_problem(name):
+                out.append(Violation(level, f"aux[{apos}]", problem))
+            if name in seen_names or _is_reserved(name, spec.k):
+                out.append(Violation(level, f"aux[{apos}]", f"name {name!r} is not unique"))
+            seen_names.add(name)
     return out
 
 
@@ -316,7 +308,7 @@ class TruncationRequest:
         aux_map = _aux_exponents(spec, aux_orders, "aux_orders")
 
         steps = [
-            sum(map(_lead_plus, lvl.factors)) + a + 1 + sum(aux_map[v.name] for v in lvl.aux)
+            sum(map(_lead_plus, lvl.factors)) + a + 1 + sum(aux_map[name] for name in lvl.aux)
             for lvl, a in zip(spec.levels, orders)
         ]
         return cls(
@@ -402,8 +394,8 @@ def closed_formula_product(spec: TowerSpec, req: TruncationRequest) -> LaurentPo
         u_i = tower_variable(i)
         a_i = req.tower_orders[i - 1]
         # The only source of each auxiliary variable: exponents in [-b-1, -1].
-        aux_orders = [req.aux_order(var.name) for var in lvl.aux]
-        aux_series = [(geometric_expand(v, u_i, b), b) for v, b in zip(lvl.aux, aux_orders)]
+        orders = [(name, req.aux_order(name)) for name in lvl.aux]
+        aux_series = [(geometric_expand(aux_variable(n, i), u_i, b), b) for n, b in orders]
         cap = req.shift_caps[i - 1]
         result = _level_product(spec, result, i, u_i, tower_variable, cap, -a_i - 1, aux_series)
         # Lower levels never shift u_i; the last prune kept only exponents >= -a_i-1.
@@ -483,8 +475,8 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     def block(j: int) -> LaurentPoly:
         c_j = taut_variable(j)
         out = geometric_expand(tower_variable(j), c_j, req.tower_orders[j - 1])
-        for var in spec.levels[j - 1].aux:
-            out = out * geometric_expand(var, c_j, req.aux_order(var.name))
+        for name in spec.levels[j - 1].aux:
+            out = out * geometric_expand(aux_variable(name, j), c_j, req.aux_order(name))
         return out
 
     return _push_down(spec, req, block)
@@ -516,7 +508,7 @@ def pushforward_monomial(
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
     aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
     req = TruncationRequest.derive(spec, exps, aux)
-    power = [a + sum(aux[v.name] for v in lvl.aux) for a, lvl in zip(exps, spec.levels)]
+    power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
     return _push_down(spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1]))
 
 
@@ -542,10 +534,10 @@ def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:
             den = LaurentPoly.variable(PIVOT, lead)
             for e in rng.sample(range(-3, lead), rng.randint(0, 2)):
                 den = den + LaurentPoly.monomial(Monomial.of(PIVOT, e), _random_coeff(rng))
-            factors.append(TowerFactor(twists, RationalFunction1V(PIVOT, num, den)))
-        aux = tuple(aux_variable(f"w{i}_{t}", i) for t in range(rng.randint(0, 2)))
-        levels.append(TowerLevel(i, tuple(factors), aux))
-    return TowerSpec(k, tuple(levels))
+            factors.append(TowerFactor(twists, RationalFunction1V(num, den)))
+        aux = tuple(f"w{i}_{t}" for t in range(rng.randint(0, 2)))
+        levels.append(TowerLevel(tuple(factors), aux))
+    return TowerSpec(tuple(levels))
 
 
 def _random_coeff(rng: random.Random) -> Fraction:

@@ -11,7 +11,6 @@ from segre_towers import (
     TowerLevel,
     TowerSpec,
     TruncationRequest,
-    aux_variable,
     base_variable,
     flag_tower,
     taut_variable,
@@ -43,7 +42,7 @@ def rf(num, den):
     """RationalFunction1V in the pivot from {exp: coeff} maps (or constants)."""
     num = upoly(num) if isinstance(num, dict) else LaurentPoly.constant(num)
     den = upoly(den) if isinstance(den, dict) else LaurentPoly.constant(den)
-    return RationalFunction1V(PIVOT, num, den)
+    return RationalFunction1V(num, den)
 
 
 def simple_tower(*level_descriptions, base_generators=()):
@@ -53,13 +52,11 @@ def simple_tower(*level_descriptions, base_generators=()):
     constant; aux_names is an optional iterable of names.
     """
     levels = []
-    for pos, desc in enumerate(level_descriptions):
-        index = pos + 1
+    for desc in level_descriptions:
         factors, aux_names = desc if isinstance(desc, tuple) and len(desc) == 2 else (desc, ())
         built = tuple(TowerFactor(tuple(t), rf(n, d)) for t, n, d in factors)
-        aux = tuple(aux_variable(name, index) for name in aux_names)
-        levels.append(TowerLevel(index, built, aux))
-    return TowerSpec(len(levels), tuple(levels), tuple(base_generators))
+        levels.append(TowerLevel(built, tuple(aux_names)))
+    return TowerSpec(tuple(levels), tuple(base_generators))
 
 
 def padded(req: TruncationRequest, extra: int) -> TruncationRequest:
@@ -98,9 +95,9 @@ def flag_bundle(k):
     levels = []
     for lvl in flag_tower(k).levels:
         point, *shifted = lvl.factors
-        bundle = TowerFactor(point.twists, RationalFunction1V(PIVOT, 1, den))
+        bundle = TowerFactor(point.twists, RationalFunction1V(1, den))
         levels.append(dataclasses.replace(lvl, factors=(bundle, *shifted)))
-    return TowerSpec(k, tuple(levels), tuple((f"e{i}", i) for i in range(1, n + 1)))
+    return TowerSpec(tuple(levels), tuple((f"e{i}", i) for i in range(1, n + 1)))
 
 
 def evaluate(value, values):

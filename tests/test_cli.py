@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 import sys
 import time
 
@@ -73,9 +74,13 @@ def test_spec_file_error_names_the_field():
     assert "level 2" in str(info.value)
     # Booleans are JSON literals, not integers, wherever an integer is required;
     # a generator name must be a string, never coerced (null is not "None").
+    # A k out of range, or one that is not the number of levels, is refused
+    # before any level is decoded, and no message echoes an integer that
+    # str() may not convert.
     flags = (True, False)
     cases = [
-        (("k",), "k", flags),
+        (("k",), "k", flags + (-1, sys.maxsize + 1, 10**5000)),
+        (("k",), "levels", (3,)),
         (("levels", 1, "factors", 1, "m", 0), "levels[2].factors[1].m", flags),
         (("levels", 0, "factors", 0, "q_num", 0, 1), "levels[1].factors[0].q_num[0]", flags),
         (("base_generators", 0, "degree"), "base_generators[0].degree", flags),
@@ -92,22 +97,23 @@ def test_spec_file_error_names_the_field():
             with pytest.raises(cli_mod.SpecFileError) as info:
                 tower_spec_from_doc(doc)
             assert str(info.value).startswith(field + ":"), (field, value)
+            assert all(int(n) <= sys.maxsize for n in re.findall(r"\d+", str(info.value)))
 
 
 def test_spec_file_refuses_a_huge_level_count_at_once():
     start = time.perf_counter()
-    with pytest.raises(InvalidTowerError) as info:
+    with pytest.raises(cli_mod.SpecFileError) as info:
         tower_spec_from_doc({"k": 10**12, "levels": []})
     assert time.perf_counter() - start < 1
-    assert [v.field for v in info.value.violations] == ["levels"]
+    assert str(info.value) == "levels: expected 1000000000000 levels, found 0"
 
 
 def test_spec_refuses_a_level_count_beyond_int_to_str_digits():
     # str() of an int above 4300 digits raises; no message may need it.
     doc = {"k": 10**5000, "levels": [], "base_generators": [{"name": "u1", "degree": 1}]}
-    with pytest.raises(InvalidTowerError) as info:
+    with pytest.raises(cli_mod.SpecFileError) as info:
         tower_spec_from_doc(doc)
-    assert [v.field for v in info.value.violations] == ["k", "base_generators"]
+    assert str(info.value) == f"k: expected an integer in 0..{sys.maxsize}"
 
 
 def test_spec_file_with_an_oversized_integer_names_the_path(tmp_path):
@@ -318,25 +324,10 @@ def test_cmd_tower_segre_missing_file(capsys):
 
 
 def test_cmd_tower_segre_aux_orders(tmp_path, capsys):
-    from segre_towers import RationalFunction1V, TowerFactor, TowerLevel, TowerSpec
-    from segre_towers.series import LaurentPoly
-    from segre_towers.tower import PIVOT, aux_variable
+    from segre_towers import PIVOT, RationalFunction1V, TowerFactor, TowerLevel, TowerSpec
 
-    spec = TowerSpec(
-        1,
-        (
-            TowerLevel(
-                1,
-                (
-                    TowerFactor(
-                        (),
-                        RationalFunction1V(PIVOT, 1, LaurentPoly.variable(PIVOT, 2)),
-                    ),
-                ),
-                (aux_variable("v", 1),),
-            ),
-        ),
-    )
+    factor = TowerFactor((), RationalFunction1V(1, LaurentPoly.variable(PIVOT, 2)))
+    spec = TowerSpec((TowerLevel((factor,), ("v",)),))
     path = write_spec(tmp_path, spec)
     assert main(["tower-segre", path, "--orders", "2", "--aux-orders", "v=2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -392,6 +383,7 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
          "--trials"),
         (["verify", "--towers", str(cli_mod.MAX_VERIFY_TOWERS + 1)], "--towers"),
         (["verify", "--towers", "99999999999999999999"], "--towers"),
+        (["flag-integral", "--k", str(cli_mod.MAX_FLAG_K + 1), "--exps", "1"], "--k"),
     ],
 )
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, option):

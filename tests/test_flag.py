@@ -149,12 +149,39 @@ def test_localization_rejects_bad_trials():
         localization_integral(1, (1,), trials=0)
 
 
-def test_localization_disagreement_surfaces():
-    # Above the dimension the fixed-point sum depends on the weights (here it
-    # is a nonconstant symmetric polynomial), so distinct trials must be
-    # reported as an internal-consistency failure.
+def test_localization_disagreement_surfaces(monkeypatch):
+    # Up to the dimension every trial gives the integral, so trials disagree
+    # only through a fault: one injected into the second trial's numerator
+    # determinant must be reported as an internal-consistency failure.
+    real, calls = _alternant, []
+
+    def skewed(ts, powers):
+        calls.append(powers)
+        return real(ts, powers) + (len(calls) == 3)
+
+    monkeypatch.setattr(flag_mod, "_alternant", skewed)
     with pytest.raises(LocalizationDisagreement):
-        localization_integral(2, (4, 2), trials=3, seed=5)
+        localization_integral(2, (2, 1), trials=3, seed=5)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_localization_refuses_exponents_above_the_dimension(monkeypatch, trials):
+    # Above the dimension the fixed-point sum is a non-constant polynomial in
+    # the weights, while the integral is 0: one trial used to return
+    # -7354/805 for (3, 1), and several raised LocalizationDisagreement.
+    # Below it the sum is exactly 0.
+    for exps in ((0, 0), (1, 1), (2, 0), (0, 2)):
+        assert localization_integral(2, exps, trials=trials) == 0
+    assert localization_integral(3, (2, 2, 1), trials=trials) == 0
+
+    def no_draw(*args):
+        raise AssertionError("weights drawn before the refusal")
+
+    monkeypatch.setattr(flag_mod, "_draw_distinct", no_draw)
+    with pytest.raises(ValueError) as info:
+        localization_integral(2, (3, 1), trials=trials)
+    assert str(info.value).startswith("exponents: ")
+    assert flag_integral(2, (3, 1)) == vandermonde_integral(2, (3, 1)) == 0
 
 
 def walk(ts, exps):
@@ -203,10 +230,11 @@ def test_localization_equals_the_permutation_walk(trials, seed):
             assert localization_integral(k, exps, trials=trials, seed=seed) == expected
 
 
-def test_bialternant_identity_above_dimension(monkeypatch):
+def test_bialternant_identity_above_dimension():
     # Above the dimension the sum depends on the weights, so this checks
     # det/V = walk itself, not only a constant both happen to reach.  With
     # t_1 = -t_0 and e = (0, 2, 1, 4) the second pivot is found one row down.
+    # localization_integral refuses such exponents, so the ratio is taken here.
     exps = (4, 1, 2)
     weights = (
         [Fraction(3), Fraction(-3), Fraction(5, 7), Fraction(2)],
@@ -214,8 +242,7 @@ def test_bialternant_identity_above_dimension(monkeypatch):
     )
     values = []
     for ts in weights:
-        monkeypatch.setattr(flag_mod, "_draw_distinct", lambda rng, count: list(ts))
-        values.append(localization_integral(3, exps, trials=1))
+        values.append(_alternant(ts, (0,) + exps[::-1]) / _alternant(ts, range(4)))
         assert values[-1] == walk(ts, exps)
     assert values[0] != values[1]
 

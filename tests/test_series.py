@@ -201,9 +201,7 @@ def test_descending_expand_monomial_inverse():
 
 def test_descending_expand_geometric_with_base_generator():
     g = G("g")
-    f = RationalFunction1V(
-        PIVOT, 1, LaurentPoly.variable(PIVOT) + LaurentPoly.variable(g)
-    )
+    f = RationalFunction1V(1, LaurentPoly.variable(PIVOT) + LaurentPoly.variable(g))
     got = descending_expand(f, -3)
     want = poly(
         {
@@ -248,19 +246,17 @@ def test_rational_function_rejects_ambiguous_leading_term():
         h
     ) * LaurentPoly.variable(PIVOT)
     with pytest.raises(ValueError):
-        RationalFunction1V(PIVOT, 1, den)
+        RationalFunction1V(1, den)
 
 
 def test_rational_function_rejects_foreign_variables():
     with pytest.raises(ValueError):
-        RationalFunction1V(PIVOT, LaurentPoly.variable(U(1)), 1)
+        RationalFunction1V(LaurentPoly.variable(U(1)), 1)
 
 
 def test_descending_expand_base_monomial_leading_coefficient():
     g = G("g")
-    f = RationalFunction1V(
-        PIVOT, 1, LaurentPoly.variable(g) * LaurentPoly.variable(PIVOT)
-    )
+    f = RationalFunction1V(1, LaurentPoly.variable(g) * LaurentPoly.variable(PIVOT))
     assert descending_expand(f, -1) == poly({((PIVOT, -1), (g, -1)): 1})
 
 
@@ -302,6 +298,22 @@ def test_shift_expand_rejects_negative_shift_exponents():
         shift_expand(upoly({-1: 1}), PIVOT, LaurentPoly.variable(V, -1), 2)
 
 
+@pytest.mark.parametrize(
+    "shift",
+    [
+        LaurentPoly.constant(2),
+        LaurentPoly.variable(V, 2),
+        poly({((U(1), 1), (V, 1)): 1}),
+        LaurentPoly.variable(V) + 1,
+    ],
+    ids=["constant", "square", "product", "affine"],
+)
+def test_shift_expand_rejects_non_linear_shifts(shift):
+    # The cap bounds the shift degree only because shift^b has degree b.
+    with pytest.raises(ValueError, match="linear form"):
+        shift_expand(upoly({-1: 1}), PIVOT, shift, 2)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(
     st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4),
@@ -324,8 +336,7 @@ def shift_expand_reference(q, pivot, shift, cap):
             stem = LaurentPoly.monomial(rest * Monomial.of(pivot, alpha - b), scale)
             out = out + stem * power
             power = power * shift
-    shift_vars = shift.variables()
-    return out.filter_terms(lambda m: m.degree_in(shift_vars) <= cap)
+    return out
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -337,21 +348,15 @@ def shift_expand_reference(q, pivot, shift, cap):
         max_size=4,
     ),
     st.tuples(st.integers(-2, 2).filter(bool), st.integers(-2, 2).filter(bool)),
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) >= 2),
-        st.integers(-3, 3).filter(bool),
-        max_size=2,
-    ),
     st.integers(0, 5),
 )
-def test_shift_expand_matches_direct_binomial_sum(qdict, linear, extra, headroom):
+def test_shift_expand_matches_direct_binomial_sum(qdict, linear, headroom):
     # Mixed-sign pivot exponents and caps above the largest one: building
     # shift powers only up to the largest non-negative exponent must match
     # the full sum up to the cap.
     g = G("g")
     q = poly({((PIVOT, a), (g, e)): c for (a, e), c in qdict.items()})
     shift = poly({((U(1), 1),): linear[0], ((U(2), 1),): linear[1]})
-    shift = shift + poly({((U(1), e1), (U(2), e2)): c for (e1, e2), c in extra.items()})
     cap = max(max(a for a, _ in qdict), 0) + headroom
     got = shift_expand(q, PIVOT, shift, cap)
     assert got == shift_expand_reference(q, PIVOT, shift, cap)
@@ -473,7 +478,7 @@ def test_descending_expand_matches_sympy_series_at_infinity():
     for _ in range(10):
         lead = rng.randint(-1, 3)
         den = random_upoly(rng, rng.sample(range(-2, lead), rng.randint(0, 2))) + upoly({lead: 1})
-        f = RationalFunction1V(PIVOT, random_upoly(rng, rng.sample(range(-2, 4), 2)), den)
+        f = RationalFunction1V(random_upoly(rng, rng.sample(range(-2, 4), 2)), den)
         least = rng.randint(-5, 0)
         # At infinity, order n keeps every exponent above -n.
         theirs = sp.series(to_sympy(sp, f.numerator) / to_sympy(sp, den), x, sp.oo, 1 - least)
@@ -490,7 +495,6 @@ def test_shift_expand_matches_sympy_series_at_infinity():
     for _ in range(10):
         q = random_upoly(rng, rng.sample(range(-3, 4), rng.randint(1, 3)))
         shift = poly({((U(1), 1),): rng.choice([-2, -1, 1, 2]), ((U(2), 1),): rng.randint(-1, 1)})
-        shift = shift + poly({((U(1), 1), (U(2), 1)): rng.randint(-1, 1)})
         cap = rng.randint(0, 3)
         scaled = {sp.Symbol(v.name): sp.Symbol(v.name) / t for v in shift.variables()}
         argument = x + to_sympy(sp, shift).subs(scaled, simultaneous=True)

@@ -1,7 +1,7 @@
 """Tests for the tower model, the closed formula, and the stepwise oracle."""
 
-import dataclasses
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -17,6 +17,7 @@ from segre_towers import (
     TowerLevel,
     TowerSpec,
     TruncationRequest,
+    aux_variable,
     closed_formula_segre,
     coefficient_of,
     descending_expand,
@@ -34,7 +35,7 @@ from segre_towers import (
     validate_tower,
     vandermonde_integral,
 )
-from segre_towers.cli import tower_spec_from_doc
+from segre_towers.cli import SpecFileError, main, tower_spec_from_doc, tower_spec_to_doc
 from segre_towers.tower import PIVOT
 
 from _helpers import C, G, U, mono, padded, poly, rf, simple_tower, upoly
@@ -60,7 +61,7 @@ def test_wrong_twist_length_names_the_level():
 
 
 def test_empty_factor_list_rejected():
-    spec = TowerSpec(1, (TowerLevel(1, ()),))
+    spec = TowerSpec((TowerLevel(()),))
     assert any(v.field == "factors" for v in tower_violations(spec))
 
 
@@ -68,17 +69,15 @@ def test_undeclared_base_generator_rejected():
     g = G("g")
     u = LaurentPoly.variable(PIVOT)
     den = u + LaurentPoly.variable(g)
-    spec = TowerSpec(
-        1, (TowerLevel(1, (TowerFactor((), RationalFunction1V(PIVOT, 1, den)),)),)
-    )
+    spec = TowerSpec((TowerLevel((TowerFactor((), RationalFunction1V(1, den)),)),))
     assert any("base variable 'g'" in v.message for v in tower_violations(spec))
     # Declared, a base variable may appear anywhere in q: with a negative
     # exponent, or in the leading denominator term.
     inverse_g = LaurentPoly.variable(g, -1)
     lead_g = LaurentPoly.variable(g) * u + 1
     for q_num, q_den in ((1, den), (inverse_g, u), (1, u + inverse_g), (1, lead_g)):
-        factor = TowerFactor((), RationalFunction1V(PIVOT, q_num, q_den))
-        assert tower_violations(TowerSpec(1, (TowerLevel(1, (factor,)),), (("g", 1),))) == []
+        factor = TowerFactor((), RationalFunction1V(q_num, q_den))
+        assert tower_violations(TowerSpec((TowerLevel((factor,)),), (("g", 1),))) == []
 
 
 def test_duplicate_aux_name_rejected():
@@ -93,7 +92,7 @@ def test_duplicate_aux_name_rejected():
     [
         (1, {"u", "u1", "c1"}),
         (2, {"u", "u1", "c1", "c2"}),
-        (10**12, {"u", "u1", "c1", "c2", "u10"}),
+        (10, {"u", "u1", "c1", "c2", "u10"}),
     ],
 )
 def test_reserved_names_follow_the_level_count(k, reserved):
@@ -102,17 +101,18 @@ def test_reserved_names_follow_the_level_count(k, reserved):
     # column and key no --aux-orders entry, whatever k is.
     names = ("u", "u1", "c1", "c2", "u10", "u01", "u+1", "uc1", "w")
     unusable = ("", " w", "a\tb", "a,b", "a=b", "x\n")
-    level = [((), 1, {2: 1})]
+    levels = [[((0,) * i, 1, {2: 1})] for i in range(k)]
     aux_fields = [f"aux[{pos}]" for pos in range(len(names), len(names + unusable))]
     for spec, message, fields in (
-        (simple_tower((level, names + unusable)), "is not unique", aux_fields),
+        (simple_tower((levels[0], names + unusable), *levels[1:]), "is not unique", aux_fields),
         (
-            simple_tower(level, base_generators=[(n, 1) for n in names + unusable]),
+            simple_tower(*levels, base_generators=[(n, 1) for n in names + unusable]),
             "is reserved",
             ["base_generators"] * len(unusable),
         ),
     ):
-        found = tower_violations(dataclasses.replace(spec, k=k))
+        assert spec.k == k
+        found = tower_violations(spec)
         assert {v.message.split("'")[1] for v in found if message in v.message} == reserved
         refused = [v for v in found if "whitespace" in v.message]
         assert [v.field for v in refused] == fields
@@ -121,16 +121,36 @@ def test_reserved_names_follow_the_level_count(k, reserved):
         ]
 
 
+def test_aux_names_must_be_strings():
+    # Auxiliary variables are given by name; the level they belong to is
+    # their level's position.
+    level = TowerLevel((TowerFactor((), rf(1, {2: 1})),), (aux_variable("v", 1),))
+    (violation,) = tower_violations(TowerSpec((level,)))
+    assert (violation.level, violation.field) == (1, "aux[0]")
+    assert violation.message.endswith("must be a string")
+
+
 @pytest.mark.parametrize(
     "k", [-1, -(10**5000), sys.maxsize + 1, 10**5000], ids=["-1", "-10^5000", "max+1", "10^5000"]
 )
 def test_level_count_out_of_range_names_k(k):
-    assert [v.field for v in tower_violations(TowerSpec(k, ()))] == ["k"]
+    # A tower stores no k: its level count is len(levels).  A spec file's k
+    # is refused under its name before any level is decoded, without echoing
+    # a value that str() may not convert.
+    with pytest.raises(SpecFileError) as info:
+        tower_spec_from_doc({"k": k, "levels": "not decoded"})
+    assert str(info.value) == f"k: expected an integer in 0..{sys.maxsize}"
 
 
-def test_level_count_mismatch_rejected():
-    spec = TowerSpec(2, (TowerLevel(1, (TowerFactor((), rf(1, {1: 1})),)),))
-    assert any(v.field == "levels" for v in tower_violations(spec))
+def test_level_count_mismatch_rejected(tmp_path, capsys):
+    doc = tower_spec_to_doc(flag_tower(2))
+    doc["levels"].pop()
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["tower-segre", str(path), "--orders", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: levels: expected 2 levels, found 1\n"
 
 
 # -- individual_segre ----------------------------------------------------------
@@ -301,8 +321,8 @@ def unpruned_window(spec, req):
                 (Monomial.of(U(j + 1)), Fraction(t)) for j, t in enumerate(factor.twists) if t
             )
             result = result * shift_expand(expansion, u_i, shift, cap)
-        for var in lvl.aux:
-            result = result * geometric_expand(var, u_i, req.aux_order(var.name))
+        for name in lvl.aux:
+            result = result * geometric_expand(aux_variable(name, i), u_i, req.aux_order(name))
         a_i = req.tower_orders[i - 1]
         result = result.filter_terms(lambda m: -a_i - 1 <= m.exponent(u_i) <= -1)
     return result
@@ -342,9 +362,9 @@ def test_closed_equals_stepwise_under_large_leading_degrees():
                     for e in rng.sample(range(-3, 4), rng.randint(1, 2))
                 )
                 den = LaurentPoly.variable(PIVOT, rng.randint(-3, 0))
-                factors.append(TowerFactor(twists, RationalFunction1V(PIVOT, num, den)))
-            levels.append(TowerLevel(i, tuple(factors)))
-        spec = TowerSpec(k, tuple(levels))
+                factors.append(TowerFactor(twists, RationalFunction1V(num, den)))
+            levels.append(TowerLevel(tuple(factors)))
+        spec = TowerSpec(tuple(levels))
         orders = tuple(rng.randint(0, 2) for _ in range(spec.k))
         req = TruncationRequest.derive(spec, orders)
         closed = closed_formula_segre(spec, req)
@@ -360,23 +380,20 @@ def test_closed_equals_stepwise_with_base_coefficients():
     u = LaurentPoly.variable(PIVOT)
     g_poly = LaurentPoly.variable(g)
     pairs = [
-        (RationalFunction1V(PIVOT, 1, u * u + g_poly * u), rf({1: 1, 0: 2}, {2: 1})),
+        (RationalFunction1V(1, u * u + g_poly * u), rf({1: 1, 0: 2}, {2: 1})),
         (
-            RationalFunction1V(PIVOT, 1, u * u + g_poly * u),
-            RationalFunction1V(PIVOT, g_poly * u + 2, u * u + g_poly),
+            RationalFunction1V(1, u * u + g_poly * u),
+            RationalFunction1V(g_poly * u + 2, u * u + g_poly),
         ),
         (
-            RationalFunction1V(PIVOT, 1, g_poly * u + LaurentPoly.variable(PIVOT, -1)),
-            RationalFunction1V(PIVOT, g_poly, u * u),
+            RationalFunction1V(1, g_poly * u + LaurentPoly.variable(PIVOT, -1)),
+            RationalFunction1V(g_poly, u * u),
         ),
     ]
     exponents = set()
     for bottom, top in pairs:
-        levels = (
-            TowerLevel(1, (TowerFactor((), bottom),)),
-            TowerLevel(2, (TowerFactor((-1,), top),)),
-        )
-        spec = TowerSpec(2, levels, base_generators=(("g", 1),))
+        levels = (TowerLevel((TowerFactor((), bottom),)), TowerLevel((TowerFactor((-1,), top),)))
+        spec = TowerSpec(levels, base_generators=(("g", 1),))
         req = TruncationRequest.derive(spec, (2, 2))
         closed = closed_formula_segre(spec, req)
         assert closed == stepwise_pushforward(spec, req)
@@ -385,7 +402,7 @@ def test_closed_equals_stepwise_with_base_coefficients():
 
 
 def test_degenerate_tower_is_constant_one():
-    spec = TowerSpec(0, ())
+    spec = TowerSpec(())
     req = TruncationRequest.derive(spec, ())
     assert closed_formula_segre(spec, req) == 1
     assert stepwise_pushforward(spec, req) == 1
@@ -423,8 +440,8 @@ def test_factor_order_independence():
     for lvl in spec.levels:
         factors = list(lvl.factors)
         rng.shuffle(factors)
-        shuffled_levels.append(TowerLevel(lvl.index, tuple(factors), lvl.aux))
-    shuffled = TowerSpec(spec.k, tuple(shuffled_levels))
+        shuffled_levels.append(TowerLevel(tuple(factors), lvl.aux))
+    shuffled = TowerSpec(tuple(shuffled_levels))
     req = TruncationRequest.derive(spec, (3, 3, 3))
     assert closed_formula_segre(spec, req) == closed_formula_segre(shuffled, req)
     assert stepwise_pushforward(spec, req) == stepwise_pushforward(shuffled, req)
@@ -443,9 +460,7 @@ def test_grading_homogeneous_base_coefficients():
     g = G("g")
     den = LaurentPoly.variable(PIVOT) + LaurentPoly.variable(g)
     spec = TowerSpec(
-        1,
-        (TowerLevel(1, (TowerFactor((), RationalFunction1V(PIVOT, 1, den)),)),),
-        base_generators=(("g", 1),),
+        (TowerLevel((TowerFactor((), RationalFunction1V(1, den)),)),), base_generators=(("g", 1),)
     )
     req = TruncationRequest.derive(spec, (3,))
     out = closed_formula_segre(spec, req)
@@ -548,7 +563,7 @@ def test_derived_caps_are_linear_suffix_sums():
             sum(max(f.series.leading_exponent or 0, 0) for f in lvl.factors)
             + a
             + 1
-            + sum(aux[v.name] for v in lvl.aux)
+            + sum(aux[name] for name in lvl.aux)
             for lvl, a in zip(spec.levels, orders)
         ]
         assert req.shift_caps == tuple(sum(steps[j:]) for j in range(spec.k))
@@ -597,10 +612,9 @@ def test_pushforward_monomial_matches_window_coefficients():
     g = G("g")
     den = LaurentPoly.variable(PIVOT, 2) + LaurentPoly.variable(g) * LaurentPoly.variable(PIVOT)
     based = TowerSpec(
-        2,
         (
-            TowerLevel(1, (TowerFactor((), RationalFunction1V(PIVOT, 1, den)),)),
-            TowerLevel(2, (TowerFactor((-1,), rf({1: 1, 0: 2}, {2: 1})),)),
+            TowerLevel((TowerFactor((), RationalFunction1V(1, den)),)),
+            TowerLevel((TowerFactor((-1,), rf({1: 1, 0: 2}, {2: 1})),)),
         ),
         base_generators=(("g", 1),),
     )
