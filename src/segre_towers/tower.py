@@ -190,8 +190,7 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
             base_names = {
                 v.name
                 for poly in (q.numerator, q.denominator)
-                for m, _ in poly.items()
-                for v, _ in m
+                for v in poly.variables()
                 if v.kind == "base"
             }
             out += [
@@ -355,9 +354,7 @@ def _level_product(
         # A product term's exponent is at most the running product's top plus the
         # multiplier term's: terms below ``reach`` form only terms below ``least``.
         reach = least - result.max_exponent_in(pivot)
-        poly = poly.filter_terms(lambda m: m.exponent(pivot) >= reach)
-        result = result * poly
-        result = result.filter_terms(lambda m: m.exponent(pivot) >= least)
+        result = (result * poly.filter_terms(pivot, reach)).filter_terms(pivot, least)
     return result
 
 
@@ -399,7 +396,7 @@ def closed_formula_product(spec: TowerSpec, req: TruncationRequest) -> LaurentPo
         cap = req.shift_caps[i - 1]
         result = _level_product(spec, result, i, u_i, tower_variable, cap, -a_i - 1, aux_series)
         # Lower levels never shift u_i; the last prune kept only exponents >= -a_i-1.
-        result = result.filter_terms(lambda m: m.exponent(u_i) <= -1)
+        result = result.filter_terms(u_i, high=-1)
     return result
 
 
@@ -432,9 +429,7 @@ def _push_down(
         if state.is_zero():
             break
         c_j = taut_variable(j)
-        slices: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, coeff in (state * block(j)).items():
-            slices.setdefault(mono.exponent(c_j), {})[mono.without({c_j})] = coeff
+        slices = (state * block(j)).by_exponent(c_j)
         gamma_max = max(slices)
         if gamma_max > req.shift_caps[j - 1]:
             raise TruncationOverrun(
@@ -442,11 +437,12 @@ def _push_down(
                 f"derived cap {req.shift_caps[j - 1]}"
             )
         series = _level_series(spec, j, -gamma_max - 1)
-        state = LaurentPoly.zero()
-        for gamma, terms in slices.items():
+        pushed = []
+        for gamma, part in slices.items():
             piece = coefficient_of(series, Monomial.of(PIVOT, -gamma - 1), {PIVOT})
-            if not piece.is_zero():
-                state = state + LaurentPoly(terms) * piece
+            if piece:
+                pushed.append(part * piece)
+        state = LaurentPoly.sum(pushed)
     return state
 
 

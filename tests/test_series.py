@@ -1,6 +1,7 @@
 """Unit and property tests for the exact Laurent-polynomial kernel."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segre_towers import (
+    ExponentOverflowError,
     LaurentPoly,
     Monomial,
     RationalFunction1V,
@@ -23,6 +25,7 @@ from segre_towers import (
     rename_variables,
     shift_expand,
 )
+from segre_towers import series
 from segre_towers.tower import PIVOT
 
 from _helpers import G, U, mono, poly, rf, upoly
@@ -446,6 +449,128 @@ def test_rename_variables_merges_collisions():
     u, v = U(1), U(2)
     s = poly({((u, 1),): 1, ((v, 1),): 2})
     assert rename_variables(s, {v: u}) == poly({((u, 1),): 3})
+
+
+# -- the packed kernel against a dict reference --------------------------------
+
+# Variables no other test uses, given consecutive slots by their first use here.
+P = [VariableId(f"p{i}", "aux", 9) for i in range(3)]
+LaurentPoly.monomial(Monomial((v, 1) for v in P))
+
+
+def ref_sum(*refs):
+    out = {}
+    for ref in refs:
+        for m, c in ref.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_product(ra, rb):
+    return ref_sum(*({m1 * m2: c1 * c2} for m1, c1 in ra.items() for m2, c2 in rb.items()))
+
+
+def ref_coefficient(ref, target, over):
+    return ref_sum(
+        *(
+            {m.without(over): c}
+            for m, c in ref.items()
+            if Monomial((v, e) for v, e in m if v in over) == target
+        )
+    )
+
+
+def assert_matches(value, ref):
+    """``value`` holds exactly the terms of ``ref``, in canonical form."""
+    assert dict(value.items()) == ref and len(value) == len(ref)
+    assert value == LaurentPoly(ref)
+    # Lowest terms: a positive denominator sharing no factor with every numerator.
+    assert value._den > 0 and math.gcd(value._den, *value._terms.values()) == 1
+    assert all(value._terms.values())
+
+
+@st.composite
+def ref_polys(draw, max_terms=5):
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        variables = draw(st.lists(st.sampled_from(P), max_size=3, unique=True))
+        m = Monomial((v, draw(st.sampled_from([-2, -1, 1, 2]))) for v in variables)
+        terms.append({m: Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))})
+    return ref_sum(*terms)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    ref_polys(),
+    ref_polys(),
+    st.integers(0, 5),
+    st.sampled_from(P),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+def test_packed_kernel_matches_dict_reference(ra, rb, cancelled, var, low, high):
+    # The first ``cancelled`` terms of a cancel exactly in a + b.
+    rb = {**rb, **{m: -c for m, c in list(ra.items())[:cancelled]}}
+    a, b = LaurentPoly(ra), LaurentPoly(rb)
+    assert_matches(a, ra)
+    assert_matches(b, rb)
+    assert_matches(a + b, ref_sum(ra, rb))
+    assert_matches(a - b, ref_sum(ra, {m: -c for m, c in rb.items()}))
+    assert_matches(-a, {m: -c for m, c in ra.items()})
+    assert_matches(a - a, {})
+    assert_matches(a * b, ref_product(ra, rb))
+    assert (a == b) == (ra == rb) and (a == a + 0)
+    kept = {m: c for m, c in ra.items() if low <= m.exponent(var) <= high}
+    assert_matches(a.filter_terms(var, low, high), kept)
+    other = P[(P.index(var) + 1) % len(P)]
+    for target, over in (
+        (Monomial.of(var, low), {var}),
+        (Monomial(((var, low), (other, high))), {var, other}),
+        (Monomial(), {other}),
+    ):
+        assert_matches(coefficient_of(a, target, over), ref_coefficient(ra, target, over))
+    renamed = ref_sum(*({m.rename({var: other}): c} for m, c in ra.items()))
+    assert_matches(rename_variables(a, {var: other}), renamed)
+
+
+def test_product_cancels_to_exact_zero_terms():
+    x, y = (LaurentPoly.variable(v) for v in P[:2])
+    half = Fraction(1, 2)
+    got = (half * x - half * y) * (x + y)
+    assert_matches(got, {Monomial.of(P[0], 2): half, Monomial.of(P[1], 2): -half})
+    assert_matches(got - got, {})
+
+
+def test_slot_below_a_negative_exponent_decodes():
+    # A negative exponent in slot s borrows from slot s + 1 in the packed
+    # key; the exponent read back from slot s + 1 must not show the borrow.
+    low, high = P[0], P[1]
+    assert series._slot(high) == series._slot(low) + 1
+    m = Monomial(((low, -1), (high, 3)))
+    p = LaurentPoly({m: Fraction(2, 3)})
+    assert p.items() == [(m, Fraction(2, 3))]
+    assert p.max_exponent_in(high) == 3 and p.max_exponent_in(low) == -1
+    assert p.filter_terms(high, 3, 3) == p and p.filter_terms(high, 2, 2).is_zero()
+    below = LaurentPoly.variable(low, -1) * Fraction(2, 3)
+    assert coefficient_of(p, Monomial.of(high, 3), {high}) == below
+    assert p.by_exponent(high) == {3: below}
+
+
+def test_exponent_outside_its_slot_is_refused():
+    top = 2**31 - 1
+    assert LaurentPoly.variable(P[0], top).max_exponent_in(P[0]) == top
+    assert LaurentPoly.variable(P[0], -top).max_exponent_in(P[0]) == -top
+    for exp in (top + 1, -top - 1, 10**40):
+        with pytest.raises(ExponentOverflowError):
+            LaurentPoly.variable(P[0], exp)
+    # A product whose exponent would leave the slot is refused, not wrapped
+    # into the next slot (p0^top * p0 would read as p0^-top * p1).
+    with pytest.raises(ExponentOverflowError):
+        LaurentPoly.variable(P[0], top) * LaurentPoly.variable(P[0])
+    with pytest.raises(ExponentOverflowError):
+        geometric_expand(P[1], P[0], top)
+    # 2**32 in slot s has the key of exponent 1 in slot s + 1: no match.
+    assert LaurentPoly.variable(P[1]).coefficient(Monomial.of(P[0], 2**32)) == 0
 
 
 def test_values_survive_pickle_and_deepcopy():
