@@ -20,9 +20,9 @@ import json
 import itertools
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import flag as flag_mod
 from .series import PIVOT, LaurentPoly, Monomial, RationalFunction1V, VariableId
@@ -41,25 +41,25 @@ from .tower import (
 )
 
 #: Largest ``--max-k`` of verify.  With each route batched per k, the k = 6
-#: sweep (7872 integrals) takes about 5 s at 3 trials, on a 2-core Xeon with
-#: Python 3.11; k = 7 has 115788 integrals.
+#: sweep (7872 integrals) takes 7.5-8.1 s at 3 trials and ``--towers 0``, on
+#: a 2-core Xeon with Python 3.11; k = 7 has 115788 integrals.
 MAX_VERIFY_K = 6
-#: Largest ``--towers`` of verify.  The random corpus takes 3.6-7 ms per
-#: tower: 200 towers in 0.73 s, 1000 in 6.0-6.8 s (2-core Xeon, Python 3.11),
-#: so the ceiling bounds it near 70 s.
+#: Largest ``--towers`` of verify.  The random corpus takes 3-3.5 ms per
+#: tower: 200 towers in 0.59-0.70 s, 1000 in 3.3-3.5 s (seeds 7 and 11,
+#: 2-core Xeon, Python 3.11), so the ceiling bounds it near 35 s.
 MAX_VERIFY_TOWERS = 10_000
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 3
 DEFAULT_TOWERS = 50
 #: Largest ``--k`` that flag-integral cross-checks.  The fixed-point sum is
 #: O(k^3) per trial, but ``vandermonde_product(k)`` grows more than 10x per
-#: level: 1.3 s at k = 7 and 20.5 s at k = 8 (2-core Xeon, Python 3.11).
+#: level: 0.046 s at k = 7 and 0.59-0.77 s at k = 8 (2-core Xeon, Python 3.11).
 MAX_CROSS_CHECK_K = 8
 #: Largest ``--k`` of flag-integral.  The point route's time depends on the
 #: tuple: over 10 shuffled permutations of 1..k each (seed 3, single
 #: in-process runs, 2-core Xeon, Python 3.11) the median and the maximum
-#: were 0.23 and 2.6 s at k = 11, 3.2 and 18 s at k = 12, and 10 and 121 s
-#: at k = 13.
+#: were 0.025 and 0.14 s at k = 11, 0.14 and 1.4 s at k = 12, and 0.30 and
+#: 11 s at k = 13.
 MAX_FLAG_K = 12
 
 
@@ -216,12 +216,14 @@ def load_tower_spec(path: str) -> TowerSpec:
 # -- result tables -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResultTable:
-    """Coefficients keyed by exponent tuples, in deterministic row order."""
+class ResultTable(namedtuple("ResultTable", "header rows")):
+    """Coefficients keyed by exponent tuples, in deterministic row order.
 
-    header: tuple[str, ...]
-    rows: tuple[tuple[tuple[int, ...], str], ...]
+    ``header`` names the columns; each row is (exponents, value text).  Like
+    the tower records, a table is a named tuple.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_poly(cls, poly: LaurentPoly, variables: Sequence[VariableId]) -> "ResultTable":
@@ -252,11 +254,10 @@ class ResultTable:
 # -- verification sweeps -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyCase:
-    name: str
-    passed: bool
-    detail: str
+class VerifyCase(namedtuple("VerifyCase", "name passed detail")):
+    """One verify check: its name, whether it passed, and what was compared or differed."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .series import PIVOT, LaurentPoly, Monomial, RationalFunction1V
 from .tower import (

@@ -32,9 +32,9 @@ carries into its neighbour's slot.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import index, itemgetter
-from typing import Iterable, Mapping
 
 _KINDS = ("tower", "aux", "taut", "base")
 

@@ -30,15 +30,21 @@ it, so it runs the same top-down push with one power of c_j per level in
 place of the level's blocks (its docstring proves this exact).  The shift
 expansions stop at the last nonzero binomial, which for the flag tower's
 linear factors is the first power (see ``shift_expand``).
+
+The records ``TowerFactor``, ``TowerLevel``, ``TowerSpec``, ``Violation``
+and ``TruncationRequest`` are named tuples: immutable and picklable, and
+hashable when their fields are.  ``_replace`` makes a modified copy.  As
+tuples, they iterate over their fields, ``len`` counts the fields, and a
+record equals a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 from .series import (
     PIVOT,
@@ -69,8 +75,7 @@ def base_variable(name: str) -> VariableId:
     return VariableId(name, "base", 0)
 
 
-@dataclass(frozen=True)
-class TowerFactor:
+class TowerFactor(namedtuple("TowerFactor", "twists series")):
     """One factor of a level's Segre-series factorization.
 
     ``twists`` has one integer per lower level; the factor's argument is the
@@ -78,29 +83,24 @@ class TowerFactor:
     ``series`` is a univariate rational function in the pivot.
     """
 
-    twists: tuple[int, ...]
-    series: RationalFunction1V
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(namedtuple("TowerLevel", "factors aux", defaults=((),))):
     """One step of a tower: its factors and the names of its auxiliary variables."""
 
-    factors: tuple[TowerFactor, ...]
-    aux: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(namedtuple("TowerSpec", "levels base_generators", defaults=((),))):
     """A complete tower description.
 
-    ``levels[i-1]`` is level i, so the level count ``k`` is ``len(levels)``.
-    ``base_generators`` lists (name, degree) pairs for the free graded
-    coefficient ring.
+    ``levels[i-1]`` is level i, so the level count ``k`` is ``len(levels)``
+    (``len(spec)`` is 2, its field count).  ``base_generators`` lists
+    (name, degree) pairs for the free graded coefficient ring.
     """
 
-    levels: tuple[TowerLevel, ...]
-    base_generators: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -118,11 +118,10 @@ class TowerSpec:
         return tuple(base_variable(name) for name, _ in self.base_generators)
 
 
-@dataclass(frozen=True)
-class Violation:
-    level: int | None
-    field: str
-    message: str
+class Violation(namedtuple("Violation", "level field message")):
+    """One invariant breach: its level (``None`` for the whole tower), field and message."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         where = f"level {self.level}" if self.level is not None else "tower"
@@ -256,8 +255,7 @@ def _lead_plus(factor: TowerFactor) -> int:
     return max(lead, 0) if lead is not None else 0
 
 
-@dataclass(frozen=True)
-class TruncationRequest:
+class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders shift_caps")):
     """Exactness window for tower-series computations.
 
     ``tower_orders[i-1] = a`` guarantees exact coefficients of u_i^(-t-1)
@@ -284,12 +282,11 @@ class TruncationRequest:
     coefficient of total c-degree at most g + lead_i + 1, and level i's
     blocks add at most a_i + aux_i.  So the degree of c_j met at level j is
     at most a_j + aux_j + reach_{j+1} = reach_j - lead_j - 1, below level
-    j's cap.  ``degree_cap`` is the largest cap, reach_1.
+    j's cap.  ``degree_cap`` is the largest cap, reach_1.  ``aux_orders``
+    holds (name, order) pairs sorted by name.
     """
 
-    tower_orders: tuple[int, ...]
-    aux_orders: tuple[tuple[str, int], ...]
-    shift_caps: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree_cap(self) -> int:

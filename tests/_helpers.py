@@ -1,6 +1,5 @@
 """Shared builders for the test suite."""
 
-import dataclasses
 from fractions import Fraction
 
 from segre_towers import (
@@ -61,7 +60,7 @@ def simple_tower(*level_descriptions, base_generators=()):
 
 def padded(req: TruncationRequest, extra: int) -> TruncationRequest:
     """``req`` with ``extra`` added to every level's cap."""
-    return dataclasses.replace(req, shift_caps=tuple(cap + extra for cap in req.shift_caps))
+    return req._replace(shift_caps=tuple(cap + extra for cap in req.shift_caps))
 
 
 def arrangement_sign(values):
@@ -96,7 +95,7 @@ def flag_bundle(k):
     for lvl in flag_tower(k).levels:
         point, *shifted = lvl.factors
         bundle = TowerFactor(point.twists, RationalFunction1V(1, den))
-        levels.append(dataclasses.replace(lvl, factors=(bundle, *shifted)))
+        levels.append(lvl._replace(factors=(bundle, *shifted)))
     return TowerSpec(tuple(levels), tuple((f"e{i}", i) for i in range(1, n + 1)))
 
 

@@ -1,6 +1,5 @@
 """Tests for the command-line front end and the spec-file round trip."""
 
-import dataclasses
 import json
 import random
 import re
@@ -344,7 +343,7 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
 
     def capped(*args, **kwargs):
         req = real(*args, **kwargs)
-        return dataclasses.replace(req, shift_caps=(0,) * len(req.shift_caps))
+        return req._replace(shift_caps=(0,) * len(req.shift_caps))
 
     monkeypatch.setattr(TruncationRequest, "derive", staticmethod(capped))
     path = write_spec(tmp_path, flag_tower(2))
