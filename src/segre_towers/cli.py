@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import flag as flag_mod
-from .series import PIVOT, LaurentPoly, Monomial, RationalFunction1V, VariableId
+from .series import _HALF, PIVOT, LaurentPoly, Monomial, RationalFunction1V, VariableId
 from .tower import (
     InvalidTowerError,
     TowerFactor,
@@ -108,6 +108,11 @@ def _poly_from_triples(raw, where: str) -> LaurentPoly:
         exp, num, den = item
         if den == 0:
             raise SpecFileError(f"{where}[{pos}]: zero denominator")
+        if abs(exp) >= _HALF:
+            raise SpecFileError(
+                f"{where}[{pos}]: exponent {exp} does not fit a packed monomial "
+                f"(at most {_HALF - 1} in absolute value)"
+            )
         terms.append((Monomial.of(PIVOT, exp), Fraction(num, den)))
     return LaurentPoly(terms)
 
@@ -384,6 +389,16 @@ def run_verify(
 # -- subcommands -------------------------------------------------------------
 
 
+def _check_order(value: int, option: str) -> None:
+    # a stands for u^(-a-1).  The stepwise route packs that exponent; the
+    # closed route only filters by it, so both must refuse it here alike.
+    if value > _HALF - 2:
+        raise ValueError(
+            f"{option}: {value} is above {_HALF - 2}, the largest a for which "
+            f"u^(-a-1) fits a packed monomial"
+        )
+
+
 def _parse_int_list(raw: str, option: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
@@ -397,6 +412,7 @@ def _parse_int_list(raw: str, option: str) -> tuple[int, ...]:
     for value in values:
         if value < 0:
             raise ValueError(f"{option}: expected non-negative integers, got {value}")
+        _check_order(value, option)
     return values
 
 
@@ -414,6 +430,7 @@ def _parse_assignments(raw: str, option: str) -> dict[str, int]:
             out[name] = int(value)
         except ValueError as exc:
             raise ValueError(f"{option}: expected an integer value, got {item!r}") from exc
+        _check_order(out[name], option)
     return out
 
 

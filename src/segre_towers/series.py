@@ -134,9 +134,6 @@ class Monomial(tuple):
     def without(self, variables: frozenset[VariableId] | set[VariableId]) -> "Monomial":
         return Monomial((v, e) for v, e in self if v not in variables)
 
-    def rename(self, mapping: Mapping[VariableId, VariableId]) -> "Monomial":
-        return Monomial((mapping.get(v, v), e) for v, e in self)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -528,19 +525,6 @@ class RationalFunction1V:
 
     def __repr__(self) -> str:
         return f"RationalFunction1V(({self.numerator}) / ({self.denominator}))"
-
-
-def binomial_general(alpha: int, beta: int) -> Fraction:
-    """Generalized binomial coefficient: alpha*(alpha-1)*...*(alpha-beta+1)/beta!.
-
-    alpha may be any integer; beta must be non-negative.
-    """
-    if beta < 0:
-        raise ValueError("binomial_general requires a non-negative lower index")
-    num = 1
-    for t in range(beta):
-        num *= alpha - t
-    return Fraction(num, math.factorial(beta))
 
 
 def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:

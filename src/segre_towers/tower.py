@@ -374,12 +374,17 @@ def _level_series(spec: TowerSpec, level: int, min_exponent: int) -> LaurentPoly
     return _level_product(spec, LaurentPoly.one(), level, PIVOT, taut_variable, cap, min_exponent)
 
 
-def closed_formula_product(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
-    """The closed-formula product of the shifted factors, level by level.
+def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
+    """Tower Segre series by the closed formula, restricted to the window.
 
-    The running product is restricted to terms that can still reach the
-    requested window, and each level ends restricted to its window range,
-    so the result is the window itself (``closed_formula_segre``).
+    The shifted factors are multiplied level by level from the top, and the
+    running product is restricted to terms that can still reach the
+    requested window.  Every returned coefficient is exact, and the pruned
+    product already is the window, so no projection follows it: each
+    level's last prune fixes the exponent of u_i to [-a_i-1, -1], and the
+    lower levels, whose twists involve only u_1..u_{i-1}, never shift u_i
+    again.  An auxiliary variable enters only through ``geometric_expand``,
+    with exponents in [-b-1, -1].
     """
     validate_tower(spec)
     result = LaurentPoly.one()
@@ -397,17 +402,9 @@ def closed_formula_product(spec: TowerSpec, req: TruncationRequest) -> LaurentPo
     return result
 
 
-def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
-    """Tower Segre series by the closed formula, restricted to the window.
-
-    Every returned coefficient is exact.  The pruned product already is the
-    window, so no projection follows it: each level's last prune fixes the
-    exponent of u_i to [-a_i-1, -1], and the lower levels, whose twists
-    involve only u_1..u_{i-1}, never shift u_i again.  An auxiliary
-    variable enters only through ``geometric_expand``, with exponents in
-    [-b-1, -1].
-    """
-    return closed_formula_product(spec, req)
+#: Only a second name for ``closed_formula_segre``: the benchmark tracer
+#: (``benchmarks/spans.py``) patches ``closed_formula_product`` by name.
+closed_formula_product = closed_formula_segre
 
 
 def _push_down(

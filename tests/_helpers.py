@@ -12,6 +12,7 @@ from segre_towers import (
     TruncationRequest,
     base_variable,
     flag_tower,
+    shift_expand,
     taut_variable,
     tower_variable,
 )
@@ -35,6 +36,27 @@ def poly(terms):
 def upoly(terms):
     """Univariate LaurentPoly in the reserved pivot from {exp: coeff}."""
     return LaurentPoly({Monomial.of(PIVOT, e): Fraction(c) for e, c in terms.items()})
+
+
+def falling_factorial_quotient(alpha, beta):
+    """alpha*(alpha-1)*...*(alpha-beta+1)/beta!, multiplied out term by term."""
+    value = Fraction(1)
+    for t in range(beta):
+        value *= Fraction(alpha - t, t + 1)
+    return value
+
+
+def shift_binomial(alpha, beta):
+    """C(alpha, beta) as ``shift_expand`` computes it inline.
+
+    It is the coefficient of t^beta * u^(alpha-beta) in the expansion of
+    (u + t)^alpha to shift degree beta, with t = u1 and u the pivot.
+    """
+    t = U(1)
+    expanded = shift_expand(
+        LaurentPoly.variable(PIVOT, alpha), PIVOT, LaurentPoly.variable(t), beta
+    )
+    return expanded.coefficient(Monomial(((t, beta), (PIVOT, alpha - beta))))
 
 
 def rf(num, den):

@@ -13,7 +13,6 @@ from segre_towers import (
     LaurentPoly,
     Monomial,
     TruncationRequest,
-    binomial_general,
     closed_formula_segre,
     flag_integral,
     flag_tower,
@@ -31,7 +30,14 @@ from segre_towers import (
 from segre_towers.cli import flag_exponent_tuples
 from segre_towers.tower import PIVOT
 
-from _helpers import U, arrangement_sign, padded, upoly
+from _helpers import (
+    U,
+    arrangement_sign,
+    falling_factorial_quotient,
+    padded,
+    shift_binomial,
+    upoly,
+)
 
 SEED_TOWER_CORPUS = 7
 SEED_PROPERTIES = 2026
@@ -148,9 +154,11 @@ def test_criterion_5_property_suites():
         for _ in range(100):
             alpha = rng.randint(-50, 50)
             beta = rng.randint(1, 25)
-            assert binomial_general(alpha, beta) == binomial_general(
-                alpha - 1, beta
-            ) + binomial_general(alpha - 1, beta - 1)
+            got = shift_binomial(alpha, beta)
+            assert got == falling_factorial_quotient(alpha, beta), (alpha, beta)
+            assert got == shift_binomial(alpha - 1, beta) + shift_binomial(
+                alpha - 1, beta - 1
+            ), (alpha, beta)
 
     def truncated_inverse():
         rng = random.Random(SEED_PROPERTIES + 2)

@@ -84,6 +84,10 @@ def test_spec_file_error_names_the_field():
         (("levels", 0, "factors", 0, "q_num", 0, 1), "levels[1].factors[0].q_num[0]", flags),
         (("base_generators", 0, "degree"), "base_generators[0].degree", flags),
         (("base_generators", 0, "name"), "base_generators[0].name", (None, 3, True, ["g"])),
+        (("levels", 0, "factors", 0, "q_den", 0, 0), "levels[1].factors[0].q_den[0]",
+         (2**31, -(2**31), 3000000000)),
+        (("levels", 1, "factors", 1, "q_num", 0, 0), "levels[2].factors[1].q_num[0]",
+         (2**31, -(2**31))),
     ]
     for path, field, values in cases:
         for value in values:
@@ -383,6 +387,12 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
         (["verify", "--towers", str(cli_mod.MAX_VERIFY_TOWERS + 1)], "--towers"),
         (["verify", "--towers", "99999999999999999999"], "--towers"),
         (["flag-integral", "--k", str(cli_mod.MAX_FLAG_K + 1), "--exps", "1"], "--k"),
+        # An order or exponent a whose u^(-a-1) leaves its packed slot, by either method.
+        (["tower-segre", "SPEC", "--orders", "3000000000", "--method", "closed"], "--orders"),
+        (["tower-segre", "SPEC", "--orders", "3000000000", "--method", "stepwise"], "--orders"),
+        (["tower-segre", "SPEC", "--orders", str(2**31 - 1)], "--orders"),
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=3000000000"], "--aux-orders"),
+        (["flag-integral", "--k", "1", "--exps", "3000000000"], "--exps"),
     ],
 )
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, option):
@@ -400,6 +410,16 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, o
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option}: ")
+
+
+def test_largest_exponents_that_fit_a_slot_are_accepted():
+    top = 2**31 - 1
+    assert cli_mod._parse_int_list(f"0,{top - 1}", "--orders") == (0, top - 1)
+    assert cli_mod._parse_assignments(f"w={top - 1}", "--aux-orders") == {"w": top - 1}
+    for exp in (top, -top):
+        doc = tower_spec_to_doc(flag_tower(1))
+        doc["levels"][0]["factors"][0]["q_num"][0][0] = exp
+        assert tower_spec_from_doc(doc).levels[0].factors[0].series.leading_exponent == exp - 2
 
 
 # -- verify command ------------------------------------------------------------------
