@@ -40,9 +40,10 @@ from .tower import (
     validate_tower,
 )
 
-#: Largest ``--max-k`` of verify.  With each route batched per k, the k = 6
-#: sweep (7872 integrals) takes 7.5-8.1 s at 3 trials and ``--towers 0``, on
-#: a 2-core Xeon with Python 3.11; k = 7 has 115788 integrals.
+#: Largest ``--max-k`` of verify.  With each route batched per k and the
+#: fixed-point weights drawn once per k and trial, the k = 6 sweep (7872
+#: integrals) takes 3.0-3.8 s at 3 trials and ``--towers 0``, on a 2-core
+#: Xeon with Python 3.11; k = 7 has 115788 integrals.
 MAX_VERIFY_K = 6
 #: Largest ``--towers`` of verify.  The random corpus takes 3-3.5 ms per
 #: tower: 200 towers in 0.59-0.70 s, 1000 in 3.3-3.5 s (seeds 7 and 11,
@@ -97,13 +98,8 @@ def _poly_to_triples(poly: LaurentPoly, where: str) -> list[list[int]]:
 def _poly_from_triples(raw, where: str) -> LaurentPoly:
     if not isinstance(raw, list):
         raise SpecFileError(f"{where}: expected a list of [exp, num, den] triples")
-    terms = []
     for pos, item in enumerate(raw):
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or not all(_is_int(x) for x in item)
-        ):
+        if not isinstance(item, list) or len(item) != 3 or not all(map(_is_int, item)):
             raise SpecFileError(f"{where}[{pos}]: expected an [exp, num, den] integer triple")
         exp, num, den = item
         if den == 0:
@@ -113,8 +109,7 @@ def _poly_from_triples(raw, where: str) -> LaurentPoly:
                 f"{where}[{pos}]: exponent {exp} does not fit a packed monomial "
                 f"(at most {_HALF - 1} in absolute value)"
             )
-        terms.append((Monomial.of(PIVOT, exp), Fraction(num, den)))
-    return LaurentPoly(terms)
+    return LaurentPoly._from_triples(PIVOT, raw)
 
 
 def tower_spec_to_doc(spec: TowerSpec) -> dict:
@@ -233,13 +228,7 @@ class ResultTable(namedtuple("ResultTable", "header rows")):
     @classmethod
     def from_poly(cls, poly: LaurentPoly, variables: Sequence[VariableId]) -> "ResultTable":
         var_list = list(variables)
-        var_set = set(var_list)
-        rows = []
-        for mono, coeff in poly.items():
-            if not mono.without(var_set).is_one():
-                raise ValueError(f"term {mono} involves variables outside the table header")
-            exps = tuple(mono.exponent(v) for v in var_list)
-            rows.append((exps, format_rational(coeff)))
+        rows = [(exps, format_rational(coeff)) for exps, coeff in poly._header_rows(var_list)]
         rows.sort(key=lambda row: row[0])
         return cls(tuple(v.name for v in var_list), tuple(rows))
 
@@ -336,6 +325,8 @@ def run_verify(
         window = stepwise_pushforward(spec, req)
         closed = closed_formula_segre(spec, req)
         vandermonde = flag_mod.vandermonde_product(k)
+        # The weights and V(t) of each trial depend only on k and the seed.
+        weights = flag_mod._fixed_point_weights(k, trials, seed)
         bad: list[str] = []
         if closed != window:
             bad.append(
@@ -347,9 +338,7 @@ def run_verify(
                 Monomial((tower_variable(i + 1), -a - 1) for i, a in enumerate(exps))
             )
             via_vandermonde = vandermonde.coefficient(flag_mod._vandermonde_target(k, exps))
-            via_fixed_points = flag_mod.localization_integral(
-                k, exps, trials=trials, seed=seed
-            )
+            via_fixed_points = flag_mod._fixed_point_sum(k, exps, weights)
             if not (via_tower == via_vandermonde == via_fixed_points):
                 bad.append(
                     f"a={exps}: tower={format_rational(via_tower)} "
@@ -548,45 +537,77 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _flag_integral_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k", type=int, required=True, help="number of tower levels")
+    parser.add_argument("--exps", required=True, help="comma-separated exponents a_1..a_k")
+    parser.add_argument("-v", "--verbose", action="store_true", help="print cross-checks")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    parser.add_argument("--format", choices=("table", "json"), default="table")
+    parser.set_defaults(func=cmd_flag_integral)
+
+
+def _tower_segre_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("spec", help="path to a JSON tower spec")
+    parser.add_argument("--orders", required=True, help="per-level orders a_1,..,a_k")
+    parser.add_argument("--aux-orders", default="", help="per-aux orders as name=b,name=b")
+    parser.add_argument("--method", choices=("closed", "stepwise"), default="closed")
+    parser.add_argument("--format", choices=("table", "json"), default="table")
+    parser.set_defaults(func=cmd_tower_segre)
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-k", type=int, default=3, dest="max_k")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    parser.add_argument("--towers", type=int, default=DEFAULT_TOWERS)
+    parser.add_argument("--format", choices=("table", "json"), default="table")
+    parser.set_defaults(func=cmd_verify)
+
+
+#: Each subcommand's help line and the function that adds its arguments.
+_SUBCOMMANDS = {
+    "flag-integral": ("integrate a monomial over a flag variety", _flag_integral_arguments),
+    "tower-segre": ("Segre series of a tower spec file", _tower_segre_arguments),
+    "verify": ("run the cross-validation sweeps", _verify_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segre-towers",
         description="Exact Segre-series push-forwards on projective towers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_flag = sub.add_parser("flag-integral", help="integrate a monomial over a flag variety")
-    p_flag.add_argument("--k", type=int, required=True, help="number of tower levels")
-    p_flag.add_argument("--exps", required=True, help="comma-separated exponents a_1..a_k")
-    p_flag.add_argument("-v", "--verbose", action="store_true", help="print cross-checks")
-    p_flag.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_flag.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_flag.add_argument("--format", choices=("table", "json"), default="table")
-    p_flag.set_defaults(func=cmd_flag_integral)
-
-    p_segre = sub.add_parser("tower-segre", help="Segre series of a tower spec file")
-    p_segre.add_argument("spec", help="path to a JSON tower spec")
-    p_segre.add_argument("--orders", required=True, help="per-level orders a_1,..,a_k")
-    p_segre.add_argument(
-        "--aux-orders", default="", help="per-aux orders as name=b,name=b"
-    )
-    p_segre.add_argument("--method", choices=("closed", "stepwise"), default="closed")
-    p_segre.add_argument("--format", choices=("table", "json"), default="table")
-    p_segre.set_defaults(func=cmd_tower_segre)
-
-    p_verify = sub.add_parser("verify", help="run the cross-validation sweeps")
-    p_verify.add_argument("--max-k", type=int, default=3, dest="max_k")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_verify.add_argument("--towers", type=int, default=DEFAULT_TOWERS)
-    p_verify.add_argument("--format", choices=("table", "json"), default="table")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the subcommand's parser when it can.
+
+    The full tree hands everything after the subcommand's name to that
+    subcommand's parser, whose prog is ``segre-towers <name>``; this parser
+    is the same, so its help and its errors are the same too.  Only left-over
+    arguments are reported by the top-level parser, so they, and an argv
+    that does not start with a subcommand, go through the full tree.
+
+    No parser outlives the call: a cached one would make a run of many calls
+    in one process cheaper than the fresh process each CLI call is.
+    """
+    argv = list(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"segre-towers {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (SpecFileError, InvalidTowerError, ValueError, ZeroDivisionError) as exc:

@@ -32,7 +32,7 @@ carries into its neighbour's slot.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import index, itemgetter
 
@@ -275,6 +275,18 @@ class LaurentPoly:
         self._bound = bound
 
     @classmethod
+    def _from_triples(cls, var: VariableId, triples) -> "LaurentPoly":
+        """The sum of num/den * var^exp over the (exp, num, den) ``triples``.
+
+        Built straight into packed keys: each den must be nonzero and each
+        |exp| below 2**(W-1), as the caller has checked.
+        """
+        den = math.lcm(*[d for _, _, d in triples])
+        shift = _W * _slot(var)
+        data = _accumulate({}, [(e << shift, n * (den // d)) for e, n, d in triples])
+        return cls._wrap(data, den, max([abs(e) for e, _, _ in triples], default=0))
+
+    @classmethod
     def _wrap(cls, data: dict[int, int], den: int = 1, bound: int = 0) -> "LaurentPoly":
         # ``data`` holds nonzero numerators; ``bound`` bounds its exponents.
         out = cls.__new__(cls)
@@ -331,6 +343,33 @@ class LaurentPoly:
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms sorted in the canonical monomial order (deterministic)."""
         return sorted(self.items(), key=itemgetter(0))
+
+    def _header_rows(self, header: Sequence[VariableId]) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Per term, in internal order: its exponents of ``header`` and its coefficient.
+
+        Each column is read by slot, as ``filter_terms`` reads one.  A term
+        that involves a variable outside ``header`` is refused by name.
+        """
+        keys = list(self._terms)
+        zeros = [0] * len(keys)
+        columns = {}
+        rebuilt = zeros
+        for var in header:
+            slot = _SLOTS.get(var)
+            # A variable never packed is in no key; a repeated one is read once.
+            if slot is None or var in columns:
+                continue
+            columns[var] = column = _exponents(keys, var)
+            unit = 1 << (_W * slot)
+            rebuilt = [part + exp * unit for part, exp in zip(rebuilt, column)]
+        for key, part in zip(keys, rebuilt):
+            if key != part:
+                raise ValueError(
+                    f"term {_monomial(key)} involves variables outside the table header"
+                )
+        den = self._den
+        rows = zip(*(columns.get(var, zeros) for var in header)) if header else [()] * len(keys)
+        return [(exps, Fraction(num, den)) for exps, num in zip(rows, self._terms.values())]
 
     def coefficient(self, mono: Monomial) -> Fraction:
         num = self._terms.get(_lookup_key(mono))
@@ -500,15 +539,17 @@ class RationalFunction1V:
                     raise ValueError(
                         f"{side} must involve only {PIVOT.name!r} and base variables, found {v.name!r}"
                     )
-        lead_exp = denominator.max_exponent_in(PIVOT)
-        leads = [(m, c) for m, c in denominator.items() if m.exponent(PIVOT) == lead_exp]
+        exps = _exponents(denominator._terms, PIVOT)
+        lead_exp = max(exps)
+        leads = [key for key, exp in zip(denominator._terms, exps) if exp == lead_exp]
         if len(leads) != 1:
             raise ValueError(
                 f"denominator needs a unique highest-degree term in {PIVOT.name!r}"
             )
         self.numerator = numerator
         self.denominator = denominator
-        self._lead_mono, self._lead_coeff = leads[0]
+        self._lead_mono = _monomial(leads[0])
+        self._lead_coeff = Fraction(denominator._terms[leads[0]], denominator._den)
         self._lead_exp = lead_exp
 
     @property

@@ -26,6 +26,8 @@ from segre_towers.cli import (
     tower_spec_to_doc,
 )
 from segre_towers import cli as cli_mod
+from segre_towers import series as series_mod
+from segre_towers.series import PIVOT, VariableId
 
 from fractions import Fraction
 
@@ -208,6 +210,31 @@ def test_spec_file_rejects_zero_denominator_triples():
     assert "q_den" in str(info.value)
 
 
+def test_spec_triples_add_up_and_cancelling_ones_name_the_field():
+    # Triples of one exponent add up, as a polynomial's terms do; a q_den
+    # whose triples cancel is a zero denominator, refused under its field.
+    doc = tower_spec_to_doc(flag_tower(2))
+    doc["levels"][1]["factors"][0]["q_den"] = [[3, 1, 2], [3, 1, 2]]
+    assert tower_spec_from_doc(doc) == flag_tower(2)
+    for triples in ([[1, 1, 1], [1, -1, 1]], [[2, 1, 2], [0, 3, 1], [2, -2, 4], [0, -6, 2]]):
+        doc["levels"][1]["factors"][0]["q_den"] = triples
+        with pytest.raises(cli_mod.SpecFileError) as info:
+            tower_spec_from_doc(doc)
+        assert str(info.value).startswith("levels[2].factors[0].q_den: ")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-4, 4), st.sampled_from([-6, -2, -1, 1, 3, 4])),
+    max_size=5,
+))
+def test_spec_triples_decode_to_the_sum_of_their_terms(triples):
+    want = LaurentPoly([(Monomial.of(PIVOT, e), Fraction(n, d)) for e, n, d in triples])
+    got = cli_mod._poly_from_triples([list(t) for t in triples], "q")
+    assert got == want
+    assert got.items() == want.items()  # in the same internal order, too
+
+
 # -- result table ------------------------------------------------------------------
 
 
@@ -226,6 +253,29 @@ def test_result_table_round_trip():
         ],
     }
     assert table.rows == (((-3, -2), "1"), ((-2, -3), "-1"))
+
+
+def test_result_table_reads_each_column_by_slot():
+    # Fresh variables take adjacent slots, so the negative exponents of the
+    # term below sit side by side in one packed key.
+    u1, u2, w = (VariableId(f"table_{name}", "aux", 1) for name in ("u1", "u2", "w"))
+    term = Monomial([(u1, -1), (u2, -2), (w, -1)])
+    poly = LaurentPoly({term: Fraction(-3, 4), Monomial.of(u2, 1): 2})
+    slots = [series_mod._slot(v) for v in (u1, u2, w)]
+    assert slots == [slots[0], slots[0] + 1, slots[0] + 2]
+    # A header variable in no term reads 0, whether or not it holds a slot.
+    elsewhere = VariableId("table_elsewhere", "aux", 1)
+    LaurentPoly.variable(elsewhere)
+    never = VariableId("table_never_packed", "base")
+    table = ResultTable.from_poly(poly, [u1, u2, w, elsewhere, never])
+    assert table.header == ("table_u1", "table_u2", "table_w", "table_elsewhere",
+                            "table_never_packed")
+    assert table.rows == (((-1, -2, -1, 0, 0), "-3/4"), ((0, 1, 0, 0, 0), "2"))
+    with pytest.raises(ValueError) as info:
+        ResultTable.from_poly(poly, [u1, u2, elsewhere])
+    assert str(info.value) == f"term {term} involves variables outside the table header"
+    assert ResultTable.from_poly(LaurentPoly.one(), []).rows == (((), "1"),)
+    assert ResultTable.from_poly(LaurentPoly(), [u1]).rows == ()
 
 
 # -- flag-integral command -----------------------------------------------------------
@@ -422,6 +472,58 @@ def test_largest_exponents_that_fit_a_slot_are_accepted():
         assert tower_spec_from_doc(doc).levels[0].factors[0].series.leading_exponent == exp - 2
 
 
+# -- argument parsing ----------------------------------------------------------------
+
+
+_PARSER_ARGVS = [
+    [],
+    ["bogus"],
+    ["-h"],
+    ["flag-integral", "-h"],
+    ["tower-segre", "-h"],
+    ["verify", "-h"],
+    ["tower-segre", "SPEC"],
+    ["flag-integral", "--exps", "2,1"],
+    ["tower-segre", "SPEC", "--orders", "2,2", "--method", "bogus"],
+    ["tower-segre", "SPEC", "--orders", "2,2", "--bogus"],
+    ["tower-segre", "SPEC", "extra", "--orders", "2,2"],
+    ["tower-segre", "--orders", "2,2", "--", "SPEC"],
+    ["tower-segre", "--", "SPEC", "--orders", "2,2"],
+    ["tower-segre", "SPEC", "--orders", "2,2", "--"],
+    ["--", "verify", "--max-k", "1", "--towers", "0"],
+    ["tower-segre", "SPEC", "--ord", "2,2", "--meth", "stepwise"],
+    ["flag-integral", "--k=2", "--exps=2,1"],
+    ["flag-integral", "--k", "x", "--exps", "1"],
+    ["verify", "--max-k", "1", "--towers", "1", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_parses_as_the_full_parser_tree_does(tmp_path, capsys, monkeypatch, argv):
+    argv = [write_spec(tmp_path, flag_tower(2)) if arg == "SPEC" else arg for arg in argv]
+
+    def outcome():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    got = outcome()
+    monkeypatch.setattr(cli_mod, "_parse_args", lambda a: cli_mod.build_parser().parse_args(a))
+    assert outcome() == got
+
+
+def test_a_subcommand_call_builds_only_its_own_parser(capsys, monkeypatch):
+    def full_tree():
+        raise AssertionError("the full parser tree was built")
+
+    monkeypatch.setattr(cli_mod, "build_parser", full_tree)
+    assert main(["flag-integral", "--k", "2", "--exps", "2,1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 # -- verify command ------------------------------------------------------------------
 
 
@@ -480,6 +582,21 @@ def test_cmd_verify_determinism(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_verify_draws_the_weights_once_per_k_and_trial(monkeypatch):
+    # The weights and V(t) depend only on k, the seed and the trial, so a
+    # sweep draws them k by k, not once per exponent tuple.
+    real, draws = cli_mod.flag_mod._draw_distinct, []
+
+    def counted(rng, count):
+        draws.append(count)
+        return real(rng, count)
+
+    monkeypatch.setattr(cli_mod.flag_mod, "_draw_distinct", counted)
+    cases = cli_mod.run_verify(3, 7, 2, towers=0)
+    assert [case.passed for case in cases] == [True] * 4
+    assert draws == [2, 2, 3, 3, 4, 4]
 
 
 def test_cmd_verify_reports_injected_mismatch(capsys, monkeypatch):

@@ -345,6 +345,74 @@ def test_both_routes_equal_the_unpruned_closed_formula():
     assert nonempty >= 10
 
 
+def sympy_window(sp, spec, req):
+    """The window of ``spec`` read off sympy's own series, with no code of the routes.
+
+    The rational product is prod_i prod_f q_f(u_i + sum_j m_j u_j) times
+    1/(w - u_i) for each auxiliary w of level i.  Both routes expand it in
+    the regime w >> u_k >> ... >> u_1, so it is expanded at infinity in that
+    order, one variable at a time.  Each step expands only the factors that
+    involve the variable; the others ride along unchanged.
+    """
+    pivot = sp.Symbol(PIVOT.name)
+
+    def side(p):
+        return sum(sp.Rational(c.numerator, c.denominator) * pivot ** m.exponent(PIVOT)
+                   for m, c in p.items())
+
+    factors = []
+    for i, lvl in enumerate(spec.levels, 1):
+        u_i = sp.Symbol(U(i).name)
+        for factor in lvl.factors:
+            shifted = u_i + sum(t * sp.Symbol(U(j).name) for j, t in enumerate(factor.twists, 1))
+            q = side(factor.series.numerator) / side(factor.series.denominator)
+            factors.append(q.subs(pivot, shifted))
+        factors += [1 / (sp.Symbol(aux_variable(n, i).name) - u_i) for n in lvl.aux]
+    order = [(aux_variable(n, i), req.aux_order(n)) for i, lvl in enumerate(spec.levels, 1)
+             for n in lvl.aux]
+    order += [(U(i), req.tower_orders[i - 1]) for i in range(spec.k, 0, -1)]
+    terms = {(): factors}
+    for var, a in order:
+        x, expanded = sp.Symbol(var.name), {}
+        for entries, parts in terms.items():
+            rest = [f for f in parts if not f.has(x)]
+            involved = sp.Mul(*(f for f in parts if f.has(x)))
+            coeffs = {}
+            # At infinity, order a + 2 keeps every exponent above -a - 2.
+            for term in sp.Add.make_args(sp.series(involved, x, sp.oo, a + 2).removeO()):
+                coeff, power = term.as_independent(x, as_Add=False)
+                base, e = power.as_base_exp()
+                if base == x and -a - 1 <= e <= -1:
+                    coeffs[int(e)] = coeffs.get(int(e), 0) + coeff
+            for e, coeff in coeffs.items():
+                expanded[entries + ((var, e),)] = rest + [coeff]
+        terms = expanded
+    values = {Monomial(entries): sp.Rational(sp.Mul(*parts)) for entries, parts in terms.items()}
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in values.items() if c}
+
+
+def test_small_windows_match_sympy_series():
+    sp = pytest.importorskip("sympy")
+    cases = [(flag_tower(1), (1,), {}), (flag_tower(2), (2, 2), {})]
+    rng = random.Random(62)
+    while len(cases) < 10:
+        spec = random_tower_spec(rng, max_k=2)
+        orders = tuple(rng.randint(0, 2) for _ in range(spec.k))
+        aux = {v.name: rng.randint(0, 1) for v in spec.aux_variables()}
+        # One sympy series takes 0.1-0.4 s, and each auxiliary variable
+        # multiplies the number taken; at most one keeps the test near 4 s.
+        if len(aux) <= 1:
+            cases.append((spec, orders, aux))
+    nonempty = 0
+    for spec, orders, aux in cases:
+        req = TruncationRequest.derive(spec, orders, aux)
+        want = sympy_window(sp, spec, req)
+        for route in (closed_formula_segre, stepwise_pushforward):
+            assert dict(route(spec, req).items()) == want, (route.__name__, spec, orders, aux)
+        nonempty += bool(want)
+    assert nonempty >= 6
+
+
 def test_closed_equals_stepwise_under_large_leading_degrees():
     # Monomial denominators with negative exponents maximize the positive
     # leading degree of each factor, the worst case for the mass-flow bound
