@@ -40,10 +40,9 @@ from .tower import (
     validate_tower,
 )
 
-#: Largest ``--max-k`` of verify.  With each route batched per k and the
-#: fixed-point weights drawn once per k and trial, the k = 6 sweep (7872
-#: integrals) takes 3.0-3.8 s at 3 trials and ``--towers 0``, on a 2-core
-#: Xeon with Python 3.11; k = 7 has 115788 integrals.
+#: Largest ``--max-k`` of verify.  With each route batched per k, the k = 6
+#: sweep (7872 integrals) takes 7.5-8.1 s at 3 trials and ``--towers 0``, on
+#: a 2-core Xeon with Python 3.11; k = 7 has 115788 integrals.
 MAX_VERIFY_K = 6
 #: Largest ``--towers`` of verify.  The random corpus takes 3-3.5 ms per
 #: tower: 200 towers in 0.59-0.70 s, 1000 in 3.3-3.5 s (seeds 7 and 11,
@@ -99,7 +98,11 @@ def _poly_from_triples(raw, where: str) -> LaurentPoly:
     if not isinstance(raw, list):
         raise SpecFileError(f"{where}: expected a list of [exp, num, den] triples")
     for pos, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != 3 or not all(map(_is_int, item)):
+        if (
+            not isinstance(item, list)
+            or len(item) != 3
+            or not all(_is_int(x) for x in item)
+        ):
             raise SpecFileError(f"{where}[{pos}]: expected an [exp, num, den] integer triple")
         exp, num, den = item
         if den == 0:
@@ -325,8 +328,6 @@ def run_verify(
         window = stepwise_pushforward(spec, req)
         closed = closed_formula_segre(spec, req)
         vandermonde = flag_mod.vandermonde_product(k)
-        # The weights and V(t) of each trial depend only on k and the seed.
-        weights = flag_mod._fixed_point_weights(k, trials, seed)
         bad: list[str] = []
         if closed != window:
             bad.append(
@@ -338,7 +339,9 @@ def run_verify(
                 Monomial((tower_variable(i + 1), -a - 1) for i, a in enumerate(exps))
             )
             via_vandermonde = vandermonde.coefficient(flag_mod._vandermonde_target(k, exps))
-            via_fixed_points = flag_mod._fixed_point_sum(k, exps, weights)
+            via_fixed_points = flag_mod.localization_integral(
+                k, exps, trials=trials, seed=seed
+            )
             if not (via_tower == via_vandermonde == via_fixed_points):
                 bad.append(
                     f"a={exps}: tower={format_rational(via_tower)} "

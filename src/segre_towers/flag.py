@@ -122,30 +122,12 @@ def localization_integral(
     dim = k * (k + 1) // 2
     if sum(exps) > dim:
         raise ValueError(f"exponents: total degree must be at most the flag dimension {dim}")
-    return _fixed_point_sum(k, exps, _fixed_point_weights(k, trials, seed))
-
-
-def _fixed_point_weights(
-    k: int, trials: int, seed: int
-) -> list[tuple[list[Fraction], Fraction]]:
-    """Each trial's weights t_0..t_k, drawn from ``seed``, with their V(t).
-
-    They depend on no exponent, so one list serves every integral of a k.
-    """
-    rng = random.Random(seed)
-    out = []
-    for _ in range(trials):
-        ts = _draw_distinct(rng, k + 1)
-        out.append((ts, _alternant(ts, range(k + 1))))
-    return out
-
-
-def _fixed_point_sum(
-    k: int, exps: tuple[int, ...], weights: list[tuple[list[Fraction], Fraction]]
-) -> Fraction:
-    """det(t_j^e_p) / V(t) for each trial's weights; all trials must agree."""
     powers = (0,) + exps[::-1]
-    values = [_alternant(ts, powers) / vandermonde for ts, vandermonde in weights]
+    rng = random.Random(seed)
+    values = []
+    for trial in range(trials):
+        ts = _draw_distinct(rng, k + 1)
+        values.append(_alternant(ts, powers) / _alternant(ts, range(k + 1)))
     if any(v != values[0] for v in values):
         raise LocalizationDisagreement(
             f"fixed-point trials disagree for k={k}, exponents={exps}: {values}"

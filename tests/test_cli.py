@@ -584,21 +584,6 @@ def test_cmd_verify_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_draws_the_weights_once_per_k_and_trial(monkeypatch):
-    # The weights and V(t) depend only on k, the seed and the trial, so a
-    # sweep draws them k by k, not once per exponent tuple.
-    real, draws = cli_mod.flag_mod._draw_distinct, []
-
-    def counted(rng, count):
-        draws.append(count)
-        return real(rng, count)
-
-    monkeypatch.setattr(cli_mod.flag_mod, "_draw_distinct", counted)
-    cases = cli_mod.run_verify(3, 7, 2, towers=0)
-    assert [case.passed for case in cases] == [True] * 4
-    assert draws == [2, 2, 3, 3, 4, 4]
-
-
 def test_cmd_verify_reports_injected_mismatch(capsys, monkeypatch):
     # Perturb one coefficient of the k = 2 Vandermonde expansion, which verify
     # reads every k = 2 value from: it must flag that tuple and exit nonzero.

@@ -151,9 +151,8 @@ def test_localization_rejects_bad_trials():
 
 def test_localization_disagreement_surfaces(monkeypatch):
     # Up to the dimension every trial gives the integral, so trials disagree
-    # only through a fault: one injected into the third determinant taken,
-    # the last trial's V(t), must be reported as an internal-consistency
-    # failure.
+    # only through a fault: one injected into the second trial's numerator
+    # determinant must be reported as an internal-consistency failure.
     real, calls = _alternant, []
 
     def skewed(ts, powers):
