@@ -7,10 +7,14 @@ product.  A torus-fixed-point summation provides a third, fully independent
 way to evaluate the same integrals.  Its denominator at an ordering w is
 sign(w) V(t), V(t) the Vandermonde determinant of the weights, so the sum is
 the bialternant det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1) (Macdonald,
-*Symmetric Functions and Hall Polynomials*, I.3).  Each determinant is taken
-over the integers: scaling column j by q_j^max(e), q_j the denominator of
-t_j, clears every fraction, fraction-free (Bareiss) elimination computes the
-integer determinant, and one division by prod_j q_j^max(e) undoes the scaling.
+*Symmetric Functions and Hall Polynomials*, I.3).  Each numerator
+determinant is taken over the integers: scaling column j by q_j^max(e), q_j
+the denominator of t_j, clears every fraction, fraction-free (Bareiss)
+elimination computes the integer determinant, and one division by
+prod_j q_j^max(e) undoes the scaling.  The weights and V(t) depend only on
+(k, trials, seed), so one process draws them once per such key and keeps
+the last few in a small memo; ``verify`` then pays for them once per k, not
+once per exponent tuple.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import random
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .series import PIVOT, LaurentPoly, Monomial, RationalFunction1V
 from .tower import (
@@ -108,11 +113,14 @@ def localization_integral(
 ) -> Fraction:
     """The same flag integral by torus-fixed-point summation.
 
-    Each trial draws distinct random rational weights t_0..t_k; the sum over
-    orderings w of prod_i t_w(k+1-i)^a_i / prod_{p<q} (t_w(q) - t_w(p)) has
+    Each trial draws distinct random rational weights t_0..t_k, after the
+    previous trial's, from ``random.Random(seed)``; the sum over orderings w
+    of prod_i t_w(k+1-i)^a_i / prod_{p<q} (t_w(q) - t_w(p)) has
     denominators sign(w) V(t), V(t) = prod_{p<q} (t_q - t_p) = det(t_j^p),
     so it equals det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1).  All trials
     must agree exactly; disagreement raises ``LocalizationDisagreement``.
+    The weights and V(t) of an int ``seed`` come from a memo of the last few
+    (k, trials, seed) keys, so only the numerator determinant is per call.
 
     Exponents of total degree above the dimension k(k+1)/2 are refused: there
     the sum is a non-constant polynomial in the weights, not an integral.
@@ -123,16 +131,27 @@ def localization_integral(
     if sum(exps) > dim:
         raise ValueError(f"exponents: total degree must be at most the flag dimension {dim}")
     powers = (0,) + exps[::-1]
-    rng = random.Random(seed)
-    values = []
-    for trial in range(trials):
-        ts = _draw_distinct(rng, k + 1)
-        values.append(_alternant(ts, powers) / _alternant(ts, range(k + 1)))
+    # random.Random(None) draws differently on every call, so only int seeds are kept.
+    draw = _fixed_points if isinstance(seed, int) else _fixed_points.__wrapped__
+    values = [_alternant(ts, powers) / vandermonde for ts, vandermonde in draw(k, trials, seed)]
     if any(v != values[0] for v in values):
         raise LocalizationDisagreement(
             f"fixed-point trials disagree for k={k}, exponents={exps}: {values}"
         )
     return values[0]
+
+
+@lru_cache(maxsize=16)
+def _fixed_points(
+    k: int, trials: int, seed: int
+) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+    """Per trial, the weights t_0..t_k and V(t) = prod_{p<q} (t_q - t_p)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        ts = tuple(_draw_distinct(rng, k + 1))
+        out.append((ts, math.prod(tq - tp for p, tp in enumerate(ts) for tq in ts[p + 1 :])))
+    return tuple(out)
 
 
 def _alternant(ts: Sequence[Fraction], powers: Sequence[int]) -> Fraction:

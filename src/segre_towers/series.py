@@ -504,15 +504,26 @@ class LaurentPoly:
 
 
 def rename_variables(poly: LaurentPoly, mapping: Mapping[VariableId, VariableId]) -> LaurentPoly:
-    """Relabel variables throughout ``poly`` (colliding terms are merged)."""
-    moves = {_slot(old): _slot(new) for old, new in mapping.items()}
-    renamed = []
-    bound = 0
-    for key, num in poly._terms.items():
-        exps = _accumulate({}, ((moves.get(slot, slot), exp) for slot, exp in _decode(key)))
-        bound = _checked(max(bound, 0, *map(abs, exps.values())))
-        renamed.append((sum(exp << (_W * slot) for slot, exp in exps.items()), num))
-    return LaurentPoly._wrap(_accumulate({}, renamed), poly._den, bound)
+    """Relabel variables throughout ``poly`` (colliding terms are merged).
+
+    Moving exponent e from slot s to slot t adds e * (2**(W*t) - 2**(W*s))
+    to a key.  Each target's new exponents are summed from the old ones and
+    refused if they leave the slot, before any key is moved.
+    """
+    moves = {old: new for old, new in mapping.items() if old != new}
+    if not moves or not poly._terms:
+        return poly
+    keys = list(poly._terms)
+    columns = {var: _exponents(keys, var) for var in {*moves, *moves.values()}}
+    # A target keeps its own exponents unless it moves away itself.
+    sums = {new: [0] * len(keys) if new in moves else columns[new] for new in moves.values()}
+    for old, new in moves.items():
+        sums[new] = [a + b for a, b in zip(sums[new], columns[old])]
+    bound = _checked(max(poly._bound, *(max(max(c), -min(c)) for c in sums.values())))
+    for old, new in moves.items():
+        step = (1 << (_W * _slot(new))) - (1 << (_W * _slot(old)))
+        keys = [key + exp * step for key, exp in zip(keys, columns[old])]
+    return LaurentPoly._wrap(_accumulate({}, zip(keys, poly._terms.values())), poly._den, bound)
 
 
 class RationalFunction1V:
@@ -522,9 +533,13 @@ class RationalFunction1V:
     denominator must be nonzero and must have a unique highest-degree term
     in the pivot whose coefficient is a nonzero rational times a single
     base monomial, so the descending expansion is well defined.
+
+    ``leading_exponent``, set once here, is the exponent of the leading term
+    of the descending expansion: the numerator's top pivot exponent minus
+    the denominator's (None for a zero numerator).
     """
 
-    __slots__ = ("numerator", "denominator", "_lead_mono", "_lead_coeff", "_lead_exp")
+    __slots__ = ("numerator", "denominator", "leading_exponent", "_lead_mono", "_lead_coeff")
 
     def __init__(self, numerator, denominator) -> None:
         if not isinstance(numerator, LaurentPoly):
@@ -550,14 +565,9 @@ class RationalFunction1V:
         self.denominator = denominator
         self._lead_mono = _monomial(leads[0])
         self._lead_coeff = Fraction(denominator._terms[leads[0]], denominator._den)
-        self._lead_exp = lead_exp
-
-    @property
-    def leading_exponent(self) -> int | None:
-        """Exponent of the leading term of the descending expansion (None if zero)."""
-        if self.numerator.is_zero():
-            return None
-        return self.numerator.max_exponent_in(PIVOT) - self._lead_exp
+        self.leading_exponent = (
+            None if numerator.is_zero() else numerator.max_exponent_in(PIVOT) - lead_exp
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction1V):
@@ -581,8 +591,10 @@ def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
     # filtered, and the sum stops at the first empty one.
     ratio = -((f.denominator - LaurentPoly.monomial(f._lead_mono, f._lead_coeff)) * lead_inv)
     term = (f.numerator * lead_inv).filter_terms(PIVOT, min_exponent)
+    if not ratio:
+        return term
     summands = [term]
-    while ratio and term:
+    while term:
         term = (term * ratio).filter_terms(PIVOT, min_exponent)
         summands.append(term)
     return LaurentPoly.sum(summands)
@@ -607,13 +619,14 @@ def shift_expand(
     """
     if degree_cap < 0:
         raise ValueError("degree_cap must be non-negative")
-    shift_vars = shift.variables()
-    if pivot in shift_vars:
+    if any(_exponents(shift._terms, pivot)):
         raise ValueError("shift must not involve the pivot variable")
-    for mono, _ in shift.items():
-        if len(mono) != 1 or mono[0][1] != 1:
-            raise ValueError(f"shift must be a linear form, found the term {mono}")
-    if shift_vars & q.variables():
+    # A term of a linear form is one variable to the first power: its key is
+    # a single set bit at the bottom of a slot.
+    for key in shift._terms:
+        if key <= 0 or key & (key - 1) or (key.bit_length() - 1) % _W:
+            raise ValueError(f"shift must be a linear form, found the term {_monomial(key)}")
+    if any(any(_exponents(q._terms, _VARS[(key.bit_length() - 1) // _W])) for key in shift._terms):
         raise ValueError("q must not involve the shift variables")
     alphas = _exponents(q._terms, pivot)
     top = degree_cap

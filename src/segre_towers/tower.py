@@ -332,11 +332,20 @@ def _level_product(
     minus ``cap`` (``TruncationRequest``).  Each multiplier comes with
     ``up``, the most it can raise the pivot's exponent, so a term below
     ``floor`` minus the ups still to come can never reach ``floor``.
+
+    A series object shared by several factors (the flag tower's linear
+    factors share one) is expanded once.  The memo is keyed by ``id`` and
+    lives only for this call, while ``spec`` keeps every series alive.
     """
+    expansions: dict[int, LaurentPoly] = {}
     multipliers = []
     for factor in spec.levels[level - 1].factors:
         own = _lead_plus(factor)
-        expansion = rename_variables(descending_expand(factor.series, own - cap), {PIVOT: pivot})
+        key = id(factor.series)
+        if key not in expansions:
+            expanded = descending_expand(factor.series, own - cap)
+            expansions[key] = rename_variables(expanded, {PIVOT: pivot})
+        expansion = expansions[key]
         shift = LaurentPoly(
             (Monomial.of(lower(j + 1)), Fraction(t)) for j, t in enumerate(factor.twists) if t
         )

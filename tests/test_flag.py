@@ -11,6 +11,10 @@ from segre_towers import (
     LaurentPoly,
     LocalizationDisagreement,
     Monomial,
+    RationalFunction1V,
+    TowerFactor,
+    TowerLevel,
+    TowerSpec,
     TruncationRequest,
     closed_formula_segre,
     flag_integral,
@@ -19,6 +23,7 @@ from segre_towers import (
     negative_part,
     pushforward_monomial,
     rename_variables,
+    stepwise_pushforward,
     validate_tower,
     vandermonde_integral,
     vandermonde_product,
@@ -144,6 +149,39 @@ def test_localization_seed_determinism():
     assert a == b == -1
 
 
+def test_localization_memo_gives_fresh_draws(monkeypatch):
+    # Each call must see the weights random.Random(seed) draws, trial after
+    # trial, whatever the memo holds.  Keys that differ only in k, trials or
+    # seed are interleaved, and there are more of them than the memo holds.
+    memo = flag_mod._fixed_points
+    keys = [(k, trials, seed) for seed in (5, 6, 2026) for trials in (1, 3) for k in range(1, 6)]
+    assert len(keys) > memo.cache_info().maxsize
+    order = keys * 2
+    random.Random(19).shuffle(order)
+    seen = []
+
+    def recording(ts, powers):
+        seen.append(tuple(ts))
+        return _alternant(ts, powers)
+
+    monkeypatch.setattr(flag_mod, "_alternant", recording)
+    for k, trials, seed in order:
+        rng = random.Random(seed)
+        draws = [tuple(_draw_distinct(rng, k + 1)) for _ in range(trials)]
+        exps = tuple(range(k, 0, -1))
+        seen.clear()
+        value = localization_integral(k, exps, trials=trials, seed=seed)
+        assert seen == draws
+        assert value == _alternant(draws[0], (0,) + exps[::-1]) / _alternant(draws[0], range(k + 1))
+        assert memo(k, trials, seed) == tuple((ts, _alternant(ts, range(k + 1))) for ts in draws)
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    # A seed that is no int, None above all, is drawn afresh and not kept.
+    before = memo.cache_info()
+    for seed in (None, "seven", b"7"):
+        assert localization_integral(2, (2, 1), trials=2, seed=seed) == 1
+    assert memo.cache_info() == before
+
+
 def test_localization_rejects_bad_trials():
     with pytest.raises(ValueError):
         localization_integral(1, (1,), trials=0)
@@ -152,12 +190,13 @@ def test_localization_rejects_bad_trials():
 def test_localization_disagreement_surfaces(monkeypatch):
     # Up to the dimension every trial gives the integral, so trials disagree
     # only through a fault: one injected into the second trial's numerator
-    # determinant must be reported as an internal-consistency failure.
+    # determinant must be reported as an internal-consistency failure.  V(t)
+    # comes from the memo, so each call of ``_alternant`` is one numerator.
     real, calls = _alternant, []
 
     def skewed(ts, powers):
         calls.append(powers)
-        return real(ts, powers) + (len(calls) == 3)
+        return real(ts, powers) + (len(calls) == 2)
 
     monkeypatch.setattr(flag_mod, "_alternant", skewed)
     with pytest.raises(LocalizationDisagreement):
@@ -305,6 +344,28 @@ def test_antisymmetry_of_segre_numerator():
             for j in range(i + 1, k + 1):
                 swap = {U(i): U(j), U(j): U(i)}
                 assert rename_variables(shifted, swap) == -shifted
+
+
+def test_shared_factor_series_give_the_results_of_fresh_copies():
+    # flag_tower's linear factors share one series object, which the level
+    # product expands once; a copy with a fresh, equal series per factor
+    # must give the same windows and point values.
+    spec = flag_tower(4)
+    assert len({id(f.series) for lvl in spec.levels for f in lvl.factors}) == 2
+
+    def fresh(f):
+        num, den = (LaurentPoly(p.items()) for p in (f.series.numerator, f.series.denominator))
+        return TowerFactor(f.twists, RationalFunction1V(num, den))
+
+    copy = TowerSpec(tuple(TowerLevel(tuple(map(fresh, lvl.factors))) for lvl in spec.levels))
+    assert copy == spec
+    assert len({id(f.series) for lvl in copy.levels for f in lvl.factors}) == 10
+    for route in (closed_formula_segre, stepwise_pushforward):
+        windows = [route(s, TruncationRequest.derive(s, (4,) * 4)) for s in (spec, copy)]
+        assert windows[0] == windows[1] and windows[0]
+    values = [pushforward_monomial(copy, exps) for exps in flag_exponent_tuples(4)]
+    assert values == [pushforward_monomial(spec, exps) for exps in flag_exponent_tuples(4)]
+    assert any(values)
 
 
 def test_no_projection_needed_for_flag_towers():

@@ -261,6 +261,22 @@ def test_rational_function_rejects_foreign_variables():
         RationalFunction1V(LaurentPoly.variable(U(1)), 1)
 
 
+def test_stored_leading_exponent_is_numerator_top_minus_denominator_lead():
+    rng = random.Random(2019)
+    zero_numerators = 0
+    for _ in range(200):
+        num = {e: rng.randint(-3, 3) for e in rng.sample(range(-5, 6), rng.randint(0, 3))}
+        den = {e: rng.choice([-2, -1, 1, 3]) for e in rng.sample(range(-5, 6), rng.randint(1, 3))}
+        f = rf(num, den)
+        top = {e for e, c in num.items() if c}
+        if top:
+            assert f.leading_exponent == max(top) - max(den)
+        else:
+            assert f.leading_exponent is None
+            zero_numerators += 1
+    assert zero_numerators > 0
+
+
 def test_descending_expand_base_monomial_leading_coefficient():
     g = G("g")
     f = RationalFunction1V(1, LaurentPoly.variable(g) * LaurentPoly.variable(PIVOT))
@@ -577,6 +593,21 @@ def test_exponent_outside_its_slot_is_refused():
         geometric_expand(P[1], P[0], top)
     # 2**32 in slot s has the key of exponent 1 in slot s + 1: no match.
     assert LaurentPoly.variable(P[1]).coefficient(Monomial.of(P[0], 2**32)) == 0
+
+
+def test_rename_refuses_a_move_that_leaves_the_slot():
+    top = 2**31 - 1
+    for sign in (1, -1):
+        merged = LaurentPoly.monomial(Monomial(((P[0], sign * top), (P[1], sign))))
+        # p1 moved onto p0 adds its exponent to p0's: one past the slot.
+        with pytest.raises(ExponentOverflowError):
+            rename_variables(merged, {P[1]: P[0]})
+        # Swapped, no exponent grows; moved onto a free variable, neither.
+        swapped = LaurentPoly.monomial(Monomial(((P[1], sign * top), (P[0], sign))))
+        assert rename_variables(merged, {P[0]: P[1], P[1]: P[0]}) == swapped
+        assert rename_variables(merged, {P[1]: P[2]}) == LaurentPoly.monomial(
+            Monomial(((P[0], sign * top), (P[2], sign)))
+        )
 
 
 def test_values_survive_pickle_and_deepcopy():
