@@ -32,6 +32,7 @@ carries into its neighbour's slot.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import index, itemgetter
@@ -230,6 +231,11 @@ def _exponents(keys: Iterable[int], var: VariableId) -> list[int]:
     return [((((key + half) >> shift) + _HALF) & _MASK) - _HALF for key in keys]
 
 
+def _key_bound(keys: Iterable[int]) -> int:
+    """The largest absolute value of an exponent in ``keys``."""
+    return max((abs(exp) for key in keys for _, exp in _decode(key)), default=0)
+
+
 def _lowest(data: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """``data / den`` in lowest terms; the zero polynomial gets denominator 1."""
     if den != 1:
@@ -394,6 +400,10 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(_exponents(self._terms, var))
 
+    def _min_exponent_in(self, var: VariableId) -> int:
+        """Lowest exponent of ``var`` over all terms (absent vars count as 0)."""
+        return min(_exponents(self._terms, var))
+
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if any variable occurs)."""
         if not self._terms:
@@ -464,6 +474,26 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        return self._mul(other)
+
+    __rmul__ = __mul__
+
+    def _mul(
+        self,
+        other: "LaurentPoly",
+        var: VariableId | None = None,
+        low: int | None = None,
+        high: int | None = None,
+    ) -> "LaurentPoly":
+        """``self * other``, or with ``var`` only its terms whose exponent of
+        ``var`` lies in ``low..high`` (None: unbounded).
+
+        The larger side's terms are sorted by that exponent, so the partners
+        that land a term of the smaller side's exponent group e in the window
+        are one run, those with exponents in low-e..high-e; no pair outside
+        the window is formed.  Either way the bound is the sum of the two
+        bounds, refused before any key is formed.
+        """
         a, b = self._terms, other._terms
         if not a or not b:
             return LaurentPoly()
@@ -471,12 +501,24 @@ class LaurentPoly:
         if len(a) > len(b):
             a, b = b, a
         keys, nums = list(b), list(b.values())
+        if var is None:
+            runs = [(a.items(), keys, nums)]
+        else:
+            exps, keys, nums = zip(*sorted(zip(_exponents(keys, var), keys, nums)))
+            groups: dict[int, list[tuple[int, int]]] = {}
+            for item, exp in zip(a.items(), _exponents(a, var)):
+                groups.setdefault(exp, []).append(item)
+            runs = []
+            for exp, items in groups.items():
+                start = 0 if low is None else bisect_left(exps, low - exp)
+                stop = len(exps) if high is None else bisect_right(exps, high - exp)
+                if start < stop:
+                    runs.append((items, keys[start:stop], nums[start:stop]))
         data: dict[int, int] = {}
-        for key, num in a.items():
-            _accumulate(data, zip(map(key.__add__, keys), map(num.__mul__, nums)))
+        for items, run_keys, run_nums in runs:
+            for key, num in items:
+                _accumulate(data, zip(map(key.__add__, run_keys), map(num.__mul__, run_nums)))
         return LaurentPoly._wrap(data, self._den * other._den, bound)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -539,7 +581,7 @@ class RationalFunction1V:
     the denominator's (None for a zero numerator).
     """
 
-    __slots__ = ("numerator", "denominator", "leading_exponent", "_lead_mono", "_lead_coeff")
+    __slots__ = ("numerator", "denominator", "leading_exponent", "_lead_mono")
 
     def __init__(self, numerator, denominator) -> None:
         if not isinstance(numerator, LaurentPoly):
@@ -564,7 +606,6 @@ class RationalFunction1V:
         self.numerator = numerator
         self.denominator = denominator
         self._lead_mono = _monomial(leads[0])
-        self._lead_coeff = Fraction(denominator._terms[leads[0]], denominator._den)
         self.leading_exponent = (
             None if numerator.is_zero() else numerator.max_exponent_in(PIVOT) - lead_exp
         )
@@ -584,18 +625,33 @@ def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
     Keeps exactly the terms whose exponent of the pivot is >= min_exponent;
     those coefficients are exact.
     """
-    lead_inv = LaurentPoly.monomial(f._lead_mono ** -1, 1 / f._lead_coeff)
     # 1/den = lead^-1 * sum_s ratio^s with ratio = -(den - lead)/lead.  Every
     # term of ratio lowers the exponent of the pivot, so a term below
-    # min_exponent never climbs back: each summand num/lead * ratio^s is
-    # filtered, and the sum stops at the first empty one.
-    ratio = -((f.denominator - LaurentPoly.monomial(f._lead_mono, f._lead_coeff)) * lead_inv)
-    term = (f.numerator * lead_inv).filter_terms(PIVOT, min_exponent)
+    # min_exponent never climbs back: each summand num/lead * ratio^s keeps
+    # only the terms at or above it, and the sum stops at the first empty one.
+    # Dividing by lead subtracts its key from every key and divides every
+    # coefficient by lead's, whose sign moves into the numerators.  ratio and
+    # the first summand carry the exact bound of their terms, so summand s
+    # carries the first's plus s times ratio's.
+    num, den = f.numerator, f.denominator
+    lead_key, lead_bound = _pack(f._lead_mono)
+    lead = den._terms[lead_key]
+    sign = 1 if lead > 0 else -1
+    _checked(max(num._bound, den._bound) + lead_bound)
+    rest = {key - lead_key: -sign * n for key, n in den._terms.items() if key != lead_key}
+    ratio = LaurentPoly._wrap(rest, abs(lead), _key_bound(rest))
+    low = min_exponent + f._lead_mono.exponent(PIVOT)
+    kept = {
+        key - lead_key: sign * den._den * n
+        for (key, n), exp in zip(num._terms.items(), _exponents(num._terms, PIVOT))
+        if exp >= low
+    }
+    term = LaurentPoly._wrap(kept, num._den * abs(lead), _key_bound(kept))
     if not ratio:
         return term
     summands = [term]
     while term:
-        term = (term * ratio).filter_terms(PIVOT, min_exponent)
+        term = term._mul(ratio, PIVOT, min_exponent)
         summands.append(term)
     return LaurentPoly.sum(summands)
 
@@ -605,6 +661,7 @@ def shift_expand(
     pivot: VariableId,
     shift: LaurentPoly,
     degree_cap: int,
+    low: int | None = None,
 ) -> LaurentPoly:
     """Expand q(pivot + shift) in non-negative powers of the shift variables.
 
@@ -616,6 +673,13 @@ def shift_expand(
     Powers of the shift are built only while a binomial can be nonzero: when
     every pivot exponent a of q is non-negative, C(a, b) = 0 for b > a, so
     the powers stop at the largest a; a negative exponent keeps degree_cap.
+
+    With ``low``, only the terms whose pivot exponent is at least ``low``
+    are formed, and the result is the full expansion filtered to them.
+    shift^b holds no pivot, so the term of (a, b) has pivot exponent exactly
+    a - b: it is kept when b <= a - low.  So each term of q stops at
+    b = a - low, a term with a < low contributes nothing, and the powers of
+    the shift stop at the largest a minus ``low``.
     """
     if degree_cap < 0:
         raise ValueError("degree_cap must be non-negative")
@@ -632,6 +696,8 @@ def shift_expand(
     top = degree_cap
     if min(alphas, default=0) >= 0:
         top = min(max(alphas, default=0), degree_cap)
+    if low is not None:
+        top = min(top, max(alphas, default=low) - low)
     powers = [LaurentPoly.one()]
     for _ in range(top):
         nxt = powers[-1] * shift
@@ -648,7 +714,8 @@ def shift_expand(
     for (key, num), alpha in zip(q._terms.items(), alphas):
         stem = key - alpha * unit
         binomial = 1  # C(alpha, beta), an integer for integer alpha
-        for beta, (keys, nums) in enumerate(scaled):
+        kept = scaled if low is None else scaled[: max(alpha - low + 1, 0)]
+        for beta, (keys, nums) in enumerate(kept):
             if binomial:
                 scale, pivot_key = num * binomial, stem + (alpha - beta) * unit
                 _accumulate(data, zip(map(pivot_key.__add__, keys), map(scale.__mul__, nums)))

@@ -284,6 +284,21 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
     at most a_j + aux_j + reach_{j+1} = reach_j - lead_j - 1, below level
     j's cap.  ``degree_cap`` is the largest cap, reach_1.  ``aux_orders``
     holds (name, order) pairs sorted by name.
+
+    Inside these caps, ``_level_product`` forms no term that its window
+    drops (its docstring has the proofs):
+
+    * Source floor.  A factor's expansion stops at the higher of its
+      positive leading degree minus the cap and floor - M - U + its own
+      up, where M is the running product's top exponent of the level's
+      variable and U the sum of the level's ups: a term any lower stays
+      below the floor even when every other multiplier and the running
+      product give their highest exponents.  A shift only lowers that
+      exponent, so the shifted expansion stops at the same bound.
+    * Ceiling.  The closed route's ceiling for u_i is -1, the top of the
+      window, since the lower levels never shift u_i.  The stepwise route
+      reads only the coefficients of pivot^(-g-1) for the degrees g of its
+      slices, so a level series needs no pivot exponent above -g_min-1.
     """
 
     __slots__ = ()
@@ -322,45 +337,70 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
 
 def _level_product(
     spec: TowerSpec, result: LaurentPoly, level: int, pivot: VariableId,
-    lower: Callable[[int], VariableId], cap: int, floor: int,
+    lower: Callable[[int], VariableId], cap: int, floor: int, ceiling: int | None = None,
     extras: Sequence[tuple[LaurentPoly, int]] = (),
 ) -> LaurentPoly:
-    """``result`` times the shifted factors of ``level`` in ``pivot``, then ``extras``.
+    """``result`` times the shifted factors of ``level`` in ``pivot``, then
+    ``extras``, keeping the terms whose pivot exponent lies in
+    ``floor..ceiling`` (None: no ceiling).
 
     A factor is shifted by its twisted sum of the lower variables
     ``lower(j)``, and its expansion stops at its positive leading degree
     minus ``cap`` (``TruncationRequest``).  Each multiplier comes with
-    ``up``, the most it can raise the pivot's exponent, so a term below
-    ``floor`` minus the ups still to come can never reach ``floor``.
+    ``up``, the most it can raise the pivot's exponent.  No term outside
+    the window is formed, and none that could only form terms outside it:
+
+    * Floor.  A term of the product is one term of ``result`` times one
+      term of each multiplier, and a shift never raises the pivot's
+      exponent (``shift_expand``).  Let M be ``result``'s top pivot
+      exponent and U the sum of all the ups.  A term of factor f's
+      expansion at exponent e forms only terms at or below
+      M + e + U - up_f, so one below floor - M - U + up_f never reaches
+      ``floor``: the expansion, and the shift with its ``low``, stop there.
+      Likewise a running term below ``floor`` minus the ups still to come
+      never reaches ``floor``.
+    * Ceiling.  Every term of a multiplier is at or above that
+      multiplier's lowest pivot exponent, so a running term above
+      ``ceiling`` minus the lowest exponents still to come forms only
+      terms above ``ceiling``.
+
+    Each product pairs only the terms whose sum lies between those two
+    bounds (``LaurentPoly._mul``), so the result is the full product
+    filtered to the window.
 
     A series object shared by several factors (the flag tower's linear
     factors share one) is expanded once.  The memo is keyed by ``id`` and
-    lives only for this call, while ``spec`` keeps every series alive.
+    lives only for this call, while ``spec`` keeps every series alive; the
+    source floor depends only on the series.
     """
+    if result.is_zero():
+        return result
+    factors = spec.levels[level - 1].factors
+    ups = [_lead_plus(factor) for factor in factors] + [up for _, up in extras]
+    slack = floor - result.max_exponent_in(pivot) - sum(ups)
     expansions: dict[int, LaurentPoly] = {}
     multipliers = []
-    for factor in spec.levels[level - 1].factors:
-        own = _lead_plus(factor)
+    for factor, own in zip(factors, ups):
         key = id(factor.series)
         if key not in expansions:
-            expanded = descending_expand(factor.series, own - cap)
+            expanded = descending_expand(factor.series, max(own - cap, slack + own))
             expansions[key] = rename_variables(expanded, {PIVOT: pivot})
-        expansion = expansions[key]
         shift = LaurentPoly(
             (Monomial.of(lower(j + 1)), Fraction(t)) for j, t in enumerate(factor.twists) if t
         )
-        multipliers.append((shift_expand(expansion, pivot, shift, cap), own))
-    multipliers += extras
-    future_up = sum(up for _, up in multipliers)
-    for poly, up in multipliers:
+        multipliers.append(shift_expand(expansions[key], pivot, shift, cap, slack + own))
+    multipliers += [poly for poly, _ in extras]
+    if not all(multipliers):
+        return LaurentPoly()
+    lows = [poly._min_exponent_in(pivot) for poly in multipliers]
+    future_up, future_low = sum(ups), sum(lows)
+    for poly, up, least in zip(multipliers, ups, lows):
+        future_up -= up
+        future_low -= least
+        high = None if ceiling is None else ceiling - future_low
+        result = result._mul(poly, pivot, floor - future_up, high)
         if result.is_zero():
             return result
-        future_up -= up
-        least = floor - future_up
-        # A product term's exponent is at most the running product's top plus the
-        # multiplier term's: terms below ``reach`` form only terms below ``least``.
-        reach = least - result.max_exponent_in(pivot)
-        result = (result * poly.filter_terms(pivot, reach)).filter_terms(pivot, least)
     return result
 
 
@@ -377,10 +417,15 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     return _level_series(spec, level, min_exponent)
 
 
-def _level_series(spec: TowerSpec, level: int, min_exponent: int) -> LaurentPoly:
-    """``individual_segre`` of a tower already validated, at a level in range."""
+def _level_series(
+    spec: TowerSpec, level: int, min_exponent: int, max_exponent: int | None = None
+) -> LaurentPoly:
+    """``individual_segre`` of a tower already validated, at a level in range,
+    with only the pivot exponents up to ``max_exponent`` (None: all)."""
     cap = max(sum(map(_lead_plus, spec.levels[level - 1].factors)) - min_exponent, 0)
-    return _level_product(spec, LaurentPoly.one(), level, PIVOT, taut_variable, cap, min_exponent)
+    return _level_product(
+        spec, LaurentPoly.one(), level, PIVOT, taut_variable, cap, min_exponent, max_exponent
+    )
 
 
 def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
@@ -389,11 +434,11 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     The shifted factors are multiplied level by level from the top, and the
     running product is restricted to terms that can still reach the
     requested window.  Every returned coefficient is exact, and the pruned
-    product already is the window, so no projection follows it: each
-    level's last prune fixes the exponent of u_i to [-a_i-1, -1], and the
-    lower levels, whose twists involve only u_1..u_{i-1}, never shift u_i
-    again.  An auxiliary variable enters only through ``geometric_expand``,
-    with exponents in [-b-1, -1].
+    product already is the window, so no projection follows it: level i's
+    product keeps the exponent of u_i in its floor..ceiling, [-a_i-1, -1],
+    and the lower levels, whose twists involve only u_1..u_{i-1}, never
+    shift u_i again.  An auxiliary variable enters only through
+    ``geometric_expand``, with exponents in [-b-1, -1].
     """
     validate_tower(spec)
     result = LaurentPoly.one()
@@ -405,9 +450,9 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
         orders = [(name, req.aux_order(name)) for name in lvl.aux]
         aux_series = [(geometric_expand(aux_variable(n, i), u_i, b), b) for n, b in orders]
         cap = req.shift_caps[i - 1]
-        result = _level_product(spec, result, i, u_i, tower_variable, cap, -a_i - 1, aux_series)
-        # Lower levels never shift u_i; the last prune kept only exponents >= -a_i-1.
-        result = result.filter_terms(u_i, high=-1)
+        result = _level_product(
+            spec, result, i, u_i, tower_variable, cap, -a_i - 1, -1, aux_series
+        )
     return result
 
 
@@ -439,7 +484,7 @@ def _push_down(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series = _level_series(spec, j, -gamma_max - 1)
+        series = _level_series(spec, j, -gamma_max - 1, -min(slices) - 1)
         pushed = []
         for gamma, part in slices.items():
             piece = coefficient_of(series, Monomial.of(PIVOT, -gamma - 1), {PIVOT})

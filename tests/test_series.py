@@ -231,7 +231,9 @@ def test_descending_expand_truncates_polynomial_numerators():
     assert descending_expand(rf({1: 1, -6: 1}, 1), -5) == upoly({1: 1})
 
 
-@pytest.mark.parametrize("den", [{3: 1, 2: -2, 0: 1}, {1: 2, 0: 3, -2: 1}, {0: 4, -1: 1}])
+@pytest.mark.parametrize(
+    "den", [{3: 1, 2: -2, 0: 1}, {1: 2, 0: 3, -2: 1}, {0: 4, -1: 1}, {2: -3, 0: 1, -1: 2}]
+)
 def test_descending_expand_remultiplication(den):
     f = rf({1: 1, 0: 2}, den)
     floor = -8
@@ -240,6 +242,24 @@ def test_descending_expand_remultiplication(den):
     # Exactness window: everything at or above floor + max den exponent cancels.
     lead = max(den)
     assert all(m.exponent(PIVOT) < floor + lead for m, _ in residual.items())
+
+
+def test_descending_expand_carries_the_exact_exponent_bound():
+    # 1/(u^3 + u) = u^-3 - u^-5 + u^-7 - ...: ratio -u^-2 and summand u^-3
+    # carry their exact bounds, so summand s carries 3 + 2s, its own largest.
+    f = rf(1, {3: 1, 1: 1})
+    for depth, bound in ((-30, 29), (-300, 299)):
+        expanded = descending_expand(f, depth)
+        assert min(m.exponent(PIVOT) for m, _ in expanded.items()) == -bound
+        assert expanded._bound == bound
+
+
+def test_descending_expand_refuses_a_quotient_outside_the_slot():
+    # u^-(2^31 - 1) / u has exponent -2^31, one past the slot.
+    top = 2**31 - 1
+    with pytest.raises(ExponentOverflowError):
+        descending_expand(rf({-top: 1}, {1: 1}), -top)
+    assert descending_expand(rf({-top + 1: 1}, {1: 1}), -top) == upoly({-top: 1})
 
 
 def test_rational_function_rejects_zero_denominator():
@@ -383,6 +403,25 @@ def test_shift_expand_matches_direct_binomial_sum(qdict, linear, headroom):
     cap = max(max(a for a, _ in qdict), 0) + headroom
     got = shift_expand(q, PIVOT, shift, cap)
     assert got == shift_expand_reference(q, PIVOT, shift, cap)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-2, 4), st.integers(0, 1)),
+        st.integers(-5, 5).filter(bool),
+        max_size=4,
+    ),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.integers(0, 6),
+    st.integers(-9, 5),
+)
+def test_shift_expand_with_low_is_the_filtered_expansion(qdict, linear, cap, low):
+    g = G("g")
+    q = poly({((PIVOT, a), (g, e)): c for (a, e), c in qdict.items()})
+    shift = poly({((U(1), 1),): linear[0], ((U(2), 1),): linear[1]})
+    full = shift_expand(q, PIVOT, shift, cap)
+    assert shift_expand(q, PIVOT, shift, cap, low) == full.filter_terms(PIVOT, low)
 
 
 # -- geometric_expand ----------------------------------------------------------
@@ -553,6 +592,40 @@ def test_packed_kernel_matches_dict_reference(ra, rb, cancelled, var, low, high)
         *({Monomial((other if v == var else v, e) for v, e in m): c} for m, c in ra.items())
     )
     assert_matches(rename_variables(a, {var: other}), renamed)
+
+
+window_bounds = st.none() | st.integers(-7, 7)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    laurent_polys(max_terms=6),
+    laurent_polys(max_terms=6),
+    st.sampled_from(variables_pool),
+    window_bounds,
+    window_bounds,
+)
+def test_windowed_product_is_the_filtered_product(a, b, var, low, high):
+    # Base variables, negative exponents, open ends and empty windows
+    # (low > high) all occur among the draws.
+    full = a * b
+    got = a._mul(b, var, low, high)
+    assert got == full.filter_terms(var, low, high)
+    assert got._bound == full._bound
+    assert all(got._terms.values()) and math.gcd(got._den, *got._terms.values()) == 1
+
+
+def test_windowed_product_refuses_an_overflowing_bound_before_forming_a_key(monkeypatch):
+    top = 2**31 - 1
+    a, b = LaurentPoly.variable(P[0], top), LaurentPoly.variable(P[1])
+    formed = []
+    monkeypatch.setattr(series, "_accumulate", lambda data, items: formed.append(items))
+    for low, high in ((None, None), (0, None), (None, 0), (1, 0)):
+        with pytest.raises(ExponentOverflowError):
+            a._mul(b, P[1], low, high)
+    with pytest.raises(ExponentOverflowError):
+        a * b
+    assert formed == []
 
 
 def test_product_cancels_to_exact_zero_terms():

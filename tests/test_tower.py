@@ -1,10 +1,12 @@
 """Tests for the tower model, the closed formula, and the stepwise oracle."""
 
+import importlib.util
 import itertools
 import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,9 +38,9 @@ from segre_towers import (
     vandermonde_integral,
 )
 from segre_towers.cli import SpecFileError, main, tower_spec_from_doc, tower_spec_to_doc
-from segre_towers.tower import PIVOT
+from segre_towers.tower import PIVOT, _level_series
 
-from _helpers import C, G, U, mono, padded, poly, rf, simple_tower, upoly
+from _helpers import C, G, U, flag_bundle, mono, padded, poly, rf, simple_tower, upoly
 
 
 # -- validation ---------------------------------------------------------------
@@ -179,6 +181,35 @@ def test_individual_segre_flag_top_level_k3():
 def test_individual_segre_isomorphism_like_step():
     spec = simple_tower([((), 1, {1: 1})])
     assert individual_segre(spec, 1, -4) == upoly({-1: 1})
+
+
+def _pool_tower(index):
+    """Tower ``index`` of the benchmark's pool (``benchmarks/inputs.py``)."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
+    if "pool_inputs" not in sys.modules:
+        module_spec = importlib.util.spec_from_file_location("pool_inputs", path)
+        module = importlib.util.module_from_spec(module_spec)
+        sys.modules["pool_inputs"] = module
+        module_spec.loader.exec_module(module)
+    return tower_spec_from_doc(sys.modules["pool_inputs"].tower_item(index)[0])
+
+
+def test_level_series_with_a_ceiling_is_the_filtered_level_series():
+    # The pool's four costliest towers, random towers and flag bundles.
+    rng = random.Random(23)
+    specs = [_pool_tower(index) for index in (20, 167, 313, 336)]
+    specs += [random_tower_spec(rng, max_k=4) for _ in range(6)]
+    specs += [flag_bundle(3), flag_bundle(4)]
+    cut = 0
+    for spec in specs:
+        for level in range(1, spec.k + 1):
+            for floor in (-1, -4):
+                full = _level_series(spec, level, floor)
+                for ceiling in range(floor - 1, 2):
+                    got = _level_series(spec, level, floor, ceiling)
+                    assert got == full.filter_terms(PIVOT, high=ceiling)
+                    cut += len(got) < len(full)
+    assert cut > 200
 
 
 # -- closed formula -------------------------------------------------------------
@@ -480,17 +511,21 @@ def test_degenerate_tower_is_constant_one():
 
 
 def test_window_exactness_under_enlargement():
+    # Orders up to 2 against the same orders plus 4, by the closed route;
+    # the stepwise route on the small window also runs its TruncationOverrun
+    # check on every gamma_max it meets.
     rng = random.Random(5)
     for _ in range(8):
         spec = random_tower_spec(rng)
-        small = tuple(rng.randint(0, 1) for _ in range(spec.k))
-        big = tuple(a + 2 for a in small)
+        small = tuple(rng.randint(0, 2) for _ in range(spec.k))
+        big = tuple(a + 4 for a in small)
         aux_small = {v.name: 0 for v in spec.aux_variables()}
         aux_big = {v.name: 1 for v in spec.aux_variables()}
         req_small = TruncationRequest.derive(spec, small, aux_small)
         req_big = TruncationRequest.derive(spec, big, aux_big)
         out_small = closed_formula_segre(spec, req_small)
         out_big = closed_formula_segre(spec, req_big)
+        assert stepwise_pushforward(spec, req_small) == out_small
 
         in_small_window = out_big
         for i, a in enumerate(small):
