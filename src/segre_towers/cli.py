@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import flag as flag_mod
-from .series import _HALF, PIVOT, LaurentPoly, Monomial, RationalFunction1V, VariableId
+from .series import _HALF, _ZERO, PIVOT, LaurentPoly, RationalFunction1V, VariableId
 from .tower import (
     InvalidTowerError,
     TowerFactor,
@@ -36,7 +36,6 @@ from .tower import (
     closed_formula_segre,
     random_tower_spec,
     stepwise_pushforward,
-    tower_variable,
     validate_tower,
 )
 
@@ -334,11 +333,14 @@ def run_verify(
                 f"closed and stepwise windows of the flag tower k={k} at orders "
                 f"{req.tower_orders} first differ at {_first_difference(closed, window)}"
             )
+        # Both polynomials are read once, by slot, into {exponents: value};
+        # an absent tuple has the value 0, as ``coefficient`` gives it.
+        header = spec.tower_variables()
+        window_values = dict(window._header_rows(header))
+        vandermonde_values = dict(vandermonde._header_rows(header))
         for exps in tuples:
-            via_tower = window.coefficient(
-                Monomial((tower_variable(i + 1), -a - 1) for i, a in enumerate(exps))
-            )
-            via_vandermonde = vandermonde.coefficient(flag_mod._vandermonde_target(k, exps))
+            via_tower = window_values.get(tuple(-a - 1 for a in exps), _ZERO)
+            via_vandermonde = vandermonde_values.get(tuple(k - a for a in exps), _ZERO)
             via_fixed_points = flag_mod.localization_integral(
                 k, exps, trials=trials, seed=seed
             )

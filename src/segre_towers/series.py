@@ -32,7 +32,6 @@ carries into its neighbour's slot.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import index, itemgetter
@@ -61,6 +60,20 @@ def _accumulate(data: dict, items) -> dict:
                 data[key] = total
             else:
                 del data[key]
+    return data
+
+
+def _add_product(data: dict, a: dict, b: dict, scale: int = 1) -> dict:
+    """Add scale times the product of ``a`` and ``b``, keys to numerators, into ``data``.
+
+    Each term of the smaller side is taken against the whole larger one.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    values = b.values()
+    for key, num in a.items():
+        num *= scale
+        _accumulate(data, zip(map(key.__add__, b), map(num.__mul__, values)))
     return data
 
 
@@ -141,9 +154,6 @@ class Monomial(tuple):
         return Monomial((*self, *other))
 
     __add__ = __rmul__ = None
-
-    def __pow__(self, n: int) -> "Monomial":
-        return Monomial((v, e * n) for v, e in self)
 
     def __repr__(self) -> str:
         return f"Monomial({list(self)!r})"
@@ -400,10 +410,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(_exponents(self._terms, var))
 
-    def _min_exponent_in(self, var: VariableId) -> int:
-        """Lowest exponent of ``var`` over all terms (absent vars count as 0)."""
-        return min(_exponents(self._terms, var))
-
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if any variable occurs)."""
         if not self._terms:
@@ -428,13 +434,8 @@ class LaurentPoly:
 
     def by_exponent(self, var: VariableId) -> dict[int, "LaurentPoly"]:
         """``{g: p_g}`` with ``self`` = sum of var^g * p_g and no p_g involving ``var``."""
-        unit = 1 << (_W * _slot(var))
-        slices: dict[int, dict[int, int]] = {}
-        for (key, num), exp in zip(self._terms.items(), _exponents(self._terms, var)):
-            slices.setdefault(exp, {})[key - exp * unit] = num
-        return {
-            exp: LaurentPoly._wrap(data, self._den, self._bound) for exp, data in slices.items()
-        }
+        parts, den, bound = _sliced(self, var)
+        return {exp: LaurentPoly._wrap(part, den, bound) for exp, part in parts.items()}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -474,51 +475,13 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._mul(other)
-
-    __rmul__ = __mul__
-
-    def _mul(
-        self,
-        other: "LaurentPoly",
-        var: VariableId | None = None,
-        low: int | None = None,
-        high: int | None = None,
-    ) -> "LaurentPoly":
-        """``self * other``, or with ``var`` only its terms whose exponent of
-        ``var`` lies in ``low..high`` (None: unbounded).
-
-        The larger side's terms are sorted by that exponent, so the partners
-        that land a term of the smaller side's exponent group e in the window
-        are one run, those with exponents in low-e..high-e; no pair outside
-        the window is formed.  Either way the bound is the sum of the two
-        bounds, refused before any key is formed.
-        """
         a, b = self._terms, other._terms
         if not a or not b:
             return LaurentPoly()
         bound = _checked(self._bound + other._bound)
-        if len(a) > len(b):
-            a, b = b, a
-        keys, nums = list(b), list(b.values())
-        if var is None:
-            runs = [(a.items(), keys, nums)]
-        else:
-            exps, keys, nums = zip(*sorted(zip(_exponents(keys, var), keys, nums)))
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for item, exp in zip(a.items(), _exponents(a, var)):
-                groups.setdefault(exp, []).append(item)
-            runs = []
-            for exp, items in groups.items():
-                start = 0 if low is None else bisect_left(exps, low - exp)
-                stop = len(exps) if high is None else bisect_right(exps, high - exp)
-                if start < stop:
-                    runs.append((items, keys[start:stop], nums[start:stop]))
-        data: dict[int, int] = {}
-        for items, run_keys, run_nums in runs:
-            for key, num in items:
-                _accumulate(data, zip(map(key.__add__, run_keys), map(num.__mul__, run_nums)))
-        return LaurentPoly._wrap(data, self._den * other._den, bound)
+        return LaurentPoly._wrap(_add_product({}, a, b), self._den * other._den, bound)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -578,10 +541,11 @@ class RationalFunction1V:
 
     ``leading_exponent``, set once here, is the exponent of the leading term
     of the descending expansion: the numerator's top pivot exponent minus
-    the denominator's (None for a zero numerator).
+    the denominator's (None for a zero numerator).  ``base_names``, also set
+    here, holds the names of the base variables either side involves.
     """
 
-    __slots__ = ("numerator", "denominator", "leading_exponent", "_lead_mono")
+    __slots__ = ("numerator", "denominator", "leading_exponent", "base_names", "_lead")
 
     def __init__(self, numerator, denominator) -> None:
         if not isinstance(numerator, LaurentPoly):
@@ -590,9 +554,12 @@ class RationalFunction1V:
             denominator = LaurentPoly.constant(denominator)
         if denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        base_names = set()
         for side, poly in (("numerator", numerator), ("denominator", denominator)):
             for v in poly.variables():
-                if v != PIVOT and v.kind != "base":
+                if v.kind == "base":
+                    base_names.add(v.name)
+                elif v != PIVOT:
                     raise ValueError(
                         f"{side} must involve only {PIVOT.name!r} and base variables, found {v.name!r}"
                     )
@@ -605,10 +572,16 @@ class RationalFunction1V:
             )
         self.numerator = numerator
         self.denominator = denominator
-        self._lead_mono = _monomial(leads[0])
+        self.base_names = frozenset(base_names)
+        # The denominator's leading term: its key, pivot exponent and bound.
+        self._lead = leads[0], lead_exp, _key_bound(leads)
         self.leading_exponent = (
             None if numerator.is_zero() else numerator.max_exponent_in(PIVOT) - lead_exp
         )
+
+    def __reduce__(self):
+        # ``_lead`` holds a packed key, whose slots differ between processes.
+        return RationalFunction1V, (self.numerator, self.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction1V):
@@ -619,12 +592,66 @@ class RationalFunction1V:
         return f"RationalFunction1V(({self.numerator}) / ({self.denominator}))"
 
 
-def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
-    """Expand ``f`` as a series in descending powers of the pivot.
+# -- sliced polynomials ---------------------------------------------------------
+#
+# A sliced polynomial is a triple (parts, den, bound): ``parts`` maps each
+# exponent e of one variable to {key of the rest: numerator}, so the
+# polynomial is the sum over e of var^e * parts[e] / den.  No key in a part
+# holds the sliced variable, no part is empty, and ``den`` need not be in
+# lowest terms with the numerators: a sliced product defers that reduction
+# to ``_unsliced`` or ``LaurentPoly._wrap``.  ``bound`` bounds every exponent,
+# the sliced variable's included, exactly as a ``LaurentPoly``'s does.
 
-    Keeps exactly the terms whose exponent of the pivot is >= min_exponent;
-    those coefficients are exact.
+_Sliced = tuple[dict[int, dict[int, int]], int, int]
+
+
+def _unit(var: VariableId) -> int:
+    """The key of ``var`` to the first power."""
+    return 1 << (_W * _slot(var))
+
+
+def _sliced(poly: LaurentPoly, var: VariableId) -> _Sliced:
+    """``poly`` sliced by the exponent of ``var``."""
+    unit = _unit(var)
+    parts: dict[int, dict[int, int]] = {}
+    for (key, num), exp in zip(poly._terms.items(), _exponents(poly._terms, var)):
+        parts.setdefault(exp, {})[key - exp * unit] = num
+    return parts, poly._den, poly._bound
+
+
+def _unsliced(sliced: _Sliced, var: VariableId) -> LaurentPoly:
+    """The ``LaurentPoly`` of a polynomial sliced by ``var``, in lowest terms."""
+    parts, den, bound = sliced
+    unit = _unit(var)
+    data = {key + exp * unit: num for exp, part in parts.items() for key, num in part.items()}
+    return LaurentPoly._wrap(data, den, bound)
+
+
+def _product(a: _Sliced, b: _Sliced, low: int | None = None, high: int | None = None) -> _Sliced:
+    """The slices of ``a * b`` whose exponent lies in ``low..high`` (None: unbounded).
+
+    A product slice at e is the sum of a[e1] * b[e2] over e1 + e2 = e, so a
+    pair of slices whose exponents sum outside the window is never formed.
+    The bound is the sum of the two bounds, refused before any key is formed.
     """
+    a_parts, a_den, a_bound = a
+    b_parts, b_den, b_bound = b
+    if not a_parts or not b_parts:
+        return {}, 1, 0
+    bound = _checked(a_bound + b_bound)
+    low = -_HALF if low is None else low
+    high = _HALF if high is None else high
+    out: dict[int, dict[int, int]] = {}
+    for e1, p1 in a_parts.items():
+        for e2, p2 in b_parts.items():
+            exp = e1 + e2
+            if low <= exp <= high:
+                _add_product(out.setdefault(exp, {}), p1, p2)
+    return {exp: part for exp, part in out.items() if part}, a_den * b_den, bound
+
+
+def _descending(f: RationalFunction1V, min_exponent: int) -> _Sliced:
+    """``descending_expand(f, min_exponent)`` sliced by the pivot."""
     # 1/den = lead^-1 * sum_s ratio^s with ratio = -(den - lead)/lead.  Every
     # term of ratio lowers the exponent of the pivot, so a term below
     # min_exponent never climbs back: each summand num/lead * ratio^s keeps
@@ -634,26 +661,87 @@ def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
     # the first summand carry the exact bound of their terms, so summand s
     # carries the first's plus s times ratio's.
     num, den = f.numerator, f.denominator
-    lead_key, lead_bound = _pack(f._lead_mono)
+    lead_key, lead_exp, lead_bound = f._lead
     lead = den._terms[lead_key]
     sign = 1 if lead > 0 else -1
     _checked(max(num._bound, den._bound) + lead_bound)
     rest = {key - lead_key: -sign * n for key, n in den._terms.items() if key != lead_key}
-    ratio = LaurentPoly._wrap(rest, abs(lead), _key_bound(rest))
-    low = min_exponent + f._lead_mono.exponent(PIVOT)
+    ratio = _sliced(LaurentPoly._wrap(rest, abs(lead), _key_bound(rest)), PIVOT)
+    low = min_exponent + lead_exp
     kept = {
         key - lead_key: sign * den._den * n
         for (key, n), exp in zip(num._terms.items(), _exponents(num._terms, PIVOT))
         if exp >= low
     }
-    term = LaurentPoly._wrap(kept, num._den * abs(lead), _key_bound(kept))
-    if not ratio:
+    term = _sliced(LaurentPoly._wrap(kept, num._den * abs(lead), _key_bound(kept)), PIVOT)
+    if not ratio[0] or not term[0]:
         return term
-    summands = [term]
-    while term:
-        term = term._mul(ratio, PIVOT, min_exponent)
+    summands = []
+    while term[0]:
         summands.append(term)
-    return LaurentPoly.sum(summands)
+        term = _product(term, ratio, min_exponent)
+    total = math.lcm(*(d for _, d, _ in summands))
+    parts: dict[int, dict[int, int]] = {}
+    for slices, d, _ in summands:
+        scale = total // d
+        for exp, part in slices.items():
+            _accumulate(parts.setdefault(exp, {}), zip(part, map(scale.__mul__, part.values())))
+    parts = {exp: part for exp, part in parts.items() if part}
+    return parts, total, summands[-1][2]
+
+
+def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
+    """Expand ``f`` as a series in descending powers of the pivot.
+
+    Keeps exactly the terms whose exponent of the pivot is >= min_exponent;
+    those coefficients are exact.
+    """
+    return _unsliced(_descending(f, min_exponent), PIVOT)
+
+
+def _shifted(
+    q: _Sliced, twists: Sequence[tuple[int, int]], cap: int, low: int | None = None, den: int = 1
+) -> _Sliced:
+    """``q``, sliced by the pivot, with the pivot shifted by a linear form.
+
+    The form is the sum of t/den * x over ``twists``, (key of x, t) pairs
+    of distinct variables x that ``q`` does not hold.  Returns the expansion
+    of ``shift_expand``, whose docstring proves where it stops, sliced by
+    the pivot: the term (a, b) of q's part at a lands in the slice a - b.
+    Every power of the form is built from the (key, t) pairs straight into
+    keys, with its numerators over den**top, top the highest power formed.
+    """
+    parts, q_den, q_bound = q
+    if not twists:
+        if low is not None:
+            parts = {exp: part for exp, part in parts.items() if exp >= low}
+        return parts, q_den, q_bound
+    top = cap
+    if min(parts, default=0) >= 0:
+        top = min(max(parts, default=0), cap)
+    if low is not None:
+        top = min(top, max(parts, default=low) - low)
+    top = max(top, 0)
+    # The pivot's exponents move by at most top, and the form's variables
+    # reach exponent top; no other slot is shared between q and the powers.
+    bound = _checked(q_bound + top)
+    powers = [{0: den**top}]
+    for beta in range(1, top + 1):
+        # Power beta over den**beta, scaled to the common den**top.
+        nxt: dict[int, int] = {}
+        for key, num in powers[-1].items():
+            _accumulate(nxt, [(key + unit, num * t // den) for unit, t in twists])
+        powers.append(nxt)
+    out: dict[int, dict[int, int]] = {}
+    for alpha, part in parts.items():
+        binomial = 1  # C(alpha, beta), an integer for integer alpha
+        stop = top + 1 if low is None else min(top + 1, alpha - low + 1)
+        for beta in range(stop):
+            if not binomial:
+                break  # C(alpha, beta) = 0 from here on
+            _add_product(out.setdefault(alpha - beta, {}), part, powers[beta], binomial)
+            binomial = binomial * (alpha - beta) // (beta + 1)
+    return {exp: part for exp, part in out.items() if part}, q_den * den**top, bound
 
 
 def shift_expand(
@@ -680,6 +768,10 @@ def shift_expand(
     a - b: it is kept when b <= a - low.  So each term of q stops at
     b = a - low, a term with a < low contributes nothing, and the powers of
     the shift stop at the largest a minus ``low``.
+
+    This function checks the shift's form and slices ``q`` by the pivot;
+    the expansion itself is ``_shifted``, which level products call on
+    their factors directly.
     """
     if degree_cap < 0:
         raise ValueError("degree_cap must be non-negative")
@@ -692,35 +784,8 @@ def shift_expand(
             raise ValueError(f"shift must be a linear form, found the term {_monomial(key)}")
     if any(any(_exponents(q._terms, _VARS[(key.bit_length() - 1) // _W])) for key in shift._terms):
         raise ValueError("q must not involve the shift variables")
-    alphas = _exponents(q._terms, pivot)
-    top = degree_cap
-    if min(alphas, default=0) >= 0:
-        top = min(max(alphas, default=0), degree_cap)
-    if low is not None:
-        top = min(top, max(alphas, default=low) - low)
-    powers = [LaurentPoly.one()]
-    for _ in range(top):
-        nxt = powers[-1] * shift
-        if nxt.is_zero():
-            break
-        powers.append(nxt)
-    # The pivot's exponents move by at most len(powers) - 1; no other slot is
-    # shared between q and the powers.
-    bound = _checked(max(q._bound + len(powers) - 1, powers[-1]._bound))
-    unit = 1 << (_W * _slot(pivot))
-    den = math.lcm(*(p._den for p in powers))
-    scaled = [(list(p._terms), [n * (den // p._den) for n in p._terms.values()]) for p in powers]
-    data: dict[int, int] = {}
-    for (key, num), alpha in zip(q._terms.items(), alphas):
-        stem = key - alpha * unit
-        binomial = 1  # C(alpha, beta), an integer for integer alpha
-        kept = scaled if low is None else scaled[: max(alpha - low + 1, 0)]
-        for beta, (keys, nums) in enumerate(kept):
-            if binomial:
-                scale, pivot_key = num * binomial, stem + (alpha - beta) * unit
-                _accumulate(data, zip(map(pivot_key.__add__, keys), map(scale.__mul__, nums)))
-            binomial = binomial * (alpha - beta) // (beta + 1)
-    return LaurentPoly._wrap(data, q._den * den, bound)
+    twists = list(shift._terms.items())
+    return _unsliced(_shifted(_sliced(q, pivot), twists, degree_cap, low, shift._den), pivot)
 
 
 def geometric_expand(outer: VariableId, inner: VariableId, degree_cap: int) -> LaurentPoly:

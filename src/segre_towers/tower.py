@@ -25,6 +25,15 @@ every tower variable u_i has exponent in [-a_i-1, -1] and every auxiliary
 variable in [-b-1, -1].  Neither filters its result afterwards; each
 function's docstring says why no term outside the window can arise.
 
+A level's product (``_level_product``) is held in slices by the exponent
+of the level's variable, {exponent: {key of the rest: numerator}} over one
+denominator, from the factor expansions to the result.  Its floor and
+ceiling are proved for single terms, and a product slice is a sum of
+products of single slices whose exponents add up to its own, so the same
+bounds drop whole slice pairs.  The closed route packs the slices back
+into u_i; the stepwise push reads the coefficient of pivot^(-g-1) as the
+slice at -g-1.
+
 ``pushforward_monomial`` needs one coefficient of that window, not all of
 it, so it runs the same top-down push with one power of c_j per level in
 place of the level's blocks (its docstring proves this exact).  The shift
@@ -52,11 +61,14 @@ from .series import (
     Monomial,
     RationalFunction1V,
     VariableId,
-    coefficient_of,
-    descending_expand,
+    _checked,
+    _descending,
+    _product,
+    _shifted,
+    _sliced,
+    _unit,
+    _unsliced,
     geometric_expand,
-    rename_variables,
-    shift_expand,
 )
 
 def tower_variable(level: int) -> VariableId:
@@ -185,20 +197,13 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                         f"twist vector must have length {level - 1}, got {len(factor.twists)}",
                     )
                 )
-            q = factor.series
-            base_names = {
-                v.name
-                for poly in (q.numerator, q.denominator)
-                for v in poly.variables()
-                if v.kind == "base"
-            }
             out += [
                 Violation(
                     level,
                     f"factors[{fpos}].q",
                     f"base variable {name!r} is not declared in base_generators",
                 )
-                for name in sorted(base_names - declared_bases)
+                for name in sorted(factor.series.base_names - declared_bases)
             ]
         for apos, name in enumerate(lvl.aux):
             if problem := _name_problem(name):
@@ -339,34 +344,42 @@ def _level_product(
     spec: TowerSpec, result: LaurentPoly, level: int, pivot: VariableId,
     lower: Callable[[int], VariableId], cap: int, floor: int, ceiling: int | None = None,
     extras: Sequence[tuple[LaurentPoly, int]] = (),
-) -> LaurentPoly:
+) -> tuple[dict[int, dict[int, int]], int, int]:
     """``result`` times the shifted factors of ``level`` in ``pivot``, then
     ``extras``, keeping the terms whose pivot exponent lies in
-    ``floor..ceiling`` (None: no ceiling).
+    ``floor..ceiling`` (None: no ceiling), sliced by that exponent.
 
-    A factor is shifted by its twisted sum of the lower variables
-    ``lower(j)``, and its expansion stops at its positive leading degree
-    minus ``cap`` (``TruncationRequest``).  Each multiplier comes with
-    ``up``, the most it can raise the pivot's exponent.  No term outside
-    the window is formed, and none that could only form terms outside it:
+    The product is held as slices, {pivot exponent: {key of the rest:
+    numerator}} over one denominator (``series._product``), from the factor
+    expansions to the return value.  A factor's expansion is sliced by the
+    pivot as it is formed (``series._descending``), and its shift by the
+    twisted sum of the lower variables ``lower(j)`` goes straight from the
+    twist vector into slices (``series._shifted``); the expansion stops at
+    its positive leading degree minus ``cap`` (``TruncationRequest``).  The
+    denominator is reduced once, by whoever unpacks the slices.  The
+    product's bound, the sum of ``result``'s and every multiplier's, is
+    refused before any product slice is formed.
 
-    * Floor.  A term of the product is one term of ``result`` times one
-      term of each multiplier, and a shift never raises the pivot's
-      exponent (``shift_expand``).  Let M be ``result``'s top pivot
-      exponent and U the sum of all the ups.  A term of factor f's
-      expansion at exponent e forms only terms at or below
-      M + e + U - up_f, so one below floor - M - U + up_f never reaches
-      ``floor``: the expansion, and the shift with its ``low``, stop there.
-      Likewise a running term below ``floor`` minus the ups still to come
-      never reaches ``floor``.
-    * Ceiling.  Every term of a multiplier is at or above that
-      multiplier's lowest pivot exponent, so a running term above
-      ``ceiling`` minus the lowest exponents still to come forms only
-      terms above ``ceiling``.
+    Each multiplier comes with ``up``, the most it can raise the pivot's
+    exponent.  No slice outside the window is formed, and none that could
+    only form slices outside it.  A product slice at e is a sum of products
+    of one slice of ``result`` and one slice of each multiplier whose
+    exponents sum to e, so the bounds below, proved for single terms, hold
+    for whole slices:
 
-    Each product pairs only the terms whose sum lies between those two
-    bounds (``LaurentPoly._mul``), so the result is the full product
-    filtered to the window.
+    * Floor.  A shift never raises the pivot's exponent (``shift_expand``).
+      Let M be ``result``'s top pivot exponent and U the sum of all the
+      ups.  A slice of factor f's expansion at exponent e forms only slices
+      at or below M + e + U - up_f, so one below floor - M - U + up_f never
+      reaches ``floor``: the expansion, and the shift with its ``low``, stop
+      there.  Likewise a running slice below ``floor`` minus the ups still
+      to come never reaches ``floor``.
+    * Ceiling.  Every slice of a multiplier is at or above that multiplier's
+      lowest pivot exponent, so a running slice above ``ceiling`` minus the
+      lowest exponents still to come forms only slices above ``ceiling``.
+
+    Each product pairs only the slices whose exponents sum between those
+    two bounds, so the result is the full product filtered to the window.
 
     A series object shared by several factors (the flag tower's linear
     factors share one) is expanded once.  The memo is keyed by ``id`` and
@@ -374,34 +387,35 @@ def _level_product(
     source floor depends only on the series.
     """
     if result.is_zero():
-        return result
+        return {}, 1, 0
     factors = spec.levels[level - 1].factors
     ups = [_lead_plus(factor) for factor in factors] + [up for _, up in extras]
-    slack = floor - result.max_exponent_in(pivot) - sum(ups)
-    expansions: dict[int, LaurentPoly] = {}
+    product = _sliced(result, pivot)
+    slack = floor - max(product[0]) - sum(ups)
+    units = [_unit(lower(j)) for j in range(1, level)]
+    expansions: dict[int, tuple] = {}
     multipliers = []
     for factor, own in zip(factors, ups):
         key = id(factor.series)
         if key not in expansions:
-            expanded = descending_expand(factor.series, max(own - cap, slack + own))
-            expansions[key] = rename_variables(expanded, {PIVOT: pivot})
-        shift = LaurentPoly(
-            (Monomial.of(lower(j + 1)), Fraction(t)) for j, t in enumerate(factor.twists) if t
-        )
-        multipliers.append(shift_expand(expansions[key], pivot, shift, cap, slack + own))
-    multipliers += [poly for poly, _ in extras]
-    if not all(multipliers):
-        return LaurentPoly()
-    lows = [poly._min_exponent_in(pivot) for poly in multipliers]
+            expansions[key] = _descending(factor.series, max(own - cap, slack + own))
+        twists = [(unit, t) for unit, t in zip(units, factor.twists) if t]
+        multipliers.append(_shifted(expansions[key], twists, cap, slack + own))
+    multipliers += [_sliced(poly, pivot) for poly, _ in extras]
+    if not all(parts for parts, _, _ in multipliers):
+        return {}, 1, 0
+    # The product's bound, refused before any product slice is formed.
+    _checked(product[2] + sum(bound for _, _, bound in multipliers))
+    lows = [min(parts) for parts, _, _ in multipliers]
     future_up, future_low = sum(ups), sum(lows)
-    for poly, up, least in zip(multipliers, ups, lows):
+    for multiplier, up, least in zip(multipliers, ups, lows):
         future_up -= up
         future_low -= least
         high = None if ceiling is None else ceiling - future_low
-        result = result._mul(poly, pivot, floor - future_up, high)
-        if result.is_zero():
-            return result
-    return result
+        product = _product(product, multiplier, floor - future_up, high)
+        if not product[0]:
+            break
+    return product
 
 
 def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentPoly:
@@ -414,14 +428,15 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     validate_tower(spec)
     if not 1 <= level <= spec.k:
         raise ValueError(f"level must be in 1..{spec.k}, got {level}")
-    return _level_series(spec, level, min_exponent)
+    return _unsliced(_level_series(spec, level, min_exponent), PIVOT)
 
 
 def _level_series(
     spec: TowerSpec, level: int, min_exponent: int, max_exponent: int | None = None
-) -> LaurentPoly:
+) -> tuple[dict[int, dict[int, int]], int, int]:
     """``individual_segre`` of a tower already validated, at a level in range,
-    with only the pivot exponents up to ``max_exponent`` (None: all)."""
+    with only the pivot exponents up to ``max_exponent`` (None: all), sliced
+    by the pivot's exponent."""
     cap = max(sum(map(_lead_plus, spec.levels[level - 1].factors)) - min_exponent, 0)
     return _level_product(
         spec, LaurentPoly.one(), level, PIVOT, taut_variable, cap, min_exponent, max_exponent
@@ -450,8 +465,9 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
         orders = [(name, req.aux_order(name)) for name in lvl.aux]
         aux_series = [(geometric_expand(aux_variable(n, i), u_i, b), b) for n, b in orders]
         cap = req.shift_caps[i - 1]
-        result = _level_product(
-            spec, result, i, u_i, tower_variable, cap, -a_i - 1, -1, aux_series
+        result = _unsliced(
+            _level_product(spec, result, i, u_i, tower_variable, cap, -a_i - 1, -1, aux_series),
+            u_i,
         )
     return result
 
@@ -469,7 +485,9 @@ def _push_down(
 
     Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
     Segre series; it holds only lower c's and base variables, so the
-    exponents a block sets never change.
+    exponents a block sets never change.  The level series comes sliced by
+    the pivot's exponent, so that coefficient is its slice at -g-1, read
+    with no key decoded.
     """
     validate_tower(spec)
     state = LaurentPoly.one()
@@ -484,12 +502,12 @@ def _push_down(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series = _level_series(spec, j, -gamma_max - 1, -min(slices) - 1)
+        series, den, bound = _level_series(spec, j, -gamma_max - 1, -min(slices) - 1)
         pushed = []
         for gamma, part in slices.items():
-            piece = coefficient_of(series, Monomial.of(PIVOT, -gamma - 1), {PIVOT})
+            piece = series.get(-gamma - 1)
             if piece:
-                pushed.append(part * piece)
+                pushed.append(part * LaurentPoly._wrap(piece, den, bound))
         state = LaurentPoly.sum(pushed)
     return state
 

@@ -46,6 +46,42 @@ def falling_factorial_quotient(alpha, beta):
     return value
 
 
+def shift_expand_reference(q, pivot, shift, cap):
+    """``shift_expand(q, pivot, shift, cap)`` as a direct sum, per term of q,
+    over b = 0..cap of C(a, b) * shift^b * pivot^(a-b)."""
+    out = LaurentPoly.zero()
+    for m, coeff in q.items():
+        alpha = m.exponent(pivot)
+        rest = m.without({pivot})
+        power = LaurentPoly.one()
+        for b in range(cap + 1):
+            scale = coeff * falling_factorial_quotient(alpha, b)
+            stem = LaurentPoly.monomial(rest * Monomial.of(pivot, alpha - b), scale)
+            out = out + stem * power
+            power = power * shift
+    return out
+
+
+def descending_reference(f, min_exponent):
+    """``descending_expand(f, min_exponent)`` by long division.
+
+    Each step divides the remainder's top pivot slice by the denominator's
+    leading term and subtracts that quotient term times the denominator, so
+    the remainder's top exponent falls; it stops once the next quotient term
+    would lie below ``min_exponent``.
+    """
+    num, den = f.numerator, f.denominator
+    lead_exp = den.max_exponent_in(PIVOT)
+    ((lead_mono, lead_coeff),) = den.filter_terms(PIVOT, lead_exp).items()
+    inverse = LaurentPoly.monomial(Monomial((v, -e) for v, e in lead_mono), 1 / lead_coeff)
+    quotient, remainder = LaurentPoly.zero(), num
+    while remainder and remainder.max_exponent_in(PIVOT) - lead_exp >= min_exponent:
+        top = remainder.max_exponent_in(PIVOT)
+        term = remainder.filter_terms(PIVOT, top, top) * inverse
+        quotient, remainder = quotient + term, remainder - term * den
+    return quotient
+
+
 def shift_binomial(alpha, beta):
     """C(alpha, beta) as ``shift_expand`` computes it inline.
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segre_towers import (
     InvalidTowerError,
@@ -38,9 +40,24 @@ from segre_towers import (
     vandermonde_integral,
 )
 from segre_towers.cli import SpecFileError, main, tower_spec_from_doc, tower_spec_to_doc
-from segre_towers.tower import PIVOT, _level_series
+from segre_towers import tower
+from segre_towers.series import ExponentOverflowError, _unsliced
+from segre_towers.tower import PIVOT, _level_product, _level_series
 
-from _helpers import C, G, U, flag_bundle, mono, padded, poly, rf, simple_tower, upoly
+from _helpers import (
+    C,
+    G,
+    U,
+    descending_reference,
+    flag_bundle,
+    mono,
+    padded,
+    poly,
+    rf,
+    shift_expand_reference,
+    simple_tower,
+    upoly,
+)
 
 
 # -- validation ---------------------------------------------------------------
@@ -194,6 +211,91 @@ def _pool_tower(index):
     return tower_spec_from_doc(sys.modules["pool_inputs"].tower_item(index)[0])
 
 
+def _with_pivot(value, pivot):
+    """``value`` with the exponent of PIVOT moved onto ``pivot``."""
+    return LaurentPoly(
+        {Monomial((pivot if v == PIVOT else v, e) for v, e in m): c for m, c in value.items()}
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(-1, 2),
+    st.none() | st.integers(-1, 3),
+)
+def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, aux, below, span):
+    # The reference multiplies whole multipliers, each factor expanded by
+    # long division to its cap and shifted by the direct binomial sum, with
+    # no window, and filters the product afterwards: no slice code is used.
+    # The floor is drawn near one of the product's own pivot exponents, so
+    # the window cuts through it.
+    rng = random.Random(seed)
+    if flags:
+        spec = flag_tower(rng.randint(1, 4))
+        cap = spec.k + 1 + rng.randint(0, 3)
+    else:
+        spec = random_tower_spec(rng, max_k=3)
+    level = rng.randint(1, spec.k)
+    if not flags:
+        # Deep enough that every factor's expansion keeps its leading term.
+        leads = [f.series.leading_exponent or 0 for f in spec.levels[level - 1].factors]
+        cap = max(max(lead, 0) - lead for lead in leads) + rng.randint(0, 2)
+    pivot, lower = (U(level), U) if closed else (PIVOT, C)
+    others = [G("g"), U(spec.k + 1)] + [lower(j) for j in range(1, level)]
+    result = LaurentPoly.sum(
+        LaurentPoly.monomial(
+            Monomial(((pivot, rng.randint(-2, 1)), (rng.choice(others), rng.randint(-1, 1)))),
+            Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)),
+        )
+        for _ in range(rng.randint(1, 3))
+    )
+    orders = [rng.randint(0, 2) for _ in range(2 if aux else 0)]
+    extras = [
+        (geometric_expand(aux_variable(f"w{n}", level), pivot, b), b)
+        for n, b in enumerate(orders)
+    ]
+    full = result
+    for factor in spec.levels[level - 1].factors:
+        own = max(factor.series.leading_exponent or 0, 0)
+        q = _with_pivot(descending_reference(factor.series, own - cap), pivot)
+        shift = LaurentPoly.sum(
+            t * LaurentPoly.variable(lower(j + 1)) for j, t in enumerate(factor.twists)
+        )
+        full = full * shift_expand_reference(q, pivot, shift, cap)
+    for extra, _ in extras:
+        full = full * extra
+    exps = sorted({m.exponent(pivot) for m, _ in full.items()}) or [0]
+    floor = rng.choice(exps) - below
+    ceiling = None if span is None else floor + span
+    sliced = _level_product(spec, result, level, pivot, lower, cap, floor, ceiling, extras)
+    assert all(sliced[0].values())
+    got = _unsliced(sliced, pivot)
+    assert got == full.filter_terms(pivot, floor, ceiling)
+
+
+def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
+    # The running product's bound plus the multipliers' leaves the slot:
+    # refused before any product slice is formed.  Level 3's multipliers
+    # carry bounds 4, 2 and 2, so at top - 6 the first two products would
+    # still fit.
+    spec, top = flag_tower(3), 2**31 - 1
+    cases = []
+    for level, pivot, lower, below in ((1, U(1), U, 3), (3, U(3), U, 6), (3, PIVOT, C, 6)):
+        for big in (top, top - below):
+            result = LaurentPoly({Monomial(((pivot, -1), (G("g"), big))): 1})
+            cases.append((level, pivot, lower, result))
+    formed = []
+    monkeypatch.setattr(tower, "_product", lambda *args: formed.append(args))
+    for level, pivot, lower, result in cases:
+        with pytest.raises(ExponentOverflowError):
+            _level_product(spec, result, level, pivot, lower, 6, -8, -1)
+    assert formed == []
+
+
 def test_level_series_with_a_ceiling_is_the_filtered_level_series():
     # The pool's four costliest towers, random towers and flag bundles.
     rng = random.Random(23)
@@ -204,9 +306,9 @@ def test_level_series_with_a_ceiling_is_the_filtered_level_series():
     for spec in specs:
         for level in range(1, spec.k + 1):
             for floor in (-1, -4):
-                full = _level_series(spec, level, floor)
+                full = _unsliced(_level_series(spec, level, floor), PIVOT)
                 for ceiling in range(floor - 1, 2):
-                    got = _level_series(spec, level, floor, ceiling)
+                    got = _unsliced(_level_series(spec, level, floor, ceiling), PIVOT)
                     assert got == full.filter_terms(PIVOT, high=ceiling)
                     cut += len(got) < len(full)
     assert cut > 200
