@@ -337,18 +337,6 @@ class LaurentPoly:
     def monomial(cls, mono: Monomial, coeff=1) -> "LaurentPoly":
         return cls({mono: coeff})
 
-    @classmethod
-    def sum(cls, polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
-        """The sum of ``polys``, over the least common denominator."""
-        polys = [p for p in polys if p._terms]
-        den = math.lcm(*(p._den for p in polys))
-        data: dict[int, int] = {}
-        for p in polys:
-            scale = den // p._den
-            values = p._terms.values()
-            _accumulate(data, zip(p._terms, values if scale == 1 else map(scale.__mul__, values)))
-        return cls._wrap(data, den, max((p._bound for p in polys), default=0))
-
     # -- inspection --------------------------------------------------------
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
@@ -404,12 +392,6 @@ class LaurentPoly:
         slots = {slot for key in self._terms for slot, _ in _decode(key)}
         return frozenset(_VARS[slot] for slot in slots)
 
-    def max_exponent_in(self, var: VariableId) -> int:
-        """Highest exponent of ``var`` over all terms (absent vars count as 0)."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return max(_exponents(self._terms, var))
-
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if any variable occurs)."""
         if not self._terms:
@@ -432,11 +414,6 @@ class LaurentPoly:
         }
         return LaurentPoly._wrap(kept, self._den, self._bound)
 
-    def by_exponent(self, var: VariableId) -> dict[int, "LaurentPoly"]:
-        """``{g: p_g}`` with ``self`` = sum of var^g * p_g and no p_g involving ``var``."""
-        parts, den, bound = _sliced(self, var)
-        return {exp: LaurentPoly._wrap(part, den, bound) for exp, part in parts.items()}
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPoly | None":
@@ -450,7 +427,14 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly.sum((self, other))
+        if not self._terms or not other._terms:
+            return self if self._terms else other
+        # Over the least common denominator; a zero operand adds no bound.
+        den = math.lcm(self._den, other._den)
+        scale = den // other._den
+        data = {key: num * (den // self._den) for key, num in self._terms.items()}
+        _accumulate(data, zip(other._terms, map(scale.__mul__, other._terms.values())))
+        return LaurentPoly._wrap(data, den, max(self._bound, other._bound))
 
     __radd__ = __add__
 
@@ -576,7 +560,7 @@ class RationalFunction1V:
         # The denominator's leading term: its key, pivot exponent and bound.
         self._lead = leads[0], lead_exp, _key_bound(leads)
         self.leading_exponent = (
-            None if numerator.is_zero() else numerator.max_exponent_in(PIVOT) - lead_exp
+            None if numerator.is_zero() else max(_exponents(numerator._terms, PIVOT)) - lead_exp
         )
 
     def __reduce__(self):

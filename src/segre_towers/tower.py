@@ -31,8 +31,9 @@ denominator, from the factor expansions to the result.  Its floor and
 ceiling are proved for single terms, and a product slice is a sum of
 products of single slices whose exponents add up to its own, so the same
 bounds drop whole slice pairs.  The closed route packs the slices back
-into u_i; the stepwise push reads the coefficient of pivot^(-g-1) as the
-slice at -g-1.
+into u_i.  The stepwise push slices its state by c_j too, reads the
+coefficient of pivot^(-g-1) as the level series' slice at -g-1, and adds
+every part times its slice into one accumulator per level.
 
 ``pushforward_monomial`` needs one coefficient of that window, not all of
 it, so it runs the same top-down push with one power of c_j per level in
@@ -61,6 +62,7 @@ from .series import (
     Monomial,
     RationalFunction1V,
     VariableId,
+    _add_product,
     _checked,
     _descending,
     _product,
@@ -485,9 +487,15 @@ def _push_down(
 
     Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
     Segre series; it holds only lower c's and base variables, so the
-    exponents a block sets never change.  The level series comes sliced by
-    the pivot's exponent, so that coefficient is its slice at -g-1, read
-    with no key decoded.
+    exponents a block sets never change.  ``state * block(j)`` is sliced by
+    c_j and the level series by the pivot, so that coefficient is the
+    series' slice at -g-1, read with no key decoded.
+
+    Every part times its piece goes into one accumulator over one
+    denominator, the product's times the series', wrapped once as the next
+    state.  Its bound, the product's plus the series', is refused before the
+    first key, and only when some part meets a piece: a level that meets
+    none pushes the state to zero, whatever its exponents.
     """
     validate_tower(spec)
     state = LaurentPoly.one()
@@ -495,20 +503,22 @@ def _push_down(
         if state.is_zero():
             break
         c_j = taut_variable(j)
-        slices = (state * block(j)).by_exponent(c_j)
-        gamma_max = max(slices)
+        parts, den, bound = _sliced(state * block(j), c_j)
+        gamma_max = max(parts)
         if gamma_max > req.shift_caps[j - 1]:
             raise TruncationOverrun(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series, den, bound = _level_series(spec, j, -gamma_max - 1, -min(slices) - 1)
-        pushed = []
-        for gamma, part in slices.items():
-            piece = series.get(-gamma - 1)
-            if piece:
-                pushed.append(part * LaurentPoly._wrap(piece, den, bound))
-        state = LaurentPoly.sum(pushed)
+        series, s_den, s_bound = _level_series(spec, j, -gamma_max - 1, -min(parts) - 1)
+        pairs = [(part, series[-g - 1]) for g, part in parts.items() if -g - 1 in series]
+        if not pairs:
+            return LaurentPoly()
+        bound = _checked(bound + s_bound)
+        data: dict[int, int] = {}
+        for part, piece in pairs:
+            _add_product(data, part, piece)
+        state = LaurentPoly._wrap(data, den * s_den, bound)
     return state
 
 

@@ -62,6 +62,11 @@ def shift_expand_reference(q, pivot, shift, cap):
     return out
 
 
+def top_pivot_exponent(p):
+    """The highest exponent of the pivot in a nonzero ``p``, read from its monomials."""
+    return max(m.exponent(PIVOT) for m, _ in p.items())
+
+
 def descending_reference(f, min_exponent):
     """``descending_expand(f, min_exponent)`` by long division.
 
@@ -71,12 +76,12 @@ def descending_reference(f, min_exponent):
     would lie below ``min_exponent``.
     """
     num, den = f.numerator, f.denominator
-    lead_exp = den.max_exponent_in(PIVOT)
+    lead_exp = top_pivot_exponent(den)
     ((lead_mono, lead_coeff),) = den.filter_terms(PIVOT, lead_exp).items()
     inverse = LaurentPoly.monomial(Monomial((v, -e) for v, e in lead_mono), 1 / lead_coeff)
     quotient, remainder = LaurentPoly.zero(), num
-    while remainder and remainder.max_exponent_in(PIVOT) - lead_exp >= min_exponent:
-        top = remainder.max_exponent_in(PIVOT)
+    while remainder and top_pivot_exponent(remainder) - lead_exp >= min_exponent:
+        top = top_pivot_exponent(remainder)
         term = remainder.filter_terms(PIVOT, top, top) * inverse
         quotient, remainder = quotient + term, remainder - term * den
     return quotient

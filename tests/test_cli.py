@@ -462,6 +462,19 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, o
     assert captured.err.startswith(f"error: {option}: ")
 
 
+def test_flag_integral_near_the_slot_limit(capsys):
+    # At k = 1 the power of c1 meets no piece of 1/u^2, so the push gives 0
+    # without refusing its bound.  At k = 2 level 2's push leaves a state
+    # whose product with c1^2147483646 leaves the slot: refused by name.
+    assert main(["flag-integral", "--k", "1", "--exps", "2147483646"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+    assert main(["flag-integral", "--k", "2", "--exps", "2147483646,1"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: exponents up to 2147483652 do not fit a packed monomial (at most 2147483647)\n",
+    )
+
+
 def test_largest_exponents_that_fit_a_slot_are_accepted():
     top = 2**31 - 1
     assert cli_mod._parse_int_list(f"0,{top - 1}", "--orders") == (0, top - 1)

@@ -20,6 +20,7 @@ from segre_towers import (
     TowerFactor,
     TowerLevel,
     TowerSpec,
+    TruncationOverrun,
     TruncationRequest,
     aux_variable,
     closed_formula_segre,
@@ -246,12 +247,15 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
         cap = max(max(lead, 0) - lead for lead in leads) + rng.randint(0, 2)
     pivot, lower = (U(level), U) if closed else (PIVOT, C)
     others = [G("g"), U(spec.k + 1)] + [lower(j) for j in range(1, level)]
-    result = LaurentPoly.sum(
-        LaurentPoly.monomial(
-            Monomial(((pivot, rng.randint(-2, 1)), (rng.choice(others), rng.randint(-1, 1)))),
-            Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)),
-        )
-        for _ in range(rng.randint(1, 3))
+    result = sum(
+        (
+            LaurentPoly.monomial(
+                Monomial(((pivot, rng.randint(-2, 1)), (rng.choice(others), rng.randint(-1, 1)))),
+                Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)),
+            )
+            for _ in range(rng.randint(1, 3))
+        ),
+        LaurentPoly(),
     )
     orders = [rng.randint(0, 2) for _ in range(2 if aux else 0)]
     extras = [
@@ -262,8 +266,9 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     for factor in spec.levels[level - 1].factors:
         own = max(factor.series.leading_exponent or 0, 0)
         q = _with_pivot(descending_reference(factor.series, own - cap), pivot)
-        shift = LaurentPoly.sum(
-            t * LaurentPoly.variable(lower(j + 1)) for j, t in enumerate(factor.twists)
+        shift = sum(
+            (t * LaurentPoly.variable(lower(j + 1)) for j, t in enumerate(factor.twists)),
+            LaurentPoly(),
         )
         full = full * shift_expand_reference(q, pivot, shift, cap)
     for extra, _ in extras:
@@ -846,3 +851,35 @@ def test_pushforward_monomial_matches_window_coefficients():
 def test_pushforward_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         pushforward_monomial(flag_tower(2), (-1, 0))
+
+
+def test_push_refuses_a_degree_above_its_cap(monkeypatch):
+    # flag_tower(2) at orders (2, 2) meets c2^2 at level 2 by both pushes;
+    # with level 2's cap lowered to 1 the TruncationOverrun check fires.
+    spec, derive = flag_tower(2), TruncationRequest.derive
+
+    def lowered(cls, *args, **kwargs):
+        req = derive(*args, **kwargs)
+        return req._replace(shift_caps=(req.shift_caps[0], 1))
+
+    message = "intermediate degree 2 in c2 exceeds the derived cap 1"
+    with pytest.raises(TruncationOverrun, match=message):
+        stepwise_pushforward(spec, lowered(TruncationRequest, spec, (2, 2)))
+    monkeypatch.setattr(TruncationRequest, "derive", classmethod(lowered))
+    with pytest.raises(TruncationOverrun, match=message):
+        pushforward_monomial(spec, (2, 2))
+
+
+def test_push_refuses_its_bound_only_when_a_piece_is_met(monkeypatch):
+    formed = []
+    monkeypatch.setattr(tower, "_add_product", lambda *args: formed.append(args))
+    # c1^(2^31-2) meets no slice of 1/u^2, so the push gives zero; its
+    # bound, 2^31 with the series', is never refused.
+    assert pushforward_monomial(flag_tower(1), (2**31 - 2,)) == 0
+    # c1 * g^(2^31-2) meets the slice at u^-2, and the series' bound 2 takes
+    # the push's to 2^31: refused before any part is multiplied.
+    spec = flag_tower(1)
+    block = LaurentPoly.monomial(Monomial(((C(1), 1), (G("g"), 2**31 - 2))))
+    with pytest.raises(ExponentOverflowError):
+        tower._push_down(spec, TruncationRequest.derive(spec, (1,)), lambda j: block)
+    assert formed == []
