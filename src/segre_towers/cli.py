@@ -39,9 +39,10 @@ from .tower import (
     validate_tower,
 )
 
-#: Largest ``--max-k`` of verify.  With each route batched per k, the k = 6
-#: sweep (7872 integrals) takes 7.5-8.1 s at 3 trials and ``--towers 0``, on
-#: a 2-core Xeon with Python 3.11; k = 7 has 115788 integrals.
+#: Largest ``--max-k`` of verify.  With each route batched per k and the
+#: fixed-point rows kept from tuple to tuple, the k = 6 sweep (7872
+#: integrals) takes 0.54-0.67 s at 3 trials and ``--towers 0`` (four fresh
+#: processes, 2-core Xeon, Python 3.11); k = 7 has 115788 integrals.
 MAX_VERIFY_K = 6
 #: Largest ``--towers`` of verify.  The random corpus takes 3-3.5 ms per
 #: tower: 200 towers in 0.59-0.70 s, 1000 in 3.3-3.5 s (seeds 7 and 11,

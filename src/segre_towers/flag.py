@@ -8,13 +8,17 @@ way to evaluate the same integrals.  Its denominator at an ordering w is
 sign(w) V(t), V(t) the Vandermonde determinant of the weights, so the sum is
 the bialternant det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1) (Macdonald,
 *Symmetric Functions and Hall Polynomials*, I.3).  Each numerator
-determinant is taken over the integers: scaling column j by q_j^max(e), q_j
-the denominator of t_j, clears every fraction, fraction-free (Bareiss)
-elimination computes the integer determinant, and one division by
-prod_j q_j^max(e) undoes the scaling.  The weights and V(t) depend only on
-(k, trials, seed), so one process draws them once per such key and keeps
-the last few in a small memo; ``verify`` then pays for them once per k, not
-once per exponent tuple.
+determinant is taken over the integers: scaling column j by q_j^E, q_j the
+denominator of t_j and E at least max(e), clears every fraction,
+fraction-free (Bareiss) elimination computes the integer determinant, and
+one division by prod_j q_j^E undoes the scaling.  The weights and V(t)
+depend only on (k, trials, seed), so one process draws them once per such
+key and keeps the last few in a small memo, with each trial's reduced rows
+from its previous call.  The rows are taken in the order (0, a_1, ..., a_k),
+and a call reduces only those after the first exponent where it differs
+from that call.  ``verify``'s lexicographic tuples share long prefixes, so
+it pays for the weights once per k and for at most 2.3 rows per tuple on
+average at k = 4..6, against k + 1 for a fresh determinant.
 """
 
 from __future__ import annotations
@@ -119,8 +123,15 @@ def localization_integral(
     denominators sign(w) V(t), V(t) = prod_{p<q} (t_q - t_p) = det(t_j^p),
     so it equals det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1).  All trials
     must agree exactly; disagreement raises ``LocalizationDisagreement``.
-    The weights and V(t) of an int ``seed`` come from a memo of the last few
-    (k, trials, seed) keys, so only the numerator determinant is per call.
+
+    The determinant is taken with its rows in the order (0, a_1, ..., a_k),
+    which reverses the last k rows of e and so multiplies it by
+    (-1)^(k(k-1)/2).  The weights, V(t) and each trial's elimination of the
+    previous call (see ``_eliminate``) of an int ``seed`` come from a memo
+    of the last few (k, trials, seed) keys, so a call reduces only the rows
+    after the first exponent where it differs from the previous call of its
+    key.  Columns are scaled by q_j^E with E = max(k, a_1, ..., a_k) when
+    the elimination starts; a tuple with an entry above E starts it again.
 
     Exponents of total degree above the dimension k(k+1)/2 are refused: there
     the sum is a non-constant polynomial in the weights, not an integral.
@@ -130,55 +141,132 @@ def localization_integral(
     dim = k * (k + 1) // 2
     if sum(exps) > dim:
         raise ValueError(f"exponents: total degree must be at most the flag dimension {dim}")
-    powers = (0,) + exps[::-1]
+    powers = (0,) + exps
+    top = max(powers)
+    reversed_sign = k * (k - 1) // 2 % 2
     # random.Random(None) draws differently on every call, so only int seeds are kept.
     draw = _fixed_points if isinstance(seed, int) else _fixed_points.__wrapped__
-    values = [_alternant(ts, powers) / vandermonde for ts, vandermonde in draw(k, trials, seed)]
-    if any(v != values[0] for v in values):
+    values = []
+    for trial in draw(k, trials, seed):
+        path = trial.path
+        if path[1] < top:
+            path = (path[0], max(k, top), ())
+        # One assignment: a concurrent call reads the old path or this one.
+        trial.path = path = _eliminate(path, powers)
+        value = _determinant(path) / trial.vandermonde
+        values.append(-value if reversed_sign else value)
+    if values.count(values[0]) != len(values):
         raise LocalizationDisagreement(
             f"fixed-point trials disagree for k={k}, exponents={exps}: {values}"
         )
     return values[0]
 
 
+class _Trial:
+    """One trial's V(t) and the elimination path of its last call.
+
+    ``path`` is ``(fracs, E, steps)`` as ``_eliminate`` takes and returns it,
+    with fracs the (numerator, denominator) pairs of the weights and, until
+    the first call, E = -1 and no steps.  It is an immutable tuple replaced
+    whole, never changed in place.
+    """
+
+    __slots__ = ("vandermonde", "path")
+
+    def __init__(self, weights: Sequence[Fraction]) -> None:
+        self.vandermonde = math.prod(
+            tq - tp for p, tp in enumerate(weights) for tq in weights[p + 1 :]
+        )
+        self.path = (tuple((t.numerator, t.denominator) for t in weights), -1, ())
+
+
 @lru_cache(maxsize=16)
-def _fixed_points(
-    k: int, trials: int, seed: int
-) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
-    """Per trial, the weights t_0..t_k and V(t) = prod_{p<q} (t_q - t_p)."""
+def _fixed_points(k: int, trials: int, seed: int) -> tuple[_Trial, ...]:
+    """Per trial, V(t) = prod_{p<q} (t_q - t_p) and a path over the weights
+    t_0..t_k, drawn trial after trial from ``random.Random(seed)``."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(trials):
-        ts = tuple(_draw_distinct(rng, k + 1))
-        out.append((ts, math.prod(tq - tp for p, tp in enumerate(ts) for tq in ts[p + 1 :])))
-    return tuple(out)
+    return tuple(_Trial(_draw_distinct(rng, k + 1)) for _ in range(trials))
+
+
+def _eliminate(path: tuple, powers: Sequence[int]) -> tuple:
+    """The path of the rows t_j^e, e in ``powers``, keeping the steps of
+    ``path`` up to the first row where the powers differ.
+
+    ``path`` is ``(fracs, E, steps)``: fracs the (n_j, q_j) of the weights
+    t_j = n_j / q_j, E at least every power, and one step ``(e, row, pivot,
+    sign)`` per reduced row.  Row i starts as the integers n_j^e_i
+    q_j^(E - e_i), column j of the matrix (t_j^e_i) times q_j^E.  It is
+    reduced left-looking, against each earlier row s in turn, with c_s the
+    pivot column of row s, d_s = row_s[c_s] its pivot and d_(-1) = 1:
+
+        row <- (row * d_s - row[c_s] * row_s) // d_(s-1).
+
+    Its pivot column c_i is then its first nonzero entry outside
+    c_0..c_(i-1): pivots are chosen by column, never by swapping rows.
+    ``sign`` is the previous row's times -1 for each column it passes over.
+
+    Why a kept prefix is exact: these are Bareiss's fraction-free steps
+    (Bareiss, Math. Comp. 22, 1968) on the matrix with its columns in the
+    order c_0, c_1, ..., since a step updates each column from its own
+    entries and the pivot column's alone.  By Sylvester's identity, after
+    the reductions against rows 0..s, entry j of row i is the minor on rows
+    0..s, i and columns c_0..c_s, j.  So every division is exact, and, at
+    given weights and E, each row, pivot and sign depends on the powers of
+    rows 0..i alone: a kept step is the step the same rows give from an
+    empty path, whatever rows followed it in the call that made it.  The
+    last row's pivot is the determinant with its columns permuted to
+    c_0..c_(n-1), and ``sign`` is that permutation's sign, since each column
+    c_i passes over is a later, smaller one: one inversion.  A reduced row i
+    with no nonzero entry has every minor bordering the nonzero d_(i-1)
+    zero, so rows 0..i are dependent at these weights and every determinant
+    with these first rows is 0: the path stops there, with pivot None.
+    """
+    fracs, top, steps = path
+    keep = 0
+    for step, power in zip(steps, powers):
+        if step[0] != power:
+            break
+        keep += 1
+    steps = list(steps[:keep])
+    if steps and steps[-1][2] is None:
+        return (fracs, top, tuple(steps))
+    used = {step[2] for step in steps}
+    sign = steps[-1][3] if steps else 1
+    for e in powers[keep:]:
+        row = [n**e * q ** (top - e) for n, q in fracs]
+        prev = 1
+        for _, head, c, _ in steps:
+            lead, pivot = row[c], head[c]
+            row = [(x * pivot - lead * y) // prev for x, y in zip(row, head)]
+            prev = pivot
+        pivot = None
+        for j, x in enumerate(row):
+            if j not in used:
+                if x:
+                    pivot = j
+                    break
+                sign = -sign
+        steps.append((e, tuple(row), pivot, sign))
+        if pivot is None:
+            break
+        used.add(pivot)
+    return (fracs, top, tuple(steps))
+
+
+def _determinant(path: tuple) -> Fraction:
+    """det(t_j^e_p) for a path of all n rows: its last pivot times its sign,
+    divided by prod_j q_j^E, or 0 where the path stopped at a dependent row."""
+    fracs, top, steps = path
+    if len(steps) < len(fracs) or steps[-1][2] is None:
+        return Fraction(0)
+    _, row, pivot, sign = steps[-1]
+    return Fraction(sign * row[pivot], math.prod(q for _, q in fracs) ** top)
 
 
 def _alternant(ts: Sequence[Fraction], powers: Sequence[int]) -> Fraction:
-    """det(t_j^e_p), exactly, with integer arithmetic only.
-
-    Column j times q_j^E, q_j the denominator of t_j and E = max(e), has the
-    integer entries n_j^e_p q_j^(E - e_p).  Fraction-free (Bareiss)
-    elimination takes their determinant, swapping in a lower row when a
-    pivot is zero: every division in it is exact (Bareiss, Math. Comp. 22,
-    1968).  Dividing by prod_j q_j^E gives det(t_j^e_p).
-    """
-    top = max(powers)
-    fracs = [(t.numerator, t.denominator) for t in ts]
-    rows = [[n**e * d ** (top - e) for n, d in fracs] for e in powers]
-    sign, prev = 1, 1
-    for c in range(len(rows) - 1):
-        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p], sign = rows[p], rows[c], -sign
-        head = rows[c][c:]
-        for row in rows[c + 1 :]:
-            lead = row[c]
-            row[c:] = [(x * head[0] - lead * y) // prev for x, y in zip(row[c:], head)]
-        prev = head[0]
-    return Fraction(sign * rows[-1][-1], math.prod(d for _, d in fracs) ** top)
+    """det(t_j^e_p), exactly, by ``_eliminate`` from an empty path."""
+    fracs = tuple((t.numerator, t.denominator) for t in ts)
+    return _determinant(_eliminate((fracs, max(powers), ()), tuple(powers)))
 
 
 def _draw_distinct(rng: random.Random, count: int) -> list[Fraction]:

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -149,6 +151,10 @@ def test_localization_seed_determinism():
     assert a == b == -1
 
 
+def fractions_of(ts):
+    return tuple((t.numerator, t.denominator) for t in ts)
+
+
 def test_localization_memo_gives_fresh_draws(monkeypatch):
     # Each call must see the weights random.Random(seed) draws, trial after
     # trial, whatever the memo holds.  Keys that differ only in k, trials or
@@ -158,22 +164,23 @@ def test_localization_memo_gives_fresh_draws(monkeypatch):
     assert len(keys) > memo.cache_info().maxsize
     order = keys * 2
     random.Random(19).shuffle(order)
-    seen = []
+    real, seen = flag_mod._eliminate, []
 
-    def recording(ts, powers):
-        seen.append(tuple(ts))
-        return _alternant(ts, powers)
+    def recording(path, powers):
+        seen.append(path[0])
+        return real(path, powers)
 
-    monkeypatch.setattr(flag_mod, "_alternant", recording)
+    monkeypatch.setattr(flag_mod, "_eliminate", recording)
     for k, trials, seed in order:
         rng = random.Random(seed)
         draws = [tuple(_draw_distinct(rng, k + 1)) for _ in range(trials)]
         exps = tuple(range(k, 0, -1))
         seen.clear()
         value = localization_integral(k, exps, trials=trials, seed=seed)
-        assert seen == draws
+        assert seen == [fractions_of(ts) for ts in draws]
         assert value == _alternant(draws[0], (0,) + exps[::-1]) / _alternant(draws[0], range(k + 1))
-        assert memo(k, trials, seed) == tuple((ts, _alternant(ts, range(k + 1))) for ts in draws)
+        entry = [(trial.path[0], trial.vandermonde) for trial in memo(k, trials, seed)]
+        assert entry == [(fractions_of(ts), _alternant(ts, range(k + 1))) for ts in draws]
         assert memo.cache_info().currsize <= memo.cache_info().maxsize
     # A seed that is no int, None above all, is drawn afresh and not kept.
     before = memo.cache_info()
@@ -191,16 +198,18 @@ def test_localization_disagreement_surfaces(monkeypatch):
     # Up to the dimension every trial gives the integral, so trials disagree
     # only through a fault: one injected into the second trial's numerator
     # determinant must be reported as an internal-consistency failure.  V(t)
-    # comes from the memo, so each call of ``_alternant`` is one numerator.
-    real, calls = _alternant, []
+    # comes from the memo, so each call of ``_determinant`` is one numerator.
+    # The fault is in the value, not in the path the memo keeps.
+    real, calls = flag_mod._determinant, []
 
-    def skewed(ts, powers):
-        calls.append(powers)
-        return real(ts, powers) + (len(calls) == 2)
+    def skewed(path):
+        calls.append(path)
+        return real(path) + (len(calls) == 2)
 
-    monkeypatch.setattr(flag_mod, "_alternant", skewed)
+    monkeypatch.setattr(flag_mod, "_determinant", skewed)
     with pytest.raises(LocalizationDisagreement):
         localization_integral(2, (2, 1), trials=3, seed=5)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -284,6 +293,121 @@ def test_bialternant_identity_above_dimension():
         values.append(_alternant(ts, (0,) + exps[::-1]) / _alternant(ts, range(4)))
         assert values[-1] == walk(ts, exps)
     assert values[0] != values[1]
+
+
+def fresh_ratio(k, exps, trials, seed):
+    """The fixed-point value from a fresh determinant of every trial's draws."""
+    rng = random.Random(seed)
+    values = set()
+    for _ in range(trials):
+        ts = _draw_distinct(rng, k + 1)
+        values.add(_alternant(ts, (0,) + exps[::-1]) / _alternant(ts, range(k + 1)))
+    assert len(values) == 1
+    return values.pop()
+
+
+def above_k_tuples(k, count, rng):
+    """Tuples up to the dimension with an entry above k, so above the scale
+    E = k that a path of flag tuples starts with."""
+    dim = k * (k + 1) // 2
+    pool = [e for e in itertools.product(range(dim + 1), repeat=k) if sum(e) <= dim and max(e) > k]
+    return rng.sample(pool, min(count, len(pool)))
+
+
+@pytest.mark.parametrize("order", ["lexicographic", "reversed", "shuffled"])
+def test_localization_keeps_exact_prefixes_in_any_call_order(monkeypatch, order):
+    # Keys are interleaved in runs of 1..8 calls, with more keys than the
+    # memo holds, so paths are kept, resumed, evicted and started again.
+    rng = random.Random(order)
+    memo = flag_mod._fixed_points
+    keys = [(k, trials, seed) for k in (1, 2, 3, 4) for trials in (1, 2) for seed in (31, 32, 33)]
+    assert len(keys) > memo.cache_info().maxsize
+    queues = {}
+    for k, trials, seed in keys:
+        cases = flag_exponent_tuples(k) + below_dimension_tuples(k, 6, rng) + above_k_tuples(k, 3, rng)
+        cases = sorted(set(cases), reverse=order == "reversed")
+        if order == "shuffled":
+            rng.shuffle(cases)
+        queues[k, trials, seed] = cases
+    real, seen = flag_mod._eliminate, {"resumed": 0, "restarted": 0, "dead prefix kept": 0}
+
+    def counting(path, powers):
+        out = real(path, powers)
+        kept = sum(1 for a, b in zip(path[2], out[2]) if a is b)
+        seen["resumed"] += kept >= 2
+        seen["dead prefix kept"] += kept == len(out[2]) and out[2][-1][2] is None
+        return out
+
+    monkeypatch.setattr(flag_mod, "_eliminate", counting)
+    expected = {}
+    while any(queues.values()):
+        key = rng.choice([key for key, cases in queues.items() if cases])
+        k, trials, seed = key
+        for _ in range(rng.randint(1, 8)):
+            if not queues[key]:
+                break
+            exps = queues[key].pop(0)
+            # The scale E of a trial's path grows only when the path starts again.
+            before = [trial.path[1] for trial in memo(*key)]
+            value = localization_integral(k, exps, trials=trials, seed=seed)
+            after = [trial.path[1] for trial in memo(*key)]
+            seen["restarted"] += any(a > b >= k for a, b in zip(after, before))
+            assert value == fresh_ratio(k, exps, trials, seed), (key, exps)
+            if k <= 3:
+                walked = expected.setdefault((exps, trials, seed), walk_integral(exps, trials, seed))
+                assert value == walked, (key, exps)
+    assert min(seen.values()) > 0, seen
+
+
+def test_resumed_prefix_keeps_its_column_pivot():
+    # With t_1 = -t_0, row t_j^2 reduced against row 1 is zero in column 1,
+    # so its pivot is column 2.  The call for (0, 2, 1) resumes that row
+    # from the call for (0, 2, 3) and must give the fresh determinant.
+    ts = [Fraction(3, 2), Fraction(-3, 2), Fraction(5, 7)]
+    path = flag_mod._eliminate((fractions_of(ts), 3, ()), (0, 2, 3))
+    assert [step[2] for step in path[2]] == [0, 2, 1]
+    resumed = flag_mod._eliminate(path, (0, 2, 1))
+    assert resumed[2][:2] == path[2][:2] and resumed[2][1] is path[2][1]
+    expected = leibniz([[t**e for t in ts] for e in (0, 2, 1)])
+    assert expected != 0
+    assert flag_mod._determinant(resumed) == _alternant(ts, (0, 2, 1)) == expected
+    # A dependent prefix stops the path, and every call that shares it is 0.
+    dead = flag_mod._eliminate(resumed, (0, 1, 1))
+    assert dead[2][-1][2] is None and len(dead[2]) == 3
+    again = flag_mod._eliminate(dead, (0, 1, 1))
+    assert again[2] == dead[2] and flag_mod._determinant(again) == 0
+
+
+def test_localization_threads_share_a_key_exactly():
+    # Four threads call one key in different tuple orders; each replaces the
+    # memo's paths whole, so a thread may lose the others' prefixes but
+    # every value must still equal the single-thread value.
+    k, trials, seed = 4, 2, 4242
+    cases = flag_exponent_tuples(k) + below_dimension_tuples(k, 20, random.Random(4))
+    single = {e: fresh_ratio(k, e, trials, seed) for e in cases}
+    orders = [list(cases), cases[::-1]]
+    for index in range(2):
+        orders.append(random.Random(index).sample(cases, len(cases)))
+    results = [None] * len(orders)
+
+    def run(index):
+        results[index] = [
+            localization_integral(k, e, trials=trials, seed=seed) for e in orders[index] * 3
+        ]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for order, values in zip(orders, results):
+        assert values == [single[e] for e in order * 3]
 
 
 def leibniz(matrix):
