@@ -636,42 +636,45 @@ def _product(a: _Sliced, b: _Sliced, low: int | None = None, high: int | None = 
 
 def _descending(f: RationalFunction1V, min_exponent: int) -> _Sliced:
     """``descending_expand(f, min_exponent)`` sliced by the pivot."""
-    # 1/den = lead^-1 * sum_s ratio^s with ratio = -(den - lead)/lead.  Every
-    # term of ratio lowers the exponent of the pivot, so a term below
-    # min_exponent never climbs back: each summand num/lead * ratio^s keeps
-    # only the terms at or above it, and the sum stops at the first empty one.
-    # Dividing by lead subtracts its key from every key and divides every
-    # coefficient by lead's, whose sign moves into the numerators.  ratio and
-    # the first summand carry the exact bound of their terms, so summand s
-    # carries the first's plus s times ratio's.
+    # Long division (Knuth, TAOCP vol. 2, 4.7).  Dividing both sides by the
+    # denominator's leading term L*m leaves M / (L - R), where M's numerators
+    # carry the denominator's denominator and every term of R lowers the
+    # pivot's exponent by at least drop = -(R's top exponent).  From the top
+    # down, slice e of q = (M + R*q) / L is (M_e + sum over r of R_r *
+    # q_(e-r)) / L: each finished slice adds R_r times itself into the
+    # pending slice at e + r, and nothing below min_exponent is formed.
+    # Slice e takes at most s = (top - e) // drop factors of R, so
+    # |L|^(s+1) * q_e is integral, and scaling M by |L|^(depth+1), depth the
+    # largest s, makes each division by L exact.  The bound, M's plus depth
+    # times R's, is refused before any key is formed.
     num, den = f.numerator, f.denominator
     lead_key, lead_exp, lead_bound = f._lead
     lead = den._terms[lead_key]
-    sign = 1 if lead > 0 else -1
     _checked(max(num._bound, den._bound) + lead_bound)
-    rest = {key - lead_key: -sign * n for key, n in den._terms.items() if key != lead_key}
-    ratio = _sliced(LaurentPoly._wrap(rest, abs(lead), _key_bound(rest)), PIVOT)
     low = min_exponent + lead_exp
     kept = {
-        key - lead_key: sign * den._den * n
+        key - lead_key: den._den * n
         for (key, n), exp in zip(num._terms.items(), _exponents(num._terms, PIVOT))
         if exp >= low
     }
-    term = _sliced(LaurentPoly._wrap(kept, num._den * abs(lead), _key_bound(kept)), PIVOT)
-    if not ratio[0] or not term[0]:
-        return term
-    summands = []
-    while term[0]:
-        summands.append(term)
-        term = _product(term, ratio, min_exponent)
-    total = math.lcm(*(d for _, d, _ in summands))
+    rest = {key - lead_key: -n for key, n in den._terms.items() if key != lead_key}
+    m_parts, _, m_bound = _sliced(LaurentPoly._wrap(kept, 1, _key_bound(kept)), PIVOT)
+    r_parts, _, r_bound = _sliced(LaurentPoly._wrap(rest, 1, _key_bound(rest)), PIVOT)
+    top = max(m_parts, default=min_exponent)
+    depth = (top - min_exponent) // -max(r_parts) if r_parts else 0
+    bound = _checked(m_bound + depth * r_bound)
+    scale = abs(lead) ** (depth + 1)
+    pending = {e: {key: scale * n for key, n in part.items()} for e, part in m_parts.items()}
     parts: dict[int, dict[int, int]] = {}
-    for slices, d, _ in summands:
-        scale = total // d
-        for exp, part in slices.items():
-            _accumulate(parts.setdefault(exp, {}), zip(part, map(scale.__mul__, part.values())))
-    parts = {exp: part for exp, part in parts.items() if part}
-    return parts, total, summands[-1][2]
+    while pending:
+        e = max(pending)
+        part = {key: n // lead for key, n in pending.pop(e).items()}
+        if part:
+            parts[e] = part
+            for r, r_part in r_parts.items():
+                if e + r >= min_exponent:
+                    _add_product(pending.setdefault(e + r, {}), r_part, part)
+    return parts, num._den * scale, bound
 
 
 def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
@@ -684,28 +687,31 @@ def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
 
 
 def _shifted(
-    q: _Sliced, twists: Sequence[tuple[int, int]], cap: int, low: int | None = None, den: int = 1
+    q: _Sliced, twists: Sequence[tuple[int, int]], low: int | None, cap: int | None = None,
+    den: int = 1,
 ) -> _Sliced:
     """``q``, sliced by the pivot, with the pivot shifted by a linear form.
 
     The form is the sum of t/den * x over ``twists``, (key of x, t) pairs
     of distinct variables x that ``q`` does not hold.  Returns the expansion
-    of ``shift_expand``, whose docstring proves where it stops, sliced by
-    the pivot: the term (a, b) of q's part at a lands in the slice a - b.
-    Every power of the form is built from the (key, t) pairs straight into
-    keys, with its numerators over den**top, top the highest power formed.
+    of ``shift_expand`` to shift degree ``cap`` (None: no cap, so ``low``
+    must be given), sliced by the pivot: the term (a, b) of q's part at a
+    lands in the slice a - b.  ``shift_expand``'s docstring proves where it
+    stops.  Every power of the form is built from the (key, t) pairs
+    straight into keys, with its numerators over den**top, top the highest
+    power formed.
     """
     parts, q_den, q_bound = q
     if not twists:
         if low is not None:
             parts = {exp: part for exp, part in parts.items() if exp >= low}
         return parts, q_den, q_bound
-    top = cap
+    limits = [] if cap is None else [cap]
     if min(parts, default=0) >= 0:
-        top = min(max(parts, default=0), cap)
+        limits.append(max(parts, default=0))
     if low is not None:
-        top = min(top, max(parts, default=low) - low)
-    top = max(top, 0)
+        limits.append(max(parts, default=low) - low)
+    top = max(min(limits), 0)
     # The pivot's exponents move by at most top, and the form's variables
     # reach exponent top; no other slot is shared between q and the powers.
     bound = _checked(q_bound + top)
@@ -769,7 +775,7 @@ def shift_expand(
     if any(any(_exponents(q._terms, _VARS[(key.bit_length() - 1) // _W])) for key in shift._terms):
         raise ValueError("q must not involve the shift variables")
     twists = list(shift._terms.items())
-    return _unsliced(_shifted(_sliced(q, pivot), twists, degree_cap, low, shift._den), pivot)
+    return _unsliced(_shifted(_sliced(q, pivot), twists, low, degree_cap, shift._den), pivot)
 
 
 def geometric_expand(outer: VariableId, inner: VariableId, degree_cap: int) -> LaurentPoly:

@@ -30,8 +30,11 @@ of the level's variable, {exponent: {key of the rest: numerator}} over one
 denominator, from the factor expansions to the result.  Its floor and
 ceiling are proved for single terms, and a product slice is a sum of
 products of single slices whose exponents add up to its own, so the same
-bounds drop whole slice pairs.  The closed route packs the slices back
-into u_i.  The stepwise push slices its state by c_j too, reads the
+bounds drop whole slice pairs.  Each factor's expansion and shift stop at
+the source floor alone: the truncation caps of ``TruncationRequest`` bound
+only the degrees the stepwise push meets, and its docstring proves that no
+cap could stop an expansion earlier.  The closed route packs the slices
+back into u_i.  The stepwise push slices its state by c_j too, reads the
 coefficient of pivot^(-g-1) as the level series' slice at -g-1, and adds
 every part times its slice into one accumulator per level.
 
@@ -266,46 +269,38 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
     """Exactness window for tower-series computations.
 
     ``tower_orders[i-1] = a`` guarantees exact coefficients of u_i^(-t-1)
-    for all t <= a; ``aux_orders`` does the same per auxiliary variable.
+    for all t <= a; ``aux_orders`` does the same per auxiliary variable and
+    holds (name, order) pairs sorted by name.
 
     Let lead_i be the sum of level i's positive factor leading degrees,
     aux_i the sum of its auxiliary orders, and
     reach_j = sum over i >= j of (lead_i + a_i + 1 + aux_i).  Level j's cap
-    is ``shift_caps[j-1] = reach_j``, since at most reach_j of tower degree
-    can leave levels >= j on the way to the window:
+    is ``shift_caps[j-1] = reach_j``, and ``degree_cap`` is the largest cap,
+    reach_1.  The caps bound only the degrees of c_j that the stepwise push
+    meets, which it checks (``TruncationOverrun``): pushing level i down
+    replaces c_i^g by a coefficient of total c-degree at most g + lead_i + 1,
+    and level i's blocks add at most a_i + aux_i.  So the degree of c_j met
+    at level j is at most a_j + aux_j + reach_{j+1} = reach_j - lead_j - 1,
+    below level j's cap.
 
-    * Levels >= j end with every u_i exponent >= -a_i-1.
-    * Those levels gain exponent only from their own factors (at most
-      lead_i) and their auxiliary series (at most aux_i).
-    * A shift moves degree only to lower levels, never back up.
+    No expansion reads the caps.  ``_level_product`` stops each factor's
+    expansion and shift at its source floor, floor - M - U + own (its
+    docstring has the proof), and a cap would stop them at own - cap, never
+    higher.  Take level i of the closed route, with floor = -a_i-1,
+    U = lead_i + aux_i and M the running product's top exponent of u_i:
 
-    So the degree shifted out of level j is at most reach_j, and the
-    degree flowing into it is at most reach_{j+1} + aux_j.  Hence a term of
-    a factor's expansion whose u_j exponent is below that factor's positive
-    leading degree minus reach_j never reaches the window, which fixes the
-    depth of the expansion.
+    * The running product holds the levels above i, each already in its
+      window, so every u_j with j > i has exponent >= -a_j-1.
+    * A u_j with j <= i enters it only through a shift, to a power >= 0.
+    * A factor's term adds at most its up to the total tower degree, since
+      a shift only moves degree between levels, and an auxiliary term adds
+      at most its order.
 
-    In the stepwise oracle, pushing level i down replaces c_i^g by a
-    coefficient of total c-degree at most g + lead_i + 1, and level i's
-    blocks add at most a_i + aux_i.  So the degree of c_j met at level j is
-    at most a_j + aux_j + reach_{j+1} = reach_j - lead_j - 1, below level
-    j's cap.  ``degree_cap`` is the largest cap, reach_1.  ``aux_orders``
-    holds (name, order) pairs sorted by name.
-
-    Inside these caps, ``_level_product`` forms no term that its window
-    drops (its docstring has the proofs):
-
-    * Source floor.  A factor's expansion stops at the higher of its
-      positive leading degree minus the cap and floor - M - U + its own
-      up, where M is the running product's top exponent of the level's
-      variable and U the sum of the level's ups: a term any lower stays
-      below the floor even when every other multiplier and the running
-      product give their highest exponents.  A shift only lowers that
-      exponent, so the shifted expansion stops at the same bound.
-    * Ceiling.  The closed route's ceiling for u_i is -1, the top of the
-      window, since the lower levels never shift u_i.  The stepwise route
-      reads only the coefficients of pivot^(-g-1) for the degrees g of its
-      slices, so a level series needs no pivot exponent above -g_min-1.
+    So a term's u_i exponent is at most its total degree plus the sum of
+    a_j + 1 over j > i, and M <= reach_{i+1}.  Hence
+    floor - M - U + own >= own - reach_i = own - cap.  The stepwise level
+    series has M = 0 and the cap max(lead - min_exponent, 0), so there the
+    two floors are equal whenever the cap is positive.
     """
 
     __slots__ = ()
@@ -344,7 +339,7 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
 
 def _level_product(
     spec: TowerSpec, result: LaurentPoly, level: int, pivot: VariableId,
-    lower: Callable[[int], VariableId], cap: int, floor: int, ceiling: int | None = None,
+    lower: Callable[[int], VariableId], floor: int, ceiling: int | None = None,
     extras: Sequence[tuple[LaurentPoly, int]] = (),
 ) -> tuple[dict[int, dict[int, int]], int, int]:
     """``result`` times the shifted factors of ``level`` in ``pivot``, then
@@ -356,11 +351,11 @@ def _level_product(
     expansions to the return value.  A factor's expansion is sliced by the
     pivot as it is formed (``series._descending``), and its shift by the
     twisted sum of the lower variables ``lower(j)`` goes straight from the
-    twist vector into slices (``series._shifted``); the expansion stops at
-    its positive leading degree minus ``cap`` (``TruncationRequest``).  The
-    denominator is reduced once, by whoever unpacks the slices.  The
-    product's bound, the sum of ``result``'s and every multiplier's, is
-    refused before any product slice is formed.
+    twist vector into slices (``series._shifted``).  Both stop at the source
+    floor below and nowhere else.  The denominator is reduced once, by
+    whoever unpacks the slices.  The product's bound, the sum of
+    ``result``'s and every multiplier's, is refused before any product slice
+    is formed.
 
     Each multiplier comes with ``up``, the most it can raise the pivot's
     exponent.  No slice outside the window is formed, and none that could
@@ -400,9 +395,9 @@ def _level_product(
     for factor, own in zip(factors, ups):
         key = id(factor.series)
         if key not in expansions:
-            expansions[key] = _descending(factor.series, max(own - cap, slack + own))
+            expansions[key] = _descending(factor.series, slack + own)
         twists = [(unit, t) for unit, t in zip(units, factor.twists) if t]
-        multipliers.append(_shifted(expansions[key], twists, cap, slack + own))
+        multipliers.append(_shifted(expansions[key], twists, slack + own))
     multipliers += [_sliced(poly, pivot) for poly, _ in extras]
     if not all(parts for parts, _, _ in multipliers):
         return {}, 1, 0
@@ -439,9 +434,8 @@ def _level_series(
     """``individual_segre`` of a tower already validated, at a level in range,
     with only the pivot exponents up to ``max_exponent`` (None: all), sliced
     by the pivot's exponent."""
-    cap = max(sum(map(_lead_plus, spec.levels[level - 1].factors)) - min_exponent, 0)
     return _level_product(
-        spec, LaurentPoly.one(), level, PIVOT, taut_variable, cap, min_exponent, max_exponent
+        spec, LaurentPoly.one(), level, PIVOT, taut_variable, min_exponent, max_exponent
     )
 
 
@@ -466,10 +460,8 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
         # The only source of each auxiliary variable: exponents in [-b-1, -1].
         orders = [(name, req.aux_order(name)) for name in lvl.aux]
         aux_series = [(geometric_expand(aux_variable(n, i), u_i, b), b) for n, b in orders]
-        cap = req.shift_caps[i - 1]
         result = _unsliced(
-            _level_product(spec, result, i, u_i, tower_variable, cap, -a_i - 1, -1, aux_series),
-            u_i,
+            _level_product(spec, result, i, u_i, tower_variable, -a_i - 1, -1, aux_series), u_i
         )
     return result
 

@@ -11,8 +11,10 @@ from segre_towers import (
     TowerSpec,
     TruncationRequest,
     base_variable,
+    closed_formula_segre,
     flag_tower,
     shift_expand,
+    stepwise_pushforward,
     taut_variable,
     tower_variable,
 )
@@ -121,9 +123,26 @@ def simple_tower(*level_descriptions, base_generators=()):
     return TowerSpec(tuple(levels), tuple(base_generators))
 
 
-def padded(req: TruncationRequest, extra: int) -> TruncationRequest:
-    """``req`` with ``extra`` added to every level's cap."""
-    return req._replace(shift_caps=tuple(cap + extra for cap in req.shift_caps))
+def check_window_growth(rng, spec, orders, aux=None):
+    """Check, by both routes, that a grown window holds the window at ``orders``.
+
+    Each tower order a and auxiliary order b grows by d and e drawn from
+    0..2.  The window at a+d and b+e, with every u_i filtered back to
+    [-a_i-1, -1] and every auxiliary variable to [-b-1, -1], must equal the
+    window at a and b.  Returns whether any order grew.
+    """
+    small = TruncationRequest.derive(spec, orders, aux)
+    grown = tuple(a + rng.randint(0, 2) for a in orders)
+    grown_aux = {v.name: small.aux_order(v.name) + rng.randint(0, 2) for v in spec.aux_variables()}
+    big = TruncationRequest.derive(spec, grown, grown_aux)
+    for route in (closed_formula_segre, stepwise_pushforward):
+        window = route(spec, big)
+        for i, a in enumerate(orders, 1):
+            window = window.filter_terms(U(i), -a - 1, -1)
+        for v in spec.aux_variables():
+            window = window.filter_terms(v, -small.aux_order(v.name) - 1, -1)
+        assert window == route(spec, small), (route.__name__, spec, small, big)
+    return big.tower_orders != small.tower_orders or big.aux_orders != small.aux_orders
 
 
 def arrangement_sign(values):

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segre_towers import (
@@ -30,6 +30,7 @@ from segre_towers.tower import PIVOT
 from _helpers import (
     G,
     U,
+    descending_reference,
     falling_factorial_quotient,
     mono,
     poly,
@@ -300,6 +301,53 @@ def test_descending_expand_base_monomial_leading_coefficient():
     g = G("g")
     f = RationalFunction1V(1, LaurentPoly.variable(g) * LaurentPoly.variable(PIVOT))
     assert descending_expand(f, -1) == poly({((PIVOT, -1), (g, -1)): 1})
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+# (pivot exponent, coefficient, exponent of g, exponent of h) of one term.
+_TERMS = st.tuples(st.integers(-3, 4), _RATIONALS, st.integers(-1, 2), st.integers(-1, 1))
+
+
+def _terms_poly(terms):
+    g, h = G("g"), G("h")
+    return sum(
+        (LaurentPoly.monomial(Monomial(((PIVOT, e), (g, a), (h, b))), c) for e, c, a, b in terms),
+        LaurentPoly(),
+    )
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    st.lists(_TERMS, min_size=1, max_size=3),
+    st.tuples(st.integers(-2, 3), _RATIONALS, st.integers(-2, 2), st.integers(0, 1)),
+    st.lists(st.tuples(st.integers(1, 4), _RATIONALS, st.integers(-1, 2), st.integers(-1, 1))),
+    st.integers(0, 8),
+)
+@example([(0, Fraction(1), 0, 0)], (1, Fraction(-3, 2), 1, 0), [(1, 2, 1, 0), (3, -1, 0, 1)], 7)
+def test_descending_expand_is_the_long_division(num_terms, lead, falls, depth):
+    # The denominator's leading coefficient may be negative, fractional or
+    # times a base monomial; its lower terms, each ``fall`` below the lead,
+    # carry base variables and may lie at several pivot exponents.
+    lower = [(lead[0] - fall, c, x, y) for fall, c, x, y in falls]
+    f = RationalFunction1V(_terms_poly(num_terms), _terms_poly([lead] + lower))
+    least = (f.leading_exponent or 0) - depth
+    got = descending_expand(f, least)
+    assert got == descending_reference(f, least)
+    assert all(abs(e) <= got._bound for m, _ in got.items() for _, e in m)
+
+
+def test_descending_expand_refuses_its_bound_before_any_product(monkeypatch):
+    # 1/(u + g^(2^30)): a term of depth s has exponents up to s * 2^30 in g,
+    # so depth 1 fits a slot and depth 2 is refused.
+    g = G("g")
+    f = RationalFunction1V(1, LaurentPoly.variable(PIVOT) + LaurentPoly.variable(g, 2**30))
+    calls = []
+    monkeypatch.setattr(series, "_add_product", lambda *args: calls.append(args))
+    with pytest.raises(ExponentOverflowError):
+        descending_expand(f, -3)
+    assert calls == []
+    monkeypatch.undo()
+    assert descending_expand(f, -2) == poly({((PIVOT, -1),): 1, ((PIVOT, -2), (g, 2**30)): -1})
 
 
 # -- shift_expand -------------------------------------------------------------
@@ -706,7 +754,8 @@ def test_descending_expand_matches_sympy_series_at_infinity():
     rng = random.Random(5)
     for _ in range(10):
         lead = rng.randint(-1, 3)
-        den = random_upoly(rng, rng.sample(range(-2, lead), rng.randint(0, 2))) + upoly({lead: 1})
+        lower = rng.sample(range(-2, lead), rng.randint(0, min(2, lead + 2)))
+        den = random_upoly(rng, lower) + random_upoly(rng, [lead])
         f = RationalFunction1V(random_upoly(rng, rng.sample(range(-2, 4), 2)), den)
         least = rng.randint(-5, 0)
         # At infinity, order n keeps every exponent above -n.

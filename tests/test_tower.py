@@ -49,10 +49,10 @@ from _helpers import (
     C,
     G,
     U,
+    check_window_growth,
     descending_reference,
     flag_bundle,
     mono,
-    padded,
     poly,
     rf,
     shift_expand_reference,
@@ -229,22 +229,16 @@ def _with_pivot(value, pivot):
     st.none() | st.integers(-1, 3),
 )
 def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, aux, below, span):
-    # The reference multiplies whole multipliers, each factor expanded by
-    # long division to its cap and shifted by the direct binomial sum, with
-    # no window, and filters the product afterwards: no slice code is used.
-    # The floor is drawn near one of the product's own pivot exponents, so
-    # the window cuts through it.
+    # The reference multiplies whole multipliers with no window and filters
+    # the product afterwards: no slice code is used.  Each factor is expanded
+    # by long division and shifted by the direct binomial sum to a random
+    # depth at or below its source floor floor - M - U + own (see
+    # ``_level_product``), so on the window it is the untruncated product.
+    # The floor is drawn near one of the pivot exponents of a shallow
+    # product, so the window cuts through it.
     rng = random.Random(seed)
-    if flags:
-        spec = flag_tower(rng.randint(1, 4))
-        cap = spec.k + 1 + rng.randint(0, 3)
-    else:
-        spec = random_tower_spec(rng, max_k=3)
+    spec = flag_tower(rng.randint(1, 4)) if flags else random_tower_spec(rng, max_k=3)
     level = rng.randint(1, spec.k)
-    if not flags:
-        # Deep enough that every factor's expansion keeps its leading term.
-        leads = [f.series.leading_exponent or 0 for f in spec.levels[level - 1].factors]
-        cap = max(max(lead, 0) - lead for lead in leads) + rng.randint(0, 2)
     pivot, lower = (U(level), U) if closed else (PIVOT, C)
     others = [G("g"), U(spec.k + 1)] + [lower(j) for j in range(1, level)]
     result = sum(
@@ -262,21 +256,31 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
         (geometric_expand(aux_variable(f"w{n}", level), pivot, b), b)
         for n, b in enumerate(orders)
     ]
-    full = result
-    for factor in spec.levels[level - 1].factors:
-        own = max(factor.series.leading_exponent or 0, 0)
-        q = _with_pivot(descending_reference(factor.series, own - cap), pivot)
-        shift = sum(
-            (t * LaurentPoly.variable(lower(j + 1)) for j, t in enumerate(factor.twists)),
-            LaurentPoly(),
-        )
-        full = full * shift_expand_reference(q, pivot, shift, cap)
-    for extra, _ in extras:
-        full = full * extra
-    exps = sorted({m.exponent(pivot) for m, _ in full.items()}) or [0]
-    floor = rng.choice(exps) - below
+    factors = spec.levels[level - 1].factors
+    ups = [max(factor.series.leading_exponent or 0, 0) for factor in factors]
+
+    def unwindowed(depths):
+        # Each factor expanded to its depth, and shifted to every term at or
+        # above it.
+        full = result
+        for factor, own, depth in zip(factors, ups, depths):
+            q = _with_pivot(descending_reference(factor.series, depth), pivot)
+            shift = sum(
+                (t * LaurentPoly.variable(lower(j + 1)) for j, t in enumerate(factor.twists)),
+                LaurentPoly(),
+            )
+            full = full * shift_expand_reference(q, pivot, shift, max(own - depth, 0))
+        for extra, _ in extras:
+            full = full * extra
+        return full
+
+    exps = sorted({m.exponent(pivot) for m, _ in unwindowed([up - 2 for up in ups]).items()})
+    floor = rng.choice(exps or [0]) - below
     ceiling = None if span is None else floor + span
-    sliced = _level_product(spec, result, level, pivot, lower, cap, floor, ceiling, extras)
+    top = max((m.exponent(pivot) for m, _ in result.items()), default=0)
+    slack = floor - top - sum(ups) - sum(orders)
+    full = unwindowed([slack + up - rng.randint(0, 2) for up in ups])
+    sliced = _level_product(spec, result, level, pivot, lower, floor, ceiling, extras)
     assert all(sliced[0].values())
     got = _unsliced(sliced, pivot)
     assert got == full.filter_terms(pivot, floor, ceiling)
@@ -297,7 +301,7 @@ def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
     monkeypatch.setattr(tower, "_product", lambda *args: formed.append(args))
     for level, pivot, lower, result in cases:
         with pytest.raises(ExponentOverflowError):
-            _level_product(spec, result, level, pivot, lower, 6, -8, -1)
+            _level_product(spec, result, level, pivot, lower, -8, -1)
     assert formed == []
 
 
@@ -553,9 +557,10 @@ def test_small_windows_match_sympy_series():
 
 def test_closed_equals_stepwise_under_large_leading_degrees():
     # Monomial denominators with negative exponents maximize the positive
-    # leading degree of each factor, the worst case for the mass-flow bound
-    # behind the derived truncation caps.
+    # leading degree of each factor, the worst case for the source floors
+    # of the level products; a grown window must hold the same window.
     rng = random.Random(99)
+    grown = 0
     for _ in range(15):
         k = rng.randint(2, 3)
         levels = []
@@ -573,9 +578,9 @@ def test_closed_equals_stepwise_under_large_leading_degrees():
         spec = TowerSpec(tuple(levels))
         orders = tuple(rng.randint(0, 2) for _ in range(spec.k))
         req = TruncationRequest.derive(spec, orders)
-        closed = closed_formula_segre(spec, req)
-        assert closed == stepwise_pushforward(spec, req)
-        assert closed_formula_segre(spec, padded(req, 3)) == closed
+        assert closed_formula_segre(spec, req) == stepwise_pushforward(spec, req)
+        grown += check_window_growth(rng, spec, orders)
+    assert grown >= 8, grown
 
 
 def test_closed_equals_stepwise_with_base_coefficients():
@@ -779,14 +784,15 @@ def test_derived_caps_are_linear_suffix_sums():
         assert req.degree_cap == sum(steps)
 
 
-def test_stabilization_under_cap_increase():
+def test_stabilization_under_window_growth():
     rng = random.Random(21)
+    grown = 0
     for _ in range(8):
         spec = random_tower_spec(rng)
         orders = tuple(rng.randint(0, 2) for _ in range(spec.k))
         aux = {v.name: rng.randint(0, 1) for v in spec.aux_variables()}
-        req = TruncationRequest.derive(spec, orders, aux)
-        assert closed_formula_segre(spec, req) == closed_formula_segre(spec, padded(req, 3))
+        grown += check_window_growth(rng, spec, orders, aux)
+    assert grown >= 4, grown
 
 
 # -- pushforward_monomial ----------------------------------------------------------
