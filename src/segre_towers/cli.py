@@ -9,13 +9,18 @@ The ``segre-towers`` binary exposes three subcommands:
 * ``verify`` runs the flag triple-agreement sweep and the randomized
   closed-versus-stepwise corpus, exiting nonzero on any exact mismatch.
 
+Each subcommand's options are declared once, in ``_SUBCOMMANDS``.  A
+well-formed argv is read straight from that table; any other argv goes to
+the argparse tree ``build_parser`` builds from it, which alone imports
+argparse, so help, usage and every parse error are argparse's own and a
+well-formed call loads neither argparse nor gettext.
+
 Output is deterministic: identical inputs and seeds produce byte-identical
 text, and all rationals are printed exactly as ``num/den`` in lowest terms.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import itertools
 import random
@@ -23,6 +28,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import flag as flag_mod
 from .series import _HALF, _ZERO, PIVOT, LaurentPoly, RationalFunction1V, VariableId
@@ -543,73 +549,140 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _flag_integral_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, required=True, help="number of tower levels")
-    parser.add_argument("--exps", required=True, help="comma-separated exponents a_1..a_k")
-    parser.add_argument("-v", "--verbose", action="store_true", help="print cross-checks")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.set_defaults(func=cmd_flag_integral)
-
-
-def _tower_segre_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("spec", help="path to a JSON tower spec")
-    parser.add_argument("--orders", required=True, help="per-level orders a_1,..,a_k")
-    parser.add_argument("--aux-orders", default="", help="per-aux orders as name=b,name=b")
-    parser.add_argument("--method", choices=("closed", "stepwise"), default="closed")
-    parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.set_defaults(func=cmd_tower_segre)
-
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-k", type=int, default=3, dest="max_k")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    parser.add_argument("--towers", type=int, default=DEFAULT_TOWERS)
-    parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.set_defaults(func=cmd_verify)
-
-
-#: Each subcommand's help line and the function that adds its arguments.
+#: Each subcommand's help line, function and options.  An option is the
+#: (flags, keyword arguments) of one ``add_argument`` call: ``build_parser``
+#: makes those calls, and ``_read_argv`` reads a well-formed argv from them.
 _SUBCOMMANDS = {
-    "flag-integral": ("integrate a monomial over a flag variety", _flag_integral_arguments),
-    "tower-segre": ("Segre series of a tower spec file", _tower_segre_arguments),
-    "verify": ("run the cross-validation sweeps", _verify_arguments),
+    "flag-integral": (
+        "integrate a monomial over a flag variety",
+        cmd_flag_integral,
+        (
+            (("--k",), {"type": int, "required": True, "help": "number of tower levels"}),
+            (("--exps",), {"required": True, "help": "comma-separated exponents a_1..a_k"}),
+            (("-v", "--verbose"), {"action": "store_true", "help": "print cross-checks"}),
+            (("--seed",), {"type": int, "default": DEFAULT_SEED}),
+            (("--trials",), {"type": int, "default": DEFAULT_TRIALS}),
+            (("--format",), {"choices": ("table", "json"), "default": "table"}),
+        ),
+    ),
+    "tower-segre": (
+        "Segre series of a tower spec file",
+        cmd_tower_segre,
+        (
+            (("spec",), {"help": "path to a JSON tower spec"}),
+            (("--orders",), {"required": True, "help": "per-level orders a_1,..,a_k"}),
+            (("--aux-orders",), {"default": "", "help": "per-aux orders as name=b,name=b"}),
+            (("--method",), {"choices": ("closed", "stepwise"), "default": "closed"}),
+            (("--format",), {"choices": ("table", "json"), "default": "table"}),
+        ),
+    ),
+    "verify": (
+        "run the cross-validation sweeps",
+        cmd_verify,
+        (
+            (("--max-k",), {"type": int, "default": 3, "dest": "max_k"}),
+            (("--seed",), {"type": int, "default": DEFAULT_SEED}),
+            (("--trials",), {"type": int, "default": DEFAULT_TRIALS}),
+            (("--towers",), {"type": int, "default": DEFAULT_TOWERS}),
+            (("--format",), {"choices": ("table", "json"), "default": "table"}),
+        ),
+    ),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse tree of the option table: the reference for every argv."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="segre-towers",
         description="Exact Segre-series push-forwards on projective towers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, options) in _SUBCOMMANDS.items():
+        sub_parser = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            sub_parser.add_argument(*flags, **kwargs)
+        sub_parser.set_defaults(func=func)
     return parser
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the subcommand's parser when it can.
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a well-formed argv, read from the option table, or None.
 
-    The full tree hands everything after the subcommand's name to that
-    subcommand's parser, whose prog is ``segre-towers <name>``; this parser
-    is the same, so its help and its errors are the same too.  Only left-over
-    arguments are reported by the top-level parser, so they, and an argv
-    that does not start with a subcommand, go through the full tree.
+    Well-formed means: a subcommand's name, then only its exact option
+    strings, each valued one followed by a value that does not start with
+    ``-``, converts with the option's type and lies in its choices, and at
+    most one other token, which fills the subcommand's positional; every
+    required option and the positional are given.  Such an argv leaves
+    argparse no choice to make, so the namespace is the one it would build:
+    the last of a repeated option wins and every other option has its
+    default.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, func, options = _SUBCOMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    by_flag = {}
+    positional = None
+    required = set()
+    for flags, kwargs in options:
+        if not flags[0].startswith("-"):
+            positional = flags[0]
+            required.add(positional)
+            continue
+        # argparse's rule: the first long flag, less its dashes, with "_" for "-".
+        long_flag = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = kwargs.get("dest", long_flag.lstrip("-").replace("-", "_"))
+        flag_only = kwargs.get("action") == "store_true"
+        values[dest] = kwargs.get("default", False if flag_only else None)
+        if kwargs.get("required"):
+            required.add(dest)
+        by_flag.update(dict.fromkeys(flags, (dest, kwargs)))
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in by_flag:
+            dest, kwargs = by_flag[token]
+            if kwargs.get("action") == "store_true":
+                values[dest] = True
+            else:
+                raw = next(tokens, None)
+                if raw is None or raw.startswith("-"):
+                    return None
+                try:
+                    value = kwargs["type"](raw) if "type" in kwargs else raw
+                except ValueError:
+                    return None
+                if "choices" in kwargs and value not in kwargs["choices"]:
+                    return None
+                values[dest] = value
+        elif token.startswith("-") or positional is None or positional in seen:
+            return None
+        else:
+            dest = positional
+            values[dest] = token
+        seen.add(dest)
+    if not required <= seen:
+        return None
+    return SimpleNamespace(**values)
 
-    No parser outlives the call: a cached one would make a run of many calls
-    in one process cheaper than the fresh process each CLI call is.
+
+def _parse_args(argv: Sequence[str]):
+    """The namespace that ``build_parser().parse_args(argv)`` gives.
+
+    A well-formed argv (see ``_read_argv``) is read from the option table
+    without a parser.  Every other argv goes unchanged to the argparse tree:
+    help, ``--``, abbreviations, ``--opt=value``, unknown tokens and values
+    that fail to convert, so help, usage and every error are argparse's own,
+    and argparse is imported only then.
+
+    Nothing outlives the call: a cached reader would make a run of many
+    calls in one process cheaper than the fresh process each CLI call is.
     """
     argv = list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"segre-towers {argv[0]}")
-        _SUBCOMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Sequence[str] | None = None) -> int:

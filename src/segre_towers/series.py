@@ -538,16 +538,24 @@ class RationalFunction1V:
             denominator = LaurentPoly.constant(denominator)
         if denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        # Each side's pivot column is read once; only the rest of each key,
+        # 0 for a rational coefficient, is decoded to check its variables.
+        unit = _unit(PIVOT)
         base_names = set()
+        columns = []
         for side, poly in (("numerator", numerator), ("denominator", denominator)):
-            for v in poly.variables():
-                if v.kind == "base":
+            column = _exponents(poly._terms, PIVOT)
+            columns.append(column)
+            for key, exp in zip(poly._terms, column):
+                for slot, _ in _decode(key - exp * unit):
+                    v = _VARS[slot]
+                    if v.kind != "base":
+                        raise ValueError(
+                            f"{side} must involve only {PIVOT.name!r} and base variables, "
+                            f"found {v.name!r}"
+                        )
                     base_names.add(v.name)
-                elif v != PIVOT:
-                    raise ValueError(
-                        f"{side} must involve only {PIVOT.name!r} and base variables, found {v.name!r}"
-                    )
-        exps = _exponents(denominator._terms, PIVOT)
+        num_exps, exps = columns
         lead_exp = max(exps)
         leads = [key for key, exp in zip(denominator._terms, exps) if exp == lead_exp]
         if len(leads) != 1:
@@ -559,9 +567,7 @@ class RationalFunction1V:
         self.base_names = frozenset(base_names)
         # The denominator's leading term: its key, pivot exponent and bound.
         self._lead = leads[0], lead_exp, _key_bound(leads)
-        self.leading_exponent = (
-            None if numerator.is_zero() else max(_exponents(numerator._terms, PIVOT)) - lead_exp
-        )
+        self.leading_exponent = max(num_exps) - lead_exp if num_exps else None
 
     def __reduce__(self):
         # ``_lead`` holds a packed key, whose slots differ between processes.

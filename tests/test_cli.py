@@ -1,10 +1,15 @@
 """Tests for the command-line front end and the spec-file round trip."""
 
+import argparse
+import contextlib
+import io
 import json
 import random
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -503,6 +508,8 @@ _PARSER_ARGVS = [
     ["tower-segre", "--orders", "2,2", "--", "SPEC"],
     ["tower-segre", "--", "SPEC", "--orders", "2,2"],
     ["tower-segre", "SPEC", "--orders", "2,2", "--"],
+    ["tower-segre", "SPEC", "--orders", "2,2", "--aux-orders"],
+    ["tower-segre", "SPEC", "--orders", "2,2", "--aux-orders", "-x"],
     ["--", "verify", "--max-k", "1", "--towers", "0"],
     ["tower-segre", "SPEC", "--ord", "2,2", "--meth", "stepwise"],
     ["flag-integral", "--k=2", "--exps=2,1"],
@@ -528,13 +535,112 @@ def test_main_parses_as_the_full_parser_tree_does(tmp_path, capsys, monkeypatch,
     assert outcome() == got
 
 
-def test_a_subcommand_call_builds_only_its_own_parser(capsys, monkeypatch):
-    def full_tree():
-        raise AssertionError("the full parser tree was built")
+def _parse_outcome(parse, argv):
+    """The ``vars`` of ``parse(argv)``, or the exit code, stdout and stderr it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
 
-    monkeypatch.setattr(cli_mod, "build_parser", full_tree)
-    assert main(["flag-integral", "--k", "2", "--exps", "2,1"]) == 0
-    assert capsys.readouterr().out == "1\n"
+
+#: Tokens that give each subcommand every option it requires.
+_REQUIRED_TOKENS = {
+    "flag-integral": ["--k", "2", "--exps", "2,1"],
+    "tower-segre": ["SPEC", "--orders", "2,2"],
+    "verify": [],
+}
+
+_VALUES = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.sampled_from(["x", "1.5", "2,1", "", " 3", "+2", "1_0", "9" * 5000]),
+    st.sampled_from(["table", "json", "closed", "stepwise", "bogus"]),
+)
+
+
+def _valid_chunk(names, kwargs):
+    """An option string of ``names`` with a value its option accepts."""
+    if kwargs.get("action") == "store_true":
+        return st.tuples(st.sampled_from(names))
+    if "choices" in kwargs:
+        values = st.sampled_from(kwargs["choices"])
+    elif "type" in kwargs:
+        values = st.integers(0, 12).map(str)
+    else:
+        values = st.sampled_from(["2,1", "", "w=1", "x y"])
+    return st.tuples(st.sampled_from(names), values)
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from(sorted(cli_mod._SUBCOMMANDS)))
+    options = [(names, kw) for names, kw in cli_mod._SUBCOMMANDS[name][2] if names[0].startswith("-")]
+    valid = st.one_of([_valid_chunk(names, kw) for names, kw in options])
+    option = st.sampled_from([flag for names, _ in options for flag in names])
+    abbreviation = option.filter(lambda f: len(f) > 3).flatmap(
+        lambda f: st.integers(3, len(f) - 1).map(lambda n: f[:n])
+    )
+    faulty = st.one_of(
+        st.tuples(option, _VALUES),
+        st.tuples(option, st.sampled_from(["-", "-1", "-x", "--", "-h", "-v"])),
+        st.tuples(option),
+        st.tuples(abbreviation, _VALUES),
+        st.builds(lambda f, v: (f"{f}={v}",), option, _VALUES),
+        st.tuples(st.sampled_from(["--", "-h", "--help", "-v", "--bogus", "SPEC", "extra"])),
+        st.tuples(_VALUES),
+    )
+    # Valid options with at most two others among them, so that most argvs
+    # are well-formed or one fault away from it.
+    chunks = draw(st.lists(valid, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(faulty))
+    head = _REQUIRED_TOKENS[name] if draw(st.booleans()) else []
+    return [name, *head, *(token for c in chunks for token in c)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_argvs())
+def test_parse_args_reads_as_the_parser_tree_does(argv):
+    # Only the parse: no generated argv runs a computation.
+    assert _parse_outcome(cli_mod._parse_args, argv) == _parse_outcome(
+        lambda a: cli_mod.build_parser().parse_args(a), argv
+    )
+
+
+def test_a_well_formed_call_builds_no_parser(tmp_path, capsys, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    path = write_spec(tmp_path, flag_tower(2))
+    assert main(["flag-integral", "--k", "2", "--exps", "2,1", "-v"]) == 0
+    assert main(["tower-segre", path, "--orders", "2,2", "--method", "stepwise"]) == 0
+    assert main(["verify", "--max-k", "1", "--towers", "0", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_well_formed_call_loads_neither_argparse_nor_gettext(tmp_path):
+    path = write_spec(tmp_path, flag_tower(2))
+    argvs = [
+        ["flag-integral", "--k", "2", "--exps", "2,1"],
+        ["tower-segre", path, "--orders", "2,2", "--format", "json"],
+        ["verify", "--max-k", "1", "--towers", "0"],
+    ]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
+        "guarded = ('argparse', 'gettext')\n"
+        "assert not any(m in sys.modules for m in guarded), 'loaded at start-up'\n"
+        "from segre_towers.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(codes, [m for m in guarded if m in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 # -- verify command ------------------------------------------------------------------

@@ -277,8 +277,22 @@ def test_rational_function_rejects_ambiguous_leading_term():
 
 
 def test_rational_function_rejects_foreign_variables():
-    with pytest.raises(ValueError):
-        RationalFunction1V(LaurentPoly.variable(U(1)), 1)
+    # The foreign variable shares its term with a pivot power and a base generator.
+    term = LaurentPoly.monomial(Monomial([(PIVOT, -2), (G("g"), 1), (U(1), 1)]))
+    cases = {"numerator": (term, 1), "denominator": (1, LaurentPoly.variable(PIVOT) + term)}
+    for side, args in cases.items():
+        with pytest.raises(ValueError) as info:
+            RationalFunction1V(*args)
+        assert str(info.value) == f"{side} must involve only 'u' and base variables, found 'u1'"
+
+
+def test_rational_function_records_the_base_names_of_both_sides():
+    g, h = G("g"), G("h")
+    num = LaurentPoly.monomial(Monomial([(PIVOT, -3), (g, -1)])) + 2
+    den = LaurentPoly.variable(PIVOT, 2) + LaurentPoly.monomial(Monomial([(PIVOT, -1), (h, 2)]))
+    f = RationalFunction1V(num, den)
+    assert f.base_names == {"g", "h"}
+    assert f.leading_exponent == -2
 
 
 def test_stored_leading_exponent_is_numerator_top_minus_denominator_lead():
