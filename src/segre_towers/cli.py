@@ -3,7 +3,8 @@
 The ``segre-towers`` binary exposes three subcommands:
 
 * ``flag-integral`` evaluates one flag-variety integral (with optional
-  cross-checks against the Vandermonde coefficient and the fixed-point sum),
+  cross-checks, at every ``--k`` it accepts, against the Vandermonde
+  permutation sign and the fixed-point sum),
 * ``tower-segre`` prints the Segre-series coefficients of a tower read from
   a JSON spec file, by either computation method,
 * ``verify`` runs the flag triple-agreement sweep and the randomized
@@ -54,13 +55,14 @@ MAX_VERIFY_K = 6
 #: tower: 200 towers in 0.59-0.70 s, 1000 in 3.3-3.5 s (seeds 7 and 11,
 #: 2-core Xeon, Python 3.11), so the ceiling bounds it near 35 s.
 MAX_VERIFY_TOWERS = 10_000
+#: Largest ``--trials`` of flag-integral and verify.  Each trial is kept in
+#: the fixed-point memo, and ``verify --max-k 6 --towers 0`` took 0.88, 6.6
+#: and 21 s at 3, 30 and 100 trials; ``flag-integral --k 12 --format json``
+#: took 0.52 s at 100 (fresh processes, 2-core Xeon, Python 3.11).
+MAX_TRIALS = 100
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 3
 DEFAULT_TOWERS = 50
-#: Largest ``--k`` that flag-integral cross-checks.  The fixed-point sum is
-#: O(k^3) per trial, but ``vandermonde_product(k)`` grows more than 10x per
-#: level: 0.046 s at k = 7 and 0.59-0.77 s at k = 8 (2-core Xeon, Python 3.11).
-MAX_CROSS_CHECK_K = 8
 #: Largest ``--k`` of flag-integral.  The point route's time depends on the
 #: tuple: over 10 shuffled permutations of 1..k each (seed 3, single
 #: in-process runs, 2-core Xeon, Python 3.11) the median and the maximum
@@ -283,8 +285,10 @@ def _first_difference(closed: LaurentPoly, stepwise: LaurentPoly) -> str:
 
 def _check_trials(trials: int) -> None:
     # Checked here, since the library would name its parameter, not the option.
-    if not 1 <= trials <= sys.maxsize:
-        raise ValueError(f"--trials: must be in 1..{sys.maxsize}, got {trials}")
+    if trials < 1:
+        raise ValueError(f"--trials: must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"--trials: {trials} is above the ceiling {MAX_TRIALS}")
 
 
 def run_verify(
@@ -325,29 +329,25 @@ def run_verify(
     )
 
     for k in range(1, max_k + 1):
-        # Each route is batched per k: the tower values are the coefficients
-        # of u^(-a-1) in the window at orders (k,)*k (see pushforward_monomial),
-        # and the Vandermonde values come from one expansion.
+        # The tower values are the coefficients of u^(-a-1) in one window
+        # per k, at orders (k,)*k (see pushforward_monomial).
         tuples = flag_exponent_tuples(k)
         spec = flag_mod.flag_tower(k)
         req = TruncationRequest.derive(spec, (k,) * k)
         window = stepwise_pushforward(spec, req)
         closed = closed_formula_segre(spec, req)
-        vandermonde = flag_mod.vandermonde_product(k)
         bad: list[str] = []
         if closed != window:
             bad.append(
                 f"closed and stepwise windows of the flag tower k={k} at orders "
                 f"{req.tower_orders} first differ at {_first_difference(closed, window)}"
             )
-        # Both polynomials are read once, by slot, into {exponents: value};
-        # an absent tuple has the value 0, as ``coefficient`` gives it.
-        header = spec.tower_variables()
-        window_values = dict(window._header_rows(header))
-        vandermonde_values = dict(vandermonde._header_rows(header))
+        # The window is read once, by slot, into {exponents: value}; an
+        # absent tuple has the value 0, as ``coefficient`` gives it.
+        window_values = dict(window._header_rows(spec.tower_variables()))
         for exps in tuples:
             via_tower = window_values.get(tuple(-a - 1 for a in exps), _ZERO)
-            via_vandermonde = vandermonde_values.get(tuple(k - a for a in exps), _ZERO)
+            via_vandermonde = flag_mod.vandermonde_integral(k, exps)
             via_fixed_points = flag_mod.localization_integral(
                 k, exps, trials=trials, seed=seed
             )
@@ -446,10 +446,6 @@ def cmd_flag_integral(args) -> int:
     cross_check = args.verbose or args.format == "json"
     _check_trials(args.trials)
     if cross_check:
-        if args.k > MAX_CROSS_CHECK_K:
-            raise ValueError(
-                f"--k: the cross-checks run up to k = {MAX_CROSS_CHECK_K}, got {args.k}"
-            )
         # Above the dimension the fixed-point sum is no integral, and
         # localization_integral refuses it under its parameter; refused here
         # under the option, before any work.

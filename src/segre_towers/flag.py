@@ -3,8 +3,8 @@
 The variety of complete flags in a (k+1)-dimensional space is realized as a
 k-level tower of projective bundles over a point; integrals of monomials in
 the line-bundle classes c_1..c_k are then coefficients of a Vandermonde
-product.  A torus-fixed-point summation provides a third, fully independent
-way to evaluate the same integrals.  Its denominator at an ordering w is
+product, each a permutation sign or 0.  A torus-fixed-point sum is a third,
+fully independent way to evaluate them.  Its denominator at an ordering w is
 sign(w) V(t), V(t) the Vandermonde determinant of the weights, so the sum is
 the bialternant det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1) (Macdonald,
 *Symmetric Functions and Hall Polynomials*, I.3).  Each numerator
@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import PIVOT, LaurentPoly, Monomial, RationalFunction1V
+from .series import PIVOT, LaurentPoly, RationalFunction1V
 from .tower import (
     TowerFactor,
     TowerLevel,
@@ -79,6 +79,8 @@ def flag_tower(k: int) -> TowerSpec:
     return TowerSpec(tuple(levels))
 
 
+#: The tests' reference for ``vandermonde_integral``; no program path calls
+#: it.  The benchmark tracer (``benchmarks/spans.py``) patches it by name.
 def vandermonde_product(k: int) -> LaurentPoly:
     """Exact expansion of the product of (u_j - u_i) over all i < j."""
     result = LaurentPoly.one()
@@ -91,15 +93,25 @@ def vandermonde_product(k: int) -> LaurentPoly:
     return result
 
 
-def _vandermonde_target(k: int, exps: Sequence[int]) -> Monomial:
-    """The monomial prod u_i^(k - a_i) whose Vandermonde coefficient is the integral."""
-    return Monomial((tower_variable(i + 1), k - a) for i, a in enumerate(exps))
-
-
 def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
-    """Coefficient of prod u_i^(k - a_i) in the expanded Vandermonde product."""
+    """Coefficient of prod u_i^(k - a_i) in the Vandermonde product, unexpanded.
+
+    The product is det(u_i^(j-1)), so by Leibniz that is the sign of
+    b_i = k - a_i as an arrangement of 0..k-1, (-1)^(k - its cycles), or 0
+    if b is not one (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3).
+    """
     exps = _check_exponents("exponents", exponents, _check_count("k", k))
-    return vandermonde_product(k).coefficient(_vandermonde_target(k, exps))
+    arrangement = [k - a for a in exps]
+    if sorted(arrangement) != list(range(k)):
+        return Fraction(0)
+    unseen = set(range(k))
+    parity = k
+    while unseen:
+        i = unseen.pop()
+        parity -= 1  # one more cycle, walked from i back to i
+        while (i := arrangement[i]) in unseen:
+            unseen.remove(i)
+    return Fraction((-1) ** parity)
 
 
 def flag_integral(k: int, exponents: Sequence[int]) -> Fraction:

@@ -24,9 +24,9 @@ from segre_towers import (
     stepwise_pushforward,
     tower_variable,
     vandermonde_integral,
-    vandermonde_product,
 )
 from segre_towers.cli import flag_exponent_tuples
+from segre_towers.flag import vandermonde_product
 from segre_towers.tower import PIVOT
 
 from _helpers import (

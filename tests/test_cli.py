@@ -36,7 +36,7 @@ from segre_towers.series import PIVOT, VariableId
 
 from fractions import Fraction
 
-from _helpers import simple_tower
+from _helpers import arrangement_sign, simple_tower
 
 
 def write_spec(tmp_path, spec, name="tower.json"):
@@ -309,23 +309,44 @@ def test_cmd_flag_integral_json(capsys):
     assert doc["value"] == doc["vandermonde"] == doc["localization"] == "1"
 
 
+def test_cmd_flag_integral_json_cross_checks_up_to_the_ceiling(capsys):
+    # Every --k flag-integral accepts is cross-checked: one shuffled
+    # permutation of 1..k (value +-1) and one tuple on the dimension with a
+    # repeated k - a_i (value 0) per k.
+    for k in range(9, cli_mod.MAX_FLAG_K + 1):
+        perm = list(range(1, k + 1))
+        random.Random(0).shuffle(perm)
+        zero = [k, k] + list(range(k - 2, 1, -1)) + [0]
+        sign = arrangement_sign([k - a for a in perm])
+        assert sign in (1, -1)
+        for exps, want in ((perm, format_rational(sign)), (zero, "0")):
+            argv = ["flag-integral", "--k", str(k), "--exps", ",".join(map(str, exps))]
+            assert main(argv + ["--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["value"] == doc["vandermonde"] == doc["localization"] == want
+
+
+K13 = ["--k", "13", "--exps", ",".join(str(a) for a in range(1, 14))]
+
+
 @pytest.mark.parametrize(
     "extra, named",
     [
-        (["--verbose"], ("--k",)),
-        (["--format", "json", "--trials", "1"], ("--k",)),
-        (["--trials", "0"], ("--trials",)),
         # The later --k and --exps replace the k = 10 ones.
-        (["--k", "9", "--exps", "1,2,3,4,5,6,7,8,9", "--verbose"], ("--k",)),
+        (K13 + ["--verbose"], ("--k",)),
+        (K13 + ["--format", "json", "--trials", "1"], ("--k",)),
+        (["--trials", "0"], ("--trials",)),
+        (K13, ("--k",)),
     ],
 )
 def test_cmd_flag_integral_refuses_before_computing(capsys, monkeypatch, extra, named):
-    # Above k = 8 the Vandermonde cross-check would take minutes, whatever
-    # --trials is: refused before any work.
+    # Above MAX_FLAG_K the point route can take minutes, with or without
+    # the cross-checks: refused before any work.
     def no_work(*args, **kwargs):
         raise AssertionError("computation started before the refusal")
 
-    monkeypatch.setattr(cli_mod.flag_mod, "flag_integral", no_work)
+    for name in ("flag_integral", "vandermonde_integral", "localization_integral"):
+        monkeypatch.setattr(cli_mod.flag_mod, name, no_work)
     exps = ",".join(str(a) for a in range(1, 11))
     code = main(["flag-integral", "--k", "10", "--exps", exps] + extra)
     captured = capsys.readouterr()
@@ -688,6 +709,41 @@ def test_cmd_verify_zero_towers_runs_the_flag_sweep(capsys):
     assert "PASS tower" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-k", "1", "--towers", "0"],
+        ["flag-integral", "--k", "2", "--exps", "2,1", "--verbose"],
+        ["flag-integral", "--k", "2", "--exps", "2,1"],
+    ],
+    ids=["verify", "flag-integral-verbose", "flag-integral"],
+)
+def test_trials_above_the_ceiling_are_refused_before_any_work(capsys, monkeypatch, argv):
+    # Every trial is kept in the fixed-point memo, so a huge --trials would
+    # run out of memory rather than finish.
+    def no_work(*args, **kwargs):
+        raise AssertionError("computation started before the refusal")
+
+    for name in ("flag_integral", "vandermonde_integral", "localization_integral"):
+        monkeypatch.setattr(cli_mod.flag_mod, name, no_work)
+    monkeypatch.setattr(cli_mod, "stepwise_pushforward", no_work)
+    monkeypatch.setattr(cli_mod, "closed_formula_segre", no_work)
+    trials = str(cli_mod.MAX_TRIALS + 1)
+    assert main(argv + ["--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --trials: {trials} is above the ceiling {cli_mod.MAX_TRIALS}\n"
+    )
+
+
+def test_trials_at_the_ceiling_are_accepted(capsys):
+    trials = str(cli_mod.MAX_TRIALS)
+    assert main(["verify", "--max-k", "2", "--towers", "0", "--trials", trials]) == 0
+    assert main(["flag-integral", "--k", "2", "--exps", "2,1", "-v", "--trials", trials]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_cmd_verify_rejects_k_above_ceiling(capsys):
     assert main(["verify", "--max-k", "7"]) == 1
     err = capsys.readouterr().err
@@ -704,18 +760,14 @@ def test_cmd_verify_determinism(capsys):
 
 
 def test_cmd_verify_reports_injected_mismatch(capsys, monkeypatch):
-    # Perturb one coefficient of the k = 2 Vandermonde expansion, which verify
-    # reads every k = 2 value from: it must flag that tuple and exit nonzero.
-    real = cli_mod.flag_mod.vandermonde_product
+    # Perturb the Vandermonde value of one k = 2 tuple: verify must flag that
+    # tuple and exit nonzero.
+    real = cli_mod.flag_mod.vandermonde_integral
 
-    def skewed(k):
-        product = real(k)
-        if k == 2:
-            # u1^(2-2) * u2^(2-1) is the coefficient read for a = (2, 1).
-            product = product + LaurentPoly.variable(tower_variable(2))
-        return product
+    def skewed(k, exps):
+        return real(k, exps) + (1 if (k, tuple(exps)) == (2, (2, 1)) else 0)
 
-    monkeypatch.setattr(cli_mod.flag_mod, "vandermonde_product", skewed)
+    monkeypatch.setattr(cli_mod.flag_mod, "vandermonde_integral", skewed)
     code = main(["verify", "--max-k", "2", "--seed", "7", "--towers", "0"])
     out = capsys.readouterr().out
     assert code == 1

@@ -28,11 +28,10 @@ from segre_towers import (
     stepwise_pushforward,
     validate_tower,
     vandermonde_integral,
-    vandermonde_product,
 )
 from segre_towers import flag as flag_mod
 from segre_towers.cli import flag_exponent_tuples
-from segre_towers.flag import _alternant, _draw_distinct
+from segre_towers.flag import _alternant, _draw_distinct, vandermonde_product
 from segre_towers.tower import PIVOT
 
 from _helpers import G, U, arrangement_sign, evaluate, flag_bundle
@@ -87,6 +86,30 @@ def test_vandermonde_expansion_is_signed_permutation_sum():
             term = Monomial((U(i + 1), perm[i]) for i in range(k))
             alt = alt + LaurentPoly.monomial(term, sign)
         assert direct == alt
+
+
+def _expanded_coefficient(product, k, exps):
+    return product.coefficient(Monomial((U(i + 1), k - a) for i, a in enumerate(exps)))
+
+
+def test_vandermonde_formula_is_the_expanded_coefficient():
+    # Entries 0..k+1 give b_i = k - a_i from k down to -1, so out-of-range
+    # and repeated arrangements appear, at every total degree, not only the
+    # flag dimension.
+    for k in (1, 2, 3, 4):
+        product = vandermonde_product(k)
+        for exps in itertools.product(range(k + 2), repeat=k):
+            assert vandermonde_integral(k, exps) == _expanded_coefficient(product, k, exps)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_vandermonde_formula_matches_every_flag_tuple(k):
+    product = vandermonde_product(k)
+    values = [vandermonde_integral(k, exps) for exps in flag_exponent_tuples(k)]
+    assert values == [
+        _expanded_coefficient(product, k, exps) for exps in flag_exponent_tuples(k)
+    ]
+    assert values.count(1) == values.count(-1) == math.factorial(k) // 2
 
 
 # -- flag integrals ---------------------------------------------------------------
