@@ -71,10 +71,10 @@ def flag_tower(k: int) -> TowerSpec:
     linear = RationalFunction1V(LaurentPoly.variable(PIVOT), 1)
     levels = []
     for i in range(1, k + 1):
-        factors = [TowerFactor((0,) * (i - 1), point)]
+        zeros = (0,) * (i - 1)
+        factors = [TowerFactor(zeros, point)]
         for j in range(1, i):
-            twists = tuple(-1 if t == j else 0 for t in range(1, i))
-            factors.append(TowerFactor(twists, linear))
+            factors.append(TowerFactor(zeros[: j - 1] + (-1,) + zeros[j:], linear))
         levels.append(TowerLevel(tuple(factors)))
     return TowerSpec(tuple(levels))
 

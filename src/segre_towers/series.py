@@ -193,16 +193,21 @@ def _checked(bound: int) -> int:
     return bound
 
 
+def _fitted(var: VariableId, exp: int) -> int:
+    """``exp`` if it fits a slot as the exponent of ``var``, else refuse it."""
+    if abs(exp) >= _HALF:
+        raise ExponentOverflowError(
+            f"the exponent of {var.name} does not fit a packed monomial "
+            f"(at most {_HALF - 1} in absolute value)"
+        )
+    return exp
+
+
 def _pack(mono: Monomial) -> tuple[int, int]:
     """The key of ``mono`` and the largest absolute value of its exponents."""
     key = bound = 0
     for var, exp in mono:
-        if abs(exp) >= _HALF:
-            raise ExponentOverflowError(
-                f"the exponent of {var.name} does not fit a packed monomial "
-                f"(at most {_HALF - 1} in absolute value)"
-            )
-        key += exp << (_W * _slot(var))
+        key += _fitted(var, exp) << (_W * _slot(var))
         bound = max(bound, abs(exp))
     return key, bound
 
@@ -243,7 +248,7 @@ def _exponents(keys: Iterable[int], var: VariableId) -> list[int]:
 
 def _key_bound(keys: Iterable[int]) -> int:
     """The largest absolute value of an exponent in ``keys``."""
-    return max((abs(exp) for key in keys for _, exp in _decode(key)), default=0)
+    return max([abs(exp) for key in keys if key for _, exp in _decode(key)], default=0)
 
 
 def _lowest(data: dict[int, int], den: int) -> tuple[dict[int, int], int]:
@@ -331,7 +336,8 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, var: VariableId, exp: int = 1) -> "LaurentPoly":
-        return cls({Monomial.of(var, exp): 1})
+        exp = _fitted(var, index(exp))
+        return cls._wrap({exp << (_W * _slot(var)): 1}, 1, abs(exp))
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff=1) -> "LaurentPoly":
@@ -526,10 +532,13 @@ class RationalFunction1V:
     ``leading_exponent``, set once here, is the exponent of the leading term
     of the descending expansion: the numerator's top pivot exponent minus
     the denominator's (None for a zero numerator).  ``base_names``, also set
-    here, holds the names of the base variables either side involves.
+    here, holds the names of the base variables either side involves.  The
+    operands of the long division behind ``descending_expand`` are also
+    formed once here, sliced by the pivot (``_division_operands``), so an
+    expansion does only the work that depends on where it stops.
     """
 
-    __slots__ = ("numerator", "denominator", "leading_exponent", "base_names", "_lead")
+    __slots__ = ("numerator", "denominator", "leading_exponent", "base_names", "_division")
 
     def __init__(self, numerator, denominator) -> None:
         if not isinstance(numerator, LaurentPoly):
@@ -565,12 +574,11 @@ class RationalFunction1V:
         self.numerator = numerator
         self.denominator = denominator
         self.base_names = frozenset(base_names)
-        # The denominator's leading term: its key, pivot exponent and bound.
-        self._lead = leads[0], lead_exp, _key_bound(leads)
+        self._division = _division_operands(numerator, num_exps, denominator, exps, leads[0])
         self.leading_exponent = max(num_exps) - lead_exp if num_exps else None
 
     def __reduce__(self):
-        # ``_lead`` holds a packed key, whose slots differ between processes.
+        # ``_division`` holds packed keys, whose slots differ between processes.
         return RationalFunction1V, (self.numerator, self.denominator)
 
     def __eq__(self, other) -> bool:
@@ -640,37 +648,63 @@ def _product(a: _Sliced, b: _Sliced, low: int | None = None, high: int | None = 
     return {exp: part for exp, part in out.items() if part}, a_den * b_den, bound
 
 
+def _division_operands(
+    num: LaurentPoly, num_exps: list[int], den: LaurentPoly, den_exps: list[int], lead_key: int
+) -> tuple:
+    """The operands of ``_descending``'s long division of ``num`` by ``den``.
+
+    ``num_exps`` and ``den_exps`` are the pivot exponents of each side's
+    terms, and ``lead_key`` is the key of ``den``'s leading term L*m.
+    Dividing both sides by L*m leaves M / (L - R).  Returns the bound that
+    ``_descending`` refuses before anything else, and the operands: M's
+    slices by the pivot, with their numerators over ``den``'s denominator,
+    R's slices, R's bound and L.  The operands are None when that bound
+    does not fit a slot, so no key is formed from an exponent outside it.
+    """
+    need = max(num._bound, den._bound) + _key_bound([lead_key])
+    if need >= _HALF:
+        return need, None
+    unit = _unit(PIVOT)
+    lead_exp = max(den_exps)
+    m_parts: dict[int, dict[int, int]] = {}
+    r_parts: dict[int, dict[int, int]] = {}
+    for (key, n), exp in zip(num._terms.items(), num_exps):
+        e = exp - lead_exp
+        m_parts.setdefault(e, {})[key - lead_key - e * unit] = den._den * n
+    for (key, n), exp in zip(den._terms.items(), den_exps):
+        if key != lead_key:
+            e = exp - lead_exp
+            r_parts.setdefault(e, {})[key - lead_key - e * unit] = -n
+    return need, (m_parts, r_parts, _slices_bound(r_parts), den._terms[lead_key])
+
+
+def _slices_bound(parts: dict[int, dict[int, int]]) -> int:
+    """The largest absolute value of an exponent in the slices ``parts``,
+    the sliced variable's included."""
+    return max([*map(abs, parts), _key_bound(key for part in parts.values() for key in part)])
+
+
 def _descending(f: RationalFunction1V, min_exponent: int) -> _Sliced:
     """``descending_expand(f, min_exponent)`` sliced by the pivot."""
-    # Long division (Knuth, TAOCP vol. 2, 4.7).  Dividing both sides by the
-    # denominator's leading term L*m leaves M / (L - R), where M's numerators
-    # carry the denominator's denominator and every term of R lowers the
-    # pivot's exponent by at least drop = -(R's top exponent).  From the top
-    # down, slice e of q = (M + R*q) / L is (M_e + sum over r of R_r *
-    # q_(e-r)) / L: each finished slice adds R_r times itself into the
-    # pending slice at e + r, and nothing below min_exponent is formed.
-    # Slice e takes at most s = (top - e) // drop factors of R, so
-    # |L|^(s+1) * q_e is integral, and scaling M by |L|^(depth+1), depth the
-    # largest s, makes each division by L exact.  The bound, M's plus depth
-    # times R's, is refused before any key is formed.
-    num, den = f.numerator, f.denominator
-    lead_key, lead_exp, lead_bound = f._lead
-    lead = den._terms[lead_key]
-    _checked(max(num._bound, den._bound) + lead_bound)
-    low = min_exponent + lead_exp
-    kept = {
-        key - lead_key: den._den * n
-        for (key, n), exp in zip(num._terms.items(), _exponents(num._terms, PIVOT))
-        if exp >= low
-    }
-    rest = {key - lead_key: -n for key, n in den._terms.items() if key != lead_key}
-    m_parts, _, m_bound = _sliced(LaurentPoly._wrap(kept, 1, _key_bound(kept)), PIVOT)
-    r_parts, _, r_bound = _sliced(LaurentPoly._wrap(rest, 1, _key_bound(rest)), PIVOT)
-    top = max(m_parts, default=min_exponent)
+    # Long division (Knuth, TAOCP vol. 2, 4.7) on the operands M, R and L of
+    # ``_division_operands``, where every term of R lowers the pivot's
+    # exponent by at least drop = -(R's top exponent).  From the top down,
+    # slice e of q = (M + R*q) / L is (M_e + sum over r of R_r * q_(e-r)) /
+    # L: each finished slice adds R_r times itself into the pending slice at
+    # e + r, and nothing below min_exponent is formed.  Slice e takes at most
+    # s = (top - e) // drop factors of R, so |L|^(s+1) * q_e is integral, and
+    # scaling M by |L|^(depth+1), depth the largest s, makes each division by
+    # L exact.  The bound, that of M's kept slices plus depth times R's, is
+    # refused before any key is formed.
+    need, operands = f._division
+    _checked(need)
+    m_parts, r_parts, r_bound, lead = operands
+    kept = {e: part for e, part in m_parts.items() if e >= min_exponent}
+    top = max(kept, default=min_exponent)
     depth = (top - min_exponent) // -max(r_parts) if r_parts else 0
-    bound = _checked(m_bound + depth * r_bound)
+    bound = _checked(_slices_bound(kept) + depth * r_bound)
     scale = abs(lead) ** (depth + 1)
-    pending = {e: {key: scale * n for key, n in part.items()} for e, part in m_parts.items()}
+    pending = {e: {key: scale * n for key, n in part.items()} for e, part in kept.items()}
     parts: dict[int, dict[int, int]] = {}
     while pending:
         e = max(pending)
@@ -680,7 +714,7 @@ def _descending(f: RationalFunction1V, min_exponent: int) -> _Sliced:
             for r, r_part in r_parts.items():
                 if e + r >= min_exponent:
                     _add_product(pending.setdefault(e + r, {}), r_part, part)
-    return parts, num._den * scale, bound
+    return parts, f.numerator._den * scale, bound
 
 
 def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:

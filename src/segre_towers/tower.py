@@ -33,7 +33,11 @@ products of single slices whose exponents add up to its own, so the same
 bounds drop whole slice pairs.  Each factor's expansion and shift stop at
 the source floor alone: the truncation caps of ``TruncationRequest`` bound
 only the degrees the stepwise push meets, and its docstring proves that no
-cap could stop an expansion earlier.  The closed route packs the slices
+cap could stop an expansion earlier.  One walk over the levels (a call of
+``closed_formula_segre``, ``_push_down`` or ``individual_segre``) expands
+each pair of a series object and its twists once per floor it lowers to,
+and reuses that expansion on the levels above (``_expansion``); nothing
+is kept between walks.  The closed route packs the slices
 back into u_i.  The stepwise push slices its state by c_j too, reads the
 coefficient of pivot^(-g-1) as the level series' slice at -g-1, and adds
 every part times its slice into one accumulator per level.
@@ -337,9 +341,44 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
         raise KeyError(name)
 
 
+def _expansion(
+    memo: dict, series: RationalFunction1V, twists: tuple[tuple[int, int], ...], low: int
+) -> tuple[dict[int, dict[int, int]], int, int]:
+    """``series`` expanded down to ``low`` and shifted by the linear form of
+    the (unit key, twist) pairs ``twists``, sliced by the pivot.
+
+    ``memo`` is kept for one walk down a tower.  It maps (``id(series)``,
+    ``twists``) to an expansion and the floor it is exact down to, while the
+    tower keeps every series alive.  A floor at or below ``low`` is reused,
+    with its slices below ``low`` dropped: a slice of ``_descending`` is
+    formed from the slices above it alone, and a slice of ``_shifted`` from
+    the slices at or above it, so no slice at or above a floor depends on
+    where the expansion stopped.  A lower ``low`` recomputes the entry and
+    replaces it.  The entry with no twists is the unshifted expansion, so
+    factors that share a series share its long division.
+
+    A reused expansion may carry a larger bound than a fresh one at ``low``,
+    its own from the lower floor; that can only move a refusal of an
+    exponent near 2**31.
+    """
+    key = id(series), twists
+    hit = memo.get(key)
+    if hit is not None and hit[1] <= low:
+        (parts, den, bound), floor = hit
+        if floor < low:
+            parts = {exp: part for exp, part in parts.items() if exp >= low}
+        return parts, den, bound
+    if twists:
+        expanded = _shifted(_expansion(memo, series, (), low), twists, low)
+    else:
+        expanded = _descending(series, low)
+    memo[key] = expanded, low
+    return expanded
+
+
 def _level_product(
     spec: TowerSpec, result: LaurentPoly, level: int, pivot: VariableId,
-    lower: Callable[[int], VariableId], floor: int, ceiling: int | None = None,
+    lower: Callable[[int], VariableId], memo: dict, floor: int, ceiling: int | None = None,
     extras: Sequence[tuple[LaurentPoly, int]] = (),
 ) -> tuple[dict[int, dict[int, int]], int, int]:
     """``result`` times the shifted factors of ``level`` in ``pivot``, then
@@ -378,10 +417,11 @@ def _level_product(
     Each product pairs only the slices whose exponents sum between those
     two bounds, so the result is the full product filtered to the window.
 
-    A series object shared by several factors (the flag tower's linear
-    factors share one) is expanded once.  The memo is keyed by ``id`` and
-    lives only for this call, while ``spec`` keeps every series alive; the
-    source floor depends only on the series.
+    Each factor's shifted expansion comes from ``memo`` (``_expansion``),
+    which the caller keeps for one walk over the levels and drops after it.
+    A flag tower's levels share two series objects, and the linear factor
+    twisted by level m's variable recurs on every level above m, so a walk
+    forms O(k) factor expansions, not O(k**2).
     """
     if result.is_zero():
         return {}, 1, 0
@@ -390,14 +430,13 @@ def _level_product(
     product = _sliced(result, pivot)
     slack = floor - max(product[0]) - sum(ups)
     units = [_unit(lower(j)) for j in range(1, level)]
-    expansions: dict[int, tuple] = {}
-    multipliers = []
-    for factor, own in zip(factors, ups):
-        key = id(factor.series)
-        if key not in expansions:
-            expansions[key] = _descending(factor.series, slack + own)
-        twists = [(unit, t) for unit, t in zip(units, factor.twists) if t]
-        multipliers.append(_shifted(expansions[key], twists, slack + own))
+    multipliers = [
+        _expansion(
+            memo, factor.series,
+            tuple((unit, t) for unit, t in zip(units, factor.twists) if t), slack + own,
+        )
+        for factor, own in zip(factors, ups)
+    ]
     multipliers += [_sliced(poly, pivot) for poly, _ in extras]
     if not all(parts for parts, _, _ in multipliers):
         return {}, 1, 0
@@ -425,17 +464,17 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     validate_tower(spec)
     if not 1 <= level <= spec.k:
         raise ValueError(f"level must be in 1..{spec.k}, got {level}")
-    return _unsliced(_level_series(spec, level, min_exponent), PIVOT)
+    return _unsliced(_level_series(spec, level, {}, min_exponent), PIVOT)
 
 
 def _level_series(
-    spec: TowerSpec, level: int, min_exponent: int, max_exponent: int | None = None
+    spec: TowerSpec, level: int, memo: dict, min_exponent: int, max_exponent: int | None = None
 ) -> tuple[dict[int, dict[int, int]], int, int]:
     """``individual_segre`` of a tower already validated, at a level in range,
     with only the pivot exponents up to ``max_exponent`` (None: all), sliced
-    by the pivot's exponent."""
+    by the pivot's exponent; ``memo`` is the walk's (``_expansion``)."""
     return _level_product(
-        spec, LaurentPoly.one(), level, PIVOT, taut_variable, min_exponent, max_exponent
+        spec, LaurentPoly.one(), level, PIVOT, taut_variable, memo, min_exponent, max_exponent
     )
 
 
@@ -453,6 +492,7 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     """
     validate_tower(spec)
     result = LaurentPoly.one()
+    memo: dict = {}
     for i in range(spec.k, 0, -1):
         lvl = spec.levels[i - 1]
         u_i = tower_variable(i)
@@ -461,7 +501,10 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
         orders = [(name, req.aux_order(name)) for name in lvl.aux]
         aux_series = [(geometric_expand(aux_variable(n, i), u_i, b), b) for n, b in orders]
         result = _unsliced(
-            _level_product(spec, result, i, u_i, tower_variable, -a_i - 1, -1, aux_series), u_i
+            _level_product(
+                spec, result, i, u_i, tower_variable, memo, -a_i - 1, -1, aux_series
+            ),
+            u_i,
         )
     return result
 
@@ -491,6 +534,7 @@ def _push_down(
     """
     validate_tower(spec)
     state = LaurentPoly.one()
+    memo: dict = {}
     for j in range(spec.k, 0, -1):
         if state.is_zero():
             break
@@ -502,7 +546,7 @@ def _push_down(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series, s_den, s_bound = _level_series(spec, j, -gamma_max - 1, -min(parts) - 1)
+        series, s_den, s_bound = _level_series(spec, j, memo, -gamma_max - 1, -min(parts) - 1)
         pairs = [(part, series[-g - 1]) for g, part in parts.items() if -g - 1 in series]
         if not pairs:
             return LaurentPoly()

@@ -1,11 +1,15 @@
 """Tests for the flag tower, Vandermonde coefficients, and localization."""
 
+import ast
 import itertools
 import math
+import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +20,9 @@ from segre_towers import (
     RationalFunction1V,
     TowerFactor,
     TowerLevel,
-    TowerSpec,
     TruncationRequest,
     closed_formula_segre,
+    descending_expand,
     flag_integral,
     flag_tower,
     localization_integral,
@@ -26,10 +30,13 @@ from segre_towers import (
     pushforward_monomial,
     rename_variables,
     stepwise_pushforward,
+    taut_variable,
     validate_tower,
     vandermonde_integral,
 )
 from segre_towers import flag as flag_mod
+from segre_towers import series as series_mod
+from segre_towers import tower as tower_mod
 from segre_towers.cli import flag_exponent_tuples
 from segre_towers.flag import _alternant, _draw_distinct, vandermonde_product
 from segre_towers.tower import PIVOT
@@ -116,7 +123,7 @@ def test_vandermonde_formula_matches_every_flag_tuple(k):
 
 
 def test_flag_integral_matches_vandermonde_small():
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4, 5):
         for exps in flag_exponent_tuples(k):
             assert flag_integral(k, exps) == vandermonde_integral(k, exps)
 
@@ -493,26 +500,93 @@ def test_antisymmetry_of_segre_numerator():
                 assert rename_variables(shifted, swap) == -shifted
 
 
-def test_shared_factor_series_give_the_results_of_fresh_copies():
-    # flag_tower's linear factors share one series object, which the level
-    # product expands once; a copy with a fresh, equal series per factor
-    # must give the same windows and point values.
-    spec = flag_tower(4)
-    assert len({id(f.series) for lvl in spec.levels for f in lvl.factors}) == 2
+def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
+    # A walk down a tower keeps one expansion per (series object, twists)
+    # pair (``tower._expansion``).  flag_tower's linear factors share one
+    # series object, and in ``shared`` every level's bundle factor shares one
+    # too.  Copies with a fresh, equal series per factor must give the same
+    # windows and point values.  The flag series have finite expansions, so
+    # no floor changes them; the bundle series' expansion is infinite, so a
+    # level that reuses it at a higher floor, or recomputes it at a lower
+    # one, gets a different expansion from the one stored.  A bundle value
+    # of top degree is a constant, which no term of positive degree in the
+    # e's can reach, so the bundle is also pushed at degrees 11 and 12.
+    above = [a for a in itertools.product(range(7), repeat=4) if 10 < sum(a) <= 12]
+    bundle = flag_bundle(4)
+    point = bundle.levels[0].factors[0].series
+    shared = bundle._replace(
+        levels=tuple(
+            lvl._replace(factors=(lvl.factors[0]._replace(series=point), *lvl.factors[1:]))
+            for lvl in bundle.levels
+        )
+    )
 
     def fresh(f):
         num, den = (LaurentPoly(p.items()) for p in (f.series.numerator, f.series.denominator))
         return TowerFactor(f.twists, RationalFunction1V(num, den))
 
-    copy = TowerSpec(tuple(TowerLevel(tuple(map(fresh, lvl.factors))) for lvl in spec.levels))
-    assert copy == spec
-    assert len({id(f.series) for lvl in copy.levels for f in lvl.factors}) == 10
-    for route in (closed_formula_segre, stepwise_pushforward):
-        windows = [route(s, TruncationRequest.derive(s, (4,) * 4)) for s in (spec, copy)]
-        assert windows[0] == windows[1] and windows[0]
-    values = [pushforward_monomial(copy, exps) for exps in flag_exponent_tuples(4)]
-    assert values == [pushforward_monomial(spec, exps) for exps in flag_exponent_tuples(4)]
-    assert any(values)
+    met = []
+
+    def spy(memo, series, twists, low):
+        if series is point and (id(series), twists) in memo:
+            stored = memo[id(series), twists][1]
+            met.append("filter" if stored < low else "reuse" if stored == low else "recompute")
+        return expansion(memo, series, twists, low)
+
+    expansion = tower_mod._expansion
+    monkeypatch.setattr(tower_mod, "_expansion", spy)
+    cases = [(flag_tower(4), (4,) * 4, []), (shared, (5,) * 4, above)]
+    for spec, orders, more in cases:
+        copy = spec._replace(
+            levels=tuple(TowerLevel(tuple(map(fresh, lvl.factors))) for lvl in spec.levels)
+        )
+        assert copy == spec
+        assert len({id(f.series) for lvl in spec.levels for f in lvl.factors}) == 2
+        assert len({id(f.series) for lvl in copy.levels for f in lvl.factors}) == 10
+        for route in (closed_formula_segre, stepwise_pushforward):
+            windows = [route(s, TruncationRequest.derive(s, orders)) for s in (spec, copy)]
+            assert windows[0] == windows[1] and windows[0]
+        tuples = flag_exponent_tuples(4) + more
+        values = [pushforward_monomial(copy, exps) for exps in tuples]
+        assert values == [pushforward_monomial(spec, exps) for exps in tuples]
+        assert any(values)
+    assert {"filter", "recompute"} <= set(met)
+
+
+def test_a_pickled_bundle_gives_the_same_windows_in_a_process_with_other_slots():
+    # A series holds packed keys (its division operands), and slots are
+    # given out in order of first use, so a copy is rebuilt from monomials.
+    # The fresh process gives out the slots of the variables met here in
+    # the reverse of this process's order before it loads the copy.
+    spec = flag_bundle(3)
+    series = spec.levels[2].factors[0].series
+    req = TruncationRequest.derive(spec, (4,) * 3)
+    windows = [route(spec, req) for route in (closed_formula_segre, stepwise_pushforward)]
+    here = [str(descending_expand(series, -6)), *map(str, windows)]
+    used = {PIVOT, *spec.tower_variables(), *spec.base_variables()}
+    used |= {taut_variable(j) for j in range(1, spec.k + 1)}
+    seen = [v for v in series_mod._VARS if v in used]
+    script = (
+        "import pickle, sys\n"
+        f"sys.path.insert(0, {str(Path(series_mod.__file__).parents[1])!r})\n"
+        "from segre_towers import closed_formula_segre, descending_expand, stepwise_pushforward\n"
+        "from segre_towers import series\n"
+        "from segre_towers.series import VariableId\n"
+        f"for name, kind, level in {[(v.name, v.kind, v.level) for v in reversed(seen)]!r}:\n"
+        "    series._slot(VariableId(name, kind, level))\n"
+        f"spec, f, req = pickle.loads(bytes.fromhex({pickle.dumps((spec, series, req)).hex()!r}))\n"
+        "windows = [route(spec, req) for route in (closed_formula_segre, stepwise_pushforward)]\n"
+        "print(repr([str(descending_expand(f, -6)), *map(str, windows)]))\n"
+        "print(repr([tuple(v) for v in series._VARS]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.stderr == ""
+    there, order = map(ast.literal_eval, done.stdout.splitlines())
+    assert len(seen) == len(used) == 11
+    assert there == here and all(here)
+    assert order[: len(seen)] == [tuple(v) for v in reversed(seen)] != [tuple(v) for v in seen]
 
 
 def test_no_projection_needed_for_flag_towers():

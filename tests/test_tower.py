@@ -280,7 +280,7 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     top = max((m.exponent(pivot) for m, _ in result.items()), default=0)
     slack = floor - top - sum(ups) - sum(orders)
     full = unwindowed([slack + up - rng.randint(0, 2) for up in ups])
-    sliced = _level_product(spec, result, level, pivot, lower, floor, ceiling, extras)
+    sliced = _level_product(spec, result, level, pivot, lower, {}, floor, ceiling, extras)
     assert all(sliced[0].values())
     got = _unsliced(sliced, pivot)
     assert got == full.filter_terms(pivot, floor, ceiling)
@@ -301,7 +301,7 @@ def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
     monkeypatch.setattr(tower, "_product", lambda *args: formed.append(args))
     for level, pivot, lower, result in cases:
         with pytest.raises(ExponentOverflowError):
-            _level_product(spec, result, level, pivot, lower, -8, -1)
+            _level_product(spec, result, level, pivot, lower, {}, -8, -1)
     assert formed == []
 
 
@@ -311,13 +311,16 @@ def test_level_series_with_a_ceiling_is_the_filtered_level_series():
     specs = [_pool_tower(index) for index in (20, 167, 313, 336)]
     specs += [random_tower_spec(rng, max_k=4) for _ in range(6)]
     specs += [flag_bundle(3), flag_bundle(4)]
+    # ``got`` shares one memo per tower, as a walk does: its floors fall and
+    # rise between levels, so expansions are both recomputed and reused.
     cut = 0
     for spec in specs:
+        memo = {}
         for level in range(1, spec.k + 1):
             for floor in (-1, -4):
-                full = _unsliced(_level_series(spec, level, floor), PIVOT)
+                full = _unsliced(_level_series(spec, level, {}, floor), PIVOT)
                 for ceiling in range(floor - 1, 2):
-                    got = _unsliced(_level_series(spec, level, floor, ceiling), PIVOT)
+                    got = _unsliced(_level_series(spec, level, memo, floor, ceiling), PIVOT)
                     assert got == full.filter_terms(PIVOT, high=ceiling)
                     cut += len(got) < len(full)
     assert cut > 200
