@@ -529,16 +529,17 @@ class RationalFunction1V:
     in the pivot whose coefficient is a nonzero rational times a single
     base monomial, so the descending expansion is well defined.
 
-    ``leading_exponent``, set once here, is the exponent of the leading term
-    of the descending expansion: the numerator's top pivot exponent minus
-    the denominator's (None for a zero numerator).  ``base_names``, also set
-    here, holds the names of the base variables either side involves.  The
-    operands of the long division behind ``descending_expand`` are also
-    formed once here, sliced by the pivot (``_division_operands``), so an
-    expansion does only the work that depends on where it stops.
+    The two sides are the only copy of the series: ``descending_expand``
+    reads them afresh on every call.  ``leading_exponent``, set once here,
+    is the exponent of the leading term of the descending expansion: the
+    numerator's top pivot exponent minus the denominator's (None for a zero
+    numerator).  ``base_names``, also set here, holds the names of the base
+    variables either side involves.  Neither holds a packed key, so the
+    default pickling of the slots rebuilds a copy in any process, its sides
+    through ``LaurentPoly.__reduce__``.
     """
 
-    __slots__ = ("numerator", "denominator", "leading_exponent", "base_names", "_division")
+    __slots__ = ("numerator", "denominator", "leading_exponent", "base_names")
 
     def __init__(self, numerator, denominator) -> None:
         if not isinstance(numerator, LaurentPoly):
@@ -574,12 +575,7 @@ class RationalFunction1V:
         self.numerator = numerator
         self.denominator = denominator
         self.base_names = frozenset(base_names)
-        self._division = _division_operands(numerator, num_exps, denominator, exps, leads[0])
         self.leading_exponent = max(num_exps) - lead_exp if num_exps else None
-
-    def __reduce__(self):
-        # ``_division`` holds packed keys, whose slots differ between processes.
-        return RationalFunction1V, (self.numerator, self.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction1V):
@@ -648,36 +644,6 @@ def _product(a: _Sliced, b: _Sliced, low: int | None = None, high: int | None = 
     return {exp: part for exp, part in out.items() if part}, a_den * b_den, bound
 
 
-def _division_operands(
-    num: LaurentPoly, num_exps: list[int], den: LaurentPoly, den_exps: list[int], lead_key: int
-) -> tuple:
-    """The operands of ``_descending``'s long division of ``num`` by ``den``.
-
-    ``num_exps`` and ``den_exps`` are the pivot exponents of each side's
-    terms, and ``lead_key`` is the key of ``den``'s leading term L*m.
-    Dividing both sides by L*m leaves M / (L - R).  Returns the bound that
-    ``_descending`` refuses before anything else, and the operands: M's
-    slices by the pivot, with their numerators over ``den``'s denominator,
-    R's slices, R's bound and L.  The operands are None when that bound
-    does not fit a slot, so no key is formed from an exponent outside it.
-    """
-    need = max(num._bound, den._bound) + _key_bound([lead_key])
-    if need >= _HALF:
-        return need, None
-    unit = _unit(PIVOT)
-    lead_exp = max(den_exps)
-    m_parts: dict[int, dict[int, int]] = {}
-    r_parts: dict[int, dict[int, int]] = {}
-    for (key, n), exp in zip(num._terms.items(), num_exps):
-        e = exp - lead_exp
-        m_parts.setdefault(e, {})[key - lead_key - e * unit] = den._den * n
-    for (key, n), exp in zip(den._terms.items(), den_exps):
-        if key != lead_key:
-            e = exp - lead_exp
-            r_parts.setdefault(e, {})[key - lead_key - e * unit] = -n
-    return need, (m_parts, r_parts, _slices_bound(r_parts), den._terms[lead_key])
-
-
 def _slices_bound(parts: dict[int, dict[int, int]]) -> int:
     """The largest absolute value of an exponent in the slices ``parts``,
     the sliced variable's included."""
@@ -686,25 +652,41 @@ def _slices_bound(parts: dict[int, dict[int, int]]) -> int:
 
 def _descending(f: RationalFunction1V, min_exponent: int) -> _Sliced:
     """``descending_expand(f, min_exponent)`` sliced by the pivot."""
-    # Long division (Knuth, TAOCP vol. 2, 4.7) on the operands M, R and L of
-    # ``_division_operands``, where every term of R lowers the pivot's
-    # exponent by at least drop = -(R's top exponent).  From the top down,
-    # slice e of q = (M + R*q) / L is (M_e + sum over r of R_r * q_(e-r)) /
-    # L: each finished slice adds R_r times itself into the pending slice at
-    # e + r, and nothing below min_exponent is formed.  Slice e takes at most
-    # s = (top - e) // drop factors of R, so |L|^(s+1) * q_e is integral, and
-    # scaling M by |L|^(depth+1), depth the largest s, makes each division by
-    # L exact.  The bound, that of M's kept slices plus depth times R's, is
-    # refused before any key is formed.
-    need, operands = f._division
-    _checked(need)
-    m_parts, r_parts, r_bound, lead = operands
-    kept = {e: part for e, part in m_parts.items() if e >= min_exponent}
-    top = max(kept, default=min_exponent)
+    # Long division (Knuth, TAOCP vol. 2, 4.7).  Dividing both sides by the
+    # denominator's leading term L*m leaves M / (L - R), where M's numerators
+    # carry the denominator's denominator and every term of R lowers the
+    # pivot's exponent by at least drop = -(R's top exponent).  The bound of
+    # that division, the larger side's plus m's, is refused before any key
+    # is formed, and M is formed only at or above min_exponent.  From the top
+    # down, slice e of q = (M + R*q) / L is (M_e + sum over r of R_r *
+    # q_(e-r)) / L: each finished slice adds R_r times itself into the
+    # pending slice at e + r, and nothing below min_exponent is formed.
+    # Slice e takes at most s = (top - e) // drop factors of R, so |L|^(s+1)
+    # * q_e is integral, and scaling M by |L|^(depth+1), depth the largest s,
+    # makes each division by L exact.  The bound, M's plus depth times R's,
+    # is refused before the first product.
+    num, den = f.numerator, f.denominator
+    num_exps, den_exps = _exponents(num._terms, PIVOT), _exponents(den._terms, PIVOT)
+    lead_exp = max(den_exps)
+    lead_key = next(key for key, exp in zip(den._terms, den_exps) if exp == lead_exp)
+    _checked(max(num._bound, den._bound) + _key_bound([lead_key]))
+    unit = _unit(PIVOT)
+    m_parts: dict[int, dict[int, int]] = {}
+    r_parts: dict[int, dict[int, int]] = {}
+    for (key, n), exp in zip(num._terms.items(), num_exps):
+        e = exp - lead_exp
+        if e >= min_exponent:
+            m_parts.setdefault(e, {})[key - lead_key - e * unit] = den._den * n
+    for (key, n), exp in zip(den._terms.items(), den_exps):
+        if key != lead_key:
+            e = exp - lead_exp
+            r_parts.setdefault(e, {})[key - lead_key - e * unit] = -n
+    lead = den._terms[lead_key]
+    top = max(m_parts, default=min_exponent)
     depth = (top - min_exponent) // -max(r_parts) if r_parts else 0
-    bound = _checked(_slices_bound(kept) + depth * r_bound)
+    bound = _checked(_slices_bound(m_parts) + depth * _slices_bound(r_parts))
     scale = abs(lead) ** (depth + 1)
-    pending = {e: {key: scale * n for key, n in part.items()} for e, part in kept.items()}
+    pending = {e: {key: scale * n for key, n in part.items()} for e, part in m_parts.items()}
     parts: dict[int, dict[int, int]] = {}
     while pending:
         e = max(pending)
@@ -714,7 +696,7 @@ def _descending(f: RationalFunction1V, min_exponent: int) -> _Sliced:
             for r, r_part in r_parts.items():
                 if e + r >= min_exponent:
                     _add_product(pending.setdefault(e + r, {}), r_part, part)
-    return parts, f.numerator._den * scale, bound
+    return parts, num._den * scale, bound
 
 
 def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:

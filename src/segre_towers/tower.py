@@ -35,10 +35,11 @@ the source floor alone: the truncation caps of ``TruncationRequest`` bound
 only the degrees the stepwise push meets, and its docstring proves that no
 cap could stop an expansion earlier.  One walk over the levels (a call of
 ``closed_formula_segre``, ``_push_down`` or ``individual_segre``) expands
-each pair of a series object and its twists once per floor it lowers to,
-and reuses that expansion on the levels above (``_expansion``); nothing
-is kept between walks.  The closed route packs the slices
-back into u_i.  The stepwise push slices its state by c_j too, reads the
+each pair of a series object and its twists from the series' two sides
+once per floor it lowers to, and hands the stored expansion back as it is
+to the levels above, whose windows drop its lower slices (``_expansion``);
+nothing is kept between walks.  The closed route packs the slices back
+into u_i.  The stepwise push slices its state by c_j too, reads the
 coefficient of pivot^(-g-1) as the level series' slice at -g-1, and adds
 every part times its slice into one accumulator per level.
 
@@ -349,25 +350,32 @@ def _expansion(
 
     ``memo`` is kept for one walk down a tower.  It maps (``id(series)``,
     ``twists``) to an expansion and the floor it is exact down to, while the
-    tower keeps every series alive.  A floor at or below ``low`` is reused,
-    with its slices below ``low`` dropped: a slice of ``_descending`` is
+    tower keeps every series alive.  An entry whose floor is at or below
+    ``low`` is handed back as it is stored: a slice of ``_descending`` is
     formed from the slices above it alone, and a slice of ``_shifted`` from
     the slices at or above it, so no slice at or above a floor depends on
-    where the expansion stopped.  A lower ``low`` recomputes the entry and
-    replaces it.  The entry with no twists is the unshifted expansion, so
-    factors that share a series share its long division.
+    where the expansion stopped.  Its slices below ``low`` reach no result,
+    since no caller can use a slice below its own floor: ``_product``'s
+    window drops every pair such a slice could form (``_level_product``'s
+    floor proof), ``_shifted`` forms nothing from one, and ``_push_down``
+    reads a level series only at -g-1, at or above the floor it asked for.
+    Such a slice lowers the least exponent ``_level_product`` reads for its
+    ceiling.  That loosens the ceiling of a running product, never that of
+    the last one, and an extra running slice it keeps could reach the
+    window only with a slice below some later floor, a pair the floor
+    drops.  A lower ``low`` recomputes the entry and replaces it, which
+    keeps an infinite expansion exact down to every floor asked of it.  The
+    entry with no twists is the unshifted expansion, so factors that share
+    a series share its long division.
 
-    A reused expansion may carry a larger bound than a fresh one at ``low``,
-    its own from the lower floor; that can only move a refusal of an
-    exponent near 2**31.
+    A reused expansion, and a shift of one, may carry a larger bound than a
+    fresh one at ``low``, its own from the lower floor; that can only move a
+    refusal of an exponent near 2**31.
     """
     key = id(series), twists
     hit = memo.get(key)
     if hit is not None and hit[1] <= low:
-        (parts, den, bound), floor = hit
-        if floor < low:
-            parts = {exp: part for exp, part in parts.items() if exp >= low}
-        return parts, den, bound
+        return hit[0]
     if twists:
         expanded = _shifted(_expansion(memo, series, (), low), twists, low)
     else:

@@ -13,11 +13,11 @@ from segre_towers import (
     base_variable,
     closed_formula_segre,
     flag_tower,
-    shift_expand,
     stepwise_pushforward,
     taut_variable,
     tower_variable,
 )
+from segre_towers.series import shift_expand
 from segre_towers.tower import PIVOT
 
 U = tower_variable

@@ -19,14 +19,13 @@ from segre_towers import (
     geometric_expand,
     localization_integral,
     random_tower_spec,
-    rename_variables,
-    shift_expand,
     stepwise_pushforward,
     tower_variable,
     vandermonde_integral,
 )
 from segre_towers.cli import flag_exponent_tuples
 from segre_towers.flag import vandermonde_product
+from segre_towers.series import rename_variables, shift_expand
 from segre_towers.tower import PIVOT
 
 from _helpers import (

@@ -22,13 +22,10 @@ from segre_towers import (
     TowerLevel,
     TruncationRequest,
     closed_formula_segre,
-    descending_expand,
     flag_integral,
     flag_tower,
     localization_integral,
-    negative_part,
     pushforward_monomial,
-    rename_variables,
     stepwise_pushforward,
     taut_variable,
     validate_tower,
@@ -39,6 +36,7 @@ from segre_towers import series as series_mod
 from segre_towers import tower as tower_mod
 from segre_towers.cli import flag_exponent_tuples
 from segre_towers.flag import _alternant, _draw_distinct, vandermonde_product
+from segre_towers.series import descending_expand, negative_part, rename_variables
 from segre_towers.tower import PIVOT
 
 from _helpers import G, U, arrangement_sign, evaluate, flag_bundle
@@ -507,8 +505,9 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
     # too.  Copies with a fresh, equal series per factor must give the same
     # windows and point values.  The flag series have finite expansions, so
     # no floor changes them; the bundle series' expansion is infinite, so a
-    # level that reuses it at a higher floor, or recomputes it at a lower
-    # one, gets a different expansion from the one stored.  A bundle value
+    # level that reuses it at a higher floor gets the stored expansion with
+    # slices below its own floor, and one that recomputes it at a lower
+    # floor gets a different expansion from the one stored.  A bundle value
     # of top degree is a constant, which no term of positive degree in the
     # e's can reach, so the bundle is also pushed at degrees 11 and 12.
     above = [a for a in itertools.product(range(7), repeat=4) if 10 < sum(a) <= 12]
@@ -530,7 +529,9 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
     def spy(memo, series, twists, low):
         if series is point and (id(series), twists) in memo:
             stored = memo[id(series), twists][1]
-            met.append("filter" if stored < low else "reuse" if stored == low else "recompute")
+            met.append(
+                "reuse higher" if stored < low else "reuse" if stored == low else "recompute"
+            )
         return expansion(memo, series, twists, low)
 
     expansion = tower_mod._expansion
@@ -550,12 +551,12 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
         values = [pushforward_monomial(copy, exps) for exps in tuples]
         assert values == [pushforward_monomial(spec, exps) for exps in tuples]
         assert any(values)
-    assert {"filter", "recompute"} <= set(met)
+    assert {"reuse higher", "recompute"} <= set(met)
 
 
 def test_a_pickled_bundle_gives_the_same_windows_in_a_process_with_other_slots():
-    # A series holds packed keys (its division operands), and slots are
-    # given out in order of first use, so a copy is rebuilt from monomials.
+    # A series' two sides hold packed keys, and slots are given out in order
+    # of first use, so each side's copy is rebuilt from monomials.
     # The fresh process gives out the slots of the variables met here in
     # the reverse of this process's order before it loads the copy.
     spec = flag_bundle(3)
@@ -569,9 +570,9 @@ def test_a_pickled_bundle_gives_the_same_windows_in_a_process_with_other_slots()
     script = (
         "import pickle, sys\n"
         f"sys.path.insert(0, {str(Path(series_mod.__file__).parents[1])!r})\n"
-        "from segre_towers import closed_formula_segre, descending_expand, stepwise_pushforward\n"
+        "from segre_towers import closed_formula_segre, stepwise_pushforward\n"
         "from segre_towers import series\n"
-        "from segre_towers.series import VariableId\n"
+        "from segre_towers.series import VariableId, descending_expand\n"
         f"for name, kind, level in {[(v.name, v.kind, v.level) for v in reversed(seen)]!r}:\n"
         "    series._slot(VariableId(name, kind, level))\n"
         f"spec, f, req = pickle.loads(bytes.fromhex({pickle.dumps((spec, series, req)).hex()!r}))\n"

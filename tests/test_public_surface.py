@@ -1,14 +1,12 @@
 """Every exported name is used by the program itself, not only by the tests."""
 
 import ast
-import importlib.util
 from pathlib import Path
 
 import segre_towers
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "segre_towers"
-SPANS = ROOT / "benchmarks" / "spans.py"
 
 
 def _references(node, outside, found):
@@ -36,21 +34,8 @@ def _used_by_the_program(name):
     return False
 
 
-def _traced_names():
-    # The benchmark tracer patches these by name, so they stay until it changes.
-    spec = importlib.util.spec_from_file_location("_spans_for_surface_test", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return {attr for _, _, attr, _ in spans.TRACED}
-
-
 def test_every_export_is_used_by_the_program():
-    traced = _traced_names()
-    unused = [
-        name
-        for name in segre_towers.__all__
-        if name not in traced and not _used_by_the_program(name)
-    ]
+    unused = [name for name in segre_towers.__all__ if not _used_by_the_program(name)]
     assert not unused, f"exported, but no module of the program uses: {unused}"
 
 

@@ -16,15 +16,17 @@ from segre_towers import (
     Monomial,
     RationalFunction1V,
     VariableId,
-    coefficient_of,
-    descending_expand,
     flag_tower,
     geometric_expand,
+)
+from segre_towers import series
+from segre_towers.series import (
+    coefficient_of,
+    descending_expand,
     negative_part,
     rename_variables,
     shift_expand,
 )
-from segre_towers import series
 from segre_towers.tower import PIVOT
 
 from _helpers import (
@@ -260,6 +262,19 @@ def test_descending_expand_refuses_a_quotient_outside_the_slot():
     with pytest.raises(ExponentOverflowError):
         descending_expand(rf({-top: 1}, {1: 1}), -top)
     assert descending_expand(rf({-top + 1: 1}, {1: 1}), -top) == upoly({-top: 1})
+
+
+def test_a_quotient_outside_the_slot_is_refused_by_the_expansion_not_the_series(monkeypatch):
+    # The series itself fits; only its long division would leave the slot,
+    # and that is refused before a single product is formed.
+    top = 2**31 - 1
+    f = rf({-top: 1}, {1: 1})
+    assert f.leading_exponent == -top - 1
+    formed = []
+    monkeypatch.setattr(series, "_add_product", lambda *args: formed.append(args))
+    with pytest.raises(ExponentOverflowError):
+        descending_expand(f, -top)
+    assert formed == []
 
 
 def test_rational_function_rejects_zero_denominator():
@@ -625,6 +640,8 @@ def test_packed_kernel_matches_dict_reference(ra, rb, cancelled, var, low, high)
     assert_matches(b, rb)
     assert_matches(a + b, ref_sum(ra, rb))
     assert_matches(a - b, ref_sum(ra, {m: -c for m, c in rb.items()}))
+    for scalar in (cancelled, Fraction(cancelled - 2, 3)):
+        assert_matches(scalar - a, ref_sum({Monomial(): scalar}, {m: -c for m, c in ra.items()}))
     assert_matches(-a, {m: -c for m, c in ra.items()})
     assert_matches(a - a, {})
     assert_matches(a * b, ref_product(ra, rb))

@@ -24,17 +24,12 @@ from segre_towers import (
     TruncationRequest,
     aux_variable,
     closed_formula_segre,
-    coefficient_of,
-    descending_expand,
     flag_integral,
     flag_tower,
     geometric_expand,
-    individual_segre,
     localization_integral,
     pushforward_monomial,
     random_tower_spec,
-    rename_variables,
-    shift_expand,
     stepwise_pushforward,
     tower_violations,
     validate_tower,
@@ -42,8 +37,15 @@ from segre_towers import (
 )
 from segre_towers.cli import SpecFileError, main, tower_spec_from_doc, tower_spec_to_doc
 from segre_towers import tower
-from segre_towers.series import ExponentOverflowError, _unsliced
-from segre_towers.tower import PIVOT, _level_product, _level_series
+from segre_towers.series import (
+    ExponentOverflowError,
+    coefficient_of,
+    descending_expand,
+    rename_variables,
+    shift_expand,
+    _unsliced,
+)
+from segre_towers.tower import PIVOT, individual_segre, _level_product, _level_series
 
 from _helpers import (
     C,
