@@ -55,9 +55,10 @@ MAX_VERIFY_K = 6
 #: tower: 200 towers in 0.59-0.70 s, 1000 in 3.3-3.5 s (seeds 7 and 11,
 #: 2-core Xeon, Python 3.11), so the ceiling bounds it near 35 s.
 MAX_VERIFY_TOWERS = 10_000
-#: Largest ``--trials`` of flag-integral and verify.  Each trial is kept in
-#: the fixed-point memo, and ``verify --max-k 6 --towers 0`` took 0.88, 6.6
-#: and 21 s at 3, 30 and 100 trials; ``flag-integral --k 12 --format json``
+#: Largest ``--trials`` of flag-integral and verify.  Each trial reduces
+#: its own rows for every tuple, and verify holds every trial's weights and
+#: rows for its run.  ``verify --max-k 6 --towers 0`` took 0.88, 6.6 and
+#: 21 s at 3, 30 and 100 trials; ``flag-integral --k 12 --format json``
 #: took 0.52 s at 100 (fresh processes, 2-core Xeon, Python 3.11).
 MAX_TRIALS = 100
 DEFAULT_SEED = 7
@@ -328,6 +329,8 @@ def run_verify(
         )
     )
 
+    # The fixed-point weights and rows of this run (see localization_integral).
+    memo: dict = {}
     for k in range(1, max_k + 1):
         # The tower values are the coefficients of u^(-a-1) in one window
         # per k, at orders (k,)*k (see pushforward_monomial).
@@ -349,7 +352,7 @@ def run_verify(
             via_tower = window_values.get(tuple(-a - 1 for a in exps), _ZERO)
             via_vandermonde = flag_mod.vandermonde_integral(k, exps)
             via_fixed_points = flag_mod.localization_integral(
-                k, exps, trials=trials, seed=seed
+                k, exps, trials=trials, seed=seed, memo=memo
             )
             if not (via_tower == via_vandermonde == via_fixed_points):
                 bad.append(

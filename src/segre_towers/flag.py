@@ -12,29 +12,30 @@ determinant is taken over the integers: scaling column j by q_j^E, q_j the
 denominator of t_j and E at least max(e), clears every fraction,
 fraction-free (Bareiss) elimination computes the integer determinant, and
 one division by prod_j q_j^E undoes the scaling.  The weights and V(t)
-depend only on (k, trials, seed), so one process draws them once per such
-key and keeps the last few in a small memo, with each trial's reduced rows
-from its previous call.  The rows are taken in the order (0, a_1, ..., a_k),
-and a call reduces only those after the first exponent where it differs
-from that call.  ``verify``'s lexicographic tuples share long prefixes, so
-it pays for the weights once per k and for at most 2.3 rows per tuple on
-average at k = 4..6, against k + 1 for a fresh determinant.
+depend only on (k, trials, seed).  A caller that sums many tuples passes a
+memo, a dict it keeps for one sweep: it holds each key's weights, drawn
+once per memo, with each trial's reduced rows from the key's previous call.
+The rows are taken in the order (0, a_1, ..., a_k), and a call reduces only
+those after the first exponent where it differs from that call.
+``verify`` keeps one memo per run, and its lexicographic tuples share long
+prefixes, so it pays for the weights once per k and for at most 2.3 rows
+per tuple on average at k = 4..6, against k + 1 for a fresh determinant.
+A call without a memo draws its weights and reduces every row.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .series import PIVOT, LaurentPoly, RationalFunction1V
 from .tower import (
     TowerFactor,
     TowerLevel,
     TowerSpec,
+    _check_count,
     _check_exponents,
     pushforward_monomial,
     tower_variable,
@@ -45,18 +46,6 @@ LOCALIZATION_SEED = 20260811
 
 class LocalizationDisagreement(RuntimeError):
     """Raised when independent fixed-point trials fail to agree exactly."""
-
-
-def _check_count(name: str, value: int) -> int:
-    """``value`` as a count: an int in 1..sys.maxsize that is not a ``bool``.
-
-    No tuple holds more than ``sys.maxsize`` entries.  A larger int is not
-    echoed, since it may have more digits than ``str`` converts.
-    """
-    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= sys.maxsize:
-        got = "" if isinstance(value, int) and abs(value) > sys.maxsize else f", got {value!r}"
-        raise ValueError(f"{name}: expected an integer in 1..{sys.maxsize}{got}")
-    return value
 
 
 def flag_tower(k: int) -> TowerSpec:
@@ -126,6 +115,8 @@ def localization_integral(
     exponents: Sequence[int],
     trials: int = 3,
     seed: int = LOCALIZATION_SEED,
+    *,
+    memo: dict | None = None,
 ) -> Fraction:
     """The same flag integral by torus-fixed-point summation.
 
@@ -138,12 +129,14 @@ def localization_integral(
 
     The determinant is taken with its rows in the order (0, a_1, ..., a_k),
     which reverses the last k rows of e and so multiplies it by
-    (-1)^(k(k-1)/2).  The weights, V(t) and each trial's elimination of the
-    previous call (see ``_eliminate``) of an int ``seed`` come from a memo
-    of the last few (k, trials, seed) keys, so a call reduces only the rows
-    after the first exponent where it differs from the previous call of its
-    key.  Columns are scaled by q_j^E with E = max(k, a_1, ..., a_k) when
-    the elimination starts; a tuple with an entry above E starts it again.
+    (-1)^(k(k-1)/2).  ``memo`` is the caller's dict for one sweep: it maps
+    (k, trials, seed) to each trial's V(t) and elimination path (see
+    ``_eliminate``) from the key's previous call, so the weights are drawn
+    once per memo and key, whatever the seed's type, and a call reduces only
+    the rows after the first exponent where it differs from that call.
+    Without a memo every call draws its weights and reduces every row.
+    Columns are scaled by q_j^E with E = max(k, a_1, ..., a_k) when the
+    elimination starts; a tuple with an entry above E starts it again.
 
     Exponents of total degree above the dimension k(k+1)/2 are refused: there
     the sum is a non-constant polynomial in the weights, not an integral.
@@ -156,48 +149,30 @@ def localization_integral(
     powers = (0,) + exps
     top = max(powers)
     reversed_sign = k * (k - 1) // 2 % 2
-    # random.Random(None) draws differently on every call, so only int seeds are kept.
-    draw = _fixed_points if isinstance(seed, int) else _fixed_points.__wrapped__
-    values = []
-    for trial in draw(k, trials, seed):
-        path = trial.path
+    key = (k, trials, seed)
+    kept = None if memo is None else memo.get(key)
+    if kept is None:
+        rng = random.Random(seed)
+        kept = []
+        for _ in range(trials):
+            ts = _draw_distinct(rng, k + 1)
+            vandermonde = math.prod(tq - tp for p, tp in enumerate(ts) for tq in ts[p + 1 :])
+            kept.append((vandermonde, (tuple((t.numerator, t.denominator) for t in ts), -1, ())))
+    values, paths = [], []
+    for vandermonde, path in kept:
         if path[1] < top:
             path = (path[0], max(k, top), ())
-        # One assignment: a concurrent call reads the old path or this one.
-        trial.path = path = _eliminate(path, powers)
-        value = _determinant(path) / trial.vandermonde
+        path = _eliminate(path, powers)
+        paths.append((vandermonde, path))
+        value = _determinant(path) / vandermonde
         values.append(-value if reversed_sign else value)
+    if memo is not None:
+        memo[key] = paths
     if values.count(values[0]) != len(values):
         raise LocalizationDisagreement(
             f"fixed-point trials disagree for k={k}, exponents={exps}: {values}"
         )
     return values[0]
-
-
-class _Trial:
-    """One trial's V(t) and the elimination path of its last call.
-
-    ``path`` is ``(fracs, E, steps)`` as ``_eliminate`` takes and returns it,
-    with fracs the (numerator, denominator) pairs of the weights and, until
-    the first call, E = -1 and no steps.  It is an immutable tuple replaced
-    whole, never changed in place.
-    """
-
-    __slots__ = ("vandermonde", "path")
-
-    def __init__(self, weights: Sequence[Fraction]) -> None:
-        self.vandermonde = math.prod(
-            tq - tp for p, tp in enumerate(weights) for tq in weights[p + 1 :]
-        )
-        self.path = (tuple((t.numerator, t.denominator) for t in weights), -1, ())
-
-
-@lru_cache(maxsize=16)
-def _fixed_points(k: int, trials: int, seed: int) -> tuple[_Trial, ...]:
-    """Per trial, V(t) = prod_{p<q} (t_q - t_p) and a path over the weights
-    t_0..t_k, drawn trial after trial from ``random.Random(seed)``."""
-    rng = random.Random(seed)
-    return tuple(_Trial(_draw_distinct(rng, k + 1)) for _ in range(trials))
 
 
 def _eliminate(path: tuple, powers: Sequence[int]) -> tuple:

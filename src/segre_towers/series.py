@@ -193,6 +193,12 @@ def _checked(bound: int) -> int:
     return bound
 
 
+def _check_cap(degree_cap: int) -> None:
+    """Refuse a ``degree_cap`` that is no non-negative int; a ``bool`` is none."""
+    if not isinstance(degree_cap, int) or isinstance(degree_cap, bool) or degree_cap < 0:
+        raise ValueError(f"degree_cap: expected a non-negative integer, got {degree_cap!r}")
+
+
 def _fitted(var: VariableId, exp: int) -> int:
     """``exp`` if it fits a slot as the exponent of ``var``, else refuse it."""
     if abs(exp) >= _HALF:
@@ -785,8 +791,7 @@ def shift_expand(
     the expansion itself is ``_shifted``, which level products call on
     their factors directly.
     """
-    if degree_cap < 0:
-        raise ValueError("degree_cap must be non-negative")
+    _check_cap(degree_cap)
     if any(_exponents(shift._terms, pivot)):
         raise ValueError("shift must not involve the pivot variable")
     # A term of a linear form is one variable to the first power: its key is
@@ -804,8 +809,7 @@ def geometric_expand(outer: VariableId, inner: VariableId, degree_cap: int) -> L
     """Truncated expansion of 1/(outer - inner) in non-negative powers of inner."""
     if outer == inner:
         raise ValueError("geometric_expand requires two distinct variables")
-    if degree_cap < 0:
-        raise ValueError("degree_cap must be non-negative")
+    _check_cap(degree_cap)
     bound = _checked(degree_cap + 1)
     up, down = 1 << (_W * _slot(inner)), 1 << (_W * _slot(outer))
     return LaurentPoly._wrap({n * up - (n + 1) * down: 1 for n in range(degree_cap + 1)}, 1, bound)

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
@@ -237,6 +238,18 @@ def validate_tower(spec: TowerSpec) -> None:
     violations = tower_violations(spec)
     if violations:
         raise InvalidTowerError(violations)
+
+
+def _check_count(name: str, value: int) -> int:
+    """``value`` as a count: an int in 1..sys.maxsize that is not a ``bool``.
+
+    No tuple holds more than ``sys.maxsize`` entries.  A larger int is not
+    echoed, since it may have more digits than ``str`` converts.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= sys.maxsize:
+        got = "" if isinstance(value, int) and abs(value) > sys.maxsize else f", got {value!r}"
+        raise ValueError(f"{name}: expected an integer in 1..{sys.maxsize}{got}")
+    return value
 
 
 def _check_exponents(name: str, values: Sequence[int], n: int) -> tuple[int, ...]:
@@ -636,7 +649,7 @@ def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:
     coefficient is a small exact rational.  Coefficients stay rational (no base
     generators) so each generated tower serializes through the file format.
     """
-    k = rng.randint(1, max_k)
+    k = rng.randint(1, _check_count("max_k", max_k))
     levels = []
     for i in range(1, k + 1):
         factors = []

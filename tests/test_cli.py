@@ -719,8 +719,9 @@ def test_cmd_verify_zero_towers_runs_the_flag_sweep(capsys):
     ids=["verify", "flag-integral-verbose", "flag-integral"],
 )
 def test_trials_above_the_ceiling_are_refused_before_any_work(capsys, monkeypatch, argv):
-    # Every trial is kept in the fixed-point memo, so a huge --trials would
-    # run out of memory rather than finish.
+    # verify holds every trial's weights and rows for its run, and each
+    # trial reduces its own rows, so a huge --trials would run out of time
+    # or memory rather than finish.
     def no_work(*args, **kwargs):
         raise AssertionError("computation started before the refusal")
 
@@ -735,6 +736,25 @@ def test_trials_above_the_ceiling_are_refused_before_any_work(capsys, monkeypatc
     assert captured.err == (
         f"error: --trials: {trials} is above the ceiling {cli_mod.MAX_TRIALS}\n"
     )
+
+
+def test_verify_runs_in_one_process_each_draw_their_weights(capsys, monkeypatch):
+    # Nothing outlives a run: a second run of the same argv in one process
+    # draws the fixed-point weights again, 3 trials per k.
+    real, drawn = cli_mod.flag_mod._draw_distinct, []
+
+    def drawing(rng, count):
+        drawn.append(count)
+        return real(rng, count)
+
+    monkeypatch.setattr(cli_mod.flag_mod, "_draw_distinct", drawing)
+    outs = []
+    for _ in range(2):
+        drawn.clear()
+        assert main(["verify", "--max-k", "2", "--towers", "0", "--seed", "7"]) == 0
+        outs.append(capsys.readouterr().out)
+        assert drawn == [2, 2, 2, 3, 3, 3]
+    assert outs[0] == outs[1]
 
 
 def test_trials_at_the_ceiling_are_accepted(capsys):

@@ -186,10 +186,9 @@ def fractions_of(ts):
 def test_localization_memo_gives_fresh_draws(monkeypatch):
     # Each call must see the weights random.Random(seed) draws, trial after
     # trial, whatever the memo holds.  Keys that differ only in k, trials or
-    # seed are interleaved, and there are more of them than the memo holds.
-    memo = flag_mod._fixed_points
+    # seed are interleaved in one memo.
+    memo = {}
     keys = [(k, trials, seed) for seed in (5, 6, 2026) for trials in (1, 3) for k in range(1, 6)]
-    assert len(keys) > memo.cache_info().maxsize
     order = keys * 2
     random.Random(19).shuffle(order)
     real, seen = flag_mod._eliminate, []
@@ -204,17 +203,60 @@ def test_localization_memo_gives_fresh_draws(monkeypatch):
         draws = [tuple(_draw_distinct(rng, k + 1)) for _ in range(trials)]
         exps = tuple(range(k, 0, -1))
         seen.clear()
-        value = localization_integral(k, exps, trials=trials, seed=seed)
+        value = localization_integral(k, exps, trials=trials, seed=seed, memo=memo)
         assert seen == [fractions_of(ts) for ts in draws]
         assert value == _alternant(draws[0], (0,) + exps[::-1]) / _alternant(draws[0], range(k + 1))
-        entry = [(trial.path[0], trial.vandermonde) for trial in memo(k, trials, seed)]
+        entry = [(path[0], vandermonde) for vandermonde, path in memo[k, trials, seed]]
         assert entry == [(fractions_of(ts), _alternant(ts, range(k + 1))) for ts in draws]
-        assert memo.cache_info().currsize <= memo.cache_info().maxsize
-    # A seed that is no int, None above all, is drawn afresh and not kept.
-    before = memo.cache_info()
-    for seed in (None, "seven", b"7"):
-        assert localization_integral(2, (2, 1), trials=2, seed=seed) == 1
-    assert memo.cache_info() == before
+    assert len(memo) == len(keys)
+
+
+def test_localization_without_a_memo_draws_every_call(monkeypatch):
+    # Nothing outlives a call without a memo: each call of one key draws
+    # from random.Random(seed) again and reduces every row from an empty path.
+    rng = random.Random(5)
+    expected = [fractions_of(_draw_distinct(rng, 3)) for _ in range(2)]
+    real_draw, real_eliminate = flag_mod._draw_distinct, flag_mod._eliminate
+    drawn, paths = [], []
+
+    def drawing(rng, count):
+        out = real_draw(rng, count)
+        drawn.append(fractions_of(out))
+        return out
+
+    def eliminating(path, powers):
+        paths.append(path)
+        return real_eliminate(path, powers)
+
+    monkeypatch.setattr(flag_mod, "_draw_distinct", drawing)
+    monkeypatch.setattr(flag_mod, "_eliminate", eliminating)
+    for _ in range(2):
+        drawn.clear()
+        paths.clear()
+        assert localization_integral(2, (2, 1), trials=2, seed=5) == 1
+        assert drawn == expected
+        assert [(path[0], path[2]) for path in paths] == [(ts, ()) for ts in expected]
+
+
+@pytest.mark.parametrize("seed", [7, None, "seven", b"7"])
+def test_localization_memo_draws_each_key_once(monkeypatch, seed):
+    # With a memo, a key's weights are drawn once per memo, whatever the
+    # seed's type; a second memo draws them again.
+    real, drawn = flag_mod._draw_distinct, []
+
+    def drawing(rng, count):
+        drawn.append(count)
+        return real(rng, count)
+
+    monkeypatch.setattr(flag_mod, "_draw_distinct", drawing)
+    tuples = flag_exponent_tuples(3)
+    for _ in range(2):
+        memo = {}
+        drawn.clear()
+        values = [localization_integral(3, e, trials=2, seed=seed, memo=memo) for e in tuples]
+        assert values == [vandermonde_integral(3, e) for e in tuples]
+        assert drawn == [4, 4]
+        assert list(memo) == [(3, 2, seed)]
 
 
 def test_localization_rejects_bad_trials():
@@ -226,8 +268,8 @@ def test_localization_disagreement_surfaces(monkeypatch):
     # Up to the dimension every trial gives the integral, so trials disagree
     # only through a fault: one injected into the second trial's numerator
     # determinant must be reported as an internal-consistency failure.  V(t)
-    # comes from the memo, so each call of ``_determinant`` is one numerator.
-    # The fault is in the value, not in the path the memo keeps.
+    # is a product of the weights' differences, not a determinant, so each
+    # call of ``_determinant`` is one numerator.
     real, calls = flag_mod._determinant, []
 
     def skewed(path):
@@ -344,12 +386,12 @@ def above_k_tuples(k, count, rng):
 
 @pytest.mark.parametrize("order", ["lexicographic", "reversed", "shuffled"])
 def test_localization_keeps_exact_prefixes_in_any_call_order(monkeypatch, order):
-    # Keys are interleaved in runs of 1..8 calls, with more keys than the
-    # memo holds, so paths are kept, resumed, evicted and started again.
+    # Keys are interleaved in runs of 1..8 calls, each run in one of two
+    # memos, so a path is kept, resumed from a call several tuples back, or
+    # started again.
     rng = random.Random(order)
-    memo = flag_mod._fixed_points
+    memos = ({}, {})
     keys = [(k, trials, seed) for k in (1, 2, 3, 4) for trials in (1, 2) for seed in (31, 32, 33)]
-    assert len(keys) > memo.cache_info().maxsize
     queues = {}
     for k, trials, seed in keys:
         cases = flag_exponent_tuples(k) + below_dimension_tuples(k, 6, rng) + above_k_tuples(k, 3, rng)
@@ -371,14 +413,15 @@ def test_localization_keeps_exact_prefixes_in_any_call_order(monkeypatch, order)
     while any(queues.values()):
         key = rng.choice([key for key, cases in queues.items() if cases])
         k, trials, seed = key
+        memo = rng.choice(memos)
         for _ in range(rng.randint(1, 8)):
             if not queues[key]:
                 break
             exps = queues[key].pop(0)
             # The scale E of a trial's path grows only when the path starts again.
-            before = [trial.path[1] for trial in memo(*key)]
-            value = localization_integral(k, exps, trials=trials, seed=seed)
-            after = [trial.path[1] for trial in memo(*key)]
+            before = [path[1] for _, path in memo.get(key, ())]
+            value = localization_integral(k, exps, trials=trials, seed=seed, memo=memo)
+            after = [path[1] for _, path in memo[key]]
             seen["restarted"] += any(a > b >= k for a, b in zip(after, before))
             assert value == fresh_ratio(k, exps, trials, seed), (key, exps)
             if k <= 3:
@@ -407,9 +450,9 @@ def test_resumed_prefix_keeps_its_column_pivot():
 
 
 def test_localization_threads_share_a_key_exactly():
-    # Four threads call one key in different tuple orders; each replaces the
-    # memo's paths whole, so a thread may lose the others' prefixes but
-    # every value must still equal the single-thread value.
+    # Four threads call one key in different tuple orders, each with a memo
+    # of its own, as every sweep has; the module keeps no state between
+    # calls, so every value must equal the single-thread value.
     k, trials, seed = 4, 2, 4242
     cases = flag_exponent_tuples(k) + below_dimension_tuples(k, 20, random.Random(4))
     single = {e: fresh_ratio(k, e, trials, seed) for e in cases}
@@ -419,8 +462,10 @@ def test_localization_threads_share_a_key_exactly():
     results = [None] * len(orders)
 
     def run(index):
+        memo = {}
         results[index] = [
-            localization_integral(k, e, trials=trials, seed=seed) for e in orders[index] * 3
+            localization_integral(k, e, trials=trials, seed=seed, memo=memo)
+            for e in orders[index] * 3
         ]
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(orders))]

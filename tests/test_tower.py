@@ -328,6 +328,27 @@ def test_level_series_with_a_ceiling_is_the_filtered_level_series():
     assert cut > 200
 
 
+def _sized_calls():
+    q, shift = poly({((PIVOT, 2),): 1}), poly({((U(1), 1),): 1})
+    calls = {
+        "geometric_expand": ("degree_cap", lambda n: geometric_expand(U(1), PIVOT, n), -1),
+        "shift_expand": ("degree_cap", lambda n: shift_expand(q, PIVOT, shift, n), -1),
+        "random_tower_spec": ("max_k", lambda n: random_tower_spec(random.Random(3), max_k=n), 0),
+    }
+    for label, (name, call, low) in calls.items():
+        for bad in (True, False, 2.0, "2", None, low):
+            yield pytest.param(name, call, bad, id=f"{label}-{bad!r}")
+
+
+@pytest.mark.parametrize("name, call, bad", _sized_calls())
+def test_bad_sizes_are_refused_by_name(name, call, bad):
+    # A bool is an int, so True used to be taken as 1, and max_k = 0 failed
+    # inside randrange without naming the parameter.
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value).startswith(f"{name}: ")
+
+
 # -- closed formula -------------------------------------------------------------
 
 
