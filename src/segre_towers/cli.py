@@ -64,12 +64,13 @@ MAX_TRIALS = 100
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 3
 DEFAULT_TOWERS = 50
-#: Largest ``--k`` of flag-integral.  The point route's time depends on the
-#: tuple: over 10 shuffled permutations of 1..k each (seed 3, single
-#: in-process runs, 2-core Xeon, Python 3.11) the median and the maximum
-#: were 0.025 and 0.14 s at k = 11, 0.14 and 1.4 s at k = 12, and 0.30 and
-#: 11 s at k = 13.
-MAX_FLAG_K = 12
+#: Largest ``--k`` of flag-integral.  The flag tower is pushed on a
+#: symmetric state (``tower._push_down``), and its time depends on the
+#: tuple: over six permutations of 1..k shuffled by ``random.Random(0..5)``
+#: the median and the maximum were 0.005 and 0.011 s at k = 13 and 0.013
+#: and 0.023 s at k = 16, and the slowest of 300 seeded shuffles at k = 16
+#: took 0.040 s (in process, 2-core Xeon, Python 3.11; BENCH_31.json).
+MAX_FLAG_K = 16
 
 
 def format_rational(value: Fraction) -> str:

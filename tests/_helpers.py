@@ -181,6 +181,17 @@ def flag_bundle(k):
     return TowerSpec(tuple(levels), tuple((f"e{i}", i) for i in range(1, n + 1)))
 
 
+def partial_flag(k):
+    """``flag_tower(k)`` with 1/u^(k+1) replaced by 1/u^(k+2), a partial flag
+    tower: flag-type, with F = u^-(k+2) on every level."""
+    point = rf(1, {k + 2: 1})
+    levels = []
+    for lvl in flag_tower(k).levels:
+        first, *shifted = lvl.factors
+        levels.append(lvl._replace(factors=(first._replace(series=point), *shifted)))
+    return TowerSpec(tuple(levels))
+
+
 def evaluate(value, values):
     """``value``, a Laurent polynomial, with each variable v set to ``values[v]``."""
     total = Fraction(0)

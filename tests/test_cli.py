@@ -326,22 +326,23 @@ def test_cmd_flag_integral_json_cross_checks_up_to_the_ceiling(capsys):
             assert doc["value"] == doc["vandermonde"] == doc["localization"] == want
 
 
-K13 = ["--k", "13", "--exps", ",".join(str(a) for a in range(1, 14))]
+ABOVE = cli_mod.MAX_FLAG_K + 1
+K_ABOVE = ["--k", str(ABOVE), "--exps", ",".join(str(a) for a in range(1, ABOVE + 1))]
 
 
 @pytest.mark.parametrize(
     "extra, named",
     [
         # The later --k and --exps replace the k = 10 ones.
-        (K13 + ["--verbose"], ("--k",)),
-        (K13 + ["--format", "json", "--trials", "1"], ("--k",)),
+        (K_ABOVE + ["--verbose"], ("--k",)),
+        (K_ABOVE + ["--format", "json", "--trials", "1"], ("--k",)),
         (["--trials", "0"], ("--trials",)),
-        (K13, ("--k",)),
+        (K_ABOVE, ("--k",)),
     ],
 )
 def test_cmd_flag_integral_refuses_before_computing(capsys, monkeypatch, extra, named):
-    # Above MAX_FLAG_K the point route can take minutes, with or without
-    # the cross-checks: refused before any work.
+    # Above MAX_FLAG_K no point-route time has been measured, with or
+    # without the cross-checks: refused before any work.
     def no_work(*args, **kwargs):
         raise AssertionError("computation started before the refusal")
 
@@ -490,15 +491,15 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, o
 
 def test_flag_integral_near_the_slot_limit(capsys):
     # At k = 1 the power of c1 meets no piece of 1/u^2, so the push gives 0
-    # without refusing its bound.  At k = 2 level 2's push leaves a state
-    # whose product with c1^2147483646 leaves the slot: refused by name.
+    # without refusing its bound.  At k = 2 the symmetric push bounds each
+    # rewritten state by the exponents it holds: level 2 leaves the constant
+    # 1, and c1^2147483646 meets no piece of 1/u^3, so the value is the exact
+    # 0.  The generic push refuses the same tuple
+    # (``test_generic_push_refuses_an_inherited_bound_near_the_slot_limit``).
     assert main(["flag-integral", "--k", "1", "--exps", "2147483646"]) == 0
     assert capsys.readouterr() == ("0\n", "")
-    assert main(["flag-integral", "--k", "2", "--exps", "2147483646,1"]) == 1
-    assert capsys.readouterr() == (
-        "",
-        "error: exponents up to 2147483652 do not fit a packed monomial (at most 2147483647)\n",
-    )
+    assert main(["flag-integral", "--k", "2", "--exps", "2147483646,1"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
 
 
 def test_largest_exponents_that_fit_a_slot_are_accepted():

@@ -36,10 +36,15 @@ from segre_towers import series as series_mod
 from segre_towers import tower as tower_mod
 from segre_towers.cli import flag_exponent_tuples
 from segre_towers.flag import _alternant, _draw_distinct, vandermonde_product
-from segre_towers.series import descending_expand, negative_part, rename_variables
+from segre_towers.series import (
+    coefficient_of,
+    descending_expand,
+    negative_part,
+    rename_variables,
+)
 from segre_towers.tower import PIVOT
 
-from _helpers import G, U, arrangement_sign, evaluate, flag_bundle
+from _helpers import G, U, arrangement_sign, evaluate, flag_bundle, partial_flag
 
 
 def test_flag_tower_k1_structure():
@@ -671,6 +676,55 @@ def test_flag_bundle_pushforwards_match_the_bialternant(k):
             assert evaluate(value, chern) == expected, (exps, value)
         non_constant += bool(value.variables())
     assert non_constant > 0
+
+
+def test_symmetric_push_equals_both_windows_on_every_flag_tuple():
+    # Every flag tuple with k <= 6, pushed on the symmetric state, equals
+    # its coefficient in the stepwise and in the closed window at orders
+    # (k,)*k.  Each window is read once per k, by slot, as run_verify reads
+    # it.
+    for k in range(1, 7):
+        spec = flag_tower(k)
+        assert tower_mod._is_flag_type(spec)
+        req = TruncationRequest.derive(spec, (k,) * k)
+        windows = [
+            dict(route(spec, req)._header_rows(spec.tower_variables()))
+            for route in (stepwise_pushforward, closed_formula_segre)
+        ]
+        nonzero = 0
+        for exps in flag_exponent_tuples(k):
+            at = tuple(-a - 1 for a in exps)
+            value = pushforward_monomial(spec, exps)
+            assert value == windows[0].get(at, 0) == windows[1].get(at, 0), exps
+            nonzero += bool(value)
+        assert nonzero == math.factorial(k)
+
+
+def test_symmetric_push_equals_the_closed_window_on_bundles_and_partial_flags():
+    # flag_bundle(4) on 40 seeded tuples with entries up to 6, 30 of them
+    # without a repeated entry, and partial flags (F = u^-(k+2)) at k <= 4
+    # on every tuple with entries up to k + 1: each value, a polynomial in
+    # the base generators for the bundle, is the closed window's
+    # coefficient exactly.
+    rng = random.Random(31)
+    bundle_tuples = [tuple(rng.sample(range(7), 4)) for _ in range(30)]
+    bundle_tuples += [tuple(rng.randint(0, 6) for _ in range(4)) for _ in range(10)]
+    cases = [(flag_bundle(4), bundle_tuples)]
+    cases += [
+        (partial_flag(k), list(itertools.product(range(k + 2), repeat=k))) for k in range(1, 5)
+    ]
+    nonzero = with_base = 0
+    for spec, tuples in cases:
+        assert tower_mod._is_flag_type(spec)
+        orders = tuple(map(max, zip(*tuples)))
+        window = closed_formula_segre(spec, TruncationRequest.derive(spec, orders))
+        for exps in tuples:
+            target = Monomial((U(i), -a - 1) for i, a in enumerate(exps, 1))
+            value = pushforward_monomial(spec, exps)
+            assert value == coefficient_of(window, target, spec.tower_variables()), exps
+            nonzero += bool(value)
+            with_base += bool(value.variables())
+    assert nonzero >= 40 and with_base >= 10
 
 
 def test_arrangement_sign():

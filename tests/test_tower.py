@@ -43,6 +43,7 @@ from segre_towers.series import (
     descending_expand,
     rename_variables,
     shift_expand,
+    _sliced,
     _unsliced,
 )
 from segre_towers.tower import PIVOT, individual_segre, _level_product, _level_series
@@ -55,6 +56,7 @@ from _helpers import (
     descending_reference,
     flag_bundle,
     mono,
+    partial_flag,
     poly,
     rf,
     shift_expand_reference,
@@ -282,7 +284,9 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     top = max((m.exponent(pivot) for m, _ in result.items()), default=0)
     slack = floor - top - sum(ups) - sum(orders)
     full = unwindowed([slack + up - rng.randint(0, 2) for up in ups])
-    sliced = _level_product(spec, result, level, pivot, lower, {}, floor, ceiling, extras)
+    sliced = _level_product(
+        factors, _sliced(result, pivot), pivot, lower, {}, floor, ceiling, extras
+    )
     assert all(sliced[0].values())
     got = _unsliced(sliced, pivot)
     assert got == full.filter_terms(pivot, floor, ceiling)
@@ -303,7 +307,9 @@ def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
     monkeypatch.setattr(tower, "_product", lambda *args: formed.append(args))
     for level, pivot, lower, result in cases:
         with pytest.raises(ExponentOverflowError):
-            _level_product(spec, result, level, pivot, lower, {}, -8, -1)
+            _level_product(
+                spec.levels[level - 1].factors, _sliced(result, pivot), pivot, lower, {}, -8, -1
+            )
     assert formed == []
 
 
@@ -915,3 +921,68 @@ def test_push_refuses_its_bound_only_when_a_piece_is_met(monkeypatch):
     with pytest.raises(ExponentOverflowError):
         tower._push_down(spec, TruncationRequest.derive(spec, (1,)), lambda j: block)
     assert formed == []
+
+
+def test_generic_push_refuses_an_inherited_bound_near_the_slot_limit():
+    # ``flag-integral --k 2 --exps 2147483646,1`` prints the exact 0 by the
+    # symmetric push.  The generic push of the same monomial carries level
+    # 2's series bound into its state, whose product with c1^2147483646
+    # leaves the slot: refused by name, before any key is formed.
+    spec, exps = flag_tower(2), (2147483646, 1)
+    req = TruncationRequest.derive(spec, exps)
+    with pytest.raises(ExponentOverflowError) as caught:
+        tower._push_down(spec, req, lambda j: LaurentPoly.variable(C(j), exps[j - 1]))
+    assert str(caught.value) == (
+        "exponents up to 2147483652 do not fit a packed monomial (at most 2147483647)"
+    )
+    assert pushforward_monomial(spec, exps) == 0
+
+
+# -- the flag-type point push ---------------------------------------------------
+
+
+def _flag3_variants():
+    """``flag_tower(3)`` with level 3's linear factors changed, one way each."""
+    spec = flag_tower(3)
+    point, first, second = spec.levels[2].factors
+
+    def with_level3(*factors):
+        return spec._replace(levels=spec.levels[:2] + (spec.levels[2]._replace(factors=factors),))
+
+    return [
+        with_level3(point, first._replace(twists=(-2, 0)), second),
+        with_level3(point, second),
+        with_level3(point, first, first, second),
+    ]
+
+
+def test_flag_type_predicate_accepts_flags_bundles_and_partial_flags():
+    accepted = [flag_tower(k) for k in range(1, 6)] + [flag_bundle(3), partial_flag(3)]
+    assert all(tower._is_flag_type(spec) for spec in accepted)
+    pool = next(spec for spec in map(_pool_tower, range(400)) if spec.k >= 2)
+    for spec in [pool, *_flag3_variants()]:
+        assert not tower._is_flag_type(spec), spec
+
+
+def test_a_tower_the_predicate_rejects_takes_the_generic_push(monkeypatch):
+    # Each variant of flag_tower(3) is pushed generically, and its values
+    # still equal its closed window's coefficients.
+    modes = []
+    push = tower._push_down
+
+    def spy(spec, req, block, symmetric=False):
+        modes.append(symmetric)
+        return push(spec, req, block, symmetric)
+
+    monkeypatch.setattr(tower, "_push_down", spy)
+    nonzero = 0
+    for spec in _flag3_variants():
+        window = closed_formula_segre(spec, TruncationRequest.derive(spec, (4, 4, 4)))
+        for exps in itertools.product(range(5), repeat=3):
+            target = Monomial((U(i), -a - 1) for i, a in enumerate(exps, 1))
+            value = pushforward_monomial(spec, exps)
+            assert value == coefficient_of(window, target, spec.tower_variables()), exps
+            nonzero += bool(value)
+    assert nonzero and set(modes) == {False}
+    pushforward_monomial(flag_tower(3), (3, 2, 1))
+    assert modes[-1] is True
