@@ -64,12 +64,12 @@ MAX_TRIALS = 100
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 3
 DEFAULT_TOWERS = 50
-#: Largest ``--k`` of flag-integral.  The flag tower is pushed on a
-#: symmetric state (``tower._push_down``), and its time depends on the
-#: tuple: over six permutations of 1..k shuffled by ``random.Random(0..5)``
-#: the median and the maximum were 0.005 and 0.011 s at k = 13 and 0.013
-#: and 0.023 s at k = 16, and the slowest of 300 seeded shuffles at k = 16
-#: took 0.040 s (in process, 2-core Xeon, Python 3.11; BENCH_31.json).
+#: Largest ``--k`` of flag-integral.  The flag tower's value is a k x k
+#: determinant with one nonzero entry per row (``tower._flag_type_push``):
+#: over six permutations of 1..k shuffled by ``random.Random(0..5)`` the
+#: median and the maximum were 0.8 and 1.4 ms at k = 13 and 0.9 and 0.9 ms
+#: at k = 16, and the slowest of 300 seeded shuffles at k = 16 took 1.2 to
+#: 5.1 ms over three runs (in process, 2-core Xeon, Python 3.11).
 MAX_FLAG_K = 16
 
 

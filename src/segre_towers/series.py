@@ -36,7 +36,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import index, itemgetter
 
-_KINDS = ("tower", "aux", "taut", "base", "elementary")
+_KINDS = ("tower", "aux", "taut", "base")
 
 _ZERO = Fraction(0)
 
@@ -82,12 +82,10 @@ class VariableId(tuple):
 
     ``kind`` distinguishes tower variables (one per level of a tower),
     auxiliary variables attached to a level, tautological-class variables
-    (used internally by the stepwise push-forward), generators of the base
-    coefficient ring, and the elementary symmetric polynomials of the
-    tautological classes (used internally by the flag-type point push).
-    ``level`` is 0 for base variables and for the reserved expansion pivot.
-    Order, equality and hashing are the tuple's, so variables are totally
-    ordered by (kind, level, name).
+    (used internally by the stepwise push-forward), and generators of the
+    base coefficient ring.  ``level`` is 0 for base variables and for the
+    reserved expansion pivot.  Order, equality and hashing are the tuple's,
+    so variables are totally ordered by (kind, level, name).
     """
 
     __slots__ = ()
@@ -762,71 +760,6 @@ def _shifted(
             _add_product(out.setdefault(alpha - beta, {}), part, powers[beta], binomial)
             binomial = binomial * (alpha - beta) // (beta + 1)
     return {exp: part for exp, part in out.items() if part}, q_den * den**top, bound
-
-
-def _elementary_shift(poly: LaurentPoly, units: Sequence[int], x_unit: int) -> LaurentPoly:
-    """``poly`` with each e_m rewritten as e_m + x*e_(m-1), and e_n as x*e_(n-1).
-
-    ``units`` holds the keys of e_1..e_n, n >= 1, which ``poly`` reads as
-    the elementary symmetric polynomials of n roots x_1..x_n; the result
-    reads them as those of x_1..x_(n-1), with the variable of ``x_unit``
-    for x_n.  Since prod_(i<=n) (1 + x_i*t) is (1 + x_n*t) times
-    prod_(i<n) (1 + x_i*t), e_m(x_1..x_n) is e_m(x_1..x_(n-1)) +
-    x_n*e_(m-1)(x_1..x_(n-1)), with e_0 = 1 and e_n(x_1..x_(n-1)) = 0
-    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2).  So a term
-    prod_m e_m^p_m becomes the product over m of sum_b C(p_m, b) *
-    e_m^(p_m - b) * (x*e_(m-1))^b, with b = p_n alone for m = n.  ``poly``
-    must hold no x and no negative power of an e_m.
-
-    Moving b powers of e_m to x*e_(m-1) adds b times one fixed step to a
-    key, so every term goes from its key straight into keys, with its
-    binomials, as ``_shifted`` does; each term's b's can be read back from
-    its image, so no two images of one term share a key.  In an image, x
-    has exponent at most sum_m p_m, and so has every e_m, whose exponent is
-    at most p_m + p_(m+1); every other exponent is the term's own.  That
-    bound is refused before any key is formed.
-    """
-    index = {(unit.bit_length() - 1) // _W: m for m, unit in enumerate(units)}
-    # Each term's powers of e_1..e_n, read from one decoding of its key.
-    terms = []
-    bound = 0
-    for key, num in poly._terms.items():
-        powers = []
-        degree = 0
-        for slot, exp in _decode(key):
-            m = index.get(slot)
-            if m is None:
-                bound = max(bound, abs(exp))
-            elif exp < 0:
-                raise ValueError("poly must hold no negative power of an elementary variable")
-            else:
-                powers.append((m, exp))
-                degree += exp
-        if degree > bound:
-            bound = degree
-        terms.append((key, num, powers))
-    _checked(bound)
-    last = len(units) - 1
-    data: dict[int, int] = {}
-    for key, num, powers in terms:
-        if not powers:
-            _accumulate(data, ((key, num),))
-            continue
-        images = [(key, num)]
-        for m, p in powers:
-            step = x_unit - units[m] + (units[m - 1] if m else 0)
-            if m == last:
-                images = [(k + p * step, n) for k, n in images]
-                continue
-            moved = []
-            binomial = 1  # C(p, b)
-            for b in range(p + 1):
-                move = b * step
-                moved += [(k + move, n * binomial) for k, n in images]
-                binomial = binomial * (p - b) // (b + 1)
-            images = moved
-        _accumulate(data, images)
-    return LaurentPoly._wrap(data, poly._den, bound)
 
 
 def shift_expand(

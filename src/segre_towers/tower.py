@@ -34,14 +34,15 @@ bounds drop whole slice pairs.  Each factor's expansion and shift stop at
 the source floor alone: the truncation caps of ``TruncationRequest`` bound
 only the degrees the stepwise push meets, and its docstring proves that no
 cap could stop an expansion earlier.  One walk over the levels (a call of
-``closed_formula_segre``, ``_push_down`` or ``individual_segre``) expands
-each pair of a series object and its twists from the series' two sides
-once per floor it lowers to, and hands the stored expansion back as it is
-to the levels above, whose windows drop its lower slices (``_expansion``);
-nothing is kept between walks.  The closed route packs the slices back
-into u_i.  The stepwise push slices its state by c_j too, reads the
-coefficient of pivot^(-g-1) as the level series' slice at -g-1, and adds
-every part times its slice into one accumulator per level.
+``closed_formula_segre``, ``_push_down``, ``_flag_type_push`` or
+``individual_segre``) expands each pair of a series object and its twists
+from the series' two sides once per floor it lowers to, and hands the
+stored expansion back as it is to the levels above, whose windows drop its
+lower slices (``_expansion``); nothing is kept between walks.  The closed
+route packs the slices back into u_i.  The stepwise push slices its state
+by c_j too, reads the coefficient of pivot^(-g-1) as the level series'
+slice at -g-1, and adds every part times its slice into one accumulator
+per level.
 
 ``pushforward_monomial`` needs one coefficient of that window, not all of
 it, so it runs the same top-down push with one power of c_j per level in
@@ -49,15 +50,11 @@ place of the level's blocks (its docstring proves this exact).  The shift
 expansions stop at the last nonzero binomial, which for the flag tower's
 linear factors is the first power (see ``shift_expand``).  A flag-type
 tower, whose level i is F_i(u) * prod_(m<i) (u - c_m) (``_is_flag_type``:
-flag towers, flag bundles, partial flags), is pushed on a symmetric state:
-the same loop holds it in the elementary symmetric polynomials of the c's
-below the level, variables of their own kind, rewrites them at each level
-by one raw-key kernel (``series._elementary_shift``), and reads a level
-series that is F_i's product times sum_r (-1)^r * e_r * u^(i-1-r), so no
-linear factor is expanded or shifted.  On the slowest k = 13 flag tuples
-the state peaks at a few hundred terms, where the generic push carries
-about 10^5.  ``_push_down`` proves it exact; every other tower takes the
-generic push.
+flag towers, flag bundles, partial flags), is not pushed level by level:
+its closed product is the Vandermonde determinant times prod_i F_i(u_i),
+so a point value is a k x k determinant whose entries are single-step
+push-forwards, coefficients of the F_i (``_flag_type_push``).  No linear
+factor is expanded or shifted.  Every other tower takes the push.
 
 The records ``TowerFactor``, ``TowerLevel``, ``TowerSpec``, ``Violation``
 and ``TruncationRequest`` are named tuples: immutable and picklable, and
@@ -85,7 +82,6 @@ from .series import (
     _add_product,
     _checked,
     _descending,
-    _elementary_shift,
     _product,
     _shifted,
     _sliced,
@@ -374,17 +370,20 @@ def _expansion(
     """``series`` expanded down to ``low`` and shifted by the linear form of
     the (unit key, twist) pairs ``twists``, sliced by the pivot.
 
-    ``memo`` is kept for one walk down a tower.  It maps (``id(series)``,
-    ``twists``) to an expansion and the floor it is exact down to, while the
-    tower keeps every series alive.  An entry whose floor is at or below
+    ``memo`` is kept for one walk down a tower: one call of
+    ``closed_formula_segre``, ``_push_down``, ``_flag_type_push`` or
+    ``individual_segre``.  It maps (``id(series)``, ``twists``) to an
+    expansion and the floor it is exact down to, while the tower keeps every
+    series alive.  An entry whose floor is at or below
     ``low`` is handed back as it is stored: a slice of ``_descending`` is
     formed from the slices above it alone, and a slice of ``_shifted`` from
     the slices at or above it, so no slice at or above a floor depends on
     where the expansion stopped.  Its slices below ``low`` reach no result,
     since no caller can use a slice below its own floor: ``_product``'s
     window drops every pair such a slice could form (``_level_product``'s
-    floor proof), ``_shifted`` forms nothing from one, and ``_push_down``
-    reads a level series only at -g-1, at or above the floor it asked for.
+    floor proof), ``_shifted`` forms nothing from one, ``_push_down`` reads
+    a level series only at -g-1, at or above the floor it asked for, and
+    ``_flag_type_push`` reads a row only inside its window.
     Such a slice lowers the least exponent ``_level_product`` reads for its
     ceiling.  That loosens the ceiling of a running product, never that of
     the last one, and an extra running slice it keeps could reach the
@@ -522,29 +521,6 @@ def _level_series(
     )
 
 
-def _symmetric_series(
-    spec: TowerSpec, level: int, memo: dict, min_exponent: int, max_exponent: int,
-    units: Sequence[int],
-) -> tuple[dict[int, dict[int, int]], int, int]:
-    """``_level_series`` of a flag-type tower (``_is_flag_type``) in the
-    elementary symmetric polynomials e_r of c_1..c_(level-1), whose keys
-    are ``units[r-1]``.
-
-    The level's series is F(pivot) * prod_(m<level) (pivot - c_m), F the
-    product of its untwisted factors.  The product of its linear factors is
-    sum_r (-1)^r * e_r * pivot^(level-1-r), so this is ``_level_product``
-    of that sum times the untwisted factors, and its slice at -g-1 is
-    sum_r (-1)^r * e_r * [pivot^(r-g-level)] F.
-    """
-    linear = {level - 1: {0: 1}}
-    for r, unit in enumerate(units[: level - 1], 1):
-        linear[level - 1 - r] = {unit: (-1) ** r}
-    untwisted = [factor for factor in spec.levels[level - 1].factors if not any(factor.twists)]
-    return _level_product(
-        untwisted, (linear, 1, level - 1), PIVOT, taut_variable, memo, min_exponent, max_exponent
-    )
-
-
 def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
     """Tower Segre series by the closed formula, restricted to the window.
 
@@ -583,8 +559,7 @@ closed_formula_product = closed_formula_segre
 
 
 def _push_down(
-    spec: TowerSpec, req: TruncationRequest, block: Callable[[int], LaurentPoly],
-    symmetric: bool = False,
+    spec: TowerSpec, req: TruncationRequest, block: Callable[[int], LaurentPoly]
 ) -> LaurentPoly:
     """Multiply in ``block(j)``, a polynomial in c_j and level j's own
     variables, and push c_j down, for each level j from the top.
@@ -600,52 +575,14 @@ def _push_down(
     state.  Its bound, the product's plus the series', is refused before the
     first key, and only when some part meets a piece: a level that meets
     none pushes the state to zero, whatever its exponents.
-
-    With ``symmetric``, for a flag-type tower (``_is_flag_type``) and blocks
-    that hold no c's but c_j, the state is held in the elementary symmetric
-    polynomials e_m of the c's below the level, and each level reads
-    ``_symmetric_series``.  That is exact, and meets the same slices:
-
-    * The state is symmetric.  Level j's series is F_j(pivot) times
-      prod_(m<j) (pivot - c_m), so each coefficient, and with it each c_j^g
-      pushed down, is a polynomial in the e_r of c_1..c_(j-1) and base
-      variables.  The state before level j holds only those e's of
-      c_1..c_j, and, since the e's of independent variables are
-      algebraically independent (Macdonald, *Symmetric Functions and Hall
-      Polynomials*, I.2), in exactly one way.
-    * The rewrite.  ``series._elementary_shift`` writes each e_m of
-      c_1..c_j as e_m + c_j*e_(m-1) of c_1..c_(j-1), and e_j as
-      c_j*e_(j-1).  The state is then the same polynomial in c_1..c_j, now
-      in c_j and the e's of c_1..c_(j-1), again in exactly one way.  So
-      ``state * block(j)`` sliced by c_j has the generic push's slices at
-      the same g, each a polynomial in c_1..c_(j-1) written in their e's:
-      the same ``gamma_max``, so the cap check is the generic one, and the
-      same least g, so the same window of the level series.
-    * The single step.  prod_(m<j) (pivot - c_m) is sum_r (-1)^r * e_r *
-      pivot^(j-1-r), so c_j^g goes to sum_r (-1)^r * e_r * [pivot^(r-g-j)]
-      F_j, which is ``_symmetric_series``'s slice at -g-1.  Each part times
-      its slice goes into the one accumulator as in the generic mode, so
-      its bound is refused before the first key, and only when some part
-      meets a slice.  After level 1 no e is left: e_1 became c_1, and level
-      1's series holds none.
-
-    The rewrite bounds its image by the exponents it holds, not by the
-    state's carried bound, so this mode can compute a value whose generic
-    push would refuse an inherited bound near 2**31.
     """
     validate_tower(spec)
-    units = []
-    if symmetric:
-        # The keys of e_1..e_k, read as those of c_1..c_j at level j.
-        units = [_unit(VariableId(f"e{m}", "elementary", m)) for m in range(1, spec.k + 1)]
     state = LaurentPoly.one()
     memo: dict = {}
     for j in range(spec.k, 0, -1):
         if state.is_zero():
             break
         c_j = taut_variable(j)
-        if symmetric:
-            state = _elementary_shift(state, units[:j], _unit(c_j))
         parts, den, bound = _sliced(state * block(j), c_j)
         gamma_max = max(parts)
         if gamma_max > req.shift_caps[j - 1]:
@@ -653,12 +590,7 @@ def _push_down(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        if symmetric:
-            series, s_den, s_bound = _symmetric_series(
-                spec, j, memo, -gamma_max - 1, -min(parts) - 1, units
-            )
-        else:
-            series, s_den, s_bound = _level_series(spec, j, memo, -gamma_max - 1, -min(parts) - 1)
+        series, s_den, s_bound = _level_series(spec, j, memo, -gamma_max - 1, -min(parts) - 1)
         pairs = [(part, series[-g - 1]) for g, part in parts.items() if -g - 1 in series]
         if not pairs:
             return LaurentPoly()
@@ -724,18 +656,76 @@ def pushforward_monomial(
       Their product is that one power of c_j.
 
     The slices met are among the window's, so its derived caps hold.  A
-    flag-type tower (``_is_flag_type``) is pushed on a symmetric state
-    (``_push_down``), which meets the same slices; every other tower takes
-    the generic push.
+    flag-type tower (``_is_flag_type``) takes its value as a determinant
+    (``_flag_type_push``), which needs no caps; every other tower takes
+    the push.
     """
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
     aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
-    req = TruncationRequest.derive(spec, exps, aux)
     power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
-    return _push_down(
-        spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1]),
-        _is_flag_type(spec),
-    )
+    if _is_flag_type(spec):
+        return _flag_type_push(spec, power)
+    req = TruncationRequest.derive(spec, exps, aux)
+    return _push_down(spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1]))
+
+
+def _flag_type_push(spec: TowerSpec, power: Sequence[int]) -> LaurentPoly:
+    """``pushforward_monomial`` of prod_i c_i^p_i, p_i = ``power[i-1]``, on
+    a flag-type tower (``_is_flag_type``), as the determinant of
+    M_(i,j) = [u^(-p_i-j)] F_i for i, j in 1..k, F_i the product of level
+    i's untwisted factors.
+
+    The value is the coefficient of prod_i u_i^(-p_i-1) in the closed
+    product of the tower without its auxiliary variables, since a level's
+    auxiliary exponents only add to its power of c_i
+    (``pushforward_monomial``).  Level i's shifted factors are F_i(u_i) and
+    u_i - u_m for each m < i, so that product is V(u) * prod_i F_i(u_i),
+    with V = prod_(m<i) (u_i - u_m) = det(u_i^(j-1)).  By Leibniz the
+    coefficient is the sum over permutations s of sign(s) times
+    prod_i [u^(-p_i-s(i))] F_i, which is det M (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, I.3).  Each entry is a single-step
+    push-forward of level i, a polynomial in the base variables.
+
+    Row i is the slices of level i's ``_level_product`` in -p_i-k..-p_i-1,
+    all through one walk memo.  The rows are formed from the largest p
+    down, so the lowest floor comes first and a series that several levels
+    share is long-divided once (``_expansion``).  The determinant is
+    expanded row by row in increasing p, with one partial sum per set of
+    used columns: the sign is the row order's times, for each choice of
+    column j, the parity of the used columns after j.  A zero entry or partial sum
+    is never carried, so a flag tower's rows, with one nonzero entry each,
+    keep one partial sum.
+    """
+    validate_tower(spec)
+    k = spec.k
+    order = sorted(range(k), key=power.__getitem__)
+    memo: dict = {}
+    rows: dict[int, list[tuple[int, LaurentPoly]]] = {}
+    for i in reversed(order):
+        p = power[i]
+        untwisted = [factor for factor in spec.levels[i].factors if not any(factor.twists)]
+        parts, den, bound = _level_product(
+            untwisted, ({0: {0: 1}}, 1, 0), PIVOT, taut_variable, memo, -p - k, -p - 1
+        )
+        rows[i] = [
+            (j, LaurentPoly._wrap(parts[-p - j - 1], den, bound))
+            for j in range(k) if -p - j - 1 in parts
+        ]
+    swaps = sum(later < row for t, row in enumerate(order) for later in order[t + 1:])
+    partial = {0: -LaurentPoly.one() if swaps % 2 else LaurentPoly.one()}
+    for i in order:
+        sums: dict[int, LaurentPoly] = {}
+        for used, value in partial.items():
+            for j, entry in rows[i]:
+                if used >> j & 1:
+                    continue
+                term = value * entry
+                if (used >> j).bit_count() % 2:
+                    term = -term
+                key = used | 1 << j
+                sums[key] = sums[key] + term if key in sums else term
+        partial = {used: value for used, value in sums.items() if value}
+    return partial.get((1 << k) - 1, LaurentPoly())
 
 
 def _is_flag_type(spec: TowerSpec) -> bool:

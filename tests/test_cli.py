@@ -491,10 +491,10 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, o
 
 def test_flag_integral_near_the_slot_limit(capsys):
     # At k = 1 the power of c1 meets no piece of 1/u^2, so the push gives 0
-    # without refusing its bound.  At k = 2 the symmetric push bounds each
-    # rewritten state by the exponents it holds: level 2 leaves the constant
-    # 1, and c1^2147483646 meets no piece of 1/u^3, so the value is the exact
-    # 0.  The generic push refuses the same tuple
+    # without refusing its bound.  At k = 2 the value is a 2 x 2 determinant
+    # whose row 1 is the slices of 1/u^3 at u^-2147483647 and u^-2147483648:
+    # it meets none, so the value is the exact 0 and no bound is formed.
+    # The generic push refuses the same tuple
     # (``test_generic_push_refuses_an_inherited_bound_near_the_slot_limit``).
     assert main(["flag-integral", "--k", "1", "--exps", "2147483646"]) == 0
     assert capsys.readouterr() == ("0\n", "")

@@ -557,9 +557,12 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
     # no floor changes them; the bundle series' expansion is infinite, so a
     # level that reuses it at a higher floor gets the stored expansion with
     # slices below its own floor, and one that recomputes it at a lower
-    # floor gets a different expansion from the one stored.  A bundle value
-    # of top degree is a constant, which no term of positive degree in the
-    # e's can reach, so the bundle is also pushed at degrees 11 and 12.
+    # floor gets a different expansion from the one stored.  The point
+    # values are taken by the determinant, which forms its rows from the
+    # lowest floor up and so only reuses, and by the generic push, which
+    # also recomputes; the two must agree.  A bundle value of top degree is
+    # a constant, which no term of positive degree in the e's can reach, so
+    # the bundle is also pushed at degrees 11 and 12.
     above = [a for a in itertools.product(range(7), repeat=4) if 10 < sum(a) <= 12]
     bundle = flag_bundle(4)
     point = bundle.levels[0].factors[0].series
@@ -600,6 +603,8 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
         tuples = flag_exponent_tuples(4) + more
         values = [pushforward_monomial(copy, exps) for exps in tuples]
         assert values == [pushforward_monomial(spec, exps) for exps in tuples]
+        for tower in (spec, copy):
+            assert [_generic_push(tower, exps) for exps in tuples] == values
         assert any(values)
     assert {"reuse higher", "recompute"} <= set(met)
 
@@ -678,11 +683,21 @@ def test_flag_bundle_pushforwards_match_the_bialternant(k):
     assert non_constant > 0
 
 
-def test_symmetric_push_equals_both_windows_on_every_flag_tuple():
-    # Every flag tuple with k <= 6, pushed on the symmetric state, equals
-    # its coefficient in the stepwise and in the closed window at orders
-    # (k,)*k.  Each window is read once per k, by slot, as run_verify reads
-    # it.
+def _generic_push(spec, exps, aux=None):
+    """``pushforward_monomial`` by the generic ``_push_down``, on any tower."""
+    aux = aux or {}
+    req = TruncationRequest.derive(spec, exps, aux)
+    power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
+    return tower_mod._push_down(
+        spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1])
+    )
+
+
+def test_flag_type_determinant_equals_the_push_and_both_windows_on_every_flag_tuple():
+    # Every flag tuple with k <= 6, taken as a determinant, equals the
+    # generic push and its coefficient in the stepwise and in the closed
+    # window at orders (k,)*k.  Each window is read once per k, by slot, as
+    # run_verify reads it.
     for k in range(1, 7):
         spec = flag_tower(k)
         assert tower_mod._is_flag_type(spec)
@@ -695,36 +710,60 @@ def test_symmetric_push_equals_both_windows_on_every_flag_tuple():
         for exps in flag_exponent_tuples(k):
             at = tuple(-a - 1 for a in exps)
             value = pushforward_monomial(spec, exps)
+            assert value == _generic_push(spec, exps), exps
             assert value == windows[0].get(at, 0) == windows[1].get(at, 0), exps
             nonzero += bool(value)
         assert nonzero == math.factorial(k)
 
 
-def test_symmetric_push_equals_the_closed_window_on_bundles_and_partial_flags():
+def test_flag_type_determinant_equals_the_push_and_the_closed_window_on_bundles_and_partial_flags():
     # flag_bundle(4) on 40 seeded tuples with entries up to 6, 30 of them
-    # without a repeated entry, and partial flags (F = u^-(k+2)) at k <= 4
-    # on every tuple with entries up to k + 1: each value, a polynomial in
-    # the base generators for the bundle, is the closed window's
-    # coefficient exactly.
+    # without a repeated entry, partial flags (F = u^-(k+2)) at k <= 4 on
+    # every tuple with entries up to k + 1, flag_bundle(3) with an
+    # auxiliary variable on levels 1 and 3 on all 512 monomials with
+    # exponents up to 3, and a tower whose levels come from a bundle, a
+    # partial flag and a flag tower, so its rows differ, on every tuple with
+    # entries up to 5: each value, a polynomial in the base generators for
+    # a bundle, is the generic push's and the closed window's coefficient
+    # exactly.
     rng = random.Random(31)
     bundle_tuples = [tuple(rng.sample(range(7), 4)) for _ in range(30)]
     bundle_tuples += [tuple(rng.randint(0, 6) for _ in range(4)) for _ in range(10)]
-    cases = [(flag_bundle(4), bundle_tuples)]
+    cases = [(flag_bundle(4), bundle_tuples, {})]
     cases += [
-        (partial_flag(k), list(itertools.product(range(k + 2), repeat=k))) for k in range(1, 5)
+        (partial_flag(k), list(itertools.product(range(k + 2), repeat=k)), {})
+        for k in range(1, 5)
     ]
-    nonzero = with_base = 0
-    for spec, tuples in cases:
+    bundle = flag_bundle(3)
+    levels = list(bundle.levels)
+    levels[0], levels[2] = levels[0]._replace(aux=("v",)), levels[2]._replace(aux=("w",))
+    with_aux = bundle._replace(levels=tuple(levels))
+    cases.append((with_aux, list(itertools.product(range(4), repeat=3)), {"v": 3, "w": 1}))
+    mixed = bundle._replace(
+        levels=(bundle.levels[0], partial_flag(3).levels[1], flag_tower(3).levels[2])
+    )
+    cases.append((mixed, list(itertools.product(range(6), repeat=3)), {}))
+    nonzero = with_base = monomials = 0
+    for spec, tuples, aux_orders in cases:
         assert tower_mod._is_flag_type(spec)
         orders = tuple(map(max, zip(*tuples)))
-        window = closed_formula_segre(spec, TruncationRequest.derive(spec, orders))
+        req = TruncationRequest.derive(spec, orders, aux_orders)
+        window = closed_formula_segre(spec, req)
+        over = spec.tower_variables() + spec.aux_variables()
         for exps in tuples:
-            target = Monomial((U(i), -a - 1) for i, a in enumerate(exps, 1))
-            value = pushforward_monomial(spec, exps)
-            assert value == coefficient_of(window, target, spec.tower_variables()), exps
-            nonzero += bool(value)
-            with_base += bool(value.variables())
-    assert nonzero >= 40 and with_base >= 10
+            for aux_exps in itertools.product(*(range(b + 1) for b in aux_orders.values())):
+                aux = dict(zip(aux_orders, aux_exps))
+                target = Monomial(
+                    [(U(i), -a - 1) for i, a in enumerate(exps, 1)]
+                    + [(v, -aux[v.name] - 1) for v in spec.aux_variables()]
+                )
+                value = pushforward_monomial(spec, exps, aux)
+                assert value == _generic_push(spec, exps, aux), (exps, aux)
+                assert value == coefficient_of(window, target, over), (exps, aux)
+                nonzero += bool(value)
+                with_base += bool(value.variables())
+                monomials += spec is with_aux
+    assert monomials == 512 and nonzero >= 40 and with_base >= 10
 
 
 def test_arrangement_sign():

@@ -33,7 +33,6 @@ from _helpers import (
     G,
     U,
     descending_reference,
-    evaluate,
     falling_factorial_quotient,
     mono,
     poly,
@@ -811,53 +810,3 @@ def test_shift_expand_matches_sympy_series_at_infinity():
         theirs = sp.series(to_sympy(sp, q).subs(x, argument), t, sp.oo, cap + 1)
         ours = to_sympy(sp, shift_expand(q, PIVOT, shift, cap))
         assert sp.expand(theirs.removeO().subs(t, 1) - ours) == 0, (q, shift, cap)
-
-
-# -- the elementary-symmetric rewrite ------------------------------------------------
-
-
-def _elementary(n):
-    return [VariableId(f"e{m}", "elementary", m) for m in range(1, n + 1)]
-
-
-def _elementary_values(roots):
-    """e_1..e_n of ``roots``, from prod (1 + r*t) one root at a time."""
-    values = [Fraction(1)] + [Fraction(0)] * len(roots)
-    for root in roots:
-        values = [values[0]] + [a + root * b for a, b in zip(values[1:], values)]
-    return values[1:]
-
-
-_ratios = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.integers(1, 4), st.data())
-def test_elementary_shift_is_the_same_polynomial_in_the_roots(n, data):
-    # A random polynomial in e_1..e_n and a base variable g, evaluated at the
-    # elementary symmetric polynomials of random rational roots c_1..c_n,
-    # equals its rewrite evaluated at those of c_1..c_(n-1), with c_n for x.
-    es, x, g = _elementary(n), VariableId("c", "taut", n), G("g")
-    exponents = st.tuples(*[st.integers(0, 3)] * n, st.integers(-2, 2))
-    terms = data.draw(st.dictionaries(exponents, _ratios.filter(bool), max_size=6))
-    p = LaurentPoly(
-        {Monomial([*zip(es, exps[:-1]), (g, exps[-1])]): c for exps, c in terms.items()}
-    )
-    roots = data.draw(st.lists(_ratios, min_size=n, max_size=n))
-    at_g = data.draw(_ratios.filter(bool))
-    rewritten = series._elementary_shift(p, [series._unit(e) for e in es], series._unit(x))
-    assert es[-1] not in rewritten.variables()
-    lower = {**dict(zip(es, _elementary_values(roots[:-1]))), x: roots[-1], g: at_g}
-    full = {**dict(zip(es, _elementary_values(roots))), g: at_g}
-    assert evaluate(rewritten, lower) == evaluate(p, full)
-
-
-def test_elementary_shift_refuses_negative_powers_and_large_bounds():
-    es, x = _elementary(2), VariableId("c", "taut", 2)
-    units = [series._unit(e) for e in es]
-    with pytest.raises(ValueError, match="negative power"):
-        series._elementary_shift(LaurentPoly.variable(es[0], -1), units, series._unit(x))
-    # c2 would reach the e-degree 2**31, one more than a slot holds.
-    big = LaurentPoly.monomial(Monomial(((es[0], 2**30), (es[1], 2**30))))
-    with pytest.raises(ExponentOverflowError):
-        series._elementary_shift(big, units, series._unit(x))

@@ -892,20 +892,26 @@ def test_pushforward_monomial_rejects_negative_exponents():
 
 
 def test_push_refuses_a_degree_above_its_cap(monkeypatch):
-    # flag_tower(2) at orders (2, 2) meets c2^2 at level 2 by both pushes;
-    # with level 2's cap lowered to 1 the TruncationOverrun check fires.
-    spec, derive = flag_tower(2), TruncationRequest.derive
+    # flag_tower(2) at orders (2, 2) meets c2^2 at level 2 by the stepwise
+    # push; with level 2's cap lowered to 1 the TruncationOverrun check
+    # fires.  A flag-type tower's point value is a determinant that reads no
+    # caps, so the public route's check is taken on a tower the predicate
+    # rejects: the first variant of flag_tower(3) at (2, 2, 2) meets c2^3.
+    derive = TruncationRequest.derive
 
-    def lowered(cls, *args, **kwargs):
-        req = derive(*args, **kwargs)
-        return req._replace(shift_caps=(req.shift_caps[0], 1))
+    def lowered(req, cap):
+        return req._replace(shift_caps=(req.shift_caps[0], cap, *req.shift_caps[2:]))
 
-    message = "intermediate degree 2 in c2 exceeds the derived cap 1"
-    with pytest.raises(TruncationOverrun, match=message):
-        stepwise_pushforward(spec, lowered(TruncationRequest, spec, (2, 2)))
-    monkeypatch.setattr(TruncationRequest, "derive", classmethod(lowered))
-    with pytest.raises(TruncationOverrun, match=message):
-        pushforward_monomial(spec, (2, 2))
+    spec = flag_tower(2)
+    with pytest.raises(TruncationOverrun, match="degree 2 in c2 exceeds the derived cap 1"):
+        stepwise_pushforward(spec, lowered(derive(spec, (2, 2)), 1))
+    variant = _flag3_variants()[0]
+    assert pushforward_monomial(variant, (2, 2, 2))
+    monkeypatch.setattr(
+        TruncationRequest, "derive", classmethod(lambda cls, *args: lowered(derive(*args), 2))
+    )
+    with pytest.raises(TruncationOverrun, match="degree 3 in c2 exceeds the derived cap 2"):
+        pushforward_monomial(variant, (2, 2, 2))
 
 
 def test_push_refuses_its_bound_only_when_a_piece_is_met(monkeypatch):
@@ -925,9 +931,10 @@ def test_push_refuses_its_bound_only_when_a_piece_is_met(monkeypatch):
 
 def test_generic_push_refuses_an_inherited_bound_near_the_slot_limit():
     # ``flag-integral --k 2 --exps 2147483646,1`` prints the exact 0 by the
-    # symmetric push.  The generic push of the same monomial carries level
-    # 2's series bound into its state, whose product with c1^2147483646
-    # leaves the slot: refused by name, before any key is formed.
+    # determinant, whose row 1 meets no slice of 1/u^3.  The generic push of
+    # the same monomial carries level 2's series bound into its state, whose
+    # product with c1^2147483646 leaves the slot: refused by name, before
+    # any key is formed.
     spec, exps = flag_tower(2), (2147483646, 1)
     req = TruncationRequest.derive(spec, exps)
     with pytest.raises(ExponentOverflowError) as caught:
@@ -964,17 +971,30 @@ def test_flag_type_predicate_accepts_flags_bundles_and_partial_flags():
         assert not tower._is_flag_type(spec), spec
 
 
+def test_the_determinant_derives_no_caps(monkeypatch):
+    # A flag-type tower's value is a determinant, which reads no truncation
+    # caps, so none are derived; the exponents are still checked.
+    def refuse(cls, *args):
+        raise AssertionError("a TruncationRequest was derived")
+
+    monkeypatch.setattr(TruncationRequest, "derive", classmethod(refuse))
+    assert pushforward_monomial(flag_tower(3), (3, 2, 1)) == 1
+    assert pushforward_monomial(flag_bundle(2), (3, 2)).variables()
+    with pytest.raises(ValueError, match="tower_exponents"):
+        pushforward_monomial(flag_tower(3), (3, 2, -1))
+
+
 def test_a_tower_the_predicate_rejects_takes_the_generic_push(monkeypatch):
     # Each variant of flag_tower(3) is pushed generically, and its values
-    # still equal its closed window's coefficients.
-    modes = []
-    push = tower._push_down
+    # still equal its closed window's coefficients; flag_tower(3) itself
+    # takes the determinant.
+    routes = []
+    for name in ("_push_down", "_flag_type_push"):
+        def spy(*args, _name=name, _route=getattr(tower, name)):
+            routes.append(_name)
+            return _route(*args)
 
-    def spy(spec, req, block, symmetric=False):
-        modes.append(symmetric)
-        return push(spec, req, block, symmetric)
-
-    monkeypatch.setattr(tower, "_push_down", spy)
+        monkeypatch.setattr(tower, name, spy)
     nonzero = 0
     for spec in _flag3_variants():
         window = closed_formula_segre(spec, TruncationRequest.derive(spec, (4, 4, 4)))
@@ -983,6 +1003,7 @@ def test_a_tower_the_predicate_rejects_takes_the_generic_push(monkeypatch):
             value = pushforward_monomial(spec, exps)
             assert value == coefficient_of(window, target, spec.tower_variables()), exps
             nonzero += bool(value)
-    assert nonzero and set(modes) == {False}
+    assert nonzero and set(routes) == {"_push_down"}
+    assert len(routes) == 3 * 5**3
     pushforward_monomial(flag_tower(3), (3, 2, 1))
-    assert modes[-1] is True
+    assert routes[-1] == "_flag_type_push"
