@@ -14,7 +14,12 @@ Each subcommand's options are declared once, in ``_SUBCOMMANDS``.  A
 well-formed argv is read straight from that table; any other argv goes to
 the argparse tree ``build_parser`` builds from it, which alone imports
 argparse, so help, usage and every parse error are argparse's own and a
-well-formed call loads neither argparse nor gettext.
+well-formed call loads neither argparse nor gettext.  In the same way
+``random`` is imported only where weights are drawn: by ``run_verify`` for
+its corpus and by ``flag.localization_integral`` for the fixed-point
+cross-check.  A plain ``flag-integral`` call and every ``tower-segre`` call
+never load it, and the import of this module loads only the standard
+library every call needs.
 
 Output is deterministic: identical inputs and seeds produce byte-identical
 text, and all rationals are printed exactly as ``num/den`` in lowest terms.
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import json
 import itertools
-import random
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
@@ -368,6 +372,8 @@ def run_verify(
                 f"{len(tuples)} integrals, triple agreement" if not bad else "; ".join(bad),
             )
         )
+
+    import random
 
     rng = random.Random(seed)
     for index in range(1, towers + 1):

@@ -26,7 +26,6 @@ A call without a memo draws its weights and reduces every row.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -135,8 +134,10 @@ def localization_integral(
     once per memo and key, whatever the seed's type, and a call reduces only
     the rows after the first exponent where it differs from that call.
     Without a memo every call draws its weights and reduces every row.
-    Columns are scaled by q_j^E with E = max(k, a_1, ..., a_k) when the
-    elimination starts; a tuple with an entry above E starts it again.
+    ``random`` is imported only here, when weights are drawn, so importing
+    this module does not load it.  Columns are scaled by q_j^E with
+    E = max(k, a_1, ..., a_k) when the elimination starts; a tuple with an
+    entry above E starts it again.
 
     Exponents of total degree above the dimension k(k+1)/2 are refused: there
     the sum is a non-constant polynomial in the weights, not an integral.
@@ -152,6 +153,8 @@ def localization_integral(
     key = (k, trials, seed)
     kept = None if memo is None else memo.get(key)
     if kept is None:
+        import random
+
         rng = random.Random(seed)
         kept = []
         for _ in range(trials):

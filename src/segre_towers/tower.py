@@ -49,12 +49,13 @@ it, so it runs the same top-down push with one power of c_j per level in
 place of the level's blocks (its docstring proves this exact).  The shift
 expansions stop at the last nonzero binomial, which for the flag tower's
 linear factors is the first power (see ``shift_expand``).  A flag-type
-tower, whose level i is F_i(u) * prod_(m<i) (u - c_m) (``_is_flag_type``:
-flag towers, flag bundles, partial flags), is not pushed level by level:
-its closed product is the Vandermonde determinant times prod_i F_i(u_i),
-so a point value is a k x k determinant whose entries are single-step
-push-forwards, coefficients of the F_i (``_flag_type_push``).  No linear
-factor is expanded or shifted.  Every other tower takes the push.
+tower, whose level i is F_i(u) * prod_(m<i) (u - c_m) (flag towers, flag
+bundles, partial flags; ``_flag_type_levels`` finds each level's F_i), is
+not pushed level by level: its closed product is the Vandermonde
+determinant times prod_i F_i(u_i), so a point value is a k x k determinant
+whose entries are single-step push-forwards, coefficients of the F_i
+(``_flag_type_push``).  No linear factor is expanded or shifted.  Every
+other tower takes the push.
 
 The records ``TowerFactor``, ``TowerLevel``, ``TowerSpec``, ``Violation``
 and ``TruncationRequest`` are named tuples: immutable and picklable, and
@@ -66,7 +67,6 @@ record equals a plain tuple of the same fields.
 from __future__ import annotations
 
 import math
-import random
 import re
 import sys
 from collections import namedtuple
@@ -656,24 +656,27 @@ def pushforward_monomial(
       Their product is that one power of c_j.
 
     The slices met are among the window's, so its derived caps hold.  A
-    flag-type tower (``_is_flag_type``) takes its value as a determinant
+    flag-type tower (``_flag_type_levels``) takes its value as a determinant
     (``_flag_type_push``), which needs no caps; every other tower takes
     the push.
     """
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
     aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
     power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
-    if _is_flag_type(spec):
-        return _flag_type_push(spec, power)
+    levels = _flag_type_levels(spec)
+    if levels is not None:
+        return _flag_type_push(spec, levels, power)
     req = TruncationRequest.derive(spec, exps, aux)
     return _push_down(spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1]))
 
 
-def _flag_type_push(spec: TowerSpec, power: Sequence[int]) -> LaurentPoly:
+def _flag_type_push(
+    spec: TowerSpec, levels: Sequence[Sequence[TowerFactor]], power: Sequence[int]
+) -> LaurentPoly:
     """``pushforward_monomial`` of prod_i c_i^p_i, p_i = ``power[i-1]``, on
-    a flag-type tower (``_is_flag_type``), as the determinant of
-    M_(i,j) = [u^(-p_i-j)] F_i for i, j in 1..k, F_i the product of level
-    i's untwisted factors.
+    a flag-type tower, as the determinant of M_(i,j) = [u^(-p_i-j)] F_i for
+    i, j in 1..k, F_i the product of ``levels[i-1]``, level i's untwisted
+    factors (``_flag_type_levels``).
 
     The value is the coefficient of prod_i u_i^(-p_i-1) in the closed
     product of the tower without its auxiliary variables, since a level's
@@ -703,9 +706,8 @@ def _flag_type_push(spec: TowerSpec, power: Sequence[int]) -> LaurentPoly:
     rows: dict[int, list[tuple[int, LaurentPoly]]] = {}
     for i in reversed(order):
         p = power[i]
-        untwisted = [factor for factor in spec.levels[i].factors if not any(factor.twists)]
         parts, den, bound = _level_product(
-            untwisted, ({0: {0: 1}}, 1, 0), PIVOT, taut_variable, memo, -p - k, -p - 1
+            levels[i], ({0: {0: 1}}, 1, 0), PIVOT, taut_variable, memo, -p - k, -p - 1
         )
         rows[i] = [
             (j, LaurentPoly._wrap(parts[-p - j - 1], den, bound))
@@ -728,36 +730,41 @@ def _flag_type_push(spec: TowerSpec, power: Sequence[int]) -> LaurentPoly:
     return partial.get((1 << k) - 1, LaurentPoly())
 
 
-def _is_flag_type(spec: TowerSpec) -> bool:
-    """Whether level i of ``spec`` is F_i(u) * prod_(m<i) (u - c_m) for every i.
+def _flag_type_levels(spec: TowerSpec) -> list[list[TowerFactor]] | None:
+    """Each level's untwisted factors if level i of ``spec`` is
+    F_i(u) * prod_(m<i) (u - c_m) for every i, else None.
 
     So each level's factors are one factor u with twist -1 in slot m, and
     zero elsewhere, for each lower level m, and any number of untwisted
     factors, whose product is F_i.  ``flag_tower``, flag bundles and
-    partial flags are flag-type.  A linear factor counts only with the
-    series u / 1 as its two sides, so an equal series written otherwise
-    sends the tower to the generic push, which is always exact.
+    partial flags are flag-type; a tower without levels gives ``[]``.  A
+    linear factor counts only with the series u / 1 as its two sides, so an
+    equal series written otherwise sends the tower to the generic push,
+    which is always exact.
     """
     u, one = LaurentPoly.variable(PIVOT), LaurentPoly.one()
     linear = None  # the last series found to be u / 1
+    levels = []
     for lower, level in enumerate(spec.levels):
-        slots = []
+        slots, untwisted = [], []
         for factor in level.factors:
             twists = factor.twists
             zeros = twists.count(0)
             if zeros == lower:
+                untwisted.append(factor)
                 continue
             if zeros != lower - 1 or -1 not in twists:
-                return False
+                return None
             series = factor.series
             if series is not linear:
                 if series.numerator != u or series.denominator != one:
-                    return False
+                    return None
                 linear = series
             slots.append(twists.index(-1))
         if sorted(slots) != list(range(lower)):
-            return False
-    return True
+            return None
+        levels.append(untwisted)
+    return levels
 
 
 def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:

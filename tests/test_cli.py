@@ -643,26 +643,33 @@ def test_a_well_formed_call_builds_no_parser(tmp_path, capsys, monkeypatch):
 
 
 def test_a_well_formed_call_loads_neither_argparse_nor_gettext(tmp_path):
+    # random loads only where weights are drawn: the plain calls leave it
+    # unloaded, and the cross-checks and verify import it when they run.
     path = write_spec(tmp_path, flag_tower(2))
     argvs = [
         ["flag-integral", "--k", "2", "--exps", "2,1"],
         ["tower-segre", path, "--orders", "2,2", "--format", "json"],
+        ["flag-integral", "--k", "2", "--exps", "2,1", "--verbose"],
         ["verify", "--max-k", "1", "--towers", "0"],
     ]
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
-        "guarded = ('argparse', 'gettext')\n"
+        "guarded = ('argparse', 'gettext', 'random')\n"
         "assert not any(m in sys.modules for m in guarded), 'loaded at start-up'\n"
         "from segre_towers.cli import main\n"
-        f"codes = [main(argv) for argv in {argvs!r}]\n"
-        "print(codes, [m for m in guarded if m in sys.modules])\n"
+        "seen = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    seen.append((main(argv), [m for m in guarded if m in sys.modules]))\n"
+        "print(seen)\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
     )
     assert done.stderr == ""
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert done.stdout.splitlines()[-1] == (
+        "[(0, []), (0, []), (0, ['random']), (0, ['random'])]"
+    )
 
 
 # -- verify command ------------------------------------------------------------------

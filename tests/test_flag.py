@@ -700,7 +700,7 @@ def test_flag_type_determinant_equals_the_push_and_both_windows_on_every_flag_tu
     # run_verify reads it.
     for k in range(1, 7):
         spec = flag_tower(k)
-        assert tower_mod._is_flag_type(spec)
+        assert tower_mod._flag_type_levels(spec) is not None
         req = TruncationRequest.derive(spec, (k,) * k)
         windows = [
             dict(route(spec, req)._header_rows(spec.tower_variables()))
@@ -745,7 +745,7 @@ def test_flag_type_determinant_equals_the_push_and_the_closed_window_on_bundles_
     cases.append((mixed, list(itertools.product(range(6), repeat=3)), {}))
     nonzero = with_base = monomials = 0
     for spec, tuples, aux_orders in cases:
-        assert tower_mod._is_flag_type(spec)
+        assert tower_mod._flag_type_levels(spec) is not None
         orders = tuple(map(max, zip(*tuples)))
         req = TruncationRequest.derive(spec, orders, aux_orders)
         window = closed_formula_segre(spec, req)

@@ -965,10 +965,15 @@ def _flag3_variants():
 
 def test_flag_type_predicate_accepts_flags_bundles_and_partial_flags():
     accepted = [flag_tower(k) for k in range(1, 6)] + [flag_bundle(3), partial_flag(3)]
-    assert all(tower._is_flag_type(spec) for spec in accepted)
+    assert all(tower._flag_type_levels(spec) is not None for spec in accepted)
+    # Each level's F_i is its untwisted factors; a tower without levels has none.
+    assert tower._flag_type_levels(flag_tower(3)) == [
+        [level.factors[0]] for level in flag_tower(3).levels
+    ]
+    assert tower._flag_type_levels(TowerSpec(())) == []
     pool = next(spec for spec in map(_pool_tower, range(400)) if spec.k >= 2)
     for spec in [pool, *_flag3_variants()]:
-        assert not tower._is_flag_type(spec), spec
+        assert tower._flag_type_levels(spec) is None, spec
 
 
 def test_the_determinant_derives_no_caps(monkeypatch):
