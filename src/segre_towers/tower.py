@@ -71,7 +71,6 @@ import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
-from fractions import Fraction
 
 from .series import (
     PIVOT,
@@ -796,5 +795,7 @@ def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:
 
 
 def _random_coeff(rng: random.Random) -> Fraction:
+    import fractions
+
     num = rng.choice([n for n in range(-3, 4) if n])
-    return Fraction(num, rng.randint(1, 3))
+    return fractions.Fraction(num, rng.randint(1, 3))

@@ -53,6 +53,11 @@ def test_format_rational():
     assert format_rational(Fraction(-3)) == "-3"
     assert format_rational(Fraction(2, 4)) == "1/2"
     assert format_rational(Fraction(-7, 3)) == "-7/3"
+    # The packed form's numerators need not be in lowest terms with their
+    # denominator: each is reduced as it is formatted.
+    for num in range(-12, 13):
+        for den in range(1, 13):
+            assert cli_mod._format_quotient(num, den) == format_rational(Fraction(num, den))
 
 
 # -- spec file round trip --------------------------------------------------------
@@ -132,6 +137,21 @@ def test_spec_file_with_an_oversized_integer_names_the_path(tmp_path):
     with pytest.raises(cli_mod.SpecFileError) as info:
         cli_mod.load_tower_spec(str(path))
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"k": ', "}")],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_spec_file_is_refused_with_a_message(tmp_path, capsys, opening, closing):
+    # Nested past the decoder's recursion limit on every supported Python
+    # (Python 3.13 decodes 3,000 levels of arrays).
+    depth = 100_000
+    path = tmp_path / "nested.json"
+    path.write_text(opening * depth + "1" + closing * depth, encoding="utf-8")
+    assert main(["tower-segre", str(path), "--orders", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} cannot be decoded: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 # Spec-shaped JSON documents, mostly near-valid: a well-typed document whose
@@ -346,7 +366,8 @@ def test_cmd_flag_integral_refuses_before_computing(capsys, monkeypatch, extra, 
     def no_work(*args, **kwargs):
         raise AssertionError("computation started before the refusal")
 
-    for name in ("flag_integral", "vandermonde_integral", "localization_integral"):
+    for name in ("flag_integral", "_flag_pushforward", "vandermonde_integral",
+                 "localization_integral"):
         monkeypatch.setattr(cli_mod.flag_mod, name, no_work)
     exps = ",".join(str(a) for a in range(1, 11))
     code = main(["flag-integral", "--k", "10", "--exps", exps] + extra)
@@ -643,33 +664,46 @@ def test_a_well_formed_call_builds_no_parser(tmp_path, capsys, monkeypatch):
 
 
 def test_a_well_formed_call_loads_neither_argparse_nor_gettext(tmp_path):
-    # random loads only where weights are drawn: the plain calls leave it
-    # unloaded, and the cross-checks and verify import it when they run.
-    path = write_spec(tmp_path, flag_tower(2))
-    argvs = [
+    # random, fractions (with decimal and numbers) load only where weights
+    # are drawn or a Fraction is built: the plain calls leave them unloaded,
+    # and the cross-checks and verify import them when they run.  Each call
+    # runs in its own fresh process, so no call sees another's imports.
+    flag_path = write_spec(tmp_path, flag_tower(2))
+    # Rational coefficients: at these orders 23 of the 24 rows print num/den.
+    spec = random_tower_spec(random.Random(68))
+    random_path = write_spec(tmp_path, spec, "random.json")
+    orders = ",".join("2" * spec.k)
+    plain = [
         ["flag-integral", "--k", "2", "--exps", "2,1"],
-        ["tower-segre", path, "--orders", "2,2", "--format", "json"],
+        ["tower-segre", flag_path, "--orders", "2,2", "--format", "json"],
+        ["tower-segre", random_path, "--orders", orders],
+        ["tower-segre", random_path, "--orders", orders, "--method", "stepwise"],
+    ]
+    checked = [
         ["flag-integral", "--k", "2", "--exps", "2,1", "--verbose"],
         ["verify", "--max-k", "1", "--towers", "0"],
     ]
+    guarded = ("argparse", "gettext", "random", "fractions", "decimal", "numbers")
     script = (
-        "import sys\n"
+        "import json, sys\n"
         f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
-        "guarded = ('argparse', 'gettext', 'random')\n"
+        f"guarded = {guarded!r}\n"
         "assert not any(m in sys.modules for m in guarded), 'loaded at start-up'\n"
         "from segre_towers.cli import main\n"
-        "seen = []\n"
-        f"for argv in {argvs!r}:\n"
-        "    seen.append((main(argv), [m for m in guarded if m in sys.modules]))\n"
-        "print(seen)\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "print(code, [m for m in guarded if m in sys.modules])\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
-    )
-    assert done.stderr == ""
-    assert done.stdout.splitlines()[-1] == (
-        "[(0, []), (0, []), (0, ['random']), (0, ['random'])]"
-    )
+    for argvs, loaded in ((plain, []), (checked, ["random", "fractions", "decimal", "numbers"])):
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-S", "-c", script, json.dumps(argv)],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.stderr == "", argv
+            *printed, last = done.stdout.splitlines()
+            assert last == f"0 {loaded!r}", argv
+            if random_path in argv:
+                assert any("/" in line.split("\t")[-1] for line in printed[1:]), argv
 
 
 # -- verify command ------------------------------------------------------------------
@@ -733,7 +767,8 @@ def test_trials_above_the_ceiling_are_refused_before_any_work(capsys, monkeypatc
     def no_work(*args, **kwargs):
         raise AssertionError("computation started before the refusal")
 
-    for name in ("flag_integral", "vandermonde_integral", "localization_integral"):
+    for name in ("flag_integral", "_flag_pushforward", "vandermonde_integral",
+                 "localization_integral"):
         monkeypatch.setattr(cli_mod.flag_mod, name, no_work)
     monkeypatch.setattr(cli_mod, "stepwise_pushforward", no_work)
     monkeypatch.setattr(cli_mod, "closed_formula_segre", no_work)

@@ -26,8 +26,11 @@ from segre_towers.cli import ResultTable, VerifyCase
 #: ``tokenize``: together about half of the CLI's start-up time.  ``random``
 #: is imported only where weights are drawn, by ``verify`` and the
 #: fixed-point cross-check, and loads ``os`` and ``bisect`` with it.
+#: ``fractions``, which loads ``decimal`` and ``numbers``, is imported only
+#: where the public API builds a ``Fraction``.
 UNWANTED_AT_START_UP = (
-    "dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "random"
+    "dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "random",
+    "fractions", "decimal", "numbers",
 )
 
 

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,30 @@ def test_poly_equality_with_scalars():
     assert LaurentPoly.constant(Fraction(3, 2)) == Fraction(3, 2)
     assert LaurentPoly.zero() == 0
     assert LaurentPoly.one() == 1
+    # An int, a bool and a Fraction of one value are one coefficient, in every
+    # constructor and on either side of + and *; a float or a Decimal is none.
+    m, p = mono((U(1), 2)), poly({((U(1), -1),): Fraction(1, 3)})
+    for equal in ((1, True, Fraction(1)), (0, False, Fraction(0)), (-4, Fraction(-4))):
+        built = [
+            [LaurentPoly({m: c}), LaurentPoly([(m, c)]), LaurentPoly.constant(c),
+             LaurentPoly.monomial(m, c), p + c, c + p, p - c, c - p, p * c, c * p]
+            for c in equal
+        ]
+        assert all(row == built[0] for row in built), equal
+        assert all(type(n) is int for row in built for q in row for n in q._terms.values())
+    for inexact in (1.5, Decimal("1.5")):
+        refusal = f"^coefficients must be exact rationals, got {type(inexact).__name__}$"
+        for make in (
+            lambda: LaurentPoly({m: inexact}),
+            lambda: LaurentPoly.constant(inexact),
+            lambda: LaurentPoly.monomial(m, inexact),
+        ):
+            with pytest.raises(TypeError, match=refusal):
+                make()
+        for op in (lambda: p + inexact, lambda: inexact + p, lambda: p * inexact,
+                   lambda: inexact * p):
+            with pytest.raises(TypeError, match="^unsupported operand type"):
+                op()
 
 
 def test_poly_str_is_deterministic():
@@ -154,6 +179,13 @@ def test_poly_str_is_deterministic():
 def test_constant_value():
     assert LaurentPoly.constant(5).constant_value() == 5
     assert LaurentPoly.zero().constant_value() == 0
+    # The value is a Fraction whatever the coefficient's type, zero included.
+    for value in (5, True, Fraction(-3, 4), 0, False):
+        got = LaurentPoly.constant(value).constant_value()
+        assert type(got) is Fraction and got == value
+    assert type(LaurentPoly.zero().constant_value()) is Fraction
+    assert type(poly({((U(1), 1),): 2}).coefficient(mono((U(1), 1)))) is Fraction
+    assert type(poly({((U(1), 1),): 2}).coefficient(mono((U(2), 1)))) is Fraction
     with pytest.raises(ValueError):
         poly({((U(1), 1),): 1}).constant_value()
 
@@ -607,6 +639,7 @@ def ref_coefficient(ref, target, over):
 def assert_matches(value, ref):
     """``value`` holds exactly the terms of ``ref``, in canonical form."""
     assert dict(value.items()) == ref and len(value) == len(ref)
+    assert all(type(c) is Fraction for _, c in value.items() + value.terms())
     assert value == LaurentPoly(ref)
     # Lowest terms: a positive denominator sharing no factor with every numerator.
     assert value._den > 0 and math.gcd(value._den, *value._terms.values()) == 1
@@ -655,6 +688,9 @@ def test_packed_kernel_matches_dict_reference(ra, rb, cancelled, var, low, high)
         (Monomial(), {other}),
     ):
         assert_matches(coefficient_of(a, target, over), ref_coefficient(ra, target, over))
+        # A Fraction, whether or not a holds the target.
+        got = a.coefficient(target)
+        assert type(got) is Fraction and got == ra.get(target, 0)
     renamed = ref_sum(
         *({Monomial((other if v == var else v, e) for v, e in m): c} for m, c in ra.items())
     )
