@@ -53,7 +53,6 @@ from .tower import (
     closed_formula_segre,
     random_tower_spec,
     stepwise_pushforward,
-    validate_tower,
 )
 
 #: Largest ``--max-k`` of verify.  With each route batched per k and the
@@ -170,10 +169,13 @@ def tower_spec_to_doc(spec: TowerSpec) -> dict:
 
 
 def tower_spec_from_doc(doc) -> TowerSpec:
-    """Decode and validate a tower spec document, naming faulty fields.
+    """Decode a tower spec document, naming faulty fields.
 
-    ``k`` is stored only as the number of levels, so it is checked against
-    them before any level is decoded.
+    It checks the document's shape and field types, so every name is a
+    string and every twist and degree an integer; ``k`` is stored only as
+    the number of levels, so it is checked against them before any level
+    is decoded.  The tower itself is validated by the computation it is
+    given to, once (``validate_tower``).
     """
     if not isinstance(doc, dict):
         raise SpecFileError("top level: expected a JSON object")
@@ -226,9 +228,7 @@ def tower_spec_from_doc(doc) -> TowerSpec:
         if not isinstance(raw_aux, list) or not all(isinstance(x, str) for x in raw_aux):
             raise SpecFileError(f"{where}.aux: expected a list of names")
         levels.append(TowerLevel(tuple(factors), tuple(raw_aux)))
-    spec = TowerSpec(tuple(levels), tuple(bases))
-    validate_tower(spec)
-    return spec
+    return TowerSpec(tuple(levels), tuple(bases))
 
 
 def load_tower_spec(path: str) -> TowerSpec:

@@ -652,8 +652,8 @@ def _unsliced(sliced: _Sliced, var: VariableId) -> LaurentPoly:
     return LaurentPoly._wrap(data, den, bound)
 
 
-def _product(a: _Sliced, b: _Sliced, low: int | None = None, high: int | None = None) -> _Sliced:
-    """The slices of ``a * b`` whose exponent lies in ``low..high`` (None: unbounded).
+def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
+    """The slices of ``a * b`` whose exponent lies in ``low..high``.
 
     A product slice at e is the sum of a[e1] * b[e2] over e1 + e2 = e, so a
     pair of slices whose exponents sum outside the window is never formed.
@@ -664,8 +664,6 @@ def _product(a: _Sliced, b: _Sliced, low: int | None = None, high: int | None = 
     if not a_parts or not b_parts:
         return {}, 1, 0
     bound = _checked(a_bound + b_bound)
-    low = -_HALF if low is None else low
-    high = _HALF if high is None else high
     out: dict[int, dict[int, int]] = {}
     for e1, p1 in a_parts.items():
         for e2, p2 in b_parts.items():

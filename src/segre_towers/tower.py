@@ -67,7 +67,6 @@ record equals a plain tuple of the same fields.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
@@ -167,34 +166,43 @@ class InvalidTowerError(ValueError):
 def _is_reserved(name: str, k: int) -> bool:
     """Whether ``name`` is the pivot's or one of u1..uk, c1..ck.
 
-    Matched as text, so a name with more digits than ``int()`` converts
+    Compared as text, so a name with more digits than ``int()`` converts
     is compared too; without leading zeros, (length, digits) orders the
-    numbers.
+    numbers.  Only ASCII digits count: ``str.isdigit`` alone accepts others.
     """
-    top, match = str(k), isinstance(name, str) and re.fullmatch(r"[uc]([1-9][0-9]*)", name)
-    return name == PIVOT.name or (bool(match) and (len(match[1]), match[1]) <= (len(top), top))
+    top, digits = str(k), name[1:]
+    return name == PIVOT.name or (
+        name[:1] in ("u", "c") and digits.isascii() and digits.isdigit()
+        and digits[0] != "0" and (len(digits), digits) <= (len(top), top)
+    )
 
 
 def _name_problem(name: object) -> str | None:
     """Why ``name`` cannot head a table column or key an ``--aux-orders`` entry."""
     if not isinstance(name, str):
         return f"name {name!r} must be a string"
-    if not name or re.search(r"[\s,=]", name):
+    if not name or "," in name or "=" in name or any(map(str.isspace, name)):
         return f"name {name!r} must be nonempty, without whitespace, ',' or '='"
     return None
 
 
 def tower_violations(spec: TowerSpec) -> list[Violation]:
-    """All invariant breaches of a tower description, each naming its location."""
+    """All invariant breaches of a tower description, each naming its location.
+
+    It reports and never raises: a name that is not a string is reported and
+    left out of the uniqueness tests, which would hash it, and a factor whose
+    series lacks a rational function's attributes is reported under its ``q``.
+    """
     out: list[Violation] = []
     declared_bases = set()
     for name, degree in spec.base_generators:
-        if name in declared_bases:
-            out.append(Violation(None, "base_generators", f"duplicate generator {name!r}"))
-        declared_bases.add(name)
+        if isinstance(name, str):
+            if name in declared_bases:
+                out.append(Violation(None, "base_generators", f"duplicate generator {name!r}"))
+            declared_bases.add(name)
         if problem := _name_problem(name):
             out.append(Violation(None, "base_generators", problem))
-        if not isinstance(degree, int) or degree <= 0:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree <= 0:
             out.append(
                 Violation(None, "base_generators", f"generator {name!r} needs a positive degree")
             )
@@ -215,18 +223,27 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                         f"twist vector must have length {level - 1}, got {len(factor.twists)}",
                     )
                 )
-            if not factor.series.base_names <= declared_bases:
+            try:
+                base_names = factor.series.base_names
+            except AttributeError:
+                out.append(
+                    Violation(level, f"factors[{fpos}].q", "series must be a RationalFunction1V")
+                )
+                continue
+            if not base_names <= declared_bases:
                 out += [
                     Violation(
                         level,
                         f"factors[{fpos}].q",
                         f"base variable {name!r} is not declared in base_generators",
                     )
-                    for name in sorted(factor.series.base_names - declared_bases)
+                    for name in sorted(base_names - declared_bases)
                 ]
         for apos, name in enumerate(lvl.aux):
             if problem := _name_problem(name):
                 out.append(Violation(level, f"aux[{apos}]", problem))
+            if not isinstance(name, str):
+                continue
             if name in seen_names or _is_reserved(name, spec.k):
                 out.append(Violation(level, f"aux[{apos}]", f"name {name!r} is not unique"))
             seen_names.add(name)
@@ -418,11 +435,11 @@ def _expansion(
 def _level_product(
     factors: Sequence[TowerFactor], result: tuple[dict[int, dict[int, int]], int, int],
     pivot: VariableId, lower: Callable[[int], VariableId], memo: dict, floor: int,
-    ceiling: int | None = None, extras: Sequence[tuple[LaurentPoly, int]] = (),
+    ceiling: int, extras: Sequence[tuple[LaurentPoly, int]] = (),
 ) -> tuple[dict[int, dict[int, int]], int, int]:
     """``result``, sliced by ``pivot``, times a level's shifted ``factors``
     in ``pivot``, then ``extras``, keeping the terms whose pivot exponent
-    lies in ``floor..ceiling`` (None: no ceiling), sliced by that exponent.
+    lies in ``floor..ceiling``, sliced by that exponent.
 
     The product is held as slices, {pivot exponent: {key of the rest:
     numerator}} over one denominator (``series._product``), from the factor
@@ -488,8 +505,7 @@ def _level_product(
     for multiplier, up, least in zip(multipliers, ups, lows):
         future_up -= up
         future_low -= least
-        high = None if ceiling is None else ceiling - future_low
-        product = _product(product, multiplier, floor - future_up, high)
+        product = _product(product, multiplier, floor - future_up, ceiling - future_low)
         if not product[0]:
             break
     return product
@@ -500,20 +516,22 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
 
     Returns the shifted-factor product as a Laurent polynomial in the
     reserved pivot and the tautological variables c_1..c_{level-1}; pivot
-    exponents >= min_exponent are exact.
+    exponents >= min_exponent are exact.  No shift raises the pivot's
+    exponent, so none exceeds the sum of the factors' ``_lead_plus``.
     """
     validate_tower(spec)
     if not 1 <= level <= spec.k:
         raise ValueError(f"level must be in 1..{spec.k}, got {level}")
-    return _unsliced(_level_series(spec, level, {}, min_exponent), PIVOT)
+    top = sum(map(_lead_plus, spec.levels[level - 1].factors))
+    return _unsliced(_level_series(spec, level, {}, min_exponent, top), PIVOT)
 
 
 def _level_series(
-    spec: TowerSpec, level: int, memo: dict, min_exponent: int, max_exponent: int | None = None
+    spec: TowerSpec, level: int, memo: dict, min_exponent: int, max_exponent: int
 ) -> tuple[dict[int, dict[int, int]], int, int]:
     """``individual_segre`` of a tower already validated, at a level in range,
-    with only the pivot exponents up to ``max_exponent`` (None: all), sliced
-    by the pivot's exponent; ``memo`` is the walk's (``_expansion``)."""
+    with only the pivot exponents up to ``max_exponent``, sliced by the
+    pivot's exponent; ``memo`` is the walk's (``_expansion``)."""
     return _level_product(
         spec.levels[level - 1].factors, ({0: {0: 1}}, 1, 0), PIVOT, taut_variable, memo,
         min_exponent, max_exponent,
@@ -573,9 +591,9 @@ def _push_down(
     denominator, the product's times the series', wrapped once as the next
     state.  Its bound, the product's plus the series', is refused before the
     first key, and only when some part meets a piece: a level that meets
-    none pushes the state to zero, whatever its exponents.
+    none pushes the state to zero, whatever its exponents.  The caller
+    validates ``spec``.
     """
-    validate_tower(spec)
     state = LaurentPoly.one()
     memo: dict = {}
     for j in range(spec.k, 0, -1):
@@ -622,6 +640,7 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     [-b-1, -1], and the level series multiplied in afterwards involve only
     the pivot and the tautological variables c_j.
     """
+    validate_tower(spec)
 
     def block(j: int) -> LaurentPoly:
         c_j = taut_variable(j)
@@ -657,8 +676,9 @@ def pushforward_monomial(
     The slices met are among the window's, so its derived caps hold.  A
     flag-type tower (``_flag_type_levels``) takes its value as a determinant
     (``_flag_type_push``), which needs no caps; every other tower takes
-    the push.
+    the push.  The tower is validated first, before any of it is read.
     """
+    validate_tower(spec)
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
     aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
     power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
@@ -696,9 +716,8 @@ def _flag_type_push(
     used columns: the sign is the row order's times, for each choice of
     column j, the parity of the used columns after j.  A zero entry or partial sum
     is never carried, so a flag tower's rows, with one nonzero entry each,
-    keep one partial sum.
+    keep one partial sum.  The caller validates ``spec``.
     """
-    validate_tower(spec)
     k = spec.k
     order = sorted(range(k), key=power.__getitem__)
     memo: dict = {}

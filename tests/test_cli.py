@@ -77,12 +77,16 @@ def test_spec_round_trip_random_corpus():
         assert tower_spec_from_doc(doc) == spec
 
 
-def test_spec_file_error_names_the_field():
+def test_spec_file_error_names_the_field(tmp_path, capsys):
+    # A well-formed document of an invalid tower decodes; the route refuses
+    # it, naming the level.
     doc = tower_spec_to_doc(flag_tower(2))
     doc["levels"][1]["factors"][0]["m"] = []
-    with pytest.raises(Exception) as info:
-        tower_spec_from_doc(doc)
-    assert "level 2" in str(info.value)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for method in ("closed", "stepwise"):
+        assert main(["tower-segre", str(path), "--orders", "1,1", "--method", method]) == 1
+        assert "level 2" in capsys.readouterr().err
     # Booleans are JSON literals, not integers, wherever an integer is required;
     # a generator name must be a string, never coerced (null is not "None").
     # A k out of range, or one that is not the number of levels, is refused

@@ -710,8 +710,10 @@ window_bounds = st.none() | st.integers(-7, 7)
 )
 def test_windowed_product_is_the_filtered_product(a, b, var, low, high):
     # The sliced product with a window on var's exponent.  Base variables,
-    # negative exponents, open ends and empty windows (low > high) all occur
-    # among the draws.
+    # negative exponents, ends beyond every packed exponent and empty windows
+    # (low > high) all occur among the draws.
+    top = 2**31 - 1
+    low, high = -top if low is None else low, top if high is None else high
     full = a * b
     sliced = series._product(series._sliced(a, var), series._sliced(b, var), low, high)
     assert all(sliced[0].values())
@@ -727,7 +729,7 @@ def test_windowed_product_refuses_an_overflowing_bound_before_forming_a_key(monk
     sliced = series._sliced(a, P[1]), series._sliced(b, P[1])
     formed = []
     monkeypatch.setattr(series, "_accumulate", lambda data, items: formed.append(items))
-    for low, high in ((None, None), (0, None), (None, 0), (1, 0)):
+    for low, high in ((-top, top), (0, top), (-top, 0), (1, 0)):
         with pytest.raises(ExponentOverflowError):
             series._product(*sliced, low, high)
     with pytest.raises(ExponentOverflowError):

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -154,6 +155,117 @@ def test_aux_names_must_be_strings():
     assert violation.message.endswith("must be a string")
 
 
+def test_violations_are_reported_never_raised():
+    # A series without a rational function's attributes, an unhashable aux or
+    # base-generator name and a bool degree: each is one violation under its
+    # field, and every route refuses the tower with InvalidTowerError.
+    good = TowerFactor((), rf(1, {2: 1}))
+    cases = [
+        (TowerSpec((TowerLevel((TowerFactor((), None),)),)), (1, "factors[0].q")),
+        (TowerSpec((TowerLevel((good,), (["v"],)),)), (1, "aux[0]")),
+        (TowerSpec((TowerLevel((good,), ("v", ["v"], "v")),)), (1, "aux[1]")),
+        (TowerSpec((TowerLevel((good,)),), ((["g"], 1),)), (None, "base_generators")),
+        (TowerSpec((TowerLevel((good,)),), (("g", True),)), (None, "base_generators")),
+    ]
+    req = TruncationRequest((0,), (), (1,))
+    for spec, where in cases:
+        found = tower_violations(spec)
+        assert where in {(v.level, v.field) for v in found}, (spec, found)
+        for route in (
+            validate_tower,
+            lambda s: closed_formula_segre(s, req),
+            lambda s: stepwise_pushforward(s, req),
+            lambda s: pushforward_monomial(s, (0,)),
+            lambda s: individual_segre(s, 1, -1),
+        ):
+            with pytest.raises(InvalidTowerError) as info:
+                route(spec)
+            assert f"{where[1]}:" in str(info.value)
+    # The third case reports the repeated string name once, and only it.
+    assert [str(v) for v in tower_violations(cases[2][0])] == [
+        "level 1, aux[1]: name ['v'] must be a string",
+        "level 1, aux[2]: name 'v' is not unique",
+    ]
+
+
+def test_name_checks_agree_with_their_regular_expressions():
+    # The two name checks are string tests; each agrees with the regular
+    # expression it replaced.  Every code point is tried as a name and inside
+    # one, and in the digit place of a tower variable's name.
+    def problem(name):
+        return not name or bool(re.search(r"[\s,=]", name))
+
+    def reserved(name, k):
+        match = re.fullmatch(r"[uc]([1-9][0-9]*)", name)
+        top = str(k)
+        return name == "u" or (bool(match) and (len(match[1]), match[1]) <= (len(top), top))
+
+    chars = [chr(n) for n in range(sys.maxunicode + 1)]
+    refused = [c for c in chars if problem(c)]
+    assert [c for c in chars if tower._name_problem(c)] == refused
+    for name in ("", *refused, *map(chr, range(128)), "\u00e9", "\U0001f600"):
+        assert (tower._name_problem(name) is not None) == problem(name), repr(name)
+        assert (tower._name_problem(f"a{name}b") is not None) == problem(f"a{name}b"), repr(name)
+    digits = [c for c in chars if c.isdigit() or c.isascii()]
+    long = "u" + "9" * 5000
+    names = ["u", "u0", "u01", "c10", "c9", "u1", long, long.replace("u9", "u1", 1)]
+    names += [f"u{c}" for c in digits] + [f"c1{c}" for c in digits]
+    for k in (0, 1, 9, 10, sys.maxsize):
+        for name in names:
+            assert tower._is_reserved(name, k) == reserved(name, k), (name, k)
+    assert "re" not in vars(tower)
+
+
+def test_each_computation_validates_its_tower_once(tmp_path, monkeypatch, capsys):
+    # Every public computation validates its tower exactly once, and the
+    # private walks never do; a tower-segre job validates once, in its route.
+    calls = []
+    checked = tower.validate_tower
+    monkeypatch.setattr(tower, "validate_tower", lambda spec: calls.append(spec) or checked(spec))
+    flags, generic = flag_tower(3), random_tower_spec(random.Random(5), max_k=3)
+    req = TruncationRequest.derive(generic, (1,) * generic.k)
+    power = [1, 2, 3]
+    cases = [
+        lambda: closed_formula_segre(generic, req),
+        lambda: stepwise_pushforward(generic, req),
+        lambda: pushforward_monomial(generic, (0,) * generic.k),
+        lambda: pushforward_monomial(flags, power),
+        lambda: individual_segre(generic, generic.k, -3),
+    ]
+    for case in cases:
+        calls.clear()
+        case()
+        assert len(calls) == 1
+    calls.clear()
+    tower._push_down(generic, req, lambda j: LaurentPoly.variable(tower.taut_variable(j)))
+    tower._flag_type_push(flags, tower._flag_type_levels(flags), power)
+    assert calls == []
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower_spec_to_doc(generic)), encoding="utf-8")
+    orders = ",".join("1" * generic.k)
+    for method in ("closed", "stepwise"):
+        calls.clear()
+        assert main(["tower-segre", str(path), "--orders", orders, "--method", method]) == 0
+        assert calls == [generic]
+    capsys.readouterr()
+
+
+def test_pushforward_monomial_validates_before_reading_the_tower(monkeypatch):
+    # An over-long twist vector is refused before the tower is classified or
+    # its auxiliary names are read.
+    spec = flag_tower(2)
+    level = spec.levels[1]
+    bad = level._replace(factors=(level.factors[0]._replace(twists=(-1, 0)),) + level.factors[1:])
+    spec = spec._replace(levels=(spec.levels[0], bad))
+    read = []
+    monkeypatch.setattr(tower, "_flag_type_levels", lambda s: read.append(s))
+    monkeypatch.setattr(tower, "_aux_exponents", lambda *args: read.append(args))
+    with pytest.raises(InvalidTowerError) as info:
+        pushforward_monomial(spec, (1, 0))
+    assert "level 2, factors[0].m" in str(info.value)
+    assert read == []
+
+
 @pytest.mark.parametrize(
     "k", [-1, -(10**5000), sys.maxsize + 1, 10**5000], ids=["-1", "-10^5000", "max+1", "10^5000"]
 )
@@ -280,8 +392,9 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
 
     exps = sorted({m.exponent(pivot) for m, _ in unwindowed([up - 2 for up in ups]).items()})
     floor = rng.choice(exps or [0]) - below
-    ceiling = None if span is None else floor + span
     top = max((m.exponent(pivot) for m, _ in result.items()), default=0)
+    # No span: a ceiling no term exceeds, the result's top plus every up.
+    ceiling = top + sum(ups) + sum(orders) if span is None else floor + span
     slack = floor - top - sum(ups) - sum(orders)
     full = unwindowed([slack + up - rng.randint(0, 2) for up in ups])
     sliced = _level_product(
@@ -325,8 +438,12 @@ def test_level_series_with_a_ceiling_is_the_filtered_level_series():
     for spec in specs:
         memo = {}
         for level in range(1, spec.k + 1):
+            # The sum of the ups is a ceiling no term exceeds.
+            factors = spec.levels[level - 1].factors
+            top = sum(max(f.series.leading_exponent or 0, 0) for f in factors)
             for floor in (-1, -4):
-                full = _unsliced(_level_series(spec, level, {}, floor), PIVOT)
+                full = _unsliced(_level_series(spec, level, {}, floor, top), PIVOT)
+                assert full == _unsliced(_level_series(spec, level, {}, floor, top + 3), PIVOT)
                 for ceiling in range(floor - 1, 2):
                     got = _unsliced(_level_series(spec, level, memo, floor, ceiling), PIVOT)
                     assert got == full.filter_terms(PIVOT, high=ceiling)
