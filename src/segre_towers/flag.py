@@ -7,11 +7,10 @@ product, each a permutation sign or 0.  A torus-fixed-point sum is a third,
 fully independent way to evaluate them.  Its denominator at an ordering w is
 sign(w) V(t), V(t) the Vandermonde determinant of the weights, so the sum is
 the bialternant det(t_j^e_p) / V(t) with e = (0, a_k, ..., a_1) (Macdonald,
-*Symmetric Functions and Hall Polynomials*, I.3).  Each numerator
-determinant is taken over the integers: scaling column j by q_j^E, q_j the
-denominator of t_j and E at least max(e), clears every fraction,
-fraction-free (Bareiss) elimination computes the integer determinant, and
-one division by prod_j q_j^E undoes the scaling.  The weights and V(t)
+*Symmetric Functions and Hall Polynomials*, I.3).  The sum equals the
+integral at any distinct weights, so they are drawn as integers: fraction-free
+(Bareiss) elimination takes each numerator determinant over the integers,
+and one ``Fraction`` per trial divides it by V(t).  The weights and V(t)
 depend only on (k, trials, seed).  A caller that sums many tuples passes a
 memo, a dict it keeps for one sweep: it holds each key's weights, drawn
 once per memo, with each trial's reduced rows from the key's previous call.
@@ -108,13 +107,14 @@ def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
 
 def flag_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of c_1^a_1 ... c_k^a_k over the flag variety, via the tower."""
-    return _flag_pushforward(k, exponents).constant_value()
-
-
-def _flag_pushforward(k: int, exponents: Sequence[int]) -> LaurentPoly:
-    """``flag_integral(k, exponents)`` as the constant polynomial the tower's
-    push gives, before its value is read as a ``Fraction``."""
     exps = _check_exponents("exponents", exponents, _check_count("k", k))
+    return _flag_pushforward(k, exps).constant_value()
+
+
+def _flag_pushforward(k: int, exps: Sequence[int]) -> LaurentPoly:
+    """``flag_integral(k, exps)`` as the constant polynomial the tower's
+    push gives, before its value is read as a ``Fraction``.  ``flag_tower``
+    and ``pushforward_monomial`` check ``k`` and ``exps``."""
     return pushforward_monomial(flag_tower(k), exps)
 
 
@@ -128,7 +128,7 @@ def localization_integral(
 ) -> Fraction:
     """The same flag integral by torus-fixed-point summation.
 
-    Each trial draws distinct random rational weights t_0..t_k, after the
+    Each trial draws distinct random integer weights t_0..t_k, after the
     previous trial's, from ``random.Random(seed)``; the sum over orderings w
     of prod_i t_w(k+1-i)^a_i / prod_{p<q} (t_w(q) - t_w(p)) has
     denominators sign(w) V(t), V(t) = prod_{p<q} (t_q - t_p) = det(t_j^p),
@@ -144,21 +144,20 @@ def localization_integral(
     the rows after the first exponent where it differs from that call.
     Without a memo every call draws its weights and reduces every row.
     ``random`` is imported only here, when weights are drawn, so importing
-    this module does not load it.  Columns are scaled by q_j^E with
-    E = max(k, a_1, ..., a_k) when the elimination starts; a tuple with an
-    entry above E starts it again.
+    this module does not load it.
 
     Exponents of total degree above the dimension k(k+1)/2 are refused: there
     the sum is a non-constant polynomial in the weights, not an integral.
     """
+    import fractions
+
     exps = _check_exponents("exponents", exponents, _check_count("k", k))
     _check_count("trials", trials)
     dim = k * (k + 1) // 2
     if sum(exps) > dim:
         raise ValueError(f"exponents: total degree must be at most the flag dimension {dim}")
     powers = (0,) + exps
-    top = max(powers)
-    reversed_sign = k * (k - 1) // 2 % 2
+    sign = -1 if k * (k - 1) // 2 % 2 else 1
     key = (k, trials, seed)
     kept = None if memo is None else memo.get(key)
     if kept is None:
@@ -167,17 +166,14 @@ def localization_integral(
         rng = random.Random(seed)
         kept = []
         for _ in range(trials):
-            ts = _draw_distinct(rng, k + 1)
+            ts = tuple(_draw_distinct(rng, k + 1))
             vandermonde = math.prod(tq - tp for p, tp in enumerate(ts) for tq in ts[p + 1 :])
-            kept.append((vandermonde, (tuple((t.numerator, t.denominator) for t in ts), -1, ())))
+            kept.append((vandermonde, (ts, ())))
     values, paths = [], []
     for vandermonde, path in kept:
-        if path[1] < top:
-            path = (path[0], max(k, top), ())
         path = _eliminate(path, powers)
         paths.append((vandermonde, path))
-        value = _determinant(path) / vandermonde
-        values.append(-value if reversed_sign else value)
+        values.append(fractions.Fraction(sign * _determinant(path), vandermonde))
     if memo is not None:
         memo[key] = paths
     if values.count(values[0]) != len(values):
@@ -191,12 +187,11 @@ def _eliminate(path: tuple, powers: Sequence[int]) -> tuple:
     """The path of the rows t_j^e, e in ``powers``, keeping the steps of
     ``path`` up to the first row where the powers differ.
 
-    ``path`` is ``(fracs, E, steps)``: fracs the (n_j, q_j) of the weights
-    t_j = n_j / q_j, E at least every power, and one step ``(e, row, pivot,
-    sign)`` per reduced row.  Row i starts as the integers n_j^e_i
-    q_j^(E - e_i), column j of the matrix (t_j^e_i) times q_j^E.  It is
-    reduced left-looking, against each earlier row s in turn, with c_s the
-    pivot column of row s, d_s = row_s[c_s] its pivot and d_(-1) = 1:
+    ``path`` is ``(weights, steps)``: the integer weights t_j and one step
+    ``(e, row, pivot, sign)`` per reduced row.  Row i starts as the integers
+    t_j^e_i.  It is reduced left-looking, against each earlier row s in
+    turn, with c_s the pivot column of row s, d_s = row_s[c_s] its pivot and
+    d_(-1) = 1:
 
         row <- (row * d_s - row[c_s] * row_s) // d_(s-1).
 
@@ -210,17 +205,17 @@ def _eliminate(path: tuple, powers: Sequence[int]) -> tuple:
     entries and the pivot column's alone.  By Sylvester's identity, after
     the reductions against rows 0..s, entry j of row i is the minor on rows
     0..s, i and columns c_0..c_s, j.  So every division is exact, and, at
-    given weights and E, each row, pivot and sign depends on the powers of
-    rows 0..i alone: a kept step is the step the same rows give from an
-    empty path, whatever rows followed it in the call that made it.  The
-    last row's pivot is the determinant with its columns permuted to
+    given weights, each row, pivot and sign depends on the powers of rows
+    0..i alone: a kept step is the step the same rows give from an empty
+    path, whatever rows followed it in the call that made it.  The last
+    row's pivot is the determinant with its columns permuted to
     c_0..c_(n-1), and ``sign`` is that permutation's sign, since each column
     c_i passes over is a later, smaller one: one inversion.  A reduced row i
     with no nonzero entry has every minor bordering the nonzero d_(i-1)
     zero, so rows 0..i are dependent at these weights and every determinant
     with these first rows is 0: the path stops there, with pivot None.
     """
-    fracs, top, steps = path
+    ts, steps = path
     keep = 0
     for step, power in zip(steps, powers):
         if step[0] != power:
@@ -228,11 +223,11 @@ def _eliminate(path: tuple, powers: Sequence[int]) -> tuple:
         keep += 1
     steps = list(steps[:keep])
     if steps and steps[-1][2] is None:
-        return (fracs, top, tuple(steps))
+        return (ts, tuple(steps))
     used = {step[2] for step in steps}
     sign = steps[-1][3] if steps else 1
     for e in powers[keep:]:
-        row = [n**e * q ** (top - e) for n, q in fracs]
+        row = [t**e for t in ts]
         prev = 1
         for _, head, c, _ in steps:
             lead, pivot = row[c], head[c]
@@ -249,34 +244,35 @@ def _eliminate(path: tuple, powers: Sequence[int]) -> tuple:
         if pivot is None:
             break
         used.add(pivot)
-    return (fracs, top, tuple(steps))
+    return (ts, tuple(steps))
 
 
-def _determinant(path: tuple) -> Fraction:
-    """det(t_j^e_p) for a path of all n rows: its last pivot times its sign,
-    divided by prod_j q_j^E, or 0 where the path stopped at a dependent row."""
-    import fractions
-
-    fracs, top, steps = path
-    if len(steps) < len(fracs) or steps[-1][2] is None:
-        return fractions.Fraction(0)
-    _, row, pivot, sign = steps[-1]
-    return fractions.Fraction(sign * row[pivot], math.prod(q for _, q in fracs) ** top)
+def _determinant(path: tuple) -> int:
+    """det(t_j^e_p), an int, for a path of all n rows: its last pivot times
+    its sign, or 0 where the path stopped at a dependent row."""
+    _, row, pivot, sign = path[1][-1]
+    return 0 if pivot is None else sign * row[pivot]
 
 
 def _alternant(ts: Sequence[Fraction], powers: Sequence[int]) -> Fraction:
-    """det(t_j^e_p), exactly, by ``_eliminate`` from an empty path."""
-    fracs = tuple((t.numerator, t.denominator) for t in ts)
-    return _determinant(_eliminate((fracs, max(powers), ()), tuple(powers)))
-
-
-def _draw_distinct(rng: random.Random, count: int) -> list[Fraction]:
+    """det(t_j^e_p), exactly, by ``_eliminate`` from an empty path.  Rational
+    points are scaled to integers by the lcm L of their denominators, and
+    the integer determinant is divided by L^(sum of the powers)."""
     import fractions
 
-    # Numerators and denominators bounded by 10^3; coincident draws are retried.
-    out: list[Fraction] = []
+    points = [fractions.Fraction(t) for t in ts]
+    scale = math.lcm(*(t.denominator for t in points))
+    powers = tuple(powers)
+    weights = tuple(t.numerator * (scale // t.denominator) for t in points)
+    return fractions.Fraction(_determinant(_eliminate((weights, ()), powers)), scale ** sum(powers))
+
+
+def _draw_distinct(rng: random.Random, count: int) -> list[int]:
+    """``count`` distinct integers, each drawn uniformly from [-10^6, 10^6];
+    a value already drawn is drawn again."""
+    out: list[int] = []
     while len(out) < count:
-        t = fractions.Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
+        t = rng.randint(-(10**6), 10**6)
         if t not in out:
             out.append(t)
     return out

@@ -189,13 +189,33 @@ def _name_problem(name: object) -> str | None:
 def tower_violations(spec: TowerSpec) -> list[Violation]:
     """All invariant breaches of a tower description, each naming its location.
 
-    It reports and never raises: a name that is not a string is reported and
-    left out of the uniqueness tests, which would hash it, and a factor whose
-    series lacks a rational function's attributes is reported under its ``q``.
+    It reports and never raises.  A record of the wrong shape is reported
+    under its field: a tower, a level or a factor without its fields, a
+    level or factor list that is not a sequence, a base generator that is
+    not a (name, degree) pair, and a series without a rational function's
+    attributes.  A twist vector must be a sequence of ints, tested as
+    ``type(sum(twists)) is int``, so a bool counts as the int it is.  A
+    name that is not a string is reported and left out of the uniqueness
+    tests, which would hash it.
     """
+    try:
+        k = len(spec.levels)
+    except (AttributeError, TypeError):
+        return [Violation(None, "levels", "levels must be a sequence of TowerLevels")]
     out: list[Violation] = []
     declared_bases = set()
-    for name, degree in spec.base_generators:
+    try:
+        bases = iter(spec.base_generators)
+    except TypeError:
+        out.append(Violation(None, "base_generators", "base_generators must be a sequence"))
+        bases = ()
+    for entry in bases:
+        try:
+            name, degree = entry
+        except (TypeError, ValueError):
+            problem = f"entry {entry!r} must be a (name, degree) pair"
+            out.append(Violation(None, "base_generators", problem))
+            continue
         if isinstance(name, str):
             if name in declared_bases:
                 out.append(Violation(None, "base_generators", f"duplicate generator {name!r}"))
@@ -208,21 +228,34 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
             )
 
     seen_names = set(declared_bases)
-    for name in sorted(n for n in declared_bases if _is_reserved(n, spec.k)):
+    for name in sorted(n for n in declared_bases if _is_reserved(n, k)):
         out.append(Violation(None, "base_generators", f"name {name!r} is reserved"))
 
     for level, lvl in enumerate(spec.levels, 1):
-        if not lvl.factors:
-            out.append(Violation(level, "factors", "factor list must be nonempty"))
-        for fpos, factor in enumerate(lvl.factors):
-            if len(factor.twists) != level - 1:
-                out.append(
-                    Violation(
-                        level,
-                        f"factors[{fpos}].m",
-                        f"twist vector must have length {level - 1}, got {len(factor.twists)}",
-                    )
+        try:
+            factors = enumerate(lvl.factors)
+        except (AttributeError, TypeError):
+            out.append(Violation(level, "factors", "factors must be a sequence of TowerFactors"))
+            factors = ()
+        else:
+            if not lvl.factors:
+                out.append(Violation(level, "factors", "factor list must be nonempty"))
+        for fpos, factor in factors:
+            try:
+                twists = factor.twists
+                count, total = len(twists), sum(twists)
+            except AttributeError:
+                out.append(Violation(level, f"factors[{fpos}]", "factor must be a TowerFactor"))
+                continue
+            except TypeError:
+                count = total = None
+            if type(total) is not int or count != level - 1:
+                problem = (
+                    f"twist vector must have length {level - 1}, got {count}"
+                    if type(total) is int
+                    else f"twists must be a sequence of integers, got {twists!r}"
                 )
+                out.append(Violation(level, f"factors[{fpos}].m", problem))
             try:
                 base_names = factor.series.base_names
             except AttributeError:
@@ -239,12 +272,17 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
                     )
                     for name in sorted(base_names - declared_bases)
                 ]
-        for apos, name in enumerate(lvl.aux):
+        try:
+            aux = enumerate(lvl.aux)
+        except (AttributeError, TypeError):
+            out.append(Violation(level, "aux", "aux must be a sequence of names"))
+            continue
+        for apos, name in aux:
             if problem := _name_problem(name):
                 out.append(Violation(level, f"aux[{apos}]", problem))
             if not isinstance(name, str):
                 continue
-            if name in seen_names or _is_reserved(name, spec.k):
+            if name in seen_names or _is_reserved(name, k):
                 out.append(Violation(level, f"aux[{apos}]", f"name {name!r} is not unique"))
             seen_names.add(name)
     return out

@@ -186,10 +186,6 @@ def test_localization_seed_determinism():
     assert a == b == -1
 
 
-def fractions_of(ts):
-    return tuple((t.numerator, t.denominator) for t in ts)
-
-
 def test_localization_memo_gives_fresh_draws(monkeypatch):
     # Each call must see the weights random.Random(seed) draws, trial after
     # trial, whatever the memo holds.  Keys that differ only in k, trials or
@@ -211,10 +207,10 @@ def test_localization_memo_gives_fresh_draws(monkeypatch):
         exps = tuple(range(k, 0, -1))
         seen.clear()
         value = localization_integral(k, exps, trials=trials, seed=seed, memo=memo)
-        assert seen == [fractions_of(ts) for ts in draws]
+        assert seen == draws
         assert value == _alternant(draws[0], (0,) + exps[::-1]) / _alternant(draws[0], range(k + 1))
         entry = [(path[0], vandermonde) for vandermonde, path in memo[k, trials, seed]]
-        assert entry == [(fractions_of(ts), _alternant(ts, range(k + 1))) for ts in draws]
+        assert entry == [(ts, _alternant(ts, range(k + 1))) for ts in draws]
     assert len(memo) == len(keys)
 
 
@@ -222,13 +218,13 @@ def test_localization_without_a_memo_draws_every_call(monkeypatch):
     # Nothing outlives a call without a memo: each call of one key draws
     # from random.Random(seed) again and reduces every row from an empty path.
     rng = random.Random(5)
-    expected = [fractions_of(_draw_distinct(rng, 3)) for _ in range(2)]
+    expected = [tuple(_draw_distinct(rng, 3)) for _ in range(2)]
     real_draw, real_eliminate = flag_mod._draw_distinct, flag_mod._eliminate
     drawn, paths = [], []
 
     def drawing(rng, count):
         out = real_draw(rng, count)
-        drawn.append(fractions_of(out))
+        drawn.append(tuple(out))
         return out
 
     def eliminating(path, powers):
@@ -242,7 +238,7 @@ def test_localization_without_a_memo_draws_every_call(monkeypatch):
         paths.clear()
         assert localization_integral(2, (2, 1), trials=2, seed=5) == 1
         assert drawn == expected
-        assert [(path[0], path[2]) for path in paths] == [(ts, ()) for ts in expected]
+        assert paths == [(ts, ()) for ts in expected]
 
 
 @pytest.mark.parametrize("seed", [7, None, "seven", b"7"])
@@ -384,8 +380,8 @@ def fresh_ratio(k, exps, trials, seed):
 
 
 def above_k_tuples(k, count, rng):
-    """Tuples up to the dimension with an entry above k, so above the scale
-    E = k that a path of flag tuples starts with."""
+    """Tuples up to the dimension with an entry above k, so above every
+    entry of a flag tuple."""
     dim = k * (k + 1) // 2
     pool = [e for e in itertools.product(range(dim + 1), repeat=k) if sum(e) <= dim and max(e) > k]
     return rng.sample(pool, min(count, len(pool)))
@@ -394,8 +390,7 @@ def above_k_tuples(k, count, rng):
 @pytest.mark.parametrize("order", ["lexicographic", "reversed", "shuffled"])
 def test_localization_keeps_exact_prefixes_in_any_call_order(monkeypatch, order):
     # Keys are interleaved in runs of 1..8 calls, each run in one of two
-    # memos, so a path is kept, resumed from a call several tuples back, or
-    # started again.
+    # memos, so a path is kept, or resumed from a call several tuples back.
     rng = random.Random(order)
     memos = ({}, {})
     keys = [(k, trials, seed) for k in (1, 2, 3, 4) for trials in (1, 2) for seed in (31, 32, 33)]
@@ -406,13 +401,13 @@ def test_localization_keeps_exact_prefixes_in_any_call_order(monkeypatch, order)
         if order == "shuffled":
             rng.shuffle(cases)
         queues[k, trials, seed] = cases
-    real, seen = flag_mod._eliminate, {"resumed": 0, "restarted": 0, "dead prefix kept": 0}
+    real, seen = flag_mod._eliminate, {"resumed": 0, "dead prefix kept": 0}
 
     def counting(path, powers):
         out = real(path, powers)
-        kept = sum(1 for a, b in zip(path[2], out[2]) if a is b)
+        kept = sum(1 for a, b in zip(path[1], out[1]) if a is b)
         seen["resumed"] += kept >= 2
-        seen["dead prefix kept"] += kept == len(out[2]) and out[2][-1][2] is None
+        seen["dead prefix kept"] += kept == len(out[1]) and out[1][-1][2] is None
         return out
 
     monkeypatch.setattr(flag_mod, "_eliminate", counting)
@@ -425,11 +420,7 @@ def test_localization_keeps_exact_prefixes_in_any_call_order(monkeypatch, order)
             if not queues[key]:
                 break
             exps = queues[key].pop(0)
-            # The scale E of a trial's path grows only when the path starts again.
-            before = [path[1] for _, path in memo.get(key, ())]
             value = localization_integral(k, exps, trials=trials, seed=seed, memo=memo)
-            after = [path[1] for _, path in memo[key]]
-            seen["restarted"] += any(a > b >= k for a, b in zip(after, before))
             assert value == fresh_ratio(k, exps, trials, seed), (key, exps)
             if k <= 3:
                 walked = expected.setdefault((exps, trials, seed), walk_integral(exps, trials, seed))
@@ -441,19 +432,89 @@ def test_resumed_prefix_keeps_its_column_pivot():
     # With t_1 = -t_0, row t_j^2 reduced against row 1 is zero in column 1,
     # so its pivot is column 2.  The call for (0, 2, 1) resumes that row
     # from the call for (0, 2, 3) and must give the fresh determinant.
-    ts = [Fraction(3, 2), Fraction(-3, 2), Fraction(5, 7)]
-    path = flag_mod._eliminate((fractions_of(ts), 3, ()), (0, 2, 3))
-    assert [step[2] for step in path[2]] == [0, 2, 1]
+    ts = (21, -21, 10)
+    path = flag_mod._eliminate((ts, ()), (0, 2, 3))
+    assert [step[2] for step in path[1]] == [0, 2, 1]
     resumed = flag_mod._eliminate(path, (0, 2, 1))
-    assert resumed[2][:2] == path[2][:2] and resumed[2][1] is path[2][1]
+    assert resumed[1][:2] == path[1][:2] and resumed[1][1] is path[1][1]
     expected = leibniz([[t**e for t in ts] for e in (0, 2, 1)])
     assert expected != 0
     assert flag_mod._determinant(resumed) == _alternant(ts, (0, 2, 1)) == expected
     # A dependent prefix stops the path, and every call that shares it is 0.
     dead = flag_mod._eliminate(resumed, (0, 1, 1))
-    assert dead[2][-1][2] is None and len(dead[2]) == 3
+    assert dead[1][-1][2] is None and len(dead[1]) == 3
     again = flag_mod._eliminate(dead, (0, 1, 1))
-    assert again[2] == dead[2] and flag_mod._determinant(again) == 0
+    assert again[1] == dead[1] and flag_mod._determinant(again) == 0
+
+
+def test_draw_distinct_returns_distinct_integers_in_range():
+    # Weights are ints drawn uniformly from [-10^6, 10^6], distinct within a
+    # draw; a value already drawn is drawn again.
+    rng = random.Random(37)
+    seen = []
+    for _ in range(2000):
+        ts = _draw_distinct(rng, 6)
+        assert all(type(t) is int and -(10**6) <= t <= 10**6 for t in ts), ts
+        assert len(set(ts)) == 6
+        seen += ts
+    assert min(seen) < -990_000 and max(seen) > 990_000
+
+    class Scripted:
+        def __init__(self, values):
+            self.values, self.bounds = iter(values), set()
+
+        def randint(self, low, high):
+            self.bounds.add((low, high))
+            return next(self.values)
+
+    scripted = Scripted([5, 5, -5, 5, 10**6])
+    assert _draw_distinct(scripted, 3) == [5, -5, 10**6]
+    assert scripted.bounds == {(-(10**6), 10**6)}
+
+
+def test_a_memo_entry_holds_an_int_vandermonde_and_a_weights_steps_path():
+    # Each trial's entry is (V(t), (weights, steps)): V(t) the int product of
+    # the weights' differences, the weights the ints drawn for the trial, and
+    # one (e, row, pivot, sign) step of ints per reduced row.
+    k, trials, seed, exps = 3, 2, 41, (3, 1, 2)
+    memo = {}
+    value = localization_integral(k, exps, trials=trials, seed=seed, memo=memo)
+    assert value == vandermonde_integral(k, exps) == -1
+    rng = random.Random(seed)
+    draws = [tuple(_draw_distinct(rng, k + 1)) for _ in range(trials)]
+    entry = memo[k, trials, seed]
+    assert len(entry) == trials
+    for (vandermonde, path), ts in zip(entry, draws):
+        assert type(vandermonde) is int
+        assert vandermonde == math.prod(tq - tp for p, tp in enumerate(ts) for tq in ts[p + 1 :])
+        weights, steps = path
+        assert weights == ts and all(type(t) is int for t in weights)
+        assert [step[0] for step in steps] == [0, *exps]
+        for _, row, pivot, sign in steps:
+            assert all(type(x) is int for x in row) and type(pivot) is int and sign in (1, -1)
+        determinant = flag_mod._determinant(path)
+        assert type(determinant) is int and determinant == _alternant(ts, (0, *exps))
+
+
+def test_a_tuple_above_k_resumes_the_prefix_its_key_kept():
+    # After every flag tuple of k = 4 in one memo, the last being (4, 4, 2, 0),
+    # the tuple (4, 1, 5, 0) has an entry above k and shares the rows t_j^0
+    # and t_j^4 with it: each trial keeps those two steps, the same objects,
+    # reduces the rest, and gives the fresh value.
+    k, trials, seed, exps = 4, 2, 43, (4, 1, 5, 0)
+    memo = {}
+    tuples = flag_exponent_tuples(k)
+    for e in tuples:
+        localization_integral(k, e, trials=trials, seed=seed, memo=memo)
+    assert tuples[-1] == (4, 4, 2, 0)
+    before = [path[1] for _, path in memo[k, trials, seed]]
+    value = localization_integral(k, exps, trials=trials, seed=seed, memo=memo)
+    after = [path[1] for _, path in memo[k, trials, seed]]
+    assert len(before) == len(after) == trials
+    for old, new in zip(before, after):
+        assert new[0] is old[0] and new[1] is old[1]
+        assert [step[0] for step in new] == [0, *exps] and new[-1][2] is None
+    assert value == fresh_ratio(k, exps, trials, seed) == vandermonde_integral(k, exps) == 0
 
 
 def test_localization_threads_share_a_key_exactly():

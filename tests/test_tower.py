@@ -157,16 +157,38 @@ def test_aux_names_must_be_strings():
 
 def test_violations_are_reported_never_raised():
     # A series without a rational function's attributes, an unhashable aux or
-    # base-generator name and a bool degree: each is one violation under its
-    # field, and every route refuses the tower with InvalidTowerError.
-    good = TowerFactor((), rf(1, {2: 1}))
+    # base-generator name, a bool degree, records of the wrong shape (each of
+    # which used to raise TypeError, AttributeError or ValueError here) and
+    # twists that are not ints: each is a violation under its field, and
+    # every route refuses the tower with InvalidTowerError.  On flag_tower(2)'s
+    # level-2 linear factor a twist of 0.5 used to pass, and closed and
+    # stepwise both gave the twist-0 window; -1.0 made both raise TypeError.
+    series = rf(1, {2: 1})
+    good = TowerFactor((), series)
+    flags = flag_tower(2)
+    point, linear = flags.levels[1].factors
+
+    def twisted(twist):
+        level = TowerLevel((point, TowerFactor((twist,), linear.series)))
+        return TowerSpec((flags.levels[0], level))
+
     cases = [
         (TowerSpec((TowerLevel((TowerFactor((), None),)),)), (1, "factors[0].q")),
         (TowerSpec((TowerLevel((good,), (["v"],)),)), (1, "aux[0]")),
         (TowerSpec((TowerLevel((good,), ("v", ["v"], "v")),)), (1, "aux[1]")),
         (TowerSpec((TowerLevel((good,)),), ((["g"], 1),)), (None, "base_generators")),
         (TowerSpec((TowerLevel((good,)),), (("g", True),)), (None, "base_generators")),
+        (TowerSpec((TowerLevel((TowerFactor(None, series),)),)), (1, "factors[0].m")),
+        (TowerSpec((TowerLevel((series,)),)), (1, "factors[0]")),
+        (TowerSpec((TowerLevel((good,)),), (("g",),)), (None, "base_generators")),
+        (TowerSpec((TowerLevel(None),)), (1, "factors")),
+        (TowerSpec(None), (None, "levels")),
+        (TowerSpec((None,)), (1, "factors")),
+        (TowerSpec((TowerLevel((good,), None),)), (1, "aux")),
+        (TowerSpec((TowerLevel((good,)),), None), (None, "base_generators")),
     ]
+    twists = [0.5, -1.0, None, "1", Fraction(1, 2)]
+    cases += [(twisted(t), (2, "factors[1].m")) for t in twists]
     req = TruncationRequest((0,), (), (1,))
     for spec, where in cases:
         found = tower_violations(spec)
@@ -186,6 +208,11 @@ def test_violations_are_reported_never_raised():
         "level 1, aux[1]: name ['v'] must be a string",
         "level 1, aux[2]: name 'v' is not unique",
     ]
+    assert [str(v) for v in tower_violations(twisted(0.5))] == [
+        "level 2, factors[1].m: twists must be a sequence of integers, got (0.5,)"
+    ]
+    # A bool is the int it is.
+    assert tower_violations(twisted(True)) == []
 
 
 def test_name_checks_agree_with_their_regular_expressions():
