@@ -197,6 +197,12 @@ def _check_cap(degree_cap: int) -> None:
         raise ValueError(f"degree_cap: expected a non-negative integer, got {degree_cap!r}")
 
 
+def _check_int(name: str, value: int) -> None:
+    """Refuse a ``value`` that is no int; a ``bool`` is none.  Errors start with ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
 def _fitted(var: VariableId, exp: int) -> int:
     """``exp`` if it fits a slot as the exponent of ``var``, else refuse it."""
     if abs(exp) >= _HALF:
@@ -657,7 +663,11 @@ def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
 
     A product slice at e is the sum of a[e1] * b[e2] over e1 + e2 = e, so a
     pair of slices whose exponents sum outside the window is never formed.
-    The bound is the sum of the two bounds, refused before any key is formed.
+    The bound is the sum of the two bounds, refused before any key is
+    formed whenever both sides are nonempty, even if no pair lands in the
+    window.  The two sides may be sliced by different variables: the
+    stepwise push pairs its state, sliced by c_j, with a level series,
+    sliced by the pivot, and keeps the slice at -1 (``tower._push_down``).
     """
     a_parts, a_den, a_bound = a
     b_parts, b_den, b_bound = b
@@ -732,8 +742,10 @@ def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
     """Expand ``f`` as a series in descending powers of the pivot.
 
     Keeps exactly the terms whose exponent of the pivot is >= min_exponent;
-    those coefficients are exact.
+    those coefficients are exact.  ``min_exponent`` must be an int, and
+    not a ``bool``.
     """
+    _check_int("min_exponent", min_exponent)
     return _unsliced(_descending(f, min_exponent), PIVOT)
 
 
@@ -810,11 +822,14 @@ def shift_expand(
     b = a - low, a term with a < low contributes nothing, and the powers of
     the shift stop at the largest a minus ``low``.
 
-    This function checks the shift's form and slices ``q`` by the pivot;
-    the expansion itself is ``_shifted``, which level products call on
-    their factors directly.
+    This function checks the shift's form and ``low``, which must be None
+    or an int that is not a ``bool``, and slices ``q`` by the pivot; the
+    expansion itself is ``_shifted``, which level products call on their
+    factors directly.
     """
     _check_cap(degree_cap)
+    if low is not None:
+        _check_int("low", low)
     if any(_exponents(shift._terms, pivot)):
         raise ValueError("shift must not involve the pivot variable")
     # A term of a linear form is one variable to the first power: its key is

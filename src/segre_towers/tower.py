@@ -39,10 +39,11 @@ cap could stop an expansion earlier.  One walk over the levels (a call of
 from the series' two sides once per floor it lowers to, and hands the
 stored expansion back as it is to the levels above, whose windows drop its
 lower slices (``_expansion``); nothing is kept between walks.  The closed
-route packs the slices back into u_i.  The stepwise push slices its state
-by c_j too, reads the coefficient of pivot^(-g-1) as the level series'
-slice at -g-1, and adds every part times its slice into one accumulator
-per level.
+route packs the slices back into u_i.  Every other route reads a level's
+own Segre series through ``_level_series``.  The stepwise push slices its
+state by c_j too and pairs it with that series through the one windowed
+product, ``series._product``: c_j^g stands for the coefficient of
+pivot^(-g-1), so the product's slice at -1 is the pushed state.
 
 ``pushforward_monomial`` needs one coefficient of that window, not all of
 it, so it runs the same top-down push with one power of c_j per level in
@@ -77,7 +78,7 @@ from .series import (
     Monomial,
     RationalFunction1V,
     VariableId,
-    _add_product,
+    _check_int,
     _checked,
     _descending,
     _product,
@@ -418,6 +419,23 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
         raise KeyError(name)
 
 
+def _check_request(spec: TowerSpec, req: TruncationRequest) -> None:
+    """Refuse a ``req`` whose shape is not that of ``spec``: one tower order
+    per level and one auxiliary order per auxiliary name of ``spec``.
+
+    Only the shape is checked.  A request of the same shape derived for
+    another tower carries that tower's caps; re-deriving it on every call
+    would repeat the CLI's derivation.
+    """
+    names = sorted(v.name for v in spec.aux_variables())
+    got = [name for name, _ in req.aux_orders]
+    if len(req.tower_orders) != spec.k or got != names:
+        raise ValueError(
+            f"req: derived for {len(req.tower_orders)} levels and auxiliary variables "
+            f"{got}, but the tower has {spec.k} levels and auxiliary variables {names}"
+        )
+
+
 def _expansion(
     memo: dict, series: RationalFunction1V, twists: tuple[tuple[int, int], ...], low: int
 ) -> tuple[dict[int, dict[int, int]], int, int]:
@@ -435,9 +453,10 @@ def _expansion(
     where the expansion stopped.  Its slices below ``low`` reach no result,
     since no caller can use a slice below its own floor: ``_product``'s
     window drops every pair such a slice could form (``_level_product``'s
-    floor proof), ``_shifted`` forms nothing from one, ``_push_down`` reads
-    a level series only at -g-1, at or above the floor it asked for, and
-    ``_flag_type_push`` reads a row only inside its window.
+    floor proof), ``_shifted`` forms nothing from one, ``_push_down`` pairs
+    c_j^g only with the level series' slice at -g-1, at or above the floor
+    it asked for, and ``_flag_type_push`` reads a row only inside its
+    window.
     Such a slice lowers the least exponent ``_level_product`` reads for its
     ceiling.  That loosens the ceiling of a running product, never that of
     the last one, and an extra running slice it keeps could reach the
@@ -472,12 +491,16 @@ def _expansion(
 
 def _level_product(
     factors: Sequence[TowerFactor], result: tuple[dict[int, dict[int, int]], int, int],
-    pivot: VariableId, lower: Callable[[int], VariableId], memo: dict, floor: int,
-    ceiling: int, extras: Sequence[tuple[LaurentPoly, int]] = (),
+    lower: Callable[[int], VariableId], memo: dict, floor: int, ceiling: int,
+    extras: Sequence[tuple[tuple[dict[int, dict[int, int]], int, int], int]] = (),
 ) -> tuple[dict[int, dict[int, int]], int, int]:
-    """``result``, sliced by ``pivot``, times a level's shifted ``factors``
-    in ``pivot``, then ``extras``, keeping the terms whose pivot exponent
-    lies in ``floor..ceiling``, sliced by that exponent.
+    """``result`` times a level's shifted ``factors``, then ``extras``,
+    keeping the terms whose pivot exponent lies in ``floor..ceiling``.
+
+    The pivot is the level's variable: u_i on the closed route, the
+    reserved ``PIVOT`` for a level's own series.  ``result`` and each extra
+    come sliced by its exponent, so this function never names it.
+    ``closed_formula_segre`` and ``_level_series`` are its only callers.
 
     The product is held as slices, {pivot exponent: {key of the rest:
     numerator}} over one denominator (``series._product``), from the factor
@@ -490,12 +513,12 @@ def _level_product(
     ``result``'s and every multiplier's, is refused before any product slice
     is formed.
 
-    Each multiplier comes with ``up``, the most it can raise the pivot's
-    exponent.  No slice outside the window is formed, and none that could
-    only form slices outside it.  A product slice at e is a sum of products
-    of one slice of ``result`` and one slice of each multiplier whose
-    exponents sum to e, so the bounds below, proved for single terms, hold
-    for whole slices:
+    Each extra comes with ``up``, the most it can raise the pivot's
+    exponent; a factor's is its ``_lead_plus``.  No slice outside the
+    window is formed, and none that could only form slices outside it.  A
+    product slice at e is a sum of products of one slice of ``result`` and
+    one slice of each multiplier whose exponents sum to e, so the bounds
+    below, proved for single terms, hold for whole slices:
 
     * Floor.  A shift never raises the pivot's exponent (``shift_expand``).
       Let M be ``result``'s top pivot exponent and U the sum of all the
@@ -529,7 +552,7 @@ def _level_product(
         )
         for factor, own in zip(factors, ups)
     ]
-    multipliers += [_sliced(poly, pivot) for poly, _ in extras]
+    multipliers += [extra for extra, _ in extras]
     lows = []
     bound = product[2]
     for parts, _, part_bound in multipliers:
@@ -556,24 +579,26 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     reserved pivot and the tautological variables c_1..c_{level-1}; pivot
     exponents >= min_exponent are exact.  No shift raises the pivot's
     exponent, so none exceeds the sum of the factors' ``_lead_plus``.
+    ``level`` must be an int in 1..k and ``min_exponent`` an int, neither
+    a ``bool``; each is refused under its name after the tower is validated.
     """
     validate_tower(spec)
-    if not 1 <= level <= spec.k:
-        raise ValueError(f"level must be in 1..{spec.k}, got {level}")
-    top = sum(map(_lead_plus, spec.levels[level - 1].factors))
-    return _unsliced(_level_series(spec, level, {}, min_exponent, top), PIVOT)
+    if _check_count("level", level) > spec.k:
+        raise ValueError(f"level: expected an integer in 1..{spec.k}, got {level}")
+    _check_int("min_exponent", min_exponent)
+    factors = spec.levels[level - 1].factors
+    top = sum(map(_lead_plus, factors))
+    return _unsliced(_level_series(factors, {}, min_exponent, top), PIVOT)
 
 
 def _level_series(
-    spec: TowerSpec, level: int, memo: dict, min_exponent: int, max_exponent: int
+    factors: Sequence[TowerFactor], memo: dict, low: int, high: int
 ) -> tuple[dict[int, dict[int, int]], int, int]:
-    """``individual_segre`` of a tower already validated, at a level in range,
-    with only the pivot exponents up to ``max_exponent``, sliced by the
-    pivot's exponent; ``memo`` is the walk's (``_expansion``)."""
-    return _level_product(
-        spec.levels[level - 1].factors, ({0: {0: 1}}, 1, 0), PIVOT, taut_variable, memo,
-        min_exponent, max_exponent,
-    )
+    """The Segre series of the single step whose shifted factors are
+    ``factors``, a level of a validated tower, with only the pivot exponents
+    in ``low..high``, sliced by the pivot's exponent; ``memo`` is the walk's
+    (``_expansion``)."""
+    return _level_product(factors, ({0: {0: 1}}, 1, 0), taut_variable, memo, low, high)
 
 
 def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
@@ -587,8 +612,12 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     and the lower levels, whose twists involve only u_1..u_{i-1}, never
     shift u_i again.  An auxiliary variable enters only through
     ``geometric_expand``, with exponents in [-b-1, -1].
+
+    ``req`` must be derived for ``spec``; one of another shape is refused
+    (``_check_request``), and one of the same shape is read as it is.
     """
     validate_tower(spec)
+    _check_request(spec, req)
     result = LaurentPoly.one()
     memo: dict = {}
     for i in range(spec.k, 0, -1):
@@ -597,11 +626,12 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
         a_i = req.tower_orders[i - 1]
         # The only source of each auxiliary variable: exponents in [-b-1, -1].
         orders = [(name, req.aux_order(name)) for name in lvl.aux]
-        aux_series = [(geometric_expand(aux_variable(n, i), u_i, b), b) for n, b in orders]
+        aux_series = [
+            (_sliced(geometric_expand(aux_variable(n, i), u_i, b), u_i), b) for n, b in orders
+        ]
         result = _unsliced(
             _level_product(
-                lvl.factors, _sliced(result, u_i), u_i, tower_variable, memo, -a_i - 1, -1,
-                aux_series,
+                lvl.factors, _sliced(result, u_i), tower_variable, memo, -a_i - 1, -1, aux_series
             ),
             u_i,
         )
@@ -620,16 +650,15 @@ def _push_down(
     variables, and push c_j down, for each level j from the top.
 
     Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
-    Segre series; it holds only lower c's and base variables, so the
-    exponents a block sets never change.  ``state * block(j)`` is sliced by
-    c_j and the level series by the pivot, so that coefficient is the
-    series' slice at -g-1, read with no key decoded.
-
-    Every part times its piece goes into one accumulator over one
-    denominator, the product's times the series', wrapped once as the next
-    state.  Its bound, the product's plus the series', is refused before the
-    first key, and only when some part meets a piece: a level that meets
-    none pushes the state to zero, whatever its exponents.  The caller
+    Segre series (``_level_series``); it holds only lower c's and base
+    variables, so the exponents a block sets never change.  ``state *
+    block(j)`` is sliced by c_j and the level series by the pivot, so that
+    coefficient is the series' slice at -g-1, read with no key decoded.
+    The slice pairs whose exponents sum to -1 are exactly c_j^g with the
+    slice at -g-1, so the next state is the slice at -1 of the windowed
+    product of the two (``series._product``).  That product refuses its
+    bound, the state's plus the series', before any key is formed whenever
+    both sides are nonempty, even when no pair sums to -1.  The caller
     validates ``spec``.
     """
     state = LaurentPoly.one()
@@ -638,22 +667,17 @@ def _push_down(
         if state.is_zero():
             break
         c_j = taut_variable(j)
-        parts, den, bound = _sliced(state * block(j), c_j)
+        sliced = _sliced(state * block(j), c_j)
+        parts = sliced[0]
         gamma_max = max(parts)
         if gamma_max > req.shift_caps[j - 1]:
             raise TruncationOverrun(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series, s_den, s_bound = _level_series(spec, j, memo, -gamma_max - 1, -min(parts) - 1)
-        pairs = [(part, series[-g - 1]) for g, part in parts.items() if -g - 1 in series]
-        if not pairs:
-            return LaurentPoly()
-        bound = _checked(bound + s_bound)
-        data: dict[int, int] = {}
-        for part, piece in pairs:
-            _add_product(data, part, piece)
-        state = LaurentPoly._wrap(data, den * s_den, bound)
+        series = _level_series(spec.levels[j - 1].factors, memo, -gamma_max - 1, -min(parts) - 1)
+        pushed, den, bound = _product(sliced, series, -1, -1)
+        state = LaurentPoly._wrap(pushed.get(-1, {}), den, bound)
     return state
 
 
@@ -677,8 +701,13 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     every u_i exponent to [-a_i-1, -1] and every auxiliary exponent to
     [-b-1, -1], and the level series multiplied in afterwards involve only
     the pivot and the tautological variables c_j.
+
+    ``req`` must be derived for ``spec``; one of another shape is refused
+    (``_check_request``), and one of the same shape is read as it is, its
+    caps checked in place of the tower's own.
     """
     validate_tower(spec)
+    _check_request(spec, req)
 
     def block(j: int) -> LaurentPoly:
         c_j = taut_variable(j)
@@ -722,14 +751,12 @@ def pushforward_monomial(
     power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
     levels = _flag_type_levels(spec)
     if levels is not None:
-        return _flag_type_push(spec, levels, power)
+        return _flag_type_push(levels, power)
     req = TruncationRequest.derive(spec, exps, aux)
     return _push_down(spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1]))
 
 
-def _flag_type_push(
-    spec: TowerSpec, levels: Sequence[Sequence[TowerFactor]], power: Sequence[int]
-) -> LaurentPoly:
+def _flag_type_push(levels: Sequence[Sequence[TowerFactor]], power: Sequence[int]) -> LaurentPoly:
     """``pushforward_monomial`` of prod_i c_i^p_i, p_i = ``power[i-1]``, on
     a flag-type tower, as the determinant of M_(i,j) = [u^(-p_i-j)] F_i for
     i, j in 1..k, F_i the product of ``levels[i-1]``, level i's untwisted
@@ -746,25 +773,24 @@ def _flag_type_push(
     Functions and Hall Polynomials*, I.3).  Each entry is a single-step
     push-forward of level i, a polynomial in the base variables.
 
-    Row i is the slices of level i's ``_level_product`` in -p_i-k..-p_i-1,
-    all through one walk memo.  The rows are formed from the largest p
+    Row i is the slices of the single-step series of ``levels[i-1]``
+    (``_level_series``) in -p_i-k..-p_i-1, all through one walk memo; k is
+    ``len(levels)``.  The rows are formed from the largest p
     down, so the lowest floor comes first and a series that several levels
     share is long-divided once (``_expansion``).  The determinant is
     expanded row by row in increasing p, with one partial sum per set of
     used columns: the sign is the row order's times, for each choice of
     column j, the parity of the used columns after j.  A zero entry or partial sum
     is never carried, so a flag tower's rows, with one nonzero entry each,
-    keep one partial sum.  The caller validates ``spec``.
+    keep one partial sum.  The caller validates the tower.
     """
-    k = spec.k
+    k = len(levels)
     order = sorted(range(k), key=power.__getitem__)
     memo: dict = {}
     rows: dict[int, list[tuple[int, LaurentPoly]]] = {}
     for i in reversed(order):
         p = power[i]
-        parts, den, bound = _level_product(
-            levels[i], ({0: {0: 1}}, 1, 0), PIVOT, taut_variable, memo, -p - k, -p - 1
-        )
+        parts, den, bound = _level_series(levels[i], memo, -p - k, -p - 1)
         rows[i] = [
             (j, LaurentPoly._wrap(parts[-p - j - 1], den, bound))
             for j in range(k) if -p - j - 1 in parts

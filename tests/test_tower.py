@@ -37,7 +37,7 @@ from segre_towers import (
     vandermonde_integral,
 )
 from segre_towers.cli import SpecFileError, main, tower_spec_from_doc, tower_spec_to_doc
-from segre_towers import tower
+from segre_towers import series, tower
 from segre_towers.series import (
     ExponentOverflowError,
     coefficient_of,
@@ -265,7 +265,7 @@ def test_each_computation_validates_its_tower_once(tmp_path, monkeypatch, capsys
         assert len(calls) == 1
     calls.clear()
     tower._push_down(generic, req, lambda j: LaurentPoly.variable(tower.taut_variable(j)))
-    tower._flag_type_push(flags, tower._flag_type_levels(flags), power)
+    tower._flag_type_push(tower._flag_type_levels(flags), power)
     assert calls == []
     path = tmp_path / "tower.json"
     path.write_text(json.dumps(tower_spec_to_doc(generic)), encoding="utf-8")
@@ -342,6 +342,34 @@ def test_individual_segre_flag_top_level_k3():
 def test_individual_segre_isomorphism_like_step():
     spec = simple_tower([((), 1, {1: 1})])
     assert individual_segre(spec, 1, -4) == upoly({-1: 1})
+
+
+def test_floors_and_levels_must_be_ints():
+    # A floor or a level must be an int that is not a bool: a float would
+    # otherwise fail deep inside the long division or run, and a bool run
+    # as 1.  Each is refused under its parameter's name, and so is a level
+    # out of range, without echoing one too long to print.
+    x = LaurentPoly.variable(G("x"))
+    cases = [
+        ("min_exponent", lambda: descending_expand(rf(1, {2: 1, 0: 3}), -6.5)),
+        ("min_exponent", lambda: descending_expand(rf(1, {2: 1}), -6.5)),
+        ("min_exponent", lambda: descending_expand(rf(1, {2: 1}), True)),
+        ("low", lambda: shift_expand(upoly({-1: 1}), PIVOT, x, 2, low=-2.5)),
+        ("low", lambda: shift_expand(upoly({-1: 1}), PIVOT, x, 2, low=True)),
+        ("level", lambda: individual_segre(flag_tower(2), True, -3)),
+        ("level", lambda: individual_segre(flag_tower(2), 1.0, -3)),
+        ("level", lambda: individual_segre(flag_tower(2), 3, -3)),
+        ("level", lambda: individual_segre(flag_tower(2), 0, -3)),
+        ("level", lambda: individual_segre(flag_tower(2), 10**5000, -3)),
+        ("min_exponent", lambda: individual_segre(flag_tower(2), 1, -3.0)),
+        ("min_exponent", lambda: individual_segre(flag_tower(2), 1, False)),
+    ]
+    for name, case in cases:
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+            case()
+    assert shift_expand(upoly({-1: 1}), PIVOT, x, 2, low=-2) == poly(
+        {((PIVOT, -1),): 1, ((PIVOT, -2), (G("x"), 1)): -1}
+    )
 
 
 def _pool_tower(index):
@@ -425,7 +453,8 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     slack = floor - top - sum(ups) - sum(orders)
     full = unwindowed([slack + up - rng.randint(0, 2) for up in ups])
     sliced = _level_product(
-        factors, _sliced(result, pivot), pivot, lower, {}, floor, ceiling, extras
+        factors, _sliced(result, pivot), lower, {}, floor, ceiling,
+        [(_sliced(extra, pivot), b) for extra, b in extras],
     )
     assert all(sliced[0].values())
     got = _unsliced(sliced, pivot)
@@ -448,7 +477,7 @@ def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
     for level, pivot, lower, result in cases:
         with pytest.raises(ExponentOverflowError):
             _level_product(
-                spec.levels[level - 1].factors, _sliced(result, pivot), pivot, lower, {}, -8, -1
+                spec.levels[level - 1].factors, _sliced(result, pivot), lower, {}, -8, -1
             )
     assert formed == []
 
@@ -469,10 +498,10 @@ def test_level_series_with_a_ceiling_is_the_filtered_level_series():
             factors = spec.levels[level - 1].factors
             top = sum(max(f.series.leading_exponent or 0, 0) for f in factors)
             for floor in (-1, -4):
-                full = _unsliced(_level_series(spec, level, {}, floor, top), PIVOT)
-                assert full == _unsliced(_level_series(spec, level, {}, floor, top + 3), PIVOT)
+                full = _unsliced(_level_series(factors, {}, floor, top), PIVOT)
+                assert full == _unsliced(_level_series(factors, {}, floor, top + 3), PIVOT)
                 for ceiling in range(floor - 1, 2):
-                    got = _unsliced(_level_series(spec, level, memo, floor, ceiling), PIVOT)
+                    got = _unsliced(_level_series(factors, memo, floor, ceiling), PIVOT)
                     assert got == full.filter_terms(PIVOT, high=ceiling)
                     cut += len(got) < len(full)
     assert cut > 200
@@ -878,6 +907,30 @@ def test_truncation_request_validates_orders():
 AUX_TOWER = simple_tower(([((), 1, {2: 1})], ("v",)))
 
 
+def test_the_window_routes_refuse_a_request_of_another_shape():
+    # A request needs one order per level and the tower's auxiliary names:
+    # too few orders would raise a bare IndexError, too many be cut to the
+    # tower's levels, and a missing name raise KeyError.
+    derive = TruncationRequest.derive
+    renamed = AUX_TOWER._replace(levels=(AUX_TOWER.levels[0]._replace(aux=("w",)),))
+    cases = [
+        (flag_tower(3), derive(flag_tower(2), (2, 2))),
+        (flag_tower(3), derive(flag_tower(4), (2, 2, 2, 2))),
+        (renamed, derive(flag_tower(1), (2,))),
+        (flag_tower(1), derive(renamed, (2,), {"w": 1})),
+        (renamed, derive(AUX_TOWER, (2,), {"v": 1})),
+    ]
+    for spec, req in cases:
+        for route in (closed_formula_segre, stepwise_pushforward):
+            with pytest.raises(ValueError, match="^req: derived for"):
+                route(spec, req)
+    # A request of the right shape is read as it is.
+    req = derive(AUX_TOWER, (2,), {"v": 1})
+    assert closed_formula_segre(renamed, req._replace(aux_orders=(("w", 1),))) == rename_variables(
+        closed_formula_segre(AUX_TOWER, req), {aux_variable("v", 1): aux_variable("w", 1)}
+    )
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -1058,18 +1111,39 @@ def test_push_refuses_a_degree_above_its_cap(monkeypatch):
         pushforward_monomial(variant, (2, 2, 2))
 
 
-def test_push_refuses_its_bound_only_when_a_piece_is_met(monkeypatch):
+def test_push_refuses_its_bound_before_pairing_any_slice(monkeypatch):
+    # The push pairs its c1-slices with the level series' slices through
+    # ``series._product``, which refuses the sum of the two bounds before
+    # forming any key.  The spy records each product of a part g^(2^31-2)
+    # with a series slice; multiplying the block into the state forms the
+    # others.
+    g_part = {series._pack(Monomial.of(G("g"), 2**31 - 2))[0]: 1}
     formed = []
-    monkeypatch.setattr(tower, "_add_product", lambda *args: formed.append(args))
-    # c1^(2^31-2) meets no slice of 1/u^2, so the push gives zero; its
-    # bound, 2^31 with the series', is never refused.
+
+    def spy(data, a, b, scale=1, _real=series._add_product):
+        if g_part in (a, b):
+            formed.append((a, b))
+        return _real(data, a, b, scale)
+
+    monkeypatch.setattr(series, "_add_product", spy)
+    # flag_tower(1) is flag-type, so this value is a determinant (see
+    # ``_flag_type_push``), whose one entry, the coefficient of
+    # u^-(2^31-1) in 1/u^2, is zero; no push runs.
     assert pushforward_monomial(flag_tower(1), (2**31 - 2,)) == 0
-    # c1 * g^(2^31-2) meets the slice at u^-2, and the series' bound 2 takes
-    # the push's to 2^31: refused before any part is multiplied.
     spec = flag_tower(1)
+    # c1 * g^(2^31-2) meets the slice at u^-2, and the series' bound 2 takes
+    # the push's to 2^31.
     block = LaurentPoly.monomial(Monomial(((C(1), 1), (G("g"), 2**31 - 2))))
     with pytest.raises(ExponentOverflowError):
         tower._push_down(spec, TruncationRequest.derive(spec, (1,)), lambda j: block)
+    # g^(2^31-2) * (1 + c1^2): its c1-slices, at 0 and 2, meet no slice of
+    # 1/u^2, but the one at u^-2 lies in their gap.  The bound is refused
+    # all the same.
+    block = LaurentPoly(
+        {Monomial(((G("g"), 2**31 - 2),)): 1, Monomial(((C(1), 2), (G("g"), 2**31 - 2))): 1}
+    )
+    with pytest.raises(ExponentOverflowError):
+        tower._push_down(spec, TruncationRequest.derive(spec, (2,)), lambda j: block)
     assert formed == []
 
 
