@@ -73,12 +73,14 @@ MAX_TRIALS = 100
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 3
 DEFAULT_TOWERS = 50
-#: Largest ``--k`` of flag-integral.  The flag tower's value is a k x k
-#: determinant with one nonzero entry per row (``tower._flag_type_push``):
+#: Largest ``--k`` of flag-integral.  The flag tower's value is read from
+#: the dual side of its determinant (``tower._flag_type_push``), where a
+#: permutation of 1..k gives the empty partition and a repeated entry 0:
 #: over six permutations of 1..k shuffled by ``random.Random(0..5)`` the
-#: median and the maximum were 0.8 and 1.4 ms at k = 13 and 0.9 and 0.9 ms
-#: at k = 16, and the slowest of 300 seeded shuffles at k = 16 took 1.2 to
-#: 5.1 ms over three runs (in process, 2-core Xeon, Python 3.11).
+#: median and the maximum of ``flag_integral`` were 0.47 and 0.51 ms at
+#: k = 13 and 0.56 and 0.59 ms at k = 16, and the slowest of 300 seeded
+#: shuffles at k = 16 took 0.7 to 8.8 ms over two runs (in process, 2-core
+#: Xeon, Python 3.11).
 MAX_FLAG_K = 16
 
 

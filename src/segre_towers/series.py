@@ -738,6 +738,31 @@ def _descending(f: RationalFunction1V, min_exponent: int) -> _Sliced:
     return parts, num._den * scale, bound
 
 
+def _leading_power(fs: Sequence[RationalFunction1V], exponent: int) -> LaurentPoly:
+    """c**exponent, c the leading coefficient of the product of ``fs``, each
+    with a numerator of one term: the product over ``fs`` of the numerator's
+    term over the denominator's leading term, its pivot power dropped.
+
+    Every exponent of c, and of a partial product, is at most the sum of
+    the sides' bounds, which is refused before c's key is formed; the
+    power's bound, ``exponent`` times c's, is refused before the power's.
+    """
+    _checked(sum(f.numerator._bound + f.denominator._bound for f in fs))
+    key = -sum(f.leading_exponent for f in fs) * _unit(PIVOT)
+    num = den = 1
+    for f in fs:
+        ((top_key, top),) = f.numerator._terms.items()
+        bottom = f.denominator._terms
+        lead_key = max(zip(_exponents(bottom, PIVOT), bottom))[1]
+        key += top_key - lead_key
+        num *= top * f.denominator._den
+        den *= bottom[lead_key] * f.numerator._den
+    if den < 0:
+        num, den = -num, -den
+    bound = _checked(exponent * _key_bound([key]))
+    return LaurentPoly._wrap({exponent * key: num**exponent}, den**exponent, bound)
+
+
 def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
     """Expand ``f`` as a series in descending powers of the pivot.
 

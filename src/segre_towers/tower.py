@@ -58,6 +58,21 @@ whose entries are single-step push-forwards, coefficients of the F_i
 (``_flag_type_push``).  No linear factor is expanded or shifted.  Every
 other tower takes the push.
 
+When every level has the same F = c * u^(-n) * A(1/u), a_0 = 1, and each
+of F's untwisted numerators has one term, that determinant is c^k times
+the Jacobi-Trudi determinant det(a_(lambda_i-i+j)), lambda_i =
+q_(k+1-i) - n + i for q the exponents sorted, at the sorting sign times
+(-1)^(k(k-1)/2); equal exponents or lambda_k < 0 give 0.  Its dual,
+det(b_(lambda'_i-i+j)) with B(t) = 1/A(-t), has size lambda_1 (Macdonald,
+*Symmetric Functions and Hall Polynomials*, I.2-I.3), and its entries, up
+to the factor 1/c each, are the coefficients of 1/F, a Laurent
+polynomial: so the value is +-c^(k+lambda_1) times the determinant of
+those coefficients (``_dual_push``).  A flag bundle's b_m are its Chern
+classes, single terms, where its a_m are dense.  lambda_1 = max p - n + 1
+grows with the exponents, so the dual side is taken only when lambda_1 <=
+k; the primal k x k side serves larger lambda_1, levels with different
+F_i and numerators of several terms.
+
 The records ``TowerFactor``, ``TowerLevel``, ``TowerSpec``, ``Violation``
 and ``TruncationRequest`` are named tuples: immutable and picklable, and
 hashable when their fields are.  ``_replace`` makes a modified copy.  As
@@ -71,6 +86,8 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
+from itertools import combinations, starmap
+from operator import gt
 
 from .series import (
     PIVOT,
@@ -81,6 +98,7 @@ from .series import (
     _check_int,
     _checked,
     _descending,
+    _leading_power,
     _product,
     _shifted,
     _sliced,
@@ -749,18 +767,21 @@ def pushforward_monomial(
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
     aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
     power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
-    levels = _flag_type_levels(spec)
-    if levels is not None:
-        return _flag_type_push(levels, power)
+    flag_type = _flag_type_levels(spec)
+    if flag_type is not None:
+        return _flag_type_push(*flag_type, power)
     req = TruncationRequest.derive(spec, exps, aux)
     return _push_down(spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1]))
 
 
-def _flag_type_push(levels: Sequence[Sequence[TowerFactor]], power: Sequence[int]) -> LaurentPoly:
+def _flag_type_push(
+    levels: Sequence[Sequence[TowerFactor]], same: bool, power: Sequence[int]
+) -> LaurentPoly:
     """``pushforward_monomial`` of prod_i c_i^p_i, p_i = ``power[i-1]``, on
     a flag-type tower, as the determinant of M_(i,j) = [u^(-p_i-j)] F_i for
     i, j in 1..k, F_i the product of ``levels[i-1]``, level i's untwisted
-    factors (``_flag_type_levels``).
+    factors, and ``same`` whether every F_i is the same series
+    (``_flag_type_levels``).
 
     The value is the coefficient of prod_i u_i^(-p_i-1) in the closed
     product of the tower without its auxiliary variables, since a level's
@@ -773,18 +794,30 @@ def _flag_type_push(levels: Sequence[Sequence[TowerFactor]], power: Sequence[int
     Functions and Hall Polynomials*, I.3).  Each entry is a single-step
     push-forward of level i, a polynomial in the base variables.
 
-    Row i is the slices of the single-step series of ``levels[i-1]``
-    (``_level_series``) in -p_i-k..-p_i-1, all through one walk memo; k is
-    ``len(levels)``.  The rows are formed from the largest p
-    down, so the lowest floor comes first and a series that several levels
-    share is long-divided once (``_expansion``).  The determinant is
-    expanded row by row in increasing p, with one partial sum per set of
-    used columns: the sign is the row order's times, for each choice of
-    column j, the parity of the used columns after j.  A zero entry or partial sum
-    is never carried, so a flag tower's rows, with one nonzero entry each,
-    keep one partial sum.  The caller validates the tower.
+    When ``same`` holds and each untwisted numerator has one term, every
+    level has F = c * u^(-n) * A(1/u), a_0 = 1, and M is c times a
+    Jacobi-Trudi matrix.  The value is then the sorting sign of p times
+    (-1)^(k(k-1)/2) times c^(k+lambda_1) times a dual determinant of size
+    lambda_1 = max p - n + 1 whose entries are coefficients of 1/F, or 0
+    at once when p has equal entries or its partition a negative part
+    (``_dual_push`` proves it).  That side is taken only when lambda_1 <= k:
+    lambda_1 grows with max p without bound (``flag_tower(1)`` at
+    p = 2**31 - 2 has lambda_1 = 2**31 - 3), while the primal side has size
+    k.  Levels with different F_i, a numerator of several terms and
+    lambda_1 > k take the primal rows.  Row i is the slices of the
+    single-step series of ``levels[i-1]`` (``_level_series``) in
+    -p_i-k..-p_i-1, all through one walk memo; k is ``len(levels)``.  The
+    rows are formed from the largest p down, so the lowest floor comes
+    first and a series that several levels share is long-divided once
+    (``_expansion``), and the determinant is taken over the rows in
+    increasing p (``_determinant``), its sign that row order's.  The caller
+    validates the tower.
     """
     k = len(levels)
+    if same and k and all(len(factor.series.numerator) == 1 for factor in levels[0]):
+        value = _dual_push(levels[0], power)
+        if value is not None:
+            return value
     order = sorted(range(k), key=power.__getitem__)
     memo: dict = {}
     rows: dict[int, list[tuple[int, LaurentPoly]]] = {}
@@ -795,12 +828,106 @@ def _flag_type_push(levels: Sequence[Sequence[TowerFactor]], power: Sequence[int
             (j, LaurentPoly._wrap(parts[-p - j - 1], den, bound))
             for j in range(k) if -p - j - 1 in parts
         ]
-    swaps = sum(later < row for t, row in enumerate(order) for later in order[t + 1:])
-    partial = {0: -LaurentPoly.one() if swaps % 2 else LaurentPoly.one()}
-    for i in order:
+    value = _determinant([rows[i] for i in order])
+    return -value if _inversions(order) % 2 else value
+
+
+def _dual_push(factors: Sequence[TowerFactor], power: Sequence[int]) -> LaurentPoly | None:
+    """``_flag_type_push`` when every level's untwisted factors are
+    ``factors`` and each of their numerators has one term, by the dual
+    Jacobi-Trudi determinant; None when that determinant is larger than k x k.
+
+    Let F, the product of ``factors``, be c * u^(-n) * A(1/u), with
+    A(t) = sum_m a_m t^m and a_0 = 1, so n is minus F's leading exponent and
+    c its leading coefficient, one term.  Then M_(i,j) = c * a_(p_i+j-n).
+    Sort p into increasing q and reverse the rows, which multiplies det M by
+    the sorting sign times (-1)^(k(k-1)/2): the rows become those of the
+    Jacobi-Trudi matrix c * a_(lambda_i-i+j), lambda_i = q_(k+1-i) - n + i.
+    Two equal entries of p give two equal rows, and lambda_k < 0 a zero
+    last row, so either gives 0.  Otherwise lambda is a partition, and
+    det(a_(lambda_i-i+j)) = det(b_(lambda'_i-i+j)) over i, j in
+    1..lambda_1, with lambda' the conjugate partition and
+    B(t) = sum_m b_m t^m = 1/A(-t).  With a_m the complete symmetric
+    functions h_m, the b_m are the elementary e_m and both sides are the
+    Schur function s_lambda (the involution omega); the h_m are
+    algebraically independent, so the identity holds for every sequence
+    with a_0 = 1 (Macdonald, I.2-I.3).
+
+    1/F is the product of the swapped factors, each its denominator over
+    its numerator of one term, so a Laurent polynomial whose expansion
+    (``_level_series``) is finite.  Its coefficient of u^(n-m) is
+    (-1)^m * b_m / c, and the entries read are those with odd m negated.
+    Each of the lambda_1 rows holds 1/c where the dual matrix holds 1, so
+    the value is the sign times c^(k+lambda_1) (``series._leading_power``,
+    from the factors' leading terms) times the determinant of the entries
+    read (``_determinant``).  That scale times the determinant is one
+    product, made for every value not found 0 at once; a permutation of
+    1..k on the flag tower gives the empty partition, reads no entry, and
+    its determinant is 1.
+
+    The dual determinant has size lambda_1 = max p - n + 1, not k.  A flag
+    bundle's b_m are its Chern classes, single terms that vanish above the
+    rank, where its a_m are dense complete symmetric polynomials.  But
+    lambda_1 grows with max p without bound, so past k the caller takes
+    the primal side, of size k:
+    ``pushforward_monomial(flag_tower(1), (2**31 - 2,))`` would ask for a
+    dual matrix of size 2**31 - 3.
+    """
+    k = len(power)
+    n = -sum(factor.series.leading_exponent for factor in factors)
+    order = sorted(range(k), key=power.__getitem__)
+    q = [power[i] for i in order]
+    lam = [q[k - i] - n + i for i in range(1, k + 1)]
+    if any(a == b for a, b in zip(q, q[1:])) or lam[-1] < 0:
+        return LaurentPoly()
+    size = lam[0]
+    if size > k:
+        return None
+    conj = [sum(part > i for part in lam) for i in range(size)]
+    rows = []
+    if size:
+        # Row i reads b_m for m up to lambda'_1 + lambda_1 - 1, at u^(n-m).
+        swapped = [
+            factor._replace(
+                series=RationalFunction1V(factor.series.denominator, factor.series.numerator)
+            )
+            for factor in factors
+        ]
+        parts, den, bound = _level_series(swapped, {}, n - conj[0] - size + 1, n)
+        entries = {}
+        for e, part in parts.items():
+            entry = LaurentPoly._wrap(part, den, bound)
+            entries[n - e] = -entry if (n - e) % 2 else entry
+        rows = [
+            [(j, entries[c - i + j]) for j in range(size) if c - i + j in entries]
+            for i, c in enumerate(conj)
+        ]
+    scale = _leading_power([factor.series for factor in factors], k + size)
+    if (_inversions(order) + k * (k - 1) // 2) % 2:
+        scale = -scale
+    return scale * _determinant(rows)
+
+
+def _inversions(order: Sequence[int]) -> int:
+    """The number of pairs that ``order`` puts out of increasing order."""
+    return sum(starmap(gt, combinations(order, 2)))
+
+
+def _determinant(rows: Sequence[Sequence[tuple[int, LaurentPoly]]]) -> LaurentPoly:
+    """The determinant of the square matrix whose row t has the nonzero
+    entries ``rows[t]``, (column, entry) pairs with columns from 0.
+
+    It is expanded row by row, with one partial sum per set of used
+    columns: choosing column j multiplies a partial sum by the entry and by
+    the parity of the used columns after j, which counts the inversions the
+    choice adds.  A zero partial sum is never carried, so rows with one
+    nonzero entry each keep one partial sum.
+    """
+    partial = {0: LaurentPoly.one()}
+    for row in rows:
         sums: dict[int, LaurentPoly] = {}
         for used, value in partial.items():
-            for j, entry in rows[i]:
+            for j, entry in row:
                 if used >> j & 1:
                     continue
                 term = value * entry
@@ -809,24 +936,29 @@ def _flag_type_push(levels: Sequence[Sequence[TowerFactor]], power: Sequence[int
                 key = used | 1 << j
                 sums[key] = sums[key] + term if key in sums else term
         partial = {used: value for used, value in sums.items() if value}
-    return partial.get((1 << k) - 1, LaurentPoly())
+    return partial.get((1 << len(rows)) - 1, LaurentPoly())
 
 
-def _flag_type_levels(spec: TowerSpec) -> list[list[TowerFactor]] | None:
-    """Each level's untwisted factors if level i of ``spec`` is
-    F_i(u) * prod_(m<i) (u - c_m) for every i, else None.
+def _flag_type_levels(spec: TowerSpec) -> tuple[list[list[TowerFactor]], bool] | None:
+    """Each level's untwisted factors, and whether every level's are the
+    same series, if level i of ``spec`` is F_i(u) * prod_(m<i) (u - c_m) for
+    every i, else None.
 
     So each level's factors are one factor u with twist -1 in slot m, and
     zero elsewhere, for each lower level m, and any number of untwisted
     factors, whose product is F_i.  ``flag_tower``, flag bundles and
-    partial flags are flag-type; a tower without levels gives ``[]``.  A
-    linear factor counts only with the series u / 1 as its two sides, so an
-    equal series written otherwise sends the tower to the generic push,
-    which is always exact.
+    partial flags are flag-type; a tower without levels gives ``([], True)``.
+    A linear factor counts only with the series u / 1 as its two sides, so
+    an equal series written otherwise sends the tower to the generic push,
+    which is always exact.  Levels have the same series when their
+    untwisted factors' series are equal in order, each pair tested by
+    identity and then ``==``; an equal F written otherwise takes the primal
+    determinant, which is always exact too.
     """
     u, one = LaurentPoly.variable(PIVOT), LaurentPoly.one()
     linear = None  # the last series found to be u / 1
     levels = []
+    same = True
     for lower, level in enumerate(spec.levels):
         slots, untwisted = [], []
         for factor in level.factors:
@@ -845,8 +977,14 @@ def _flag_type_levels(spec: TowerSpec) -> list[list[TowerFactor]] | None:
             slots.append(twists.index(-1))
         if sorted(slots) != list(range(lower)):
             return None
+        # List equality tests each pair by identity, then by ``==``.
+        series = [factor.series for factor in untwisted]
+        if not levels:
+            shared = series
+        elif same:
+            same = series == shared
         levels.append(untwisted)
-    return levels
+    return levels, same
 
 
 def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:

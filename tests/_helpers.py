@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import itertools
+import math
 from fractions import Fraction
 
 from segre_towers import (
@@ -181,15 +183,90 @@ def flag_bundle(k):
     return TowerSpec(tuple(levels), tuple((f"e{i}", i) for i in range(1, n + 1)))
 
 
-def partial_flag(k):
-    """``flag_tower(k)`` with 1/u^(k+1) replaced by 1/u^(k+2), a partial flag
-    tower: flag-type, with F = u^-(k+2) on every level."""
-    point = rf(1, {k + 2: 1})
+def flag_type_tower(k, series, base_generators=()):
+    """``flag_tower(k)`` with level i's factor 1/u^(k+1) replaced by one
+    untwisted factor per entry of ``series``, the same objects on every
+    level: a flag-type tower with F = the product of ``series`` everywhere."""
     levels = []
     for lvl in flag_tower(k).levels:
         first, *shifted = lvl.factors
-        levels.append(lvl._replace(factors=(first._replace(series=point), *shifted)))
-    return TowerSpec(tuple(levels))
+        point = tuple(first._replace(series=f) for f in series)
+        levels.append(lvl._replace(factors=point + tuple(shifted)))
+    return TowerSpec(tuple(levels), tuple(base_generators))
+
+
+def partial_flag(k):
+    """``flag_tower(k)`` with 1/u^(k+1) replaced by 1/u^(k+2), a partial flag
+    tower: flag-type, with F = u^-(k+2) on every level."""
+    return flag_type_tower(k, [rf(1, {k + 2: 1})])
+
+
+def rational_root_flag(k):
+    """The flag-type tower with F = 1/(u-1)^(k+1) on every level: the flag
+    bundle of a rank k+1 bundle whose Chern roots are all 1, so its
+    coefficients are rational and it has no base generators."""
+    n = k + 1
+    return flag_type_tower(k, [rf(1, {i: math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)})])
+
+
+def point_value_sign_and_partition(exps, n):
+    """(sign, lambda) with the point value of a flag-type tower whose every
+    level has F = u^-n * A(1/u), a_0 = 1, at ``exps`` equal to sign times
+    det(a_(lambda_i-i+j)); (0, None) when the value is 0.
+
+    Listing the rows by decreasing exponent turns det(a_(p_i+j-n)) into the
+    Jacobi-Trudi determinant of lambda_i = q_i - n + i, q the
+    exponents in decreasing order, at the sign of that reordering: (-1) to
+    the number of pairs i < j with exps[i] < exps[j].  Equal exponents give
+    equal rows, and a negative last part a zero last row.
+    """
+    k = len(exps)
+    q = sorted(exps, reverse=True)
+    lam = [q[i - 1] - n + i for i in range(1, k + 1)]
+    if len(set(q)) < k or lam[-1] < 0:
+        return 0, None
+    rises = sum(a < b for a, b in itertools.combinations(exps, 2))
+    return (-1) ** rises, [part for part in lam if part]
+
+
+def schur_at_ones(lam, n):
+    """s_lambda(1^n) by the hook-content formula: the product over the cells
+    (i, j) of lambda of (n + j - i) / h(i, j), h the hook length."""
+    conj = [sum(part >= j for part in lam) for j in range(1, (lam[0] if lam else 0) + 1)]
+    value = Fraction(1)
+    for i, part in enumerate(lam, 1):
+        for j in range(1, part + 1):
+            value *= Fraction(n + j - i, part - j + conj[j - 1] - i + 1)
+    return value
+
+
+def chern_point_value(k, exps):
+    """The point value of ``flag_bundle(k)`` at ``exps``, as det M in the
+    Chern presentation, by cofactor expansion along the first row.
+
+    M_(i,j) = h_(p_i+j-n)(e), n = k+1, with h_0 = 1, h_t = 0 for t < 0, and
+    h_t = sum over r = 1..n of (-1)^(r+1) * e_r * h_(t-r) for t > 0, the
+    recurrence of 1/c_E: no series expansion and no tower code is used.
+    """
+    n = k + 1
+    e = [None] + [LaurentPoly.variable(G(f"e{r}")) for r in range(1, n + 1)]
+    h = [LaurentPoly.one()]
+    for t in range(1, max(exps, default=0) + k - n + 1):
+        h.append(sum(((-1) ** (r + 1) * e[r] * h[t - r] for r in range(1, min(t, n) + 1)),
+                     LaurentPoly.zero()))
+
+    def minor(row, columns):
+        if row == k:
+            return LaurentPoly.one()
+        total = LaurentPoly.zero()
+        for pos, j in enumerate(columns):
+            t = exps[row] + j - n
+            if t >= 0:
+                rest = columns[:pos] + columns[pos + 1:]
+                total = total + (-1) ** pos * h[t] * minor(row + 1, rest)
+        return total
+
+    return minor(0, tuple(range(1, k + 1)))
 
 
 def evaluate(value, values):

@@ -44,7 +44,21 @@ from segre_towers.series import (
 )
 from segre_towers.tower import PIVOT
 
-from _helpers import G, U, arrangement_sign, evaluate, flag_bundle, partial_flag
+from _helpers import (
+    G,
+    U,
+    arrangement_sign,
+    chern_point_value,
+    evaluate,
+    flag_bundle,
+    flag_type_tower,
+    partial_flag,
+    point_value_sign_and_partition,
+    poly,
+    rational_root_flag,
+    rf,
+    schur_at_ones,
+)
 
 
 def test_flag_tower_k1_structure():
@@ -830,6 +844,145 @@ def test_flag_type_determinant_equals_the_push_and_the_closed_window_on_bundles_
                 with_base += bool(value.variables())
                 monomials += spec is with_aux
     assert monomials == 512 and nonzero >= 40 and with_base >= 10
+
+
+def test_flag_bundle_point_values_equal_the_chern_determinant():
+    # The oracle forms det M from h_t(e) by its own recurrence, so it shares
+    # no code with the route, which reads a bundle's values from the dual
+    # side: every tuple with entries up to 2k has lambda_1 <= k.
+    rng = random.Random(39)
+    cases = [(k, list(itertools.product(range(2 * k + 1), repeat=k))) for k in (1, 2, 3)]
+    cases += [(k, [tuple(rng.randint(0, 2 * k) for _ in range(k)) for _ in range(40)]) for k in (4, 5)]
+    with_base = 0
+    for k, tuples in cases:
+        spec = flag_bundle(k)
+        for exps in tuples:
+            value = pushforward_monomial(spec, exps)
+            assert value == chern_point_value(k, exps), (k, exps)
+            with_base += bool(value.variables())
+    assert with_base >= 100
+
+
+def test_rational_root_flag_values_are_hook_content_numbers():
+    # F = 1/(u-1)^(k+1) on every level: the point value is +-s_lambda(1^(k+1)),
+    # a number with a magnitude, not only a sign.
+    rng = random.Random(18)
+    nonzero = 0
+    for k in range(1, 6):
+        spec = rational_root_flag(k)
+        for _ in range(40):
+            exps = tuple(rng.randint(0, 2 * k + 1) for _ in range(k))
+            sign, lam = point_value_sign_and_partition(exps, k + 1)
+            expected = sign * schur_at_ones(lam, k + 1) if sign else 0
+            assert pushforward_monomial(spec, exps) == expected, exps
+            nonzero += abs(expected) > 1
+    assert nonzero >= 40
+    # At (2k, ..., k+1), lambda is the k x k square and s_lambda(1^(k+1)) = C(2k, k).
+    for k in range(6, 11):
+        exps = tuple(range(2 * k, k, -1))
+        assert pushforward_monomial(rational_root_flag(k), exps) == math.comb(2 * k, k)
+
+
+def _record_dual_sides(monkeypatch):
+    """Patch ``tower._dual_push`` to append, per call, whether it gave the value."""
+    sides = []
+    dual = tower_mod._dual_push
+
+    def spy(*args):
+        value = dual(*args)
+        sides.append(value is not None)
+        return value
+
+    monkeypatch.setattr(tower_mod, "_dual_push", spy)
+    return sides
+
+
+def _random_denominator(rng, lead):
+    """A pivot denominator of top degree 1..3 with leading coefficient ``lead``
+    (a number, or a (number, base variable) pair) and up to two lower terms."""
+    d = rng.randint(1, 3)
+    coeff, base = lead if isinstance(lead, tuple) else (lead, None)
+    terms = {((PIVOT, d), (base, 1)) if base else ((PIVOT, d),): coeff}
+    for e in rng.sample(range(-1, d), rng.randint(0, 2)):
+        terms[((PIVOT, e),)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return poly(terms)
+
+
+def _non_unit(rng):
+    return Fraction(rng.choice([-3, -2, 2, 3]), rng.choice([1, 2, 5]))
+
+
+def test_dual_side_equals_the_push_and_the_closed_window_on_random_flag_type_towers(monkeypatch):
+    # Flag-type towers whose shared F has one-term numerators: with a non-unit
+    # rational coefficient, over a denominator led by a non-unit rational
+    # times a base monomial, and as several untwisted factors per level.
+    # Each value is the generic push's and the closed window's coefficient,
+    # and the dual side gives most of them.
+    sides = _record_dual_sides(monkeypatch)
+    rng = random.Random(3917)
+    g = G("g")
+    dual_nonzero = 0
+    for trial in range(24):
+        kind = ("coefficient", "base", "several")[trial % 3]
+        k = rng.randint(1, 3)
+        count = rng.randint(2, 3) if kind == "several" else 1
+        series, bases = [], ()
+        for _ in range(count):
+            num = LaurentPoly.monomial(Monomial.of(PIVOT, rng.randint(-1, 1)), _non_unit(rng))
+            lead = (_non_unit(rng), g) if kind == "base" else rng.choice([1, _non_unit(rng)])
+            series.append(RationalFunction1V(num, _random_denominator(rng, lead)))
+        if kind == "base":
+            bases = (("g", 1),)
+        spec = flag_type_tower(k, series, bases)
+        n = -sum(f.leading_exponent for f in series)
+        tuples = [
+            tuple(max(0, n - k + x) for x in rng.sample(range(2 * k + 1), k)) for _ in range(6)
+        ]
+        tuples += [tuple(rng.randint(0, max(n, 0) + k) for _ in range(k)) for _ in range(2)]
+        orders = tuple(map(max, zip(*tuples)))
+        window = closed_formula_segre(spec, TruncationRequest.derive(spec, orders))
+        for exps in tuples:
+            del sides[:]
+            target = Monomial((U(i), -a - 1) for i, a in enumerate(exps, 1))
+            value = pushforward_monomial(spec, exps)
+            assert value == _generic_push(spec, exps), (spec, exps)
+            assert value == coefficient_of(window, target, spec.tower_variables()), (spec, exps)
+            assert len(sides) == 1
+            dual_nonzero += sides[0] and bool(value)
+    assert dual_nonzero >= 40
+
+
+def test_the_primal_side_keeps_the_towers_the_dual_does_not_cover(monkeypatch):
+    # A numerator with several terms and levels with different F never reach
+    # the dual side; a partial flag at a tuple with lambda_1 > k reaches it
+    # and is declined.  Each value is still the generic push's and the
+    # closed window's coefficient.
+    sides = _record_dual_sides(monkeypatch)
+    bundle = flag_bundle(3)
+    mixed = bundle._replace(
+        levels=(bundle.levels[0], partial_flag(3).levels[1], flag_tower(3).levels[2])
+    )
+    several = flag_type_tower(3, [rf({0: 1, -1: 2}, {3: 1, 1: Fraction(-1, 2)})])
+    # partial_flag(2) has n = 4, so lambda = (max p - 3, min p - 2).
+    wide = [(2, 6), (7, 3), (6, 4), (9, 2)]
+    cases = [
+        (several, list(itertools.product(range(6), repeat=3)), False),
+        (mixed, list(itertools.product(range(6), repeat=3)), False),
+        (partial_flag(2), wide, True),
+    ]
+    nonzero = 0
+    for spec, tuples, reached in cases:
+        orders = tuple(map(max, zip(*tuples)))
+        window = closed_formula_segre(spec, TruncationRequest.derive(spec, orders))
+        for exps in tuples:
+            del sides[:]
+            target = Monomial((U(i), -a - 1) for i, a in enumerate(exps, 1))
+            value = pushforward_monomial(spec, exps)
+            assert value == _generic_push(spec, exps), (spec, exps)
+            assert value == coefficient_of(window, target, spec.tower_variables()), (spec, exps)
+            assert sides == ([False] if reached else []), (spec, exps)
+            nonzero += bool(value)
+    assert nonzero >= 20
 
 
 def test_arrangement_sign():

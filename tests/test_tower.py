@@ -265,7 +265,7 @@ def test_each_computation_validates_its_tower_once(tmp_path, monkeypatch, capsys
         assert len(calls) == 1
     calls.clear()
     tower._push_down(generic, req, lambda j: LaurentPoly.variable(tower.taut_variable(j)))
-    tower._flag_type_push(tower._flag_type_levels(flags), power)
+    tower._flag_type_push(*tower._flag_type_levels(flags), power)
     assert calls == []
     path = tmp_path / "tower.json"
     path.write_text(json.dumps(tower_spec_to_doc(generic)), encoding="utf-8")
@@ -1184,11 +1184,21 @@ def _flag3_variants():
 def test_flag_type_predicate_accepts_flags_bundles_and_partial_flags():
     accepted = [flag_tower(k) for k in range(1, 6)] + [flag_bundle(3), partial_flag(3)]
     assert all(tower._flag_type_levels(spec) is not None for spec in accepted)
-    # Each level's F_i is its untwisted factors; a tower without levels has none.
-    assert tower._flag_type_levels(flag_tower(3)) == [
-        [level.factors[0]] for level in flag_tower(3).levels
-    ]
-    assert tower._flag_type_levels(TowerSpec(())) == []
+    # Each level's F_i is its untwisted factors; a tower without levels has
+    # none.  The flag tower's levels share one series object, the bundle's
+    # are equal copies, and levels from a bundle, a partial flag and a flag
+    # tower differ.
+    assert tower._flag_type_levels(flag_tower(3)) == (
+        [[level.factors[0]] for level in flag_tower(3).levels], True
+    )
+    assert tower._flag_type_levels(TowerSpec(())) == ([], True)
+    bundle = flag_bundle(3)
+    assert len({id(level.factors[0].series) for level in bundle.levels}) == 3
+    assert tower._flag_type_levels(bundle)[1] is True
+    mixed = bundle._replace(
+        levels=(bundle.levels[0], partial_flag(3).levels[1], flag_tower(3).levels[2])
+    )
+    assert tower._flag_type_levels(mixed)[1] is False
     pool = next(spec for spec in map(_pool_tower, range(400)) if spec.k >= 2)
     for spec in [pool, *_flag3_variants()]:
         assert tower._flag_type_levels(spec) is None, spec
