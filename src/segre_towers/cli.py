@@ -42,7 +42,15 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from . import flag as flag_mod
-from .series import _HALF, PIVOT, LaurentPoly, RationalFunction1V, VariableId
+from .series import (
+    _HALF,
+    PIVOT,
+    LaurentPoly,
+    RationalFunction1V,
+    VariableId,
+    _check_int,
+    _is_int,
+)
 from .tower import (
     InvalidTowerError,
     TowerFactor,
@@ -82,6 +90,11 @@ DEFAULT_TOWERS = 50
 #: shuffles at k = 16 took 0.7 to 8.8 ms over two runs (in process, 2-core
 #: Xeon, Python 3.11).
 MAX_FLAG_K = 16
+#: Largest order or exponent a of ``--orders``, ``--aux-orders`` and
+#: ``--exps``.  a stands for u^(-a-1), which the stepwise route packs into a
+#: monomial; the closed route only filters by it, so both are refused it
+#: here alike.
+MAX_ORDER = _HALF - 2
 
 
 def format_rational(value: Fraction) -> str:
@@ -102,11 +115,6 @@ class SpecFileError(ValueError):
 
 
 # -- tower spec (de)serialization -------------------------------------------
-
-
-def _is_int(value) -> bool:
-    # JSON ``true``/``false`` decode to ``bool``, a subclass of ``int``.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _poly_to_triples(poly: LaurentPoly, where: str) -> list[list[int]]:
@@ -306,14 +314,6 @@ def _first_difference(closed: LaurentPoly, stepwise: LaurentPoly) -> str:
     )
 
 
-def _check_trials(trials: int) -> None:
-    # Checked here, since the library would name its parameter, not the option.
-    if trials < 1:
-        raise ValueError(f"--trials: must be at least 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"--trials: {trials} is above the ceiling {MAX_TRIALS}")
-
-
 def run_verify(
     max_k: int,
     seed: int,
@@ -322,18 +322,13 @@ def run_verify(
 ) -> list[VerifyCase]:
     """Triple-agreement sweep plus the randomized closed-vs-stepwise corpus.
 
-    Sizes under which a run could pass vacuously are refused before any
-    work; ``towers=0`` skips only the random corpus.
+    Sizes under which a run could pass vacuously, or above their ceilings,
+    are refused before any work, under the option's name; ``towers=0``
+    skips only the random corpus.
     """
-    if max_k > MAX_VERIFY_K:
-        raise ValueError(f"--max-k: {max_k} is above the ceiling {MAX_VERIFY_K}")
-    if max_k < 1:
-        raise ValueError(f"--max-k: must be at least 1, got {max_k}")
-    if towers < 0:
-        raise ValueError(f"--towers: must be non-negative, got {towers}")
-    if towers > MAX_VERIFY_TOWERS:
-        raise ValueError(f"--towers: {towers} is above the ceiling {MAX_VERIFY_TOWERS}")
-    _check_trials(trials)
+    _check_int("--max-k", max_k, 1, MAX_VERIFY_K)
+    _check_int("--towers", towers, 0, MAX_VERIFY_TOWERS)
+    _check_int("--trials", trials, 1, MAX_TRIALS)
     cases: list[VerifyCase] = []
 
     empty = TowerSpec(())
@@ -424,16 +419,6 @@ def run_verify(
 # -- subcommands -------------------------------------------------------------
 
 
-def _check_order(value: int, option: str) -> None:
-    # a stands for u^(-a-1).  The stepwise route packs that exponent; the
-    # closed route only filters by it, so both must refuse it here alike.
-    if value > _HALF - 2:
-        raise ValueError(
-            f"{option}: {value} is above {_HALF - 2}, the largest a for which "
-            f"u^(-a-1) fits a packed monomial"
-        )
-
-
 def _parse_int_list(raw: str, option: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
@@ -445,9 +430,7 @@ def _parse_int_list(raw: str, option: str) -> tuple[int, ...]:
             f"{option}: expected a comma-separated integer list, got {raw!r}"
         ) from exc
     for value in values:
-        if value < 0:
-            raise ValueError(f"{option}: expected non-negative integers, got {value}")
-        _check_order(value, option)
+        _check_int(option, value, 0, MAX_ORDER)
     return values
 
 
@@ -465,19 +448,16 @@ def _parse_assignments(raw: str, option: str) -> dict[str, int]:
             out[name] = int(value)
         except ValueError as exc:
             raise ValueError(f"{option}: expected an integer value, got {item!r}") from exc
-        _check_order(out[name], option)
+        _check_int(option, out[name], 0, MAX_ORDER)
     return out
 
 
 def cmd_flag_integral(args) -> int:
-    if args.k < 1:
-        raise ValueError(f"--k: flag towers need at least 1 level, got {args.k}")
-    if args.k > MAX_FLAG_K:
-        raise ValueError(f"--k: {args.k} is above the ceiling {MAX_FLAG_K}")
+    _check_int("--k", args.k, 1, MAX_FLAG_K)
     exps = _parse_int_list(args.exps, "--exps")
     if len(exps) != args.k:
         raise ValueError(f"--exps: needs exactly {args.k} entries, got {len(exps)}")
-    _check_trials(args.trials)
+    _check_int("--trials", args.trials, 1, MAX_TRIALS)
     if not (args.verbose or args.format == "json"):
         # The push's constant is printed from its numerator and denominator,
         # so a plain call builds no Fraction and never loads ``fractions``.

@@ -28,14 +28,14 @@ build one import ``fractions``, so importing this module does not load it.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
-from .series import PIVOT, LaurentPoly, RationalFunction1V
+from .series import PIVOT, LaurentPoly, RationalFunction1V, _check_int
 from .tower import (
     TowerFactor,
     TowerLevel,
     TowerSpec,
-    _check_count,
     _check_exponents,
     pushforward_monomial,
     tower_variable,
@@ -55,7 +55,7 @@ def flag_tower(k: int) -> TowerSpec:
     lower level j, a factor u with twist -1 in slot j, so the single-step
     Segre series is (u - c_1)...(u - c_{i-1}) / u^(k+1).
     """
-    _check_count("k", k)
+    _check_int("k", k, 1, sys.maxsize)
     point = RationalFunction1V(1, LaurentPoly.variable(PIVOT, k + 1))
     linear = RationalFunction1V(LaurentPoly.variable(PIVOT), 1)
     levels = []
@@ -91,7 +91,7 @@ def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """
     import fractions
 
-    exps = _check_exponents("exponents", exponents, _check_count("k", k))
+    exps = _check_exponents("exponents", exponents, _check_int("k", k, 1, sys.maxsize))
     arrangement = [k - a for a in exps]
     if sorted(arrangement) != list(range(k)):
         return fractions.Fraction(0)
@@ -107,7 +107,7 @@ def vandermonde_integral(k: int, exponents: Sequence[int]) -> Fraction:
 
 def flag_integral(k: int, exponents: Sequence[int]) -> Fraction:
     """Integral of c_1^a_1 ... c_k^a_k over the flag variety, via the tower."""
-    exps = _check_exponents("exponents", exponents, _check_count("k", k))
+    exps = _check_exponents("exponents", exponents, _check_int("k", k, 1, sys.maxsize))
     return _flag_pushforward(k, exps).constant_value()
 
 
@@ -151,8 +151,8 @@ def localization_integral(
     """
     import fractions
 
-    exps = _check_exponents("exponents", exponents, _check_count("k", k))
-    _check_count("trials", trials)
+    exps = _check_exponents("exponents", exponents, _check_int("k", k, 1, sys.maxsize))
+    _check_int("trials", trials, 1, sys.maxsize)
     dim = k * (k + 1) // 2
     if sum(exps) > dim:
         raise ValueError(f"exponents: total degree must be at most the flag dimension {dim}")

@@ -191,16 +191,31 @@ def _checked(bound: int) -> int:
     return bound
 
 
-def _check_cap(degree_cap: int) -> None:
-    """Refuse a ``degree_cap`` that is no non-negative int; a ``bool`` is none."""
-    if not isinstance(degree_cap, int) or isinstance(degree_cap, bool) or degree_cap < 0:
-        raise ValueError(f"degree_cap: expected a non-negative integer, got {degree_cap!r}")
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int; a ``bool`` (JSON's ``true``) is none."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_int(name: str, value: int) -> None:
-    """Refuse a ``value`` that is no int; a ``bool`` is none.  Errors start with ``name``."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def _check_int(name: str, value: int, low: int | None = None, high: int | None = None) -> int:
+    """``value`` if it is an int in ``low..high`` (None: that side is open).
+
+    Every refusal starts with ``name``, in one of three shapes: ``expected
+    an integer, got ...``, ``must be at least low, got ...`` and ``... is
+    above the ceiling high``.  A ``bool`` is no int here, and nothing is
+    converted, since ``int()`` would silently truncate a float.  An int
+    beyond ``sys.maxsize`` in absolute value is not echoed, since it may
+    have more digits than ``str`` converts.
+    """
+    # An exact int passes without a call; _is_int decides the rest.
+    if type(value) is not int and not _is_int(value):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if low is not None and value < low:
+        got = f", got {value}" if value >= -sys.maxsize else ""
+        raise ValueError(f"{name}: must be at least {low}{got}")
+    if high is not None and value > high:
+        shown = value if value <= sys.maxsize else "the value"
+        raise ValueError(f"{name}: {shown} is above the ceiling {high}")
+    return value
 
 
 def _fitted(var: VariableId, exp: int) -> int:
@@ -663,6 +678,10 @@ def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
 
     A product slice at e is the sum of a[e1] * b[e2] over e1 + e2 = e, so a
     pair of slices whose exponents sum outside the window is never formed.
+    A slice e1 of ``a`` pairs with the slices of ``b`` in low-e1..high-e1,
+    found by walking that range, one lookup per exponent, when it is
+    shorter than ``b``'s slices, and by testing ``b``'s slices otherwise.
+    So the push's one-exponent window takes one lookup per slice of ``a``.
     The bound is the sum of the two bounds, refused before any key is
     formed whenever both sides are nonempty, even if no pair lands in the
     window.  The two sides may be sliced by different variables: the
@@ -675,11 +694,19 @@ def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
         return {}, 1, 0
     bound = _checked(a_bound + b_bound)
     out: dict[int, dict[int, int]] = {}
+    get = b_parts.get
+    # The window holds high - low + 1 exponents of b for every e1.
+    walk = high - low < len(b_parts)
     for e1, p1 in a_parts.items():
-        for e2, p2 in b_parts.items():
-            exp = e1 + e2
-            if low <= exp <= high:
-                _add_product(out.setdefault(exp, {}), p1, p2)
+        if walk:
+            for e2 in range(low - e1, high - e1 + 1):
+                p2 = get(e2)
+                if p2 is not None:
+                    _add_product(out.setdefault(e1 + e2, {}), p1, p2)
+        else:
+            for e2, p2 in b_parts.items():
+                if low <= e1 + e2 <= high:
+                    _add_product(out.setdefault(e1 + e2, {}), p1, p2)
     return {exp: part for exp, part in out.items() if part}, a_den * b_den, bound
 
 
@@ -767,8 +794,8 @@ def descending_expand(f: RationalFunction1V, min_exponent: int) -> LaurentPoly:
     """Expand ``f`` as a series in descending powers of the pivot.
 
     Keeps exactly the terms whose exponent of the pivot is >= min_exponent;
-    those coefficients are exact.  ``min_exponent`` must be an int, and
-    not a ``bool``.
+    those coefficients are exact.  ``min_exponent`` must be an int
+    (``_check_int``).
     """
     _check_int("min_exponent", min_exponent)
     return _unsliced(_descending(f, min_exponent), PIVOT)
@@ -847,12 +874,12 @@ def shift_expand(
     b = a - low, a term with a < low contributes nothing, and the powers of
     the shift stop at the largest a minus ``low``.
 
-    This function checks the shift's form and ``low``, which must be None
-    or an int that is not a ``bool``, and slices ``q`` by the pivot; the
-    expansion itself is ``_shifted``, which level products call on their
-    factors directly.
+    This function checks the shift's form, ``degree_cap``, a non-negative
+    int, and ``low``, None or an int (``_check_int``), and slices ``q`` by
+    the pivot; the expansion itself is ``_shifted``, which level products
+    call on their factors directly.
     """
-    _check_cap(degree_cap)
+    _check_int("degree_cap", degree_cap, 0)
     if low is not None:
         _check_int("low", low)
     if any(_exponents(shift._terms, pivot)):
@@ -869,10 +896,13 @@ def shift_expand(
 
 
 def geometric_expand(outer: VariableId, inner: VariableId, degree_cap: int) -> LaurentPoly:
-    """Truncated expansion of 1/(outer - inner) in non-negative powers of inner."""
+    """Truncated expansion of 1/(outer - inner) in non-negative powers of inner.
+
+    ``degree_cap`` must be a non-negative int (``_check_int``).
+    """
     if outer == inner:
         raise ValueError("geometric_expand requires two distinct variables")
-    _check_cap(degree_cap)
+    _check_int("degree_cap", degree_cap, 0)
     bound = _checked(degree_cap + 1)
     up, down = 1 << (_W * _slot(inner)), 1 << (_W * _slot(outer))
     return LaurentPoly._wrap({n * up - (n + 1) * down: 1 for n in range(degree_cap + 1)}, 1, bound)

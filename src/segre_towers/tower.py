@@ -98,6 +98,7 @@ from .series import (
     _check_int,
     _checked,
     _descending,
+    _is_int,
     _leading_power,
     _product,
     _shifted,
@@ -241,7 +242,7 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
             declared_bases.add(name)
         if problem := _name_problem(name):
             out.append(Violation(None, "base_generators", problem))
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree <= 0:
+        if not _is_int(degree) or degree <= 0:
             out.append(
                 Violation(None, "base_generators", f"generator {name!r} needs a positive degree")
             )
@@ -322,30 +323,14 @@ def validate_tower(spec: TowerSpec) -> None:
         raise InvalidTowerError(violations)
 
 
-def _check_count(name: str, value: int) -> int:
-    """``value`` as a count: an int in 1..sys.maxsize that is not a ``bool``.
-
-    No tuple holds more than ``sys.maxsize`` entries.  A larger int is not
-    echoed, since it may have more digits than ``str`` converts.
-    """
-    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= sys.maxsize:
-        got = "" if isinstance(value, int) and abs(value) > sys.maxsize else f", got {value!r}"
-        raise ValueError(f"{name}: expected an integer in 1..{sys.maxsize}{got}")
-    return value
-
-
 def _check_exponents(name: str, values: Sequence[int], n: int) -> tuple[int, ...]:
-    """``values`` as a tuple of ``n`` non-negative ints; errors start with ``name``.
-
-    ``bool`` is refused although it is an ``int``, and nothing is converted,
-    since ``int()`` would silently truncate a float.
-    """
+    """``values`` as a tuple of ``n`` non-negative ints (``_check_int``);
+    errors start with ``name``."""
     exps = tuple(values)
     if len(exps) != n:
         raise ValueError(f"{name}: expected {n} entries, got {len(exps)}")
     for a in exps:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-            raise ValueError(f"{name}: expected non-negative integers, got {a!r}")
+        _check_int(name, a, 0)
     return exps
 
 
@@ -597,12 +582,11 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     reserved pivot and the tautological variables c_1..c_{level-1}; pivot
     exponents >= min_exponent are exact.  No shift raises the pivot's
     exponent, so none exceeds the sum of the factors' ``_lead_plus``.
-    ``level`` must be an int in 1..k and ``min_exponent`` an int, neither
-    a ``bool``; each is refused under its name after the tower is validated.
+    ``level`` must be an int in 1..k and ``min_exponent`` an int; each is
+    refused under its name (``_check_int``) after the tower is validated.
     """
     validate_tower(spec)
-    if _check_count("level", level) > spec.k:
-        raise ValueError(f"level: expected an integer in 1..{spec.k}, got {level}")
+    _check_int("level", level, 1, spec.k)
     _check_int("min_exponent", min_exponent)
     factors = spec.levels[level - 1].factors
     top = sum(map(_lead_plus, factors))
@@ -995,7 +979,7 @@ def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:
     coefficient is a small exact rational.  Coefficients stay rational (no base
     generators) so each generated tower serializes through the file format.
     """
-    k = rng.randint(1, _check_count("max_k", max_k))
+    k = rng.randint(1, _check_int("max_k", max_k, 1, sys.maxsize))
     levels = []
     for i in range(1, k + 1):
         factors = []

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from segre_towers.series import (
     negative_part,
     rename_variables,
     shift_expand,
+    _check_int,
+    _is_int,
 )
 from segre_towers.tower import PIVOT
 
@@ -848,3 +851,32 @@ def test_shift_expand_matches_sympy_series_at_infinity():
         theirs = sp.series(to_sympy(sp, q).subs(x, argument), t, sp.oo, cap + 1)
         ours = to_sympy(sp, shift_expand(q, PIVOT, shift, cap))
         assert sp.expand(theirs.removeO().subs(t, 1) - ours) == 0, (q, shift, cap)
+
+
+def test_check_int_has_three_shapes_and_echoes_no_long_int():
+    # One rule for every integer parameter and option: an int that is not a
+    # bool, in low..high, refused under its name in one of three shapes.
+    assert [_is_int(v) for v in (0, -(10**5000), True, False, 1.0, None)] == [
+        True, True, False, False, False, False,
+    ]
+    assert _check_int("n", 5, 0, 5) == 5
+    assert _check_int("n", -(10**5000)) == -(10**5000)
+    cases = [
+        ((True,), "n: expected an integer, got True"),
+        ((2.0, 0), "n: expected an integer, got 2.0"),
+        (("3",), "n: expected an integer, got '3'"),
+        ((-1, 0), "n: must be at least 0, got -1"),
+        ((6, 0, 5), "n: 6 is above the ceiling 5"),
+        ((-sys.maxsize, 0), f"n: must be at least 0, got {-sys.maxsize}"),
+        ((sys.maxsize, 0, 5), f"n: {sys.maxsize} is above the ceiling 5"),
+        # Beyond sys.maxsize in absolute value an int is not echoed: it may
+        # have more digits than str converts.
+        ((-sys.maxsize - 1, 0), "n: must be at least 0"),
+        ((sys.maxsize + 1, 0, 5), "n: the value is above the ceiling 5"),
+        ((-(10**5000), 0), "n: must be at least 0"),
+        ((10**5000, None, 5), "n: the value is above the ceiling 5"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as info:
+            _check_int("n", *args)
+        assert str(info.value) == message

@@ -351,21 +351,24 @@ def test_floors_and_levels_must_be_ints():
     # out of range, without echoing one too long to print.
     x = LaurentPoly.variable(G("x"))
     cases = [
-        ("min_exponent", lambda: descending_expand(rf(1, {2: 1, 0: 3}), -6.5)),
-        ("min_exponent", lambda: descending_expand(rf(1, {2: 1}), -6.5)),
-        ("min_exponent", lambda: descending_expand(rf(1, {2: 1}), True)),
-        ("low", lambda: shift_expand(upoly({-1: 1}), PIVOT, x, 2, low=-2.5)),
-        ("low", lambda: shift_expand(upoly({-1: 1}), PIVOT, x, 2, low=True)),
-        ("level", lambda: individual_segre(flag_tower(2), True, -3)),
-        ("level", lambda: individual_segre(flag_tower(2), 1.0, -3)),
-        ("level", lambda: individual_segre(flag_tower(2), 3, -3)),
-        ("level", lambda: individual_segre(flag_tower(2), 0, -3)),
-        ("level", lambda: individual_segre(flag_tower(2), 10**5000, -3)),
-        ("min_exponent", lambda: individual_segre(flag_tower(2), 1, -3.0)),
-        ("min_exponent", lambda: individual_segre(flag_tower(2), 1, False)),
+        ("min_exponent: expected an integer", lambda: descending_expand(rf(1, {2: 1, 0: 3}), -6.5)),
+        ("min_exponent: expected an integer", lambda: descending_expand(rf(1, {2: 1}), -6.5)),
+        ("min_exponent: expected an integer", lambda: descending_expand(rf(1, {2: 1}), True)),
+        ("low: expected an integer", lambda: shift_expand(upoly({-1: 1}), PIVOT, x, 2, low=-2.5)),
+        ("low: expected an integer", lambda: shift_expand(upoly({-1: 1}), PIVOT, x, 2, low=True)),
+        ("level: expected an integer", lambda: individual_segre(flag_tower(2), True, -3)),
+        ("level: expected an integer", lambda: individual_segre(flag_tower(2), 1.0, -3)),
+        ("level: 3 is above the ceiling 2$", lambda: individual_segre(flag_tower(2), 3, -3)),
+        ("level: must be at least 1, got 0$", lambda: individual_segre(flag_tower(2), 0, -3)),
+        (
+            "level: the value is above the ceiling 2$",
+            lambda: individual_segre(flag_tower(2), 10**5000, -3),
+        ),
+        ("min_exponent: expected an integer", lambda: individual_segre(flag_tower(2), 1, -3.0)),
+        ("min_exponent: expected an integer", lambda: individual_segre(flag_tower(2), 1, False)),
     ]
-    for name, case in cases:
-        with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+    for message, case in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
             case()
     assert shift_expand(upoly({-1: 1}), PIVOT, x, 2, low=-2) == poly(
         {((PIVOT, -1),): 1, ((PIVOT, -2), (G("x"), 1)): -1}
@@ -971,15 +974,29 @@ def test_the_window_routes_refuse_a_request_of_another_shape():
         (lambda: vandermonde_integral(sys.maxsize + 1, ()), "k"),
         (lambda: localization_integral(10**5000, (), trials=1), "k"),
         (lambda: localization_integral(1, (1,), trials=10**5000), "trials"),
+        # An int past sys.maxsize, refused without echoing its digits.
+        (lambda: TruncationRequest.derive(flag_tower(1), (-(10**5000),)), "tower_orders"),
+        (lambda: TruncationRequest.derive(AUX_TOWER, (1,), {"v": -(10**5000)}), "aux_orders"),
+        (lambda: pushforward_monomial(flag_tower(1), (-(10**5000),)), "tower_exponents"),
+        (lambda: pushforward_monomial(AUX_TOWER, (0,), {"v": -(10**5000)}), "aux_exponents"),
+        (lambda: flag_integral(1, (-(10**5000),)), "exponents"),
+        (lambda: vandermonde_integral(1, (-(10**5000),)), "exponents"),
+        (lambda: localization_integral(1, (-(10**5000),), trials=1), "exponents"),
+        (lambda: shift_expand(upoly({-1: 1}), PIVOT, LaurentPoly.variable(G("x")), -(10**5000)),
+         "degree_cap"),
+        (lambda: geometric_expand(G("x"), G("y"), -(10**5000)), "degree_cap"),
+        (lambda: individual_segre(flag_tower(2), 10**5000, -3), "level"),
     ],
 )
 def test_library_errors_name_the_parameter(call, name):
     # Library errors name the function's parameter, never a CLI option, and
-    # a float or a bool is refused rather than truncated by int().
+    # a float or a bool is refused rather than truncated by int().  An int
+    # too long to print is not echoed.
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(f"{name}: ")
     assert "--" not in str(info.value)
+    assert "1" + "0" * 30 not in str(info.value)
 
 
 def test_truncation_request_cap_floor():
