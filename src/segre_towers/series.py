@@ -206,8 +206,7 @@ def _check_int(name: str, value: int, low: int | None = None, high: int | None =
     beyond ``sys.maxsize`` in absolute value is not echoed, since it may
     have more digits than ``str`` converts.
     """
-    # An exact int passes without a call; _is_int decides the rest.
-    if type(value) is not int and not _is_int(value):
+    if not _is_int(value):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
     if low is not None and value < low:
         got = f", got {value}" if value >= -sys.maxsize else ""
@@ -678,10 +677,6 @@ def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
 
     A product slice at e is the sum of a[e1] * b[e2] over e1 + e2 = e, so a
     pair of slices whose exponents sum outside the window is never formed.
-    A slice e1 of ``a`` pairs with the slices of ``b`` in low-e1..high-e1,
-    found by walking that range, one lookup per exponent, when it is
-    shorter than ``b``'s slices, and by testing ``b``'s slices otherwise.
-    So the push's one-exponent window takes one lookup per slice of ``a``.
     The bound is the sum of the two bounds, refused before any key is
     formed whenever both sides are nonempty, even if no pair lands in the
     window.  The two sides may be sliced by different variables: the
@@ -694,19 +689,11 @@ def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
         return {}, 1, 0
     bound = _checked(a_bound + b_bound)
     out: dict[int, dict[int, int]] = {}
-    get = b_parts.get
-    # The window holds high - low + 1 exponents of b for every e1.
-    walk = high - low < len(b_parts)
     for e1, p1 in a_parts.items():
-        if walk:
-            for e2 in range(low - e1, high - e1 + 1):
-                p2 = get(e2)
-                if p2 is not None:
-                    _add_product(out.setdefault(e1 + e2, {}), p1, p2)
-        else:
-            for e2, p2 in b_parts.items():
-                if low <= e1 + e2 <= high:
-                    _add_product(out.setdefault(e1 + e2, {}), p1, p2)
+        for e2, p2 in b_parts.items():
+            exp = e1 + e2
+            if low <= exp <= high:
+                _add_product(out.setdefault(exp, {}), p1, p2)
     return {exp: part for exp, part in out.items() if part}, a_den * b_den, bound
 
 
