@@ -64,14 +64,24 @@ def _accumulate(data: dict, items) -> dict:
 def _add_product(data: dict, a: dict, b: dict, scale: int = 1) -> dict:
     """Add scale times the product of ``a`` and ``b``, keys to numerators, into ``data``.
 
-    Each term of the smaller side is taken against the whole larger one.
+    Each term of the smaller side is taken against the whole larger one,
+    and each pair is added in place.  Every numerator of ``a`` and ``b`` is
+    nonzero, and so is ``scale``, so a pair's sum is zero only on a key
+    already in ``data``, which it deletes.
     """
     if len(a) > len(b):
         a, b = b, a
-    values = b.values()
+    get = data.get
+    pairs = b.items()
     for key, num in a.items():
         num *= scale
-        _accumulate(data, zip(map(key.__add__, b), map(num.__mul__, values)))
+        for other, value in pairs:
+            other += key
+            total = get(other, 0) + num * value
+            if total:
+                data[other] = total
+            else:
+                del data[other]
     return data
 
 
@@ -191,6 +201,10 @@ def _checked(bound: int) -> int:
     return bound
 
 
+#: The longest repr of a non-int that ``_check_int`` echoes.
+_ECHO_LIMIT = 80
+
+
 def _is_int(value) -> bool:
     """Whether ``value`` is an int; a ``bool`` (JSON's ``true``) is none."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -204,10 +218,18 @@ def _check_int(name: str, value: int, low: int | None = None, high: int | None =
     above the ceiling high``.  A ``bool`` is no int here, and nothing is
     converted, since ``int()`` would silently truncate a float.  An int
     beyond ``sys.maxsize`` in absolute value is not echoed, since it may
-    have more digits than ``str`` converts.
+    have more digits than ``str`` converts; nor is a non-int whose repr
+    fails for that reason, as a ``Fraction`` of such an int does, or runs
+    past ``_ECHO_LIMIT`` characters: its type is named instead.
     """
     if not _is_int(value):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
+        try:
+            shown = repr(value)
+        except ValueError:  # an int past the limit of int-to-str conversion
+            shown = None
+        if shown is None or len(shown) > _ECHO_LIMIT:
+            shown = f"a value of type {type(value).__name__}"
+        raise ValueError(f"{name}: expected an integer, got {shown}")
     if low is not None and value < low:
         got = f", got {value}" if value >= -sys.maxsize else ""
         raise ValueError(f"{name}: must be at least {low}{got}")
@@ -680,8 +702,9 @@ def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
     The bound is the sum of the two bounds, refused before any key is
     formed whenever both sides are nonempty, even if no pair lands in the
     window.  The two sides may be sliced by different variables: the
-    stepwise push pairs its state, sliced by c_j, with a level series,
-    sliced by the pivot, and keeps the slice at -1 (``tower._push_down``).
+    stepwise push pairs its block, sliced by c_j, with a level series,
+    sliced by the pivot, then its state, sliced by c_j, with that product,
+    and keeps the slice at -1 (``tower._push_down``).
     """
     a_parts, a_den, a_bound = a
     b_parts, b_den, b_bound = b

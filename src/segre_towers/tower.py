@@ -11,9 +11,9 @@ auxiliary variables belong to.
 Two computations of the tower Segre series share the pruned product of one
 level's shifted factors (the paper's input) but combine the levels differently:
 
-* ``closed_formula_segre`` multiplies the shifted factors in the formal
-  tower variables, pruning each level's variable to terms that can still
-  reach the requested window.
+* ``closed_formula_segre`` forms each level's product in the formal tower
+  variables on its own and meets the running product of the levels above
+  with it once, pruning each level's variable to the requested window.
 * ``stepwise_pushforward`` walks the levels once from the top down: at each
   level it multiplies in the powers of that level's tautological class and
   replaces each by the matching coefficient of the level's own Segre
@@ -38,12 +38,17 @@ cap could stop an expansion earlier.  One walk over the levels (a call of
 ``individual_segre``) expands each pair of a series object and its twists
 from the series' two sides once per floor it lowers to, and hands the
 stored expansion back as it is to the levels above, whose windows drop its
-lower slices (``_expansion``); nothing is kept between walks.  The closed
-route packs the slices back into u_i.  Every other route reads a level's
-own Segre series through ``_level_series``.  The stepwise push slices its
-state by c_j too and pairs it with that series through the one windowed
-product, ``series._product``: c_j^g stands for the coefficient of
-pivot^(-g-1), so the product's slice at -1 is the pushed state.
+lower slices (``_expansion``); nothing is kept between walks.  Each
+route meets its running state with a level's product once, through the
+one windowed product, ``series._product``.  The closed route meets the
+running product, sliced by u_i, with the level product on the window of
+u_i that product can still reach, and packs the slices back into u_i.
+Every other route reads a level's own Segre series through
+``_level_series``.  The stepwise push slices its state and its block by
+c_j: c_j^g stands for the coefficient of pivot^(-g-1), so the block is
+paired with the series first, only where a pair can meet a state slice,
+and the state meets that pushed block once; the slice at -1 is the pushed
+state.
 
 ``pushforward_monomial`` needs one coefficient of that window, not all of
 it, so it runs the same top-down push with one power of c_j per level in
@@ -369,10 +374,11 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
     below level j's cap.
 
     No expansion reads the caps.  ``_level_product`` stops each factor's
-    expansion and shift at its source floor, floor - M - U + own (its
-    docstring has the proof), and a cap would stop them at own - cap, never
-    higher.  Take level i of the closed route, with floor = -a_i-1,
-    U = lead_i + aux_i and M the running product's top exponent of u_i:
+    expansion and shift at its source floor, floor - U + own (its docstring
+    has the proof), and a cap would stop them at own - cap, never higher.
+    Take level i of the closed route, whose level product has the floor
+    -a_i-1-M, M the running product's top exponent of u_i, and
+    U = lead_i + aux_i:
 
     * The running product holds the levels above i, each already in its
       window, so every u_j with j > i has exponent >= -a_j-1.
@@ -383,9 +389,10 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
 
     So a term's u_i exponent is at most its total degree plus the sum of
     a_j + 1 over j > i, and M <= reach_{i+1}.  Hence
-    floor - M - U + own >= own - reach_i = own - cap.  The stepwise level
-    series has M = 0 and the cap max(lead - min_exponent, 0), so there the
-    two floors are equal whenever the cap is positive.
+    -a_i-1-M - U + own >= own - reach_i = own - cap.  A stepwise level
+    series is a level product with the floor min_exponent and the cap
+    max(lead - min_exponent, 0), so there the two floors are equal whenever
+    the cap is positive.
     """
 
     __slots__ = ()
@@ -461,8 +468,8 @@ def _expansion(
     it asked for, and ``_flag_type_push`` reads a row only inside its
     window.
     Such a slice lowers the least exponent ``_level_product`` reads for its
-    ceiling.  That loosens the ceiling of a running product, never that of
-    the last one, and an extra running slice it keeps could reach the
+    ceiling.  That loosens the ceiling of a partial product, never that of
+    the last one, and an extra partial slice it keeps could reach the
     window only with a slice below some later floor, a pair the floor
     drops.  A lower ``low`` recomputes the entry and replaces it, which
     keeps an infinite expansion exact down to every floor asked of it.  An
@@ -493,17 +500,18 @@ def _expansion(
 
 
 def _level_product(
-    factors: Sequence[TowerFactor], result: tuple[dict[int, dict[int, int]], int, int],
-    lower: Callable[[int], VariableId], memo: dict, floor: int, ceiling: int,
+    factors: Sequence[TowerFactor], lower: Callable[[int], VariableId], memo: dict,
+    floor: int, ceiling: int,
     extras: Sequence[tuple[tuple[dict[int, dict[int, int]], int, int], int]] = (),
 ) -> tuple[dict[int, dict[int, int]], int, int]:
-    """``result`` times a level's shifted ``factors``, then ``extras``,
+    """The product of a level's shifted ``factors``, then ``extras``,
     keeping the terms whose pivot exponent lies in ``floor..ceiling``.
 
     The pivot is the level's variable: u_i on the closed route, the
-    reserved ``PIVOT`` for a level's own series.  ``result`` and each extra
-    come sliced by its exponent, so this function never names it.
-    ``closed_formula_segre`` and ``_level_series`` are its only callers.
+    reserved ``PIVOT`` for a level's own series.  Each extra comes sliced
+    by its exponent, so this function never names it.
+    ``closed_formula_segre`` and ``_level_series`` are its only callers;
+    the closed route meets its running product with the result once.
 
     The product is held as slices, {pivot exponent: {key of the rest:
     numerator}} over one denominator (``series._product``), from the factor
@@ -512,27 +520,27 @@ def _level_product(
     twisted sum of the lower variables ``lower(j)`` goes straight from the
     twist vector into slices (``series._shifted``).  Both stop at the source
     floor below and nowhere else.  The denominator is reduced once, by
-    whoever unpacks the slices.  The product's bound, the sum of
-    ``result``'s and every multiplier's, is refused before any product slice
-    is formed.
+    whoever unpacks the slices.  The product's bound, the sum of every
+    multiplier's, is refused before any product slice is formed.
 
     Each extra comes with ``up``, the most it can raise the pivot's
     exponent; a factor's is its ``_lead_plus``.  No slice outside the
     window is formed, and none that could only form slices outside it.  A
-    product slice at e is a sum of products of one slice of ``result`` and
-    one slice of each multiplier whose exponents sum to e, so the bounds
-    below, proved for single terms, hold for whole slices:
+    product slice at e is a sum of products of one slice of each multiplier
+    whose exponents sum to e, so the bounds below, proved for single terms,
+    hold for whole slices:
 
     * Floor.  A shift never raises the pivot's exponent (``shift_expand``).
-      Let M be ``result``'s top pivot exponent and U the sum of all the
-      ups.  A slice of factor f's expansion at exponent e forms only slices
-      at or below M + e + U - up_f, so one below floor - M - U + up_f never
-      reaches ``floor``: the expansion, and the shift with its ``low``, stop
-      there.  Likewise a running slice below ``floor`` minus the ups still
-      to come never reaches ``floor``.
+      Let U be the sum of all the ups.  A slice of factor f's expansion at
+      exponent e forms only slices at or below e + U - up_f, so one below
+      floor - U + up_f never reaches ``floor``: the expansion, and the
+      shift with its ``low``, stop there.  Likewise a partial product's
+      slice below ``floor`` minus the ups still to come never reaches
+      ``floor``.
     * Ceiling.  Every slice of a multiplier is at or above that multiplier's
-      lowest pivot exponent, so a running slice above ``ceiling`` minus the
-      lowest exponents still to come forms only slices above ``ceiling``.
+      lowest pivot exponent, so a partial product's slice above ``ceiling``
+      minus the lowest exponents still to come forms only slices above
+      ``ceiling``.
 
     Each product pairs only the slices whose exponents sum between those
     two bounds, so the result is the full product filtered to the window.
@@ -543,11 +551,8 @@ def _level_product(
     twisted by level m's variable recurs on every level above m, so a walk
     forms O(k) factor expansions, not O(k**2).
     """
-    if not result[0]:
-        return {}, 1, 0
     ups = [_lead_plus(factor) for factor in factors] + [up for _, up in extras]
-    product = result
-    slack = floor - max(product[0]) - sum(ups)
+    slack = floor - sum(ups)
     multipliers = [
         _expansion(
             memo, factor.series,
@@ -557,7 +562,7 @@ def _level_product(
     ]
     multipliers += [extra for extra, _ in extras]
     lows = []
-    bound = product[2]
+    bound = 0
     for parts, _, part_bound in multipliers:
         if not parts:
             return {}, 1, 0
@@ -565,6 +570,7 @@ def _level_product(
         bound += part_bound
     # The product's bound, refused before any product slice is formed.
     _checked(bound)
+    product = {0: {0: 1}}, 1, 0
     future_up, future_low = sum(ups), sum(lows)
     for multiplier, up, least in zip(multipliers, ups, lows):
         future_up -= up
@@ -600,20 +606,27 @@ def _level_series(
     ``factors``, a level of a validated tower, with only the pivot exponents
     in ``low..high``, sliced by the pivot's exponent; ``memo`` is the walk's
     (``_expansion``)."""
-    return _level_product(factors, ({0: {0: 1}}, 1, 0), taut_variable, memo, low, high)
+    return _level_product(factors, taut_variable, memo, low, high)
 
 
 def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
     """Tower Segre series by the closed formula, restricted to the window.
 
-    The shifted factors are multiplied level by level from the top, and the
-    running product is restricted to terms that can still reach the
-    requested window.  Every returned coefficient is exact, and the pruned
-    product already is the window, so no projection follows it: level i's
-    product keeps the exponent of u_i in its floor..ceiling, [-a_i-1, -1],
-    and the lower levels, whose twists involve only u_1..u_{i-1}, never
-    shift u_i again.  An auxiliary variable enters only through
-    ``geometric_expand``, with exponents in [-b-1, -1].
+    The levels are taken from the top.  Level i's shifted factors, with its
+    auxiliary series, are multiplied on their own (``_level_product``),
+    and the running product of the levels above meets that level product
+    once, through the windowed ``series._product``, both sliced by u_i.
+    Every returned coefficient is exact, and the pruned product already is
+    the window, so no projection follows it: the meeting keeps the exponent
+    of u_i in [-a_i-1, -1], and the lower levels, whose twists involve only
+    u_1..u_{i-1}, never shift u_i again.  An auxiliary variable enters only
+    through ``geometric_expand``, with exponents in [-b-1, -1].
+
+    The running product holds u_i only through shifts, at exponents m..M.
+    A running slice at e meets only the level slices at -a_i-1-e..-1-e,
+    so the level product is formed on [-a_i-1-M, -1-m] alone, and each
+    factor's expansion stops at its source floor -a_i-1-M - U + own
+    (``TruncationRequest`` shows that no cap would stop it sooner).
 
     ``req`` must be derived for ``spec``; one of another shape is refused
     (``_check_request``), and one of the same shape is read as it is.
@@ -623,6 +636,8 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     result = LaurentPoly.one()
     memo: dict = {}
     for i in range(spec.k, 0, -1):
+        if result.is_zero():
+            break
         lvl = spec.levels[i - 1]
         u_i = tower_variable(i)
         a_i = req.tower_orders[i - 1]
@@ -631,12 +646,12 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
         aux_series = [
             (_sliced(geometric_expand(aux_variable(n, i), u_i, b), u_i), b) for n, b in orders
         ]
-        result = _unsliced(
-            _level_product(
-                lvl.factors, _sliced(result, u_i), tower_variable, memo, -a_i - 1, -1, aux_series
-            ),
-            u_i,
+        running = _sliced(result, u_i)
+        top, least = max(running[0]), min(running[0])
+        level = _level_product(
+            lvl.factors, tower_variable, memo, -a_i - 1 - top, -1 - least, aux_series
         )
+        result = _unsliced(_product(running, level, -a_i - 1, -1), u_i)
     return result
 
 
@@ -646,22 +661,35 @@ closed_formula_product = closed_formula_segre
 
 
 def _push_down(
-    spec: TowerSpec, req: TruncationRequest, block: Callable[[int], LaurentPoly]
+    spec: TowerSpec, req: TruncationRequest, block: Callable[[int], LaurentPoly] | None = None
 ) -> LaurentPoly:
     """Multiply in ``block(j)``, a polynomial in c_j and level j's own
-    variables, and push c_j down, for each level j from the top.
+    variables, and push c_j down, for each level j from the top.  With no
+    ``block``, level j's block is the window's, sum_g c_j^g u_j^(-g-1)
+    times the same for each auxiliary variable (``stepwise_pushforward``).
 
     Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
     Segre series (``_level_series``); it holds only lower c's and base
-    variables, so the exponents a block sets never change.  ``state *
-    block(j)`` is sliced by c_j and the level series by the pivot, so that
+    variables, so the exponents a block sets never change.  The state and
+    the block are sliced by c_j and the level series by the pivot, so that
     coefficient is the series' slice at -g-1, read with no key decoded.
-    The slice pairs whose exponents sum to -1 are exactly c_j^g with the
-    slice at -g-1, so the next state is the slice at -1 of the windowed
-    product of the two (``series._product``).  That product refuses its
-    bound, the state's plus the series', before any key is formed whenever
-    both sides are nonempty, even when no pair sums to -1.  The caller
-    validates ``spec``.
+    A state slice at s and a block slice at g meet the series only at
+    -(s+g)-1.  So the block is pushed on its own: its slices are paired
+    with the series' through the windowed product (``series._product``)
+    only where g plus the series' exponent is -1 minus some state exponent,
+    and the state meets that pushed block once, at -1: the product's slice
+    at -1 is the next state.  No ``state * block(j)`` is formed.  The
+    window's block is formed only at the powers g that can meet the series
+    (``_window_block``), so a finite level series meets a few powers of c_j
+    however large the order; an infinite one still meets them all.
+
+    The series is expanded down to -1 minus the largest s + g, the state's
+    top slice plus the block's, which the derived cap bounds
+    (``TruncationOverrun``).  Whenever the state, the block and the series
+    are all nonempty, the sum of their three bounds is refused before any
+    pair is formed, even when no pair meets the series; a given block is
+    refused with the state alone before the series is expanded, as their
+    product would be.  The caller validates ``spec``.
     """
     state = LaurentPoly.one()
     memo: dict = {}
@@ -669,18 +697,59 @@ def _push_down(
         if state.is_zero():
             break
         c_j = taut_variable(j)
-        sliced = _sliced(state * block(j), c_j)
-        parts = sliced[0]
-        gamma_max = max(parts)
+        lvl = spec.levels[j - 1]
+        sliced = _sliced(state, c_j)
+        if block is None:
+            orders = [(tower_variable(j), req.tower_orders[j - 1])]
+            orders += [(aux_variable(name, j), req.aux_order(name)) for name in lvl.aux]
+            powers = 0, sum(order for _, order in orders)
+        else:
+            given = _sliced(block(j), c_j)
+            if not given[0]:
+                return LaurentPoly()
+            # Refused as ``state * block(j)`` would be, even if no slice
+            # meets the series.
+            _checked(sliced[2] + given[2])
+            powers = given[0]
+        top, least = max(sliced[0]), min(sliced[0])
+        gamma_max = top + max(powers)
         if gamma_max > req.shift_caps[j - 1]:
             raise TruncationOverrun(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series = _level_series(spec.levels[j - 1].factors, memo, -gamma_max - 1, -min(parts) - 1)
-        pushed, den, bound = _product(sliced, series, -1, -1)
+        series = _level_series(lvl.factors, memo, -gamma_max - 1, -least - min(powers) - 1)
+        if not series[0]:
+            return LaurentPoly()
+        if block is None:
+            # A power g meets the series only where -(s+g)-1 is one of its
+            # slices, for s from least to top.
+            given = _window_block(
+                c_j, orders, max(-max(series[0]) - 1 - top, 0), -min(series[0]) - 1 - least
+            )
+        _checked(sliced[2] + given[2] + series[2])
+        pushed_block = _product(given, series, -top - 1, -least - 1)
+        pushed, den, bound = _product(sliced, pushed_block, -1, -1)
         state = LaurentPoly._wrap(pushed.get(-1, {}), den, bound)
     return state
+
+
+def _window_block(
+    c_j: VariableId, orders: Sequence[tuple[VariableId, int]], low: int, high: int
+) -> tuple[dict[int, dict[int, int]], int, int]:
+    """The slices at c_j^g, g in ``low..high``, of the product over the
+    (variable x, order b) pairs ``orders`` of sum_(g<=b) c_j^g x^(-g-1),
+    sliced by c_j; ``high`` is at least 0.  No term above c_j^high is
+    formed, and each product keeps only the slices that can still reach
+    the window: the orders still to come bound how far a slice can rise.
+    """
+    product = {0: {0: 1}}, 1, 0
+    rest = sum(order for _, order in orders)
+    for var, order in orders:
+        rest -= order
+        series = _sliced(geometric_expand(var, c_j, min(order, high)), c_j)
+        product = _product(product, series, low - rest, high)
+    return product
 
 
 def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
@@ -689,9 +758,11 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     Level j's block is the truncated generating series of its tautological
     powers, sum_g c_j^g u_j^(-g-1), times the same for each auxiliary
     variable, and ``_push_down`` replaces every power of c_j by the matching
-    descending coefficient of the level's own Segre series.  No closed-form
-    resummation is used, so this serves as an independent oracle for
-    ``closed_formula_segre``.
+    descending coefficient of the level's own Segre series.  It forms the
+    block only at the powers of c_j that series can meet (``_window_block``),
+    which drops only terms the push would pair with no slice.  No
+    closed-form resummation is used, so this serves as an independent
+    oracle for ``closed_formula_segre``.
 
     Multiplying level j's block in only when c_j is pushed gives the same
     terms as starting from the product of all blocks: the push at level i
@@ -710,15 +781,7 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     """
     validate_tower(spec)
     _check_request(spec, req)
-
-    def block(j: int) -> LaurentPoly:
-        c_j = taut_variable(j)
-        out = geometric_expand(tower_variable(j), c_j, req.tower_orders[j - 1])
-        for name in spec.levels[j - 1].aux:
-            out = out * geometric_expand(aux_variable(name, j), c_j, req.aux_order(name))
-        return out
-
-    return _push_down(spec, req, block)
+    return _push_down(spec, req)
 
 
 def pushforward_monomial(

@@ -527,6 +527,29 @@ def test_flag_integral_near_the_slot_limit(capsys):
     assert capsys.readouterr() == ("0\n", "")
 
 
+def test_stepwise_window_at_the_largest_order_forms_only_the_powers_met(tmp_path):
+    # flag_tower(1)'s level series is 1/u^2, a single slice, so the stepwise
+    # block meets it only at c1^1: its other 2^31 - 2 powers are never
+    # formed, and both methods print the one row at once.  Each runs in a
+    # child with a 512 MiB address space and a timeout, so a block formed in
+    # full fails the test with a MemoryError or a timeout instead of hanging.
+    path = tmp_path / "flag1.json"
+    path.write_text(json.dumps(tower_spec_to_doc(flag_tower(1))), encoding="utf-8")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
+        "from segre_towers.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    for method in ("closed", "stepwise"):
+        argv = ["tower-segre", str(path), "--orders", "2147483646", "--method", method]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "u1\tvalue\n-2\t1\n", ""), method
+
+
 def test_largest_exponents_that_fit_a_slot_are_accepted():
     top = 2**31 - 1
     assert cli_mod._parse_int_list(f"0,{top - 1}", "--orders") == (0, top - 1)

@@ -641,7 +641,9 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
     # lowest floor up and so only reuses, and by the generic push, which
     # also recomputes; the two must agree.  A bundle value of top degree is
     # a constant, which no term of positive degree in the e's can reach, so
-    # the bundle is also pushed at degrees 11 and 12.
+    # the bundle is also pushed at degrees 11 and 12.  Its window at orders
+    # (5, 4, 3, 2) lowers the floor from level to level, so the closed route
+    # recomputes the shared expansion there too.
     above = [a for a in itertools.product(range(7), repeat=4) if 10 < sum(a) <= 12]
     bundle = flag_bundle(4)
     point = bundle.levels[0].factors[0].series
@@ -668,17 +670,21 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
 
     expansion = tower_mod._expansion
     monkeypatch.setattr(tower_mod, "_expansion", spy)
-    cases = [(flag_tower(4), (4,) * 4, []), (shared, (5,) * 4, above)]
-    for spec, orders, more in cases:
+    cases = [(flag_tower(4), [(4,) * 4], []), (shared, [(5,) * 4, (5, 4, 3, 2)], above)]
+    closed_met = set()
+    for spec, windows, more in cases:
         copy = spec._replace(
             levels=tuple(TowerLevel(tuple(map(fresh, lvl.factors))) for lvl in spec.levels)
         )
         assert copy == spec
         assert len({id(f.series) for lvl in spec.levels for f in lvl.factors}) == 2
         assert len({id(f.series) for lvl in copy.levels for f in lvl.factors}) == 10
-        for route in (closed_formula_segre, stepwise_pushforward):
-            windows = [route(s, TruncationRequest.derive(s, orders)) for s in (spec, copy)]
-            assert windows[0] == windows[1] and windows[0]
+        for route, orders in itertools.product((closed_formula_segre, stepwise_pushforward), windows):
+            start = len(met)
+            got = [route(s, TruncationRequest.derive(s, orders)) for s in (spec, copy)]
+            assert got[0] == got[1] and got[0]
+            if route is closed_formula_segre:
+                closed_met.update(met[start:])
         tuples = flag_exponent_tuples(4) + more
         values = [pushforward_monomial(copy, exps) for exps in tuples]
         assert values == [pushforward_monomial(spec, exps) for exps in tuples]
@@ -686,6 +692,7 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
             assert [_generic_push(tower, exps) for exps in tuples] == values
         assert any(values)
     assert {"reuse higher", "recompute"} <= set(met)
+    assert "recompute" in closed_met
 
 
 def test_a_pickled_bundle_gives_the_same_windows_in_a_process_with_other_slots():

@@ -731,7 +731,7 @@ def test_windowed_product_refuses_an_overflowing_bound_before_forming_a_key(monk
     a, b = LaurentPoly.variable(P[0], top), LaurentPoly.variable(P[1])
     sliced = series._sliced(a, P[1]), series._sliced(b, P[1])
     formed = []
-    monkeypatch.setattr(series, "_accumulate", lambda data, items: formed.append(items))
+    monkeypatch.setattr(series, "_add_product", lambda *args: formed.append(args))
     for low, high in ((-top, top), (0, top), (-top, 0), (1, 0)):
         with pytest.raises(ExponentOverflowError):
             series._product(*sliced, low, high)
@@ -875,6 +875,10 @@ def test_check_int_has_three_shapes_and_echoes_no_long_int():
         ((sys.maxsize + 1, 0, 5), "n: the value is above the ceiling 5"),
         ((-(10**5000), 0), "n: must be at least 0"),
         ((10**5000, None, 5), "n: the value is above the ceiling 5"),
+        # Nor is a non-int whose repr fails or is longer than 80 characters.
+        ((Fraction(10**5000),), "n: expected an integer, got a value of type Fraction"),
+        (("x" * 79,), "n: expected an integer, got a value of type str"),
+        (("x" * 78,), f"n: expected an integer, got '{'x' * 78}'"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError) as info:

@@ -455,20 +455,23 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     ceiling = top + sum(ups) + sum(orders) if span is None else floor + span
     slack = floor - top - sum(ups) - sum(orders)
     full = unwindowed([slack + up - rng.randint(0, 2) for up in ups])
-    sliced = _level_product(
-        factors, _sliced(result, pivot), lower, {}, floor, ceiling,
+    # As ``closed_formula_segre`` does: the level product on the window
+    # shifted by the running product's pivot exponents, then one meeting.
+    running = _sliced(result, pivot)
+    level_product = _level_product(
+        factors, lower, {}, floor - top, ceiling - min(running[0], default=0),
         [(_sliced(extra, pivot), b) for extra, b in extras],
     )
+    sliced = series._product(running, level_product, floor, ceiling)
     assert all(sliced[0].values())
     got = _unsliced(sliced, pivot)
     assert got == full.filter_terms(pivot, floor, ceiling)
 
 
 def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
-    # The running product's bound plus the multipliers' leaves the slot:
-    # refused before any product slice is formed.  Level 3's multipliers
-    # carry bounds 4, 2 and 2, so at top - 6 the first two products would
-    # still fit.
+    # An extra's bound plus the factors' leaves the slot: refused before any
+    # product slice is formed.  Level 3's factors carry bounds 4, 2 and 2,
+    # so at top - 6 the first two products would still fit.
     spec, top = flag_tower(3), 2**31 - 1
     cases = []
     for level, pivot, lower, below in ((1, U(1), U, 3), (3, U(3), U, 6), (3, PIVOT, C, 6)):
@@ -480,7 +483,7 @@ def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
     for level, pivot, lower, result in cases:
         with pytest.raises(ExponentOverflowError):
             _level_product(
-                spec.levels[level - 1].factors, _sliced(result, pivot), lower, {}, -8, -1
+                spec.levels[level - 1].factors, lower, {}, -8, -1, [(_sliced(result, pivot), 0)]
             )
     assert formed == []
 
@@ -978,6 +981,8 @@ def test_the_window_routes_refuse_a_request_of_another_shape():
         (lambda: TruncationRequest.derive(flag_tower(1), (-(10**5000),)), "tower_orders"),
         (lambda: TruncationRequest.derive(AUX_TOWER, (1,), {"v": -(10**5000)}), "aux_orders"),
         (lambda: pushforward_monomial(flag_tower(1), (-(10**5000),)), "tower_exponents"),
+        # A non-int whose repr would convert an int too long for str.
+        (lambda: pushforward_monomial(flag_tower(1), (Fraction(10**5000),)), "tower_exponents"),
         (lambda: pushforward_monomial(AUX_TOWER, (0,), {"v": -(10**5000)}), "aux_exponents"),
         (lambda: flag_integral(1, (-(10**5000),)), "exponents"),
         (lambda: vandermonde_integral(1, (-(10**5000),)), "exponents"),
