@@ -254,19 +254,6 @@ def _determinant(path: tuple) -> int:
     return 0 if pivot is None else sign * row[pivot]
 
 
-def _alternant(ts: Sequence[Fraction], powers: Sequence[int]) -> Fraction:
-    """det(t_j^e_p), exactly, by ``_eliminate`` from an empty path.  Rational
-    points are scaled to integers by the lcm L of their denominators, and
-    the integer determinant is divided by L^(sum of the powers)."""
-    import fractions
-
-    points = [fractions.Fraction(t) for t in ts]
-    scale = math.lcm(*(t.denominator for t in points))
-    powers = tuple(powers)
-    weights = tuple(t.numerator * (scale // t.denominator) for t in points)
-    return fractions.Fraction(_determinant(_eliminate((weights, ()), powers)), scale ** sum(powers))
-
-
 def _draw_distinct(rng: random.Random, count: int) -> list[int]:
     """``count`` distinct integers, each drawn uniformly from [-10^6, 10^6];
     a value already drawn is drawn again."""

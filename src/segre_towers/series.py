@@ -913,9 +913,18 @@ def geometric_expand(outer: VariableId, inner: VariableId, degree_cap: int) -> L
     if outer == inner:
         raise ValueError("geometric_expand requires two distinct variables")
     _check_int("degree_cap", degree_cap, 0)
-    bound = _checked(degree_cap + 1)
-    up, down = 1 << (_W * _slot(inner)), 1 << (_W * _slot(outer))
-    return LaurentPoly._wrap({n * up - (n + 1) * down: 1 for n in range(degree_cap + 1)}, 1, bound)
+    return _unsliced(_geometric(outer, inner, 0, degree_cap), inner)
+
+
+def _geometric(outer: VariableId, inner: VariableId, low: int, high: int) -> _Sliced:
+    """The terms inner^n * outer^(-n-1) of ``geometric_expand`` for n in
+    ``low..high``, ``low`` >= 0, sliced by ``inner``; empty when ``high`` <
+    ``low``.  Its bound, high + 1, is refused before any key is formed."""
+    if high < low:
+        return {}, 1, 0
+    bound = _checked(high + 1)
+    down = _unit(outer)
+    return {n: {-(n + 1) * down: 1} for n in range(low, high + 1)}, 1, bound
 
 
 def negative_part(poly: LaurentPoly, filter_vars: Iterable[VariableId]) -> LaurentPoly:

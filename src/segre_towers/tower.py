@@ -48,18 +48,19 @@ Every other route reads a level's own Segre series through
 c_j: c_j^g stands for the coefficient of pivot^(-g-1), so the block is
 paired with the series first, only where a pair can meet a state slice,
 and the state meets that pushed block once; the slice at -1 is the pushed
-state.
+state.  A block is itself a level product, in c_j, of one geometric series
+per level variable, each kept to a range of powers.
 
 ``pushforward_monomial`` needs one coefficient of that window, not all of
-it, so it runs the same top-down push with one power of c_j per level in
-place of the level's blocks (its docstring proves this exact).  The shift
-expansions stop at the last nonzero binomial, which for the flag tower's
-linear factors is the first power (see ``shift_expand``).  A flag-type
-tower, whose level i is F_i(u) * prod_(m<i) (u - c_m) (flag towers, flag
-bundles, partial flags; ``_flag_type_levels`` finds each level's F_i), is
-not pushed level by level: its closed product is the Vandermonde
-determinant times prod_i F_i(u_i), so a point value is a k x k determinant
-whose entries are single-step push-forwards, coefficients of the F_i
+it, so it runs the same top-down push with each range cut to the one power
+that reaches its monomial: a point is a window of one (its docstring
+proves this exact).  The shift expansions stop at the last nonzero
+binomial, which for the flag tower's linear factors is the first power
+(see ``shift_expand``).  A flag-type tower, whose level i is F_i(u) *
+prod_(m<i) (u - c_m) (flag towers, flag bundles, partial flags;
+``_flag_type_levels`` finds each level's F_i), is not pushed level by
+level: its closed product is the Vandermonde determinant times prod_i
+F_i(u_i), so a point value is a k x k determinant whose entries are single-step push-forwards, coefficients of the F_i
 (``_flag_type_push``).  No linear factor is expanded or shifted.  Every
 other tower takes the push.
 
@@ -103,8 +104,10 @@ from .series import (
     _check_int,
     _checked,
     _descending,
+    _geometric,
     _is_int,
     _leading_power,
+    _pack,
     _product,
     _shifted,
     _sliced,
@@ -374,11 +377,13 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
     below level j's cap.
 
     No expansion reads the caps.  ``_level_product`` stops each factor's
-    expansion and shift at its source floor, floor - U + own (its docstring
-    has the proof), and a cap would stop them at own - cap, never higher.
-    Take level i of the closed route, whose level product has the floor
-    -a_i-1-M, M the running product's top exponent of u_i, and
-    U = lead_i + aux_i:
+    expansion and shift at its source floor, floor - U + own, own the
+    factor's leading exponent and U the sum of the level's own and extras'
+    tops (its docstring has the proof), and a cap would stop them at
+    own - cap, never higher.  Each own is at most its factor's positive
+    leading degree, so U <= lead_i + aux_i.  Take level i of the closed
+    route, whose level product has the floor -a_i-1-M, M the running
+    product's top exponent of u_i:
 
     * The running product holds the levels above i, each already in its
       window, so every u_j with j > i has exponent >= -a_j-1.
@@ -389,10 +394,10 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
 
     So a term's u_i exponent is at most its total degree plus the sum of
     a_j + 1 over j > i, and M <= reach_{i+1}.  Hence
-    -a_i-1-M - U + own >= own - reach_i = own - cap.  A stepwise level
-    series is a level product with the floor min_exponent and the cap
-    max(lead - min_exponent, 0), so there the two floors are equal whenever
-    the cap is positive.
+    -a_i-1-M - U + own >= own - reach_i = own - cap.  Level j's series on
+    the stepwise route has the floor -gamma-1 with gamma <= reach_j - lead_j
+    - 1 and no extras, so U <= lead_j and its source floors are at or above
+    own - reach_j as well.
     """
 
     __slots__ = ()
@@ -508,10 +513,11 @@ def _level_product(
     keeping the terms whose pivot exponent lies in ``floor..ceiling``.
 
     The pivot is the level's variable: u_i on the closed route, the
-    reserved ``PIVOT`` for a level's own series.  Each extra comes sliced
-    by its exponent, so this function never names it.
-    ``closed_formula_segre`` and ``_level_series`` are its only callers;
-    the closed route meets its running product with the result once.
+    reserved ``PIVOT`` for a level's own series, c_j for a stepwise block,
+    which has no factors.  Each extra comes sliced by its exponent, so this
+    function never names it.  ``closed_formula_segre``, ``_level_series``
+    and ``_push_down`` are its only callers; the closed route meets its
+    running product with the result once.
 
     The product is held as slices, {pivot exponent: {key of the rest:
     numerator}} over one denominator (``series._product``), from the factor
@@ -523,20 +529,22 @@ def _level_product(
     whoever unpacks the slices.  The product's bound, the sum of every
     multiplier's, is refused before any product slice is formed.
 
-    Each extra comes with ``up``, the most it can raise the pivot's
-    exponent; a factor's is its ``_lead_plus``.  No slice outside the
-    window is formed, and none that could only form slices outside it.  A
-    product slice at e is a sum of products of one slice of each multiplier
-    whose exponents sum to e, so the bounds below, proved for single terms,
-    hold for whole slices:
+    Each multiplier has a top, the highest pivot exponent it can hold: a
+    factor's is its series' ``leading_exponent``, since a shift never
+    raises the pivot's exponent (``shift_expand``), and each extra comes
+    with its own.  No slice outside the window is formed, and none that
+    could only form slices outside it.  A product slice at e is a sum of
+    products of one slice of each multiplier whose exponents sum to e, so
+    the bounds below, proved for single terms, hold for whole slices:
 
-    * Floor.  A shift never raises the pivot's exponent (``shift_expand``).
-      Let U be the sum of all the ups.  A slice of factor f's expansion at
-      exponent e forms only slices at or below e + U - up_f, so one below
-      floor - U + up_f never reaches ``floor``: the expansion, and the
-      shift with its ``low``, stop there.  Likewise a partial product's
-      slice below ``floor`` minus the ups still to come never reaches
-      ``floor``.
+    * Floor.  Let U be the sum of all the tops.  A slice of multiplier f at
+      exponent e forms only slices at or below e + U - top_f, so one below
+      floor - U + top_f never reaches ``floor``: a factor's expansion, and
+      its shift with its ``low``, stop there.  Likewise a partial product's
+      slice below ``floor`` minus the tops still to come never reaches
+      ``floor``.  When U is below ``floor`` no slice reaches it, and the
+      product is empty before any factor is expanded; so it is when a
+      factor's numerator is zero, which has no leading exponent.
     * Ceiling.  Every slice of a multiplier is at or above that multiplier's
       lowest pivot exponent, so a partial product's slice above ``ceiling``
       minus the lowest exponents still to come forms only slices above
@@ -551,14 +559,19 @@ def _level_product(
     twisted by level m's variable recurs on every level above m, so a walk
     forms O(k) factor expansions, not O(k**2).
     """
-    ups = [_lead_plus(factor) for factor in factors] + [up for _, up in extras]
-    slack = floor - sum(ups)
+    tops = [factor.series.leading_exponent for factor in factors]
+    if None in tops:
+        return {}, 1, 0
+    tops += [top for _, top in extras]
+    slack = floor - sum(tops)
+    if slack > 0:
+        return {}, 1, 0
     multipliers = [
         _expansion(
             memo, factor.series,
             tuple((_unit(lower(j)), t) for j, t in enumerate(factor.twists, 1) if t), slack + own,
         )
-        for factor, own in zip(factors, ups)
+        for factor, own in zip(factors, tops)
     ]
     multipliers += [extra for extra, _ in extras]
     lows = []
@@ -571,11 +584,11 @@ def _level_product(
     # The product's bound, refused before any product slice is formed.
     _checked(bound)
     product = {0: {0: 1}}, 1, 0
-    future_up, future_low = sum(ups), sum(lows)
-    for multiplier, up, least in zip(multipliers, ups, lows):
-        future_up -= up
+    future_top, future_low = sum(tops), sum(lows)
+    for multiplier, top, least in zip(multipliers, tops, lows):
+        future_top -= top
         future_low -= least
-        product = _product(product, multiplier, floor - future_up, ceiling - future_low)
+        product = _product(product, multiplier, floor - future_top, ceiling - future_low)
         if not product[0]:
             break
     return product
@@ -660,13 +673,14 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
 closed_formula_product = closed_formula_segre
 
 
-def _push_down(
-    spec: TowerSpec, req: TruncationRequest, block: Callable[[int], LaurentPoly] | None = None
-) -> LaurentPoly:
-    """Multiply in ``block(j)``, a polynomial in c_j and level j's own
-    variables, and push c_j down, for each level j from the top.  With no
-    ``block``, level j's block is the window's, sum_g c_j^g u_j^(-g-1)
-    times the same for each auxiliary variable (``stepwise_pushforward``).
+def _push_down(spec: TowerSpec, req: TruncationRequest, point: bool = False) -> LaurentPoly:
+    """Multiply in level j's block and push c_j down, for each level j from
+    the top.  The block is the product of sum_g c_j^g x^(-g-1) over u_j, at
+    the order a_j of ``req``, and each auxiliary variable v of level j, at
+    its order b, with g in 0..order: the window of ``stepwise_pushforward``.
+    With ``point``, each geometric series keeps only g = order, so the
+    block is the one term c_j^(a_j + sum of the b) u_j^(-a_j-1) prod
+    v^(-b-1) (``pushforward_monomial``).
 
     Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
     Segre series (``_level_series``); it holds only lower c's and base
@@ -678,18 +692,21 @@ def _push_down(
     with the series' through the windowed product (``series._product``)
     only where g plus the series' exponent is -1 minus some state exponent,
     and the state meets that pushed block once, at -1: the product's slice
-    at -1 is the next state.  No ``state * block(j)`` is formed.  The
-    window's block is formed only at the powers g that can meet the series
-    (``_window_block``), so a finite level series meets a few powers of c_j
-    however large the order; an infinite one still meets them all.
+    at -1 is the next state.  No ``state * block`` is formed.
 
-    The series is expanded down to -1 minus the largest s + g, the state's
-    top slice plus the block's, which the derived cap bounds
-    (``TruncationOverrun``).  Whenever the state, the block and the series
-    are all nonempty, the sum of their three bounds is refused before any
-    pair is formed, even when no pair meets the series; a given block is
-    refused with the state alone before the series is expanded, as their
-    product would be.  The caller validates ``spec``.
+    The block is one ``_level_product`` in c_j over the geometric series,
+    which are its extras, each with its highest power as its top.  It is
+    formed only at the powers g that can meet the series, and no series
+    holds a power above the highest of those, so a finite level series
+    meets a few powers of c_j however large the order; an infinite one
+    still meets them all.  The series is expanded down to -1 minus the
+    largest s + g, the state's top slice plus the sum of the orders, which
+    the derived cap bounds (``TruncationOverrun``), and up to -1 minus the
+    least, the state's lowest slice plus the sum of the lowest powers, 0
+    for the window and the orders for a point.  Whenever the state, the
+    block and the series are all nonempty, the sum of their three bounds is
+    refused before any pair is formed, even when no pair meets the series.
+    The caller validates ``spec``.
     """
     state = LaurentPoly.one()
     memo: dict = {}
@@ -699,70 +716,46 @@ def _push_down(
         c_j = taut_variable(j)
         lvl = spec.levels[j - 1]
         sliced = _sliced(state, c_j)
-        if block is None:
-            orders = [(tower_variable(j), req.tower_orders[j - 1])]
-            orders += [(aux_variable(name, j), req.aux_order(name)) for name in lvl.aux]
-            powers = 0, sum(order for _, order in orders)
-        else:
-            given = _sliced(block(j), c_j)
-            if not given[0]:
-                return LaurentPoly()
-            # Refused as ``state * block(j)`` would be, even if no slice
-            # meets the series.
-            _checked(sliced[2] + given[2])
-            powers = given[0]
+        orders = [(tower_variable(j), req.tower_orders[j - 1])]
+        orders += [(aux_variable(name, j), req.aux_order(name)) for name in lvl.aux]
+        high = sum(order for _, order in orders)
+        low = high if point else 0
         top, least = max(sliced[0]), min(sliced[0])
-        gamma_max = top + max(powers)
+        gamma_max = top + high
         if gamma_max > req.shift_caps[j - 1]:
             raise TruncationOverrun(
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series = _level_series(lvl.factors, memo, -gamma_max - 1, -least - min(powers) - 1)
+        series = _level_series(lvl.factors, memo, -gamma_max - 1, -least - low - 1)
         if not series[0]:
             return LaurentPoly()
-        if block is None:
-            # A power g meets the series only where -(s+g)-1 is one of its
-            # slices, for s from least to top.
-            given = _window_block(
-                c_j, orders, max(-max(series[0]) - 1 - top, 0), -min(series[0]) - 1 - least
-            )
-        _checked(sliced[2] + given[2] + series[2])
-        pushed_block = _product(given, series, -top - 1, -least - 1)
+        # A power g meets the series only where -(s+g)-1 is one of its
+        # slices, for s from least to top.
+        floor, ceiling = -max(series[0]) - 1 - top, -min(series[0]) - 1 - least
+        extras = []
+        for var, order in orders:
+            cut = min(order, ceiling)
+            extras.append((_geometric(var, c_j, order if point else 0, cut), cut))
+        block = _level_product((), taut_variable, memo, floor, ceiling, extras)
+        _checked(sliced[2] + block[2] + series[2])
+        pushed_block = _product(block, series, -top - 1, -least - 1)
         pushed, den, bound = _product(sliced, pushed_block, -1, -1)
         state = LaurentPoly._wrap(pushed.get(-1, {}), den, bound)
     return state
-
-
-def _window_block(
-    c_j: VariableId, orders: Sequence[tuple[VariableId, int]], low: int, high: int
-) -> tuple[dict[int, dict[int, int]], int, int]:
-    """The slices at c_j^g, g in ``low..high``, of the product over the
-    (variable x, order b) pairs ``orders`` of sum_(g<=b) c_j^g x^(-g-1),
-    sliced by c_j; ``high`` is at least 0.  No term above c_j^high is
-    formed, and each product keeps only the slices that can still reach
-    the window: the orders still to come bound how far a slice can rise.
-    """
-    product = {0: {0: 1}}, 1, 0
-    rest = sum(order for _, order in orders)
-    for var, order in orders:
-        rest -= order
-        series = _sliced(geometric_expand(var, c_j, min(order, high)), c_j)
-        product = _product(product, series, low - rest, high)
-    return product
 
 
 def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
     """Tower Segre series by explicit level-by-level push-forward.
 
     Level j's block is the truncated generating series of its tautological
-    powers, sum_g c_j^g u_j^(-g-1), times the same for each auxiliary
-    variable, and ``_push_down`` replaces every power of c_j by the matching
-    descending coefficient of the level's own Segre series.  It forms the
-    block only at the powers of c_j that series can meet (``_window_block``),
-    which drops only terms the push would pair with no slice.  No
-    closed-form resummation is used, so this serves as an independent
-    oracle for ``closed_formula_segre``.
+    powers, sum_g c_j^g u_j^(-g-1) for g in 0..a_j, times the same for each
+    auxiliary variable, and ``_push_down`` replaces every power of c_j by
+    the matching descending coefficient of the level's own Segre series.
+    The block is one level product in c_j (``_level_product``), formed only
+    at the powers of c_j that series can meet, which drops only terms the
+    push would pair with no slice.  No closed-form resummation is used, so
+    this serves as an independent oracle for ``closed_formula_segre``.
 
     Multiplying level j's block in only when c_j is pushed gives the same
     terms as starting from the product of all blocks: the push at level i
@@ -794,31 +787,34 @@ def pushforward_monomial(
     ``tower_exponents`` gives the power a_j of each level's tautological
     class; ``aux_exponents`` gives the power b of each extra copy carried by
     an auxiliary variable v.  The value is the coefficient of
-    prod u_j^(-a_j-1) prod v^(-b-1) in ``stepwise_pushforward``'s window,
-    computed alone: the same top-down push, with level j's block replaced
-    by the one term c_j^(a_j + sum of the level's b).  That is exact:
+    prod u_j^(-a_j-1) prod v^(-b-1) in ``stepwise_pushforward``'s window at
+    the orders a_j and b.  Only the power g = a_j of sum_g c_j^g u_j^(-g-1)
+    reaches u_j^(-a_j-1), and only g = b of the series in v reaches
+    v^(-b-1), and no later level moves a u_j or v exponent.  So the point
+    is the window of one: the window's push with each series kept to that
+    power (``_push_down`` with ``point``), under the window's caps.  Every
+    term of that push is the target monomial times a term of the value, so
+    the value is the push with the target's key taken from each key.
 
-    * The push at level j is linear over everything free of c_j, and once
-      level j is done its u_j and auxiliary exponents never change.  So the
-      target coefficient can be taken from each block as it is multiplied in.
-    * Only the g = a_j term of sum_g c_j^g u_j^(-g-1) reaches u_j^(-a_j-1),
-      and only the g = b term of sum_g c_j^g v^(-g-1) reaches v^(-b-1).
-      Their product is that one power of c_j.
-
-    The slices met are among the window's, so its derived caps hold.  A
-    flag-type tower (``_flag_type_levels``) takes its value as a determinant
-    (``_flag_type_push``), which needs no caps; every other tower takes
-    the push.  The tower is validated first, before any of it is read.
+    A flag-type tower (``_flag_type_levels``) takes its value as a
+    determinant (``_flag_type_push``), which needs no caps; every other
+    tower takes the push.  The tower is validated first, before any of it
+    is read.
     """
     validate_tower(spec)
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
     aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
-    power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
     flag_type = _flag_type_levels(spec)
     if flag_type is not None:
+        power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
         return _flag_type_push(*flag_type, power)
     req = TruncationRequest.derive(spec, exps, aux)
-    return _push_down(spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1]))
+    over = spec.tower_variables() + spec.aux_variables()
+    target = _pack(Monomial(zip(over, [-e - 1 for e in (*exps, *aux.values())])))[0]
+    pushed = _push_down(spec, req, point=True)
+    return LaurentPoly._wrap(
+        {key - target: num for key, num in pushed._terms.items()}, pushed._den, pushed._bound
+    )
 
 
 def _flag_type_push(

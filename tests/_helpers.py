@@ -19,6 +19,7 @@ from segre_towers import (
     taut_variable,
     tower_variable,
 )
+from segre_towers.flag import _determinant, _eliminate
 from segre_towers.series import shift_expand
 from segre_towers.tower import PIVOT
 
@@ -277,3 +278,15 @@ def evaluate(value, values):
             coeff *= values[var] ** exp
         total += coeff
     return total
+
+
+def alternant(ts, powers):
+    """det(t_j^e_p), exactly, by ``flag._eliminate`` from an empty path.
+    Rational points are scaled to integers by the lcm L of their
+    denominators, and the integer determinant is divided by L^(sum of the
+    powers)."""
+    points = [Fraction(t) for t in ts]
+    scale = math.lcm(*(t.denominator for t in points))
+    powers = tuple(powers)
+    weights = tuple(t.numerator * (scale // t.denominator) for t in points)
+    return Fraction(_determinant(_eliminate((weights, ()), powers)), scale ** sum(powers))

@@ -519,8 +519,8 @@ def test_flag_integral_near_the_slot_limit(capsys):
     # without refusing its bound.  At k = 2 the value is a 2 x 2 determinant
     # whose row 1 is the slices of 1/u^3 at u^-2147483647 and u^-2147483648:
     # it meets none, so the value is the exact 0 and no bound is formed.
-    # The generic push refuses the same tuple
-    # (``test_generic_push_refuses_an_inherited_bound_near_the_slot_limit``).
+    # The generic push gives the same 0
+    # (``test_generic_push_gives_the_exact_zero_near_the_slot_limit``).
     assert main(["flag-integral", "--k", "1", "--exps", "2147483646"]) == 0
     assert capsys.readouterr() == ("0\n", "")
     assert main(["flag-integral", "--k", "2", "--exps", "2147483646,1"]) == 0

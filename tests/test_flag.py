@@ -35,7 +35,7 @@ from segre_towers import flag as flag_mod
 from segre_towers import series as series_mod
 from segre_towers import tower as tower_mod
 from segre_towers.cli import flag_exponent_tuples
-from segre_towers.flag import _alternant, _draw_distinct, vandermonde_product
+from segre_towers.flag import _draw_distinct, vandermonde_product
 from segre_towers.series import (
     coefficient_of,
     descending_expand,
@@ -47,6 +47,7 @@ from segre_towers.tower import PIVOT
 from _helpers import (
     G,
     U,
+    alternant,
     arrangement_sign,
     chern_point_value,
     evaluate,
@@ -222,9 +223,9 @@ def test_localization_memo_gives_fresh_draws(monkeypatch):
         seen.clear()
         value = localization_integral(k, exps, trials=trials, seed=seed, memo=memo)
         assert seen == draws
-        assert value == _alternant(draws[0], (0,) + exps[::-1]) / _alternant(draws[0], range(k + 1))
+        assert value == alternant(draws[0], (0,) + exps[::-1]) / alternant(draws[0], range(k + 1))
         entry = [(path[0], vandermonde) for vandermonde, path in memo[k, trials, seed]]
-        assert entry == [(ts, _alternant(ts, range(k + 1))) for ts in draws]
+        assert entry == [(ts, alternant(ts, range(k + 1))) for ts in draws]
     assert len(memo) == len(keys)
 
 
@@ -377,7 +378,7 @@ def test_bialternant_identity_above_dimension():
     )
     values = []
     for ts in weights:
-        values.append(_alternant(ts, (0,) + exps[::-1]) / _alternant(ts, range(4)))
+        values.append(alternant(ts, (0,) + exps[::-1]) / alternant(ts, range(4)))
         assert values[-1] == walk(ts, exps)
     assert values[0] != values[1]
 
@@ -388,7 +389,7 @@ def fresh_ratio(k, exps, trials, seed):
     values = set()
     for _ in range(trials):
         ts = _draw_distinct(rng, k + 1)
-        values.add(_alternant(ts, (0,) + exps[::-1]) / _alternant(ts, range(k + 1)))
+        values.add(alternant(ts, (0,) + exps[::-1]) / alternant(ts, range(k + 1)))
     assert len(values) == 1
     return values.pop()
 
@@ -453,7 +454,7 @@ def test_resumed_prefix_keeps_its_column_pivot():
     assert resumed[1][:2] == path[1][:2] and resumed[1][1] is path[1][1]
     expected = leibniz([[t**e for t in ts] for e in (0, 2, 1)])
     assert expected != 0
-    assert flag_mod._determinant(resumed) == _alternant(ts, (0, 2, 1)) == expected
+    assert flag_mod._determinant(resumed) == alternant(ts, (0, 2, 1)) == expected
     # A dependent prefix stops the path, and every call that shares it is 0.
     dead = flag_mod._eliminate(resumed, (0, 1, 1))
     assert dead[1][-1][2] is None and len(dead[1]) == 3
@@ -507,7 +508,7 @@ def test_a_memo_entry_holds_an_int_vandermonde_and_a_weights_steps_path():
         for _, row, pivot, sign in steps:
             assert all(type(x) is int for x in row) and type(pivot) is int and sign in (1, -1)
         determinant = flag_mod._determinant(path)
-        assert type(determinant) is int and determinant == _alternant(ts, (0, *exps))
+        assert type(determinant) is int and determinant == alternant(ts, (0, *exps))
 
 
 def test_a_tuple_above_k_resumes_the_prefix_its_key_kept():
@@ -592,7 +593,7 @@ def test_alternant_equals_the_leibniz_determinant():
     seen = {"zero first pivot": 0, "singular": 0, "nonzero": 0}
     for ts, powers in cases:
         expected = leibniz([[t**e for t in ts] for e in powers])
-        assert _alternant(ts, powers) == expected, (ts, powers)
+        assert alternant(ts, powers) == expected, (ts, powers)
         seen["singular"] += expected == 0
         seen["nonzero"] += expected != 0
         seen["zero first pivot"] += expected != 0 and ts[0] == 0 and powers[0] > 0
@@ -763,20 +764,21 @@ def test_flag_bundle_pushforwards_match_the_bialternant(k):
     for exps in itertools.product(range(k + 3), repeat=k):
         value = pushforward_monomial(spec, exps)
         for roots, chern in draws:
-            expected = _alternant(roots, (0,) + exps[::-1]) / _alternant(roots, range(k + 1))
+            expected = alternant(roots, (0,) + exps[::-1]) / alternant(roots, range(k + 1))
             assert evaluate(value, chern) == expected, (exps, value)
         non_constant += bool(value.variables())
     assert non_constant > 0
 
 
 def _generic_push(spec, exps, aux=None):
-    """``pushforward_monomial`` by the generic ``_push_down``, on any tower."""
+    """``pushforward_monomial`` by the generic point push, on any tower:
+    ``_push_down`` on one-power ranges, read at its one monomial."""
     aux = aux or {}
-    req = TruncationRequest.derive(spec, exps, aux)
-    power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
-    return tower_mod._push_down(
-        spec, req, lambda j: LaurentPoly.variable(taut_variable(j), power[j - 1])
-    )
+    over = spec.tower_variables() + spec.aux_variables()
+    bs = [aux.get(v.name, 0) for v in spec.aux_variables()]
+    target = Monomial(zip(over, [-e - 1 for e in (*exps, *bs)]))
+    pushed = tower_mod._push_down(spec, TruncationRequest.derive(spec, exps, aux), point=True)
+    return coefficient_of(pushed, target, over)
 
 
 def test_flag_type_determinant_equals_the_push_and_both_windows_on_every_flag_tuple():

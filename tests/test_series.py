@@ -547,6 +547,17 @@ def test_geometric_expand_truncated_inverse_identity():
         assert all(m.exponent(v) == cap + 1 for m, _ in residual.items())
 
 
+def test_geometric_range_is_the_filtered_expansion():
+    # The stepwise push keeps each geometric series to a range of powers:
+    # 0..order for a window, the order alone for a point.
+    u, v = U(2), U(1)
+    for low in range(4):
+        for high in range(4):
+            got = series._unsliced(series._geometric(u, v, low, high), v)
+            assert got == geometric_expand(u, v, high).filter_terms(v, low, high), (low, high)
+            assert got._bound == (high + 1 if low <= high else 0)
+
+
 def test_geometric_expand_rejects_equal_variables():
     with pytest.raises(ValueError):
         geometric_expand(U(1), U(1), 3)
@@ -737,6 +748,26 @@ def test_windowed_product_refuses_an_overflowing_bound_before_forming_a_key(monk
             series._product(*sliced, low, high)
     with pytest.raises(ExponentOverflowError):
         a * b
+    assert formed == []
+
+
+def test_windowed_product_refuses_its_bound_when_the_window_lies_in_a_gap(monkeypatch):
+    # A stepwise block g^(2^31-2) * (1 + c1^2), sliced by c1 at 0 and 2,
+    # meets a level series with one slice, at u^-2, only at the sums -2 and
+    # 0, and the push keeps the sum -1, which lies in their gap.  The bound
+    # 2^31 is refused all the same, before any key is formed; at g^(2^31-4)
+    # the same product fits, and it is empty.
+    level = {-2: {0: 1}}, 1, 2
+    formed = []
+    monkeypatch.setattr(series, "_add_product", lambda *args: formed.append(args))
+    for exp in (2**31 - 2, 2**31 - 4):
+        g = series._pack(Monomial.of(P[0], exp))[0]
+        block = {0: {g: 1}, 2: {g: 1}}, 1, exp
+        if exp + 2 < 2**31:
+            assert series._product(block, level, -1, -1) == ({}, 1, exp + 2)
+        else:
+            with pytest.raises(ExponentOverflowError):
+                series._product(block, level, -1, -1)
     assert formed == []
 
 

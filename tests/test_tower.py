@@ -44,6 +44,7 @@ from segre_towers.series import (
     descending_expand,
     rename_variables,
     shift_expand,
+    _geometric,
     _sliced,
     _unsliced,
 )
@@ -264,7 +265,8 @@ def test_each_computation_validates_its_tower_once(tmp_path, monkeypatch, capsys
         case()
         assert len(calls) == 1
     calls.clear()
-    tower._push_down(generic, req, lambda j: LaurentPoly.variable(tower.taut_variable(j)))
+    tower._push_down(generic, req)
+    tower._push_down(generic, req, point=True)
     tower._flag_type_push(*tower._flag_type_levels(flags), power)
     assert calls == []
     path = tmp_path / "tower.json"
@@ -406,8 +408,9 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     # The reference multiplies whole multipliers with no window and filters
     # the product afterwards: no slice code is used.  Each factor is expanded
     # by long division and shifted by the direct binomial sum to a random
-    # depth at or below its source floor floor - M - U + own (see
-    # ``_level_product``), so on the window it is the untruncated product.
+    # depth at or below its source floor floor - M - U + own, own its
+    # leading exponent (see ``_level_product``), so on the window it is the
+    # untruncated product.
     # The floor is drawn near one of the pivot exponents of a shallow
     # product, so the window cuts through it.
     rng = random.Random(seed)
@@ -431,7 +434,7 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
         for n, b in enumerate(orders)
     ]
     factors = spec.levels[level - 1].factors
-    ups = [max(factor.series.leading_exponent or 0, 0) for factor in factors]
+    ups = [factor.series.leading_exponent for factor in factors]
 
     def unwindowed(depths):
         # Each factor expanded to its depth, and shifted to every term at or
@@ -466,6 +469,24 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     assert all(sliced[0].values())
     got = _unsliced(sliced, pivot)
     assert got == full.filter_terms(pivot, floor, ceiling)
+
+
+def test_level_product_below_its_tops_expands_nothing(monkeypatch):
+    # Each factor's top is its leading exponent, so a floor above the sum of
+    # the tops and the extras' leaves the product empty before any factor is
+    # expanded.  flag_tower(3)'s level 3 has the tops -4, 1 and 1.
+    spec = flag_tower(3)
+    factors = spec.levels[2].factors
+    assert [f.series.leading_exponent for f in factors] == [-4, 1, 1]
+    memo = {}
+    extra = [(_geometric(aux_variable("w", 3), PIVOT, 0, 2), 2)]
+    assert _level_product(factors, C, memo, -2, 0)[0]
+    assert _level_product(factors, C, memo, 0, 0, extra)[0]
+    expanded = []
+    monkeypatch.setattr(tower, "_expansion", lambda *args: expanded.append(args))
+    for floor, extras in ((-1, ()), (1, extra)):
+        assert _level_product(factors, C, {}, floor, floor + 3, extras) == ({}, 1, 0)
+    assert expanded == []
 
 
 def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
@@ -1134,54 +1155,49 @@ def test_push_refuses_a_degree_above_its_cap(monkeypatch):
 
 
 def test_push_refuses_its_bound_before_pairing_any_slice(monkeypatch):
-    # The push pairs its c1-slices with the level series' slices through
-    # ``series._product``, which refuses the sum of the two bounds before
-    # forming any key.  The spy records each product of a part g^(2^31-2)
-    # with a series slice; multiplying the block into the state forms the
-    # others.
-    g_part = {series._pack(Monomial.of(G("g"), 2**31 - 2))[0]: 1}
+    # Level 2 of this tower is u^-n * (u - 2 c1), not flag-type, so the point
+    # (0, n - 1) takes the generic push.  Its level-2 block c2^(n-1) u2^-n,
+    # bound n, meets the series' slice at u^-n, -2 c1 with the bound n + 2,
+    # through ``series._product``, which refuses the sum of the bounds
+    # before forming any key.  The spy records each product of the block's
+    # part with any part but the unit one a level product starts from.
+    def spec(n):
+        return simple_tower([((), 1, {2: 1})], [((0,), {-n: 1}, 1), ((-2,), {1: 1}, 1)])
+
     formed = []
 
     def spy(data, a, b, scale=1, _real=series._add_product):
-        if g_part in (a, b):
+        if block in (a, b) and {0: 1} not in (a, b):
             formed.append((a, b))
         return _real(data, a, b, scale)
 
     monkeypatch.setattr(series, "_add_product", spy)
-    # flag_tower(1) is flag-type, so this value is a determinant (see
-    # ``_flag_type_push``), whose one entry, the coefficient of
-    # u^-(2^31-1) in 1/u^2, is zero; no push runs.
-    assert pushforward_monomial(flag_tower(1), (2**31 - 2,)) == 0
-    spec = flag_tower(1)
-    # c1 * g^(2^31-2) meets the slice at u^-2, and the series' bound 2 takes
-    # the push's to 2^31.
-    block = LaurentPoly.monomial(Monomial(((C(1), 1), (G("g"), 2**31 - 2))))
-    with pytest.raises(ExponentOverflowError):
-        tower._push_down(spec, TruncationRequest.derive(spec, (1,)), lambda j: block)
-    # g^(2^31-2) * (1 + c1^2): its c1-slices, at 0 and 2, meet no slice of
-    # 1/u^2, but the one at u^-2 lies in their gap.  The bound is refused
-    # all the same.
-    block = LaurentPoly(
-        {Monomial(((G("g"), 2**31 - 2),)): 1, Monomial(((C(1), 2), (G("g"), 2**31 - 2))): 1}
-    )
-    with pytest.raises(ExponentOverflowError):
-        tower._push_down(spec, TruncationRequest.derive(spec, (2,)), lambda j: block)
-    assert formed == []
+    for n, fits in ((2**29, True), (2**31 - 3, False)):
+        assert tower._flag_type_levels(spec(n)) is None
+        block = {series._pack(Monomial.of(U(2), -n))[0]: 1}
+        formed.clear()
+        if fits:
+            assert pushforward_monomial(spec(n), (0, n - 1)) == -2
+            assert len(formed) == 1
+            continue
+        with pytest.raises(ExponentOverflowError) as caught:
+            pushforward_monomial(spec(n), (0, n - 1))
+        assert str(caught.value) == (
+            f"exponents up to {2 * n + 2} do not fit a packed monomial (at most 2147483647)"
+        )
+        assert formed == []
 
 
-def test_generic_push_refuses_an_inherited_bound_near_the_slot_limit():
+def test_generic_push_gives_the_exact_zero_near_the_slot_limit():
     # ``flag-integral --k 2 --exps 2147483646,1`` prints the exact 0 by the
-    # determinant, whose row 1 meets no slice of 1/u^3.  The generic push of
-    # the same monomial carries level 2's series bound into its state, whose
-    # product with c1^2147483646 leaves the slot: refused by name, before
-    # any key is formed.
+    # determinant, whose row 1 meets no slice of 1/u^3.  The generic point
+    # push of the same monomial gives the same 0 with no refusal: level 1's
+    # series is read only at u^-2147483647, where 1/u^3 has no slice, so
+    # the push stops before it forms level 1's block, whose bound would
+    # take the state's past the slot.
     spec, exps = flag_tower(2), (2147483646, 1)
     req = TruncationRequest.derive(spec, exps)
-    with pytest.raises(ExponentOverflowError) as caught:
-        tower._push_down(spec, req, lambda j: LaurentPoly.variable(C(j), exps[j - 1]))
-    assert str(caught.value) == (
-        "exponents up to 2147483652 do not fit a packed monomial (at most 2147483647)"
-    )
+    assert tower._push_down(spec, req, point=True).is_zero()
     assert pushforward_monomial(spec, exps) == 0
 
 
@@ -1245,9 +1261,9 @@ def test_a_tower_the_predicate_rejects_takes_the_generic_push(monkeypatch):
     # takes the determinant.
     routes = []
     for name in ("_push_down", "_flag_type_push"):
-        def spy(*args, _name=name, _route=getattr(tower, name)):
+        def spy(*args, _name=name, _route=getattr(tower, name), **kwargs):
             routes.append(_name)
-            return _route(*args)
+            return _route(*args, **kwargs)
 
         monkeypatch.setattr(tower, name, spy)
     nonzero = 0
