@@ -82,8 +82,9 @@ DEFAULT_SEED = 7
 DEFAULT_TRIALS = 3
 DEFAULT_TOWERS = 50
 #: Largest ``--k`` of flag-integral.  The flag tower's value is read from
-#: the dual side of its determinant (``tower._flag_type_push``), where a
-#: permutation of 1..k gives the empty partition and a repeated entry 0:
+#: the dual Jacobi-Trudi determinant (``tower._dual_push``), where a
+#: permutation of 1..k gives the empty partition, and a repeated entry or
+#: any other tuple 0 before any row is formed, since 1/F = u^(k+1):
 #: over six permutations of 1..k shuffled by ``random.Random(0..5)`` the
 #: median and the maximum of ``flag_integral`` were 0.47 and 0.51 ms at
 #: k = 13 and 0.56 and 0.59 ms at k = 16, and the slowest of 300 seeded
@@ -419,15 +420,24 @@ def run_verify(
 # -- subcommands -------------------------------------------------------------
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an int if, stripped, it is ASCII decimal digits alone;
+    ``int()`` also reads a sign, ``_`` and other scripts' digits."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_int_list(raw: str, option: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
         return ()
     try:
-        values = tuple(int(x) for x in raw.split(","))
+        values = tuple(map(_decimal, raw.split(",")))
     except ValueError as exc:
         raise ValueError(
-            f"{option}: expected a comma-separated integer list, got {raw!r}"
+            f"{option}: expected comma-separated decimal digits, got {raw!r}"
         ) from exc
     for value in values:
         _check_int(option, value, 0, MAX_ORDER)
@@ -445,9 +455,9 @@ def _parse_assignments(raw: str, option: str) -> dict[str, int]:
         if name in out:
             raise ValueError(f"{option}: {name!r} is given more than once")
         try:
-            out[name] = int(value)
+            out[name] = _decimal(value)
         except ValueError as exc:
-            raise ValueError(f"{option}: expected an integer value, got {item!r}") from exc
+            raise ValueError(f"{option}: expected a value of decimal digits, got {item!r}") from exc
         _check_int(option, out[name], 0, MAX_ORDER)
     return out
 

@@ -34,7 +34,7 @@ bounds drop whole slice pairs.  Each factor's expansion and shift stop at
 the source floor alone: the truncation caps of ``TruncationRequest`` bound
 only the degrees the stepwise push meets, and its docstring proves that no
 cap could stop an expansion earlier.  One walk over the levels (a call of
-``closed_formula_segre``, ``_push_down``, ``_flag_type_push`` or
+``closed_formula_segre``, ``_push_down``, ``_dual_push`` or
 ``individual_segre``) expands each pair of a series object and its twists
 from the series' two sides once per floor it lowers to, and hands the
 stored expansion back as it is to the levels above, whose windows drop its
@@ -56,28 +56,27 @@ it, so it runs the same top-down push with each range cut to the one power
 that reaches its monomial: a point is a window of one (its docstring
 proves this exact).  The shift expansions stop at the last nonzero
 binomial, which for the flag tower's linear factors is the first power
-(see ``shift_expand``).  A flag-type tower, whose level i is F_i(u) *
-prod_(m<i) (u - c_m) (flag towers, flag bundles, partial flags;
-``_flag_type_levels`` finds each level's F_i), is not pushed level by
-level: its closed product is the Vandermonde determinant times prod_i
-F_i(u_i), so a point value is a k x k determinant whose entries are single-step push-forwards, coefficients of the F_i
-(``_flag_type_push``).  No linear factor is expanded or shifted.  Every
-other tower takes the push.
+(see ``shift_expand``).
 
-When every level has the same F = c * u^(-n) * A(1/u), a_0 = 1, and each
-of F's untwisted numerators has one term, that determinant is c^k times
-the Jacobi-Trudi determinant det(a_(lambda_i-i+j)), lambda_i =
+A flag-type tower whose levels share one F, level i being F(u) *
+prod_(m<i) (u - c_m) with each of F's untwisted numerators one term (flag
+towers, flag bundles, partial flags; ``_flag_type_levels`` finds F), is
+not pushed level by level.  Its closed product is the Vandermonde
+determinant times prod_i F(u_i), so a point value is a k x k determinant
+of coefficients of F.  With F = c * u^(-n) * A(1/u), a_0 = 1, that is c^k
+times the Jacobi-Trudi determinant det(a_(lambda_i-i+j)), lambda_i =
 q_(k+1-i) - n + i for q the exponents sorted, at the sorting sign times
-(-1)^(k(k-1)/2); equal exponents or lambda_k < 0 give 0.  Its dual,
-det(b_(lambda'_i-i+j)) with B(t) = 1/A(-t), has size lambda_1 (Macdonald,
-*Symmetric Functions and Hall Polynomials*, I.2-I.3), and its entries, up
-to the factor 1/c each, are the coefficients of 1/F, a Laurent
-polynomial: so the value is +-c^(k+lambda_1) times the determinant of
-those coefficients (``_dual_push``).  A flag bundle's b_m are its Chern
-classes, single terms, where its a_m are dense.  lambda_1 = max p - n + 1
-grows with the exponents, so the dual side is taken only when lambda_1 <=
-k; the primal k x k side serves larger lambda_1, levels with different
-F_i and numerators of several terms.
+(-1)^(k(k-1)/2); equal exponents or lambda_k < 0 give 0.  The value is
+read from its dual, det(b_(lambda'_i-i+j)) with B(t) = 1/A(-t), of size
+lambda_1 (Macdonald, *Symmetric Functions and Hall Polynomials*,
+I.2-I.3), whose entries, up to the factor 1/c each, are the coefficients
+of 1/F, a Laurent polynomial: so the value is +-c^(k+lambda_1) times the
+determinant of those coefficients (``_dual_push``).  A flag bundle's b_m
+are its Chern classes, single terms, where its a_m are dense.  The dual
+matrix is banded, and ``_determinant`` drops every partial sum that no
+later row can complete.  No linear factor is expanded or shifted.  Every
+other tower, with different F_i or a numerator of several terms, takes
+the push.
 
 The records ``TowerFactor``, ``TowerLevel``, ``TowerSpec``, ``Violation``
 and ``TruncationRequest`` are named tuples: immutable and picklable, and
@@ -458,7 +457,7 @@ def _expansion(
     the (unit key, twist) pairs ``twists``, sliced by the pivot.
 
     ``memo`` is kept for one walk down a tower: one call of
-    ``closed_formula_segre``, ``_push_down``, ``_flag_type_push`` or
+    ``closed_formula_segre``, ``_push_down``, ``_dual_push`` or
     ``individual_segre``.  It maps (``id(series)``, ``twists``) to an
     expansion and the floor it is exact down to, while the tower keeps every
     series alive.  An entry whose floor is at or below
@@ -470,9 +469,8 @@ def _expansion(
     window drops every pair such a slice could form (``_level_product``'s
     floor proof), ``_shifted`` forms nothing from one, ``_push_down`` pairs
     c_j^g only with the level series' slice at -g-1, at or above the floor
-    it asked for, and ``_flag_type_push`` reads a row only inside its
-    window.
-    Such a slice lowers the least exponent ``_level_product`` reads for its
+    it asked for, and ``_dual_push`` reads no coefficient of 1/F below the
+    floor it asked for.  Such a slice lowers the least exponent ``_level_product`` reads for its
     ceiling.  That loosens the ceiling of a partial product, never that of
     the last one, and an extra partial slice it keeps could reach the
     window only with a slice below some later floor, a pair the floor
@@ -796,18 +794,20 @@ def pushforward_monomial(
     term of that push is the target monomial times a term of the value, so
     the value is the push with the target's key taken from each key.
 
-    A flag-type tower (``_flag_type_levels``) takes its value as a
-    determinant (``_flag_type_push``), which needs no caps; every other
-    tower takes the push.  The tower is validated first, before any of it
-    is read.
+    A flag-type tower whose levels share one F with one-term numerators
+    (``_flag_type_levels``) takes its value as the dual Jacobi-Trudi
+    determinant (``_dual_push``), which needs no caps; every other tower
+    takes the push.  A level's auxiliary exponents only add to its power of
+    c_i there, since each extra copy of c_i is pushed as c_i is.  The tower
+    is validated first, before any of it is read.
     """
     validate_tower(spec)
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
     aux = _aux_exponents(spec, aux_exponents, "aux_exponents")
-    flag_type = _flag_type_levels(spec)
-    if flag_type is not None:
+    factors = _flag_type_levels(spec)
+    if factors is not None:
         power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
-        return _flag_type_push(*flag_type, power)
+        return _dual_push(factors, power)
     req = TruncationRequest.derive(spec, exps, aux)
     over = spec.tower_variables() + spec.aux_variables()
     target = _pack(Monomial(zip(over, [-e - 1 for e in (*exps, *aux.values())])))[0]
@@ -817,68 +817,22 @@ def pushforward_monomial(
     )
 
 
-def _flag_type_push(
-    levels: Sequence[Sequence[TowerFactor]], same: bool, power: Sequence[int]
-) -> LaurentPoly:
+def _dual_push(factors: Sequence[TowerFactor], power: Sequence[int]) -> LaurentPoly:
     """``pushforward_monomial`` of prod_i c_i^p_i, p_i = ``power[i-1]``, on
-    a flag-type tower, as the determinant of M_(i,j) = [u^(-p_i-j)] F_i for
-    i, j in 1..k, F_i the product of ``levels[i-1]``, level i's untwisted
-    factors, and ``same`` whether every F_i is the same series
-    (``_flag_type_levels``).
+    a flag-type tower of k >= 1 levels, k = ``len(power)``, whose every
+    level's untwisted factors are ``factors``, each numerator one term
+    (``_flag_type_levels``), by the dual Jacobi-Trudi determinant.
 
     The value is the coefficient of prod_i u_i^(-p_i-1) in the closed
     product of the tower without its auxiliary variables, since a level's
     auxiliary exponents only add to its power of c_i
-    (``pushforward_monomial``).  Level i's shifted factors are F_i(u_i) and
-    u_i - u_m for each m < i, so that product is V(u) * prod_i F_i(u_i),
+    (``pushforward_monomial``).  Level i's shifted factors are F(u_i) and
+    u_i - u_m for each m < i, so that product is V(u) * prod_i F(u_i),
     with V = prod_(m<i) (u_i - u_m) = det(u_i^(j-1)).  By Leibniz the
     coefficient is the sum over permutations s of sign(s) times
-    prod_i [u^(-p_i-s(i))] F_i, which is det M (Macdonald, *Symmetric
-    Functions and Hall Polynomials*, I.3).  Each entry is a single-step
-    push-forward of level i, a polynomial in the base variables.
-
-    When ``same`` holds and each untwisted numerator has one term, every
-    level has F = c * u^(-n) * A(1/u), a_0 = 1, and M is c times a
-    Jacobi-Trudi matrix.  The value is then the sorting sign of p times
-    (-1)^(k(k-1)/2) times c^(k+lambda_1) times a dual determinant of size
-    lambda_1 = max p - n + 1 whose entries are coefficients of 1/F, or 0
-    at once when p has equal entries or its partition a negative part
-    (``_dual_push`` proves it).  That side is taken only when lambda_1 <= k:
-    lambda_1 grows with max p without bound (``flag_tower(1)`` at
-    p = 2**31 - 2 has lambda_1 = 2**31 - 3), while the primal side has size
-    k.  Levels with different F_i, a numerator of several terms and
-    lambda_1 > k take the primal rows.  Row i is the slices of the
-    single-step series of ``levels[i-1]`` (``_level_series``) in
-    -p_i-k..-p_i-1, all through one walk memo; k is ``len(levels)``.  The
-    rows are formed from the largest p down, so the lowest floor comes
-    first and a series that several levels share is long-divided once
-    (``_expansion``), and the determinant is taken over the rows in
-    increasing p (``_determinant``), its sign that row order's.  The caller
-    validates the tower.
-    """
-    k = len(levels)
-    if same and k and all(len(factor.series.numerator) == 1 for factor in levels[0]):
-        value = _dual_push(levels[0], power)
-        if value is not None:
-            return value
-    order = sorted(range(k), key=power.__getitem__)
-    memo: dict = {}
-    rows: dict[int, list[tuple[int, LaurentPoly]]] = {}
-    for i in reversed(order):
-        p = power[i]
-        parts, den, bound = _level_series(levels[i], memo, -p - k, -p - 1)
-        rows[i] = [
-            (j, LaurentPoly._wrap(parts[-p - j - 1], den, bound))
-            for j in range(k) if -p - j - 1 in parts
-        ]
-    value = _determinant([rows[i] for i in order])
-    return -value if _inversions(order) % 2 else value
-
-
-def _dual_push(factors: Sequence[TowerFactor], power: Sequence[int]) -> LaurentPoly | None:
-    """``_flag_type_push`` when every level's untwisted factors are
-    ``factors`` and each of their numerators has one term, by the dual
-    Jacobi-Trudi determinant; None when that determinant is larger than k x k.
+    prod_i [u^(-p_i-s(i))] F, which is det M, M_(i,j) = [u^(-p_i-j)] F for
+    i, j in 1..k (Macdonald, *Symmetric Functions and Hall Polynomials*,
+    I.3).
 
     Let F, the product of ``factors``, be c * u^(-n) * A(1/u), with
     A(t) = sum_m a_m t^m and a_0 = 1, so n is minus F's leading exponent and
@@ -908,13 +862,19 @@ def _dual_push(factors: Sequence[TowerFactor], power: Sequence[int]) -> LaurentP
     1..k on the flag tower gives the empty partition, reads no entry, and
     its determinant is 1.
 
-    The dual determinant has size lambda_1 = max p - n + 1, not k.  A flag
-    bundle's b_m are its Chern classes, single terms that vanish above the
-    rank, where its a_m are dense complete symmetric polynomials.  But
-    lambda_1 grows with max p without bound, so past k the caller takes
-    the primal side, of size k:
-    ``pushforward_monomial(flag_tower(1), (2**31 - 2,))`` would ask for a
-    dual matrix of size 2**31 - 3.
+    The size lambda_1 = max p - n + 1 grows with max p without bound, so
+    it is weighed before any row is formed.  Row 1 reads b_m only for m >=
+    lambda'_1, at most k: when 1/F has no term that deep, the row is zero
+    and the value 0 at once (``flag_tower(1)`` at p = 2**31 - 2, lambda_1 =
+    2**31 - 3, has 1/F = u^2 and gives 0 in O(k) steps).  Otherwise the
+    determinant multiplies lambda_1 entries, and that many times the
+    expansion's bound is refused (``series._checked``).  Row i reads b_m
+    only for m in 0..top, top 1/F's deepest index, so its nonzero entries
+    lie in columns i - lambda'_i .. i - lambda'_i + top: the matrix is
+    banded, its lowest columns never fall, and ``_determinant`` keeps only
+    the partial sums the later rows can complete.  A flag bundle's b_m are
+    its Chern classes, single terms that vanish above the rank, where its
+    a_m are dense complete symmetric polynomials.
     """
     k = len(power)
     n = -sum(factor.series.leading_exponent for factor in factors)
@@ -924,27 +884,28 @@ def _dual_push(factors: Sequence[TowerFactor], power: Sequence[int]) -> LaurentP
     if any(a == b for a, b in zip(q, q[1:])) or lam[-1] < 0:
         return LaurentPoly()
     size = lam[0]
-    if size > k:
-        return None
-    conj = [sum(part > i for part in lam) for i in range(size)]
     rows = []
     if size:
-        # Row i reads b_m for m up to lambda'_1 + lambda_1 - 1, at u^(n-m).
+        # Row 1 reads b_m, at u^(n-m), for m from lambda'_1 to
+        # lambda'_1 + lambda_1 - 1, and no later row reads a larger m.
+        first = sum(part > 0 for part in lam)
         swapped = [
             factor._replace(
                 series=RationalFunction1V(factor.series.denominator, factor.series.numerator)
             )
             for factor in factors
         ]
-        parts, den, bound = _level_series(swapped, {}, n - conj[0] - size + 1, n)
+        parts, den, bound = _level_series(swapped, {}, n - first - size + 1, n)
+        if n - min(parts) < first:
+            return LaurentPoly()
+        _checked(size * bound)
         entries = {}
         for e, part in parts.items():
             entry = LaurentPoly._wrap(part, den, bound)
             entries[n - e] = -entry if (n - e) % 2 else entry
-        rows = [
-            [(j, entries[c - i + j]) for j in range(size) if c - i + j in entries]
-            for i, c in enumerate(conj)
-        ]
+        for i in range(size):
+            shift = i - sum(part > i for part in lam)
+            rows.append([(m + shift, entries[m]) for m in entries if 0 <= m + shift < size])
     scale = _leading_power([factor.series for factor in factors], k + size)
     if (_inversions(order) + k * (k - 1) // 2) % 2:
         scale = -scale
@@ -965,43 +926,56 @@ def _determinant(rows: Sequence[Sequence[tuple[int, LaurentPoly]]]) -> LaurentPo
     the parity of the used columns after j, which counts the inversions the
     choice adds.  A zero partial sum is never carried, so rows with one
     nonzero entry each keep one partial sum.
+
+    After row t, a set of used columns that leaves a column unused below
+    the lowest column of every later row (below the size after the last
+    row) is dropped before its sum is formed.  Only a later row adds a
+    column to the set, one of its own entries', and each of those is at or
+    above that lowest column, so the unused column stays unused and the set
+    never becomes the full column set, the only one the determinant reads.
+    The dropped sums are therefore exactly ones that cannot reach the
+    result.
     """
+    needs = []
+    low = len(rows)
+    for row in reversed(rows):
+        needs.append((1 << low) - 1)
+        low = min([low, *(j for j, _ in row)])
     partial = {0: LaurentPoly.one()}
-    for row in rows:
+    for row, need in zip(rows, reversed(needs)):
         sums: dict[int, LaurentPoly] = {}
         for used, value in partial.items():
             for j, entry in row:
-                if used >> j & 1:
+                key = used | 1 << j
+                if used >> j & 1 or key & need != need:
                     continue
                 term = value * entry
                 if (used >> j).bit_count() % 2:
                     term = -term
-                key = used | 1 << j
                 sums[key] = sums[key] + term if key in sums else term
         partial = {used: value for used, value in sums.items() if value}
     return partial.get((1 << len(rows)) - 1, LaurentPoly())
 
 
-def _flag_type_levels(spec: TowerSpec) -> tuple[list[list[TowerFactor]], bool] | None:
-    """Each level's untwisted factors, and whether every level's are the
-    same series, if level i of ``spec`` is F_i(u) * prod_(m<i) (u - c_m) for
-    every i, else None.
+def _flag_type_levels(spec: TowerSpec) -> list[TowerFactor] | None:
+    """The untwisted factors that every level of ``spec`` shares, if level i
+    is F(u) * prod_(m<i) (u - c_m) for every i, with one F whose factors'
+    numerators have one term each; else None.
 
     So each level's factors are one factor u with twist -1 in slot m, and
     zero elsewhere, for each lower level m, and any number of untwisted
-    factors, whose product is F_i.  ``flag_tower``, flag bundles and
-    partial flags are flag-type; a tower without levels gives ``([], True)``.
-    A linear factor counts only with the series u / 1 as its two sides, so
-    an equal series written otherwise sends the tower to the generic push,
-    which is always exact.  Levels have the same series when their
+    factors, whose product is F; the factors returned are level 1's.
+    ``flag_tower``, flag bundles and partial flags qualify; a tower without
+    levels, whose push is 1, does not.  A linear factor counts only with the
+    series u / 1 as its two sides, and levels share F only when their
     untwisted factors' series are equal in order, each pair tested by
-    identity and then ``==``; an equal F written otherwise takes the primal
-    determinant, which is always exact too.
+    identity and then ``==``.  A tower that fails any test, an equal series
+    written otherwise included, takes the generic push, which is always
+    exact.
     """
     u, one = LaurentPoly.variable(PIVOT), LaurentPoly.one()
     linear = None  # the last series found to be u / 1
-    levels = []
-    same = True
+    shared = None
     for lower, level in enumerate(spec.levels):
         slots, untwisted = [], []
         for factor in level.factors:
@@ -1020,14 +994,14 @@ def _flag_type_levels(spec: TowerSpec) -> tuple[list[list[TowerFactor]], bool] |
             slots.append(twists.index(-1))
         if sorted(slots) != list(range(lower)):
             return None
+        if shared is None:
+            if any(len(factor.series.numerator) != 1 for factor in untwisted):
+                return None
+            shared = untwisted
         # List equality tests each pair by identity, then by ``==``.
-        series = [factor.series for factor in untwisted]
-        if not levels:
-            shared = series
-        elif same:
-            same = series == shared
-        levels.append(untwisted)
-    return levels, same
+        elif [f.series for f in untwisted] != [f.series for f in shared]:
+            return None
+    return shared
 
 
 def random_tower_spec(rng: random.Random, max_k: int = 3) -> TowerSpec:

@@ -495,6 +495,10 @@ def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
         (["tower-segre", "SPEC", "--orders", str(2**31 - 1)], "--orders"),
         (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=3000000000"], "--aux-orders"),
         (["flag-integral", "--k", "1", "--exps", "3000000000"], "--exps"),
+        # ``int()`` reads each of these; only ASCII decimal digits count.
+        (["tower-segre", "SPEC", "--orders", "1_0"], "--orders"),
+        (["flag-integral", "--k", "2", "--exps", "+1,2"], "--exps"),
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=\uff11"], "--aux-orders"),
     ],
 )
 def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, option):
@@ -515,11 +519,10 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, o
 
 
 def test_flag_integral_near_the_slot_limit(capsys):
-    # At k = 1 the power of c1 meets no piece of 1/u^2, so the push gives 0
-    # without refusing its bound.  At k = 2 the value is a 2 x 2 determinant
-    # whose row 1 is the slices of 1/u^3 at u^-2147483647 and u^-2147483648:
-    # it meets none, so the value is the exact 0 and no bound is formed.
-    # The generic push gives the same 0
+    # At k = 1 and 2 the dual determinant has about 2**31 rows, but its
+    # first row reads coefficients of 1/F = u^(k+1) only from u^k down,
+    # where it has none, so the value is the exact 0 before any row or
+    # bound is formed.  The generic push gives the same 0
     # (``test_generic_push_gives_the_exact_zero_near_the_slot_limit``).
     assert main(["flag-integral", "--k", "1", "--exps", "2147483646"]) == 0
     assert capsys.readouterr() == ("0\n", "")

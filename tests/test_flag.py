@@ -814,7 +814,8 @@ def test_flag_type_determinant_equals_the_push_and_the_closed_window_on_bundles_
     # partial flag and a flag tower, so its rows differ, on every tuple with
     # entries up to 5: each value, a polynomial in the base generators for
     # a bundle, is the generic push's and the closed window's coefficient
-    # exactly.
+    # exactly.  Only the tower with different rows is left to the generic
+    # push.
     rng = random.Random(31)
     bundle_tuples = [tuple(rng.sample(range(7), 4)) for _ in range(30)]
     bundle_tuples += [tuple(rng.randint(0, 6) for _ in range(4)) for _ in range(10)]
@@ -834,7 +835,7 @@ def test_flag_type_determinant_equals_the_push_and_the_closed_window_on_bundles_
     cases.append((mixed, list(itertools.product(range(6), repeat=3)), {}))
     nonzero = with_base = monomials = 0
     for spec, tuples, aux_orders in cases:
-        assert tower_mod._flag_type_levels(spec) is not None
+        assert (tower_mod._flag_type_levels(spec) is None) == (spec is mixed)
         orders = tuple(map(max, zip(*tuples)))
         req = TruncationRequest.derive(spec, orders, aux_orders)
         window = closed_formula_segre(spec, req)
@@ -858,7 +859,9 @@ def test_flag_type_determinant_equals_the_push_and_the_closed_window_on_bundles_
 def test_flag_bundle_point_values_equal_the_chern_determinant():
     # The oracle forms det M from h_t(e) by its own recurrence, so it shares
     # no code with the route, which reads a bundle's values from the dual
-    # side: every tuple with entries up to 2k has lambda_1 <= k.
+    # determinant.  Every tuple here has entries up to 2k, so lambda_1 <= k;
+    # ``test_the_dual_past_lambda_1_equals_k_equals_the_chern_and_hook_content_oracles``
+    # takes larger ones.
     rng = random.Random(39)
     cases = [(k, list(itertools.product(range(2 * k + 1), repeat=k))) for k in (1, 2, 3)]
     cases += [(k, [tuple(rng.randint(0, 2 * k) for _ in range(k)) for _ in range(40)]) for k in (4, 5)]
@@ -892,18 +895,44 @@ def test_rational_root_flag_values_are_hook_content_numbers():
         assert pushforward_monomial(rational_root_flag(k), exps) == math.comb(2 * k, k)
 
 
-def _record_dual_sides(monkeypatch):
-    """Patch ``tower._dual_push`` to append, per call, whether it gave the value."""
-    sides = []
-    dual = tower_mod._dual_push
+def test_rational_root_windows_equal_the_hook_content_values_at_every_point():
+    # Both windows of rational_root_flag(3) at every order tuple in 0..4,
+    # and of rational_root_flag(4) at two with unequal entries, hold
+    # +-s_lambda(1^(k+1)) at every point.  The oracle shares no tower code.
+    # A walk memo that hands back an expansion at any floor, however high,
+    # makes both windows lose the same terms at unequal orders such as
+    # (2, 3, 1), so the two methods agree with each other there and only the
+    # oracle sees it.
+    cases = [(3, order) for order in itertools.product(range(5), repeat=3)]
+    cases += [(4, (1, 4, 5, 2)), (4, (2, 5, 3, 1))]
+    nonzero = 0
+    for k, orders in cases:
+        spec = rational_root_flag(k)
+        req = TruncationRequest.derive(spec, orders)
+        for window in (closed_formula_segre(spec, req), stepwise_pushforward(spec, req)):
+            got = {
+                exps: Fraction(num, window._den)
+                for exps, num in window._header_rows(spec.tower_variables())
+            }
+            for exps in itertools.product(*(range(a + 1) for a in orders)):
+                sign, lam = point_value_sign_and_partition(exps, k + 1)
+                expected = sign * schur_at_ones(lam, k + 1) if sign else 0
+                assert got.get(tuple(-a - 1 for a in exps), 0) == expected, (k, orders, exps)
+                nonzero += bool(expected)
+    assert nonzero >= 600
 
-    def spy(*args):
-        value = dual(*args)
-        sides.append(value is not None)
-        return value
 
-    monkeypatch.setattr(tower_mod, "_dual_push", spy)
-    return sides
+def _record_routes(monkeypatch):
+    """Patch ``tower._dual_push`` and ``tower._push_down`` to append their
+    names, one per call."""
+    routes = []
+    for name in ("_dual_push", "_push_down"):
+        def spy(*args, _name=name, _route=getattr(tower_mod, name), **kwargs):
+            routes.append(_name)
+            return _route(*args, **kwargs)
+
+        monkeypatch.setattr(tower_mod, name, spy)
+    return routes
 
 
 def _random_denominator(rng, lead):
@@ -926,11 +955,11 @@ def test_dual_side_equals_the_push_and_the_closed_window_on_random_flag_type_tow
     # rational coefficient, over a denominator led by a non-unit rational
     # times a base monomial, and as several untwisted factors per level.
     # Each value is the generic push's and the closed window's coefficient,
-    # and the dual side gives most of them.
-    sides = _record_dual_sides(monkeypatch)
+    # and the dual side gives every one of them, past lambda_1 = k too.
+    routes = _record_routes(monkeypatch)
     rng = random.Random(3917)
     g = G("g")
-    dual_nonzero = 0
+    dual_nonzero = wide = 0
     for trial in range(24):
         kind = ("coefficient", "base", "several")[trial % 3]
         k = rng.randint(1, 3)
@@ -951,22 +980,23 @@ def test_dual_side_equals_the_push_and_the_closed_window_on_random_flag_type_tow
         orders = tuple(map(max, zip(*tuples)))
         window = closed_formula_segre(spec, TruncationRequest.derive(spec, orders))
         for exps in tuples:
-            del sides[:]
+            del routes[:]
             target = Monomial((U(i), -a - 1) for i, a in enumerate(exps, 1))
             value = pushforward_monomial(spec, exps)
+            assert routes == ["_dual_push"], (spec, exps)
             assert value == _generic_push(spec, exps), (spec, exps)
             assert value == coefficient_of(window, target, spec.tower_variables()), (spec, exps)
-            assert len(sides) == 1
-            dual_nonzero += sides[0] and bool(value)
-    assert dual_nonzero >= 40
+            dual_nonzero += bool(value)
+            wide += bool(value) and max(exps) - n + 1 > k
+    assert dual_nonzero >= 40 and wide >= 30
 
 
-def test_the_primal_side_keeps_the_towers_the_dual_does_not_cover(monkeypatch):
+def test_the_dual_takes_wide_tuples_and_other_towers_take_the_generic_push(monkeypatch):
     # A numerator with several terms and levels with different F never reach
-    # the dual side; a partial flag at a tuple with lambda_1 > k reaches it
-    # and is declined.  Each value is still the generic push's and the
-    # closed window's coefficient.
-    sides = _record_dual_sides(monkeypatch)
+    # the dual side: they take the generic push.  A partial flag at a tuple
+    # with lambda_1 > k takes the dual side.  Each value is still the
+    # generic push's and the closed window's coefficient.
+    routes = _record_routes(monkeypatch)
     bundle = flag_bundle(3)
     mixed = bundle._replace(
         levels=(bundle.levels[0], partial_flag(3).levels[1], flag_tower(3).levels[2])
@@ -975,23 +1005,54 @@ def test_the_primal_side_keeps_the_towers_the_dual_does_not_cover(monkeypatch):
     # partial_flag(2) has n = 4, so lambda = (max p - 3, min p - 2).
     wide = [(2, 6), (7, 3), (6, 4), (9, 2)]
     cases = [
-        (several, list(itertools.product(range(6), repeat=3)), False),
-        (mixed, list(itertools.product(range(6), repeat=3)), False),
-        (partial_flag(2), wide, True),
+        (several, list(itertools.product(range(6), repeat=3)), "_push_down"),
+        (mixed, list(itertools.product(range(6), repeat=3)), "_push_down"),
+        (partial_flag(2), wide, "_dual_push"),
     ]
     nonzero = 0
-    for spec, tuples, reached in cases:
+    for spec, tuples, route in cases:
         orders = tuple(map(max, zip(*tuples)))
         window = closed_formula_segre(spec, TruncationRequest.derive(spec, orders))
         for exps in tuples:
-            del sides[:]
+            del routes[:]
             target = Monomial((U(i), -a - 1) for i, a in enumerate(exps, 1))
             value = pushforward_monomial(spec, exps)
+            assert routes == [route], (spec, exps)
             assert value == _generic_push(spec, exps), (spec, exps)
             assert value == coefficient_of(window, target, spec.tower_variables()), (spec, exps)
-            assert sides == ([False] if reached else []), (spec, exps)
             nonzero += bool(value)
     assert nonzero >= 20
+
+
+def test_the_dual_past_lambda_1_equals_k_equals_the_chern_and_hook_content_oracles(monkeypatch):
+    # Seeded tuples with max p > 2k, so lambda_1 = max p - k > k, and
+    # entries up to 3k + 2.  On flag_bundle(k) each value is the Chern
+    # determinant and the generic push; on rational_root_flag(k) it is
+    # +-s_lambda(1^(k+1)).  The dual side gives every one.
+    routes = _record_routes(monkeypatch)
+    rng = random.Random(44)
+    with_base = magnitudes = 0
+    for k in range(1, 6):
+        bundle, roots = flag_bundle(k), rational_root_flag(k)
+        draws = 6 if k == 5 else 10
+        tuples = []
+        while len(tuples) < draws:
+            exps = tuple(rng.sample(range(3 * k + 3), k))
+            if max(exps) > 2 * k:
+                tuples.append(exps)
+        tuples.append(tuple(rng.randint(2 * k + 1, 3 * k + 2) for _ in range(k)))
+        for exps in tuples:
+            del routes[:]
+            value = pushforward_monomial(bundle, exps)
+            assert routes == ["_dual_push"], (k, exps)
+            assert value == chern_point_value(k, exps), (k, exps)
+            assert value == _generic_push(bundle, exps), (k, exps)
+            with_base += bool(value.variables())
+            sign, lam = point_value_sign_and_partition(exps, k + 1)
+            expected = sign * schur_at_ones(lam, k + 1) if sign else 0
+            assert pushforward_monomial(roots, exps) == expected, (k, exps)
+            magnitudes += abs(expected) > 1
+    assert with_base >= 30 and magnitudes >= 30
 
 
 def test_arrangement_sign():

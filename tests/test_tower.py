@@ -57,6 +57,7 @@ from _helpers import (
     check_window_growth,
     descending_reference,
     flag_bundle,
+    flag_type_tower,
     mono,
     partial_flag,
     poly,
@@ -267,7 +268,7 @@ def test_each_computation_validates_its_tower_once(tmp_path, monkeypatch, capsys
     calls.clear()
     tower._push_down(generic, req)
     tower._push_down(generic, req, point=True)
-    tower._flag_type_push(*tower._flag_type_levels(flags), power)
+    tower._dual_push(tower._flag_type_levels(flags), power)
     assert calls == []
     path = tmp_path / "tower.json"
     path.write_text(json.dumps(tower_spec_to_doc(generic)), encoding="utf-8")
@@ -1190,8 +1191,8 @@ def test_push_refuses_its_bound_before_pairing_any_slice(monkeypatch):
 
 def test_generic_push_gives_the_exact_zero_near_the_slot_limit():
     # ``flag-integral --k 2 --exps 2147483646,1`` prints the exact 0 by the
-    # determinant, whose row 1 meets no slice of 1/u^3.  The generic point
-    # push of the same monomial gives the same 0 with no refusal: level 1's
+    # determinant, whose first row reads no coefficient of u^3.  The generic
+    # point push of the same monomial gives the same 0 with no refusal: level 1's
     # series is read only at u^-2147483647, where 1/u^3 has no slice, so
     # the push stops before it forms level 1's block, whose bound would
     # take the state's past the slot.
@@ -1221,25 +1222,24 @@ def _flag3_variants():
 
 def test_flag_type_predicate_accepts_flags_bundles_and_partial_flags():
     accepted = [flag_tower(k) for k in range(1, 6)] + [flag_bundle(3), partial_flag(3)]
-    assert all(tower._flag_type_levels(spec) is not None for spec in accepted)
-    # Each level's F_i is its untwisted factors; a tower without levels has
-    # none.  The flag tower's levels share one series object, the bundle's
-    # are equal copies, and levels from a bundle, a partial flag and a flag
-    # tower differ.
-    assert tower._flag_type_levels(flag_tower(3)) == (
-        [[level.factors[0]] for level in flag_tower(3).levels], True
-    )
-    assert tower._flag_type_levels(TowerSpec(())) == ([], True)
+    # The shared F is level 1's untwisted factors.  The flag tower's levels
+    # share one series object, the bundle's are equal copies.
+    for spec in accepted:
+        assert tower._flag_type_levels(spec) == [spec.levels[0].factors[0]], spec
     bundle = flag_bundle(3)
     assert len({id(level.factors[0].series) for level in bundle.levels}) == 3
-    assert tower._flag_type_levels(bundle)[1] is True
+    # Rejected: a tower without levels, which shares no F; levels from a
+    # bundle, a partial flag and a flag tower, whose F differ; a shared F
+    # whose numerator has several terms; a pool tower; and flag_tower(3)
+    # with level 3's linear factors changed.
     mixed = bundle._replace(
         levels=(bundle.levels[0], partial_flag(3).levels[1], flag_tower(3).levels[2])
     )
-    assert tower._flag_type_levels(mixed)[1] is False
+    several = flag_type_tower(3, [rf({0: 1, -1: 2}, {3: 1, 1: Fraction(-1, 2)})])
     pool = next(spec for spec in map(_pool_tower, range(400)) if spec.k >= 2)
-    for spec in [pool, *_flag3_variants()]:
+    for spec in [TowerSpec(()), mixed, several, pool, *_flag3_variants()]:
         assert tower._flag_type_levels(spec) is None, spec
+    assert pushforward_monomial(TowerSpec(()), ()) == 1
 
 
 def test_the_determinant_derives_no_caps(monkeypatch):
@@ -1260,7 +1260,7 @@ def test_a_tower_the_predicate_rejects_takes_the_generic_push(monkeypatch):
     # still equal its closed window's coefficients; flag_tower(3) itself
     # takes the determinant.
     routes = []
-    for name in ("_push_down", "_flag_type_push"):
+    for name in ("_push_down", "_dual_push"):
         def spy(*args, _name=name, _route=getattr(tower, name), **kwargs):
             routes.append(_name)
             return _route(*args, **kwargs)
@@ -1277,4 +1277,4 @@ def test_a_tower_the_predicate_rejects_takes_the_generic_push(monkeypatch):
     assert nonzero and set(routes) == {"_push_down"}
     assert len(routes) == 3 * 5**3
     pushforward_monomial(flag_tower(3), (3, 2, 1))
-    assert routes[-1] == "_flag_type_push"
+    assert routes[-1] == "_dual_push"
