@@ -429,6 +429,19 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _integer(text: str) -> int:
+    """``text`` as an int if, stripped, it is ASCII decimal digits after an
+    optional ``-``: the type of every scalar integer option."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names the type in its refusal, as for ``int``: "invalid int value: '+3'".
+_integer.__name__ = "int"
+
+
 def _parse_int_list(raw: str, option: str) -> tuple[int, ...]:
     raw = raw.strip()
     if not raw:
@@ -578,11 +591,11 @@ _SUBCOMMANDS = {
         "integrate a monomial over a flag variety",
         cmd_flag_integral,
         (
-            (("--k",), {"type": int, "required": True, "help": "number of tower levels"}),
+            (("--k",), {"type": _integer, "required": True, "help": "number of tower levels"}),
             (("--exps",), {"required": True, "help": "comma-separated exponents a_1..a_k"}),
             (("-v", "--verbose"), {"action": "store_true", "help": "print cross-checks"}),
-            (("--seed",), {"type": int, "default": DEFAULT_SEED}),
-            (("--trials",), {"type": int, "default": DEFAULT_TRIALS}),
+            (("--seed",), {"type": _integer, "default": DEFAULT_SEED}),
+            (("--trials",), {"type": _integer, "default": DEFAULT_TRIALS}),
             (("--format",), {"choices": ("table", "json"), "default": "table"}),
         ),
     ),
@@ -601,10 +614,10 @@ _SUBCOMMANDS = {
         "run the cross-validation sweeps",
         cmd_verify,
         (
-            (("--max-k",), {"type": int, "default": 3, "dest": "max_k"}),
-            (("--seed",), {"type": int, "default": DEFAULT_SEED}),
-            (("--trials",), {"type": int, "default": DEFAULT_TRIALS}),
-            (("--towers",), {"type": int, "default": DEFAULT_TOWERS}),
+            (("--max-k",), {"type": _integer, "default": 3, "dest": "max_k"}),
+            (("--seed",), {"type": _integer, "default": DEFAULT_SEED}),
+            (("--trials",), {"type": _integer, "default": DEFAULT_TRIALS}),
+            (("--towers",), {"type": _integer, "default": DEFAULT_TOWERS}),
             (("--format",), {"choices": ("table", "json"), "default": "table"}),
         ),
     ),

@@ -701,10 +701,11 @@ def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
     pair of slices whose exponents sum outside the window is never formed.
     The bound is the sum of the two bounds, refused before any key is
     formed whenever both sides are nonempty, even if no pair lands in the
-    window.  The two sides may be sliced by different variables: the
-    stepwise push pairs its block, sliced by c_j, with a level series,
-    sliced by the pivot, then its state, sliced by c_j, with that product,
-    and keeps the slice at -1 (``tower._push_down``).
+    window.  Its one caller, ``tower._level_product``, forms each level
+    step of both routes as a chain of these products, whose sides may be
+    sliced by different variables: a stepwise step pairs its block, sliced
+    by c_j, with a level series, sliced by the pivot, then that product
+    with its state, sliced by c_j, and keeps the slice at -1.
     """
     a_parts, a_den, a_bound = a
     b_parts, b_den, b_bound = b

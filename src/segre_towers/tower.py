@@ -12,8 +12,8 @@ Two computations of the tower Segre series share the pruned product of one
 level's shifted factors (the paper's input) but combine the levels differently:
 
 * ``closed_formula_segre`` forms each level's product in the formal tower
-  variables on its own and meets the running product of the levels above
-  with it once, pruning each level's variable to the requested window.
+  variables with the running product of the levels above as its last
+  multiplier, pruning each level's variable to the requested window.
 * ``stepwise_pushforward`` walks the levels once from the top down: at each
   level it multiplies in the powers of that level's tautological class and
   replaces each by the matching coefficient of the level's own Segre
@@ -38,18 +38,18 @@ cap could stop an expansion earlier.  One walk over the levels (a call of
 ``individual_segre``) expands each pair of a series object and its twists
 from the series' two sides once per floor it lowers to, and hands the
 stored expansion back as it is to the levels above, whose windows drop its
-lower slices (``_expansion``); nothing is kept between walks.  Each
-route meets its running state with a level's product once, through the
-one windowed product, ``series._product``.  The closed route meets the
-running product, sliced by u_i, with the level product on the window of
-u_i that product can still reach, and packs the slices back into u_i.
-Every other route reads a level's own Segre series through
-``_level_series``.  The stepwise push slices its state and its block by
-c_j: c_j^g stands for the coefficient of pivot^(-g-1), so the block is
-paired with the series first, only where a pair can meet a state slice,
-and the state meets that pushed block once; the slice at -1 is the pushed
-state.  A block is itself a level product, in c_j, of one geometric series
-per level variable, each kept to a range of powers.
+lower slices (``_expansion``); nothing is kept between walks.
+
+Every level step of either route is one such product whose last
+multiplier is the running state, so ``_level_product`` is the one caller
+of ``series._product``.  The closed route multiplies level i's factors,
+its auxiliary series and the running product, sliced by u_i, on the window
+[-a_i-1, -1] of u_i, and packs the slices back into u_i.  The stepwise
+push slices its state by c_j: c_j^g stands for the coefficient of
+pivot^(-g-1) in the level's own Segre series, a level product in the
+reserved ``PIVOT``.  So its step multiplies one geometric series in c_j
+per level variable, each kept to a range of powers, then that series, then
+the state, on [-1, -1]; the slice at -1 is the pushed state.
 
 ``pushforward_monomial`` needs one coefficient of that window, not all of
 it, so it runs the same top-down push with each range cut to the one power
@@ -112,7 +112,6 @@ from .series import (
     _sliced,
     _unit,
     _unsliced,
-    geometric_expand,
 )
 
 def tower_variable(level: int) -> VariableId:
@@ -377,12 +376,12 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
 
     No expansion reads the caps.  ``_level_product`` stops each factor's
     expansion and shift at its source floor, floor - U + own, own the
-    factor's leading exponent and U the sum of the level's own and extras'
-    tops (its docstring has the proof), and a cap would stop them at
-    own - cap, never higher.  Each own is at most its factor's positive
-    leading degree, so U <= lead_i + aux_i.  Take level i of the closed
-    route, whose level product has the floor -a_i-1-M, M the running
-    product's top exponent of u_i:
+    factor's leading exponent and U the sum of every multiplier's top (its
+    docstring has the proof), and a cap would stop them at own - cap, never
+    higher.  Each own is at most its factor's positive leading degree.
+    Take level i of the closed route, whose step has the floor -a_i-1 and
+    U <= lead_i + aux_i + M, M the running product's top exponent of u_i,
+    its last multiplier:
 
     * The running product holds the levels above i, each already in its
       window, so every u_j with j > i has exponent >= -a_j-1.
@@ -393,7 +392,7 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
 
     So a term's u_i exponent is at most its total degree plus the sum of
     a_j + 1 over j > i, and M <= reach_{i+1}.  Hence
-    -a_i-1-M - U + own >= own - reach_i = own - cap.  Level j's series on
+    -a_i-1 - U + own >= own - reach_i = own - cap.  Level j's series on
     the stepwise route has the floor -gamma-1 with gamma <= reach_j - lead_j
     - 1 and no extras, so U <= lead_j and its source floors are at or above
     own - reach_j as well.
@@ -504,18 +503,17 @@ def _expansion(
 
 def _level_product(
     factors: Sequence[TowerFactor], lower: Callable[[int], VariableId], memo: dict,
-    floor: int, ceiling: int,
-    extras: Sequence[tuple[tuple[dict[int, dict[int, int]], int, int], int]] = (),
+    floor: int, ceiling: int, extras: Sequence[tuple[dict[int, dict[int, int]], int, int]] = (),
 ) -> tuple[dict[int, dict[int, int]], int, int]:
     """The product of a level's shifted ``factors``, then ``extras``,
     keeping the terms whose pivot exponent lies in ``floor..ceiling``.
 
     The pivot is the level's variable: u_i on the closed route, the
-    reserved ``PIVOT`` for a level's own series, c_j for a stepwise block,
-    which has no factors.  Each extra comes sliced by its exponent, so this
-    function never names it.  ``closed_formula_segre``, ``_level_series``
-    and ``_push_down`` are its only callers; the closed route meets its
-    running product with the result once.
+    reserved ``PIVOT`` for a level's own series (a call with no extras),
+    c_j for a stepwise step, which has no factors.  Each extra comes sliced
+    by the pivot's exponent, so this function never names it.  Every level
+    step of ``closed_formula_segre`` and ``_push_down`` is one call whose
+    last extra is the running state.
 
     The product is held as slices, {pivot exponent: {key of the rest:
     numerator}} over one denominator (``series._product``), from the factor
@@ -529,8 +527,8 @@ def _level_product(
 
     Each multiplier has a top, the highest pivot exponent it can hold: a
     factor's is its series' ``leading_exponent``, since a shift never
-    raises the pivot's exponent (``shift_expand``), and each extra comes
-    with its own.  No slice outside the window is formed, and none that
+    raises the pivot's exponent (``shift_expand``), and an extra's top is
+    its highest slice.  No slice outside the window is formed, and none that
     could only form slices outside it.  A product slice at e is a sum of
     products of one slice of each multiplier whose exponents sum to e, so
     the bounds below, proved for single terms, hold for whole slices:
@@ -542,7 +540,8 @@ def _level_product(
       slice below ``floor`` minus the tops still to come never reaches
       ``floor``.  When U is below ``floor`` no slice reaches it, and the
       product is empty before any factor is expanded; so it is when a
-      factor's numerator is zero, which has no leading exponent.
+      factor's numerator is zero, which has no leading exponent, or an
+      extra is empty.
     * Ceiling.  Every slice of a multiplier is at or above that multiplier's
       lowest pivot exponent, so a partial product's slice above ``ceiling``
       minus the lowest exponents still to come forms only slices above
@@ -558,9 +557,9 @@ def _level_product(
     forms O(k) factor expansions, not O(k**2).
     """
     tops = [factor.series.leading_exponent for factor in factors]
-    if None in tops:
+    if None in tops or not all(parts for parts, _, _ in extras):
         return {}, 1, 0
-    tops += [top for _, top in extras]
+    tops += [max(parts) for parts, _, _ in extras]
     slack = floor - sum(tops)
     if slack > 0:
         return {}, 1, 0
@@ -571,7 +570,7 @@ def _level_product(
         )
         for factor, own in zip(factors, tops)
     ]
-    multipliers += [extra for extra, _ in extras]
+    multipliers += extras
     lows = []
     bound = 0
     for parts, _, part_bound in multipliers:
@@ -607,36 +606,26 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
     _check_int("min_exponent", min_exponent)
     factors = spec.levels[level - 1].factors
     top = sum(map(_lead_plus, factors))
-    return _unsliced(_level_series(factors, {}, min_exponent, top), PIVOT)
-
-
-def _level_series(
-    factors: Sequence[TowerFactor], memo: dict, low: int, high: int
-) -> tuple[dict[int, dict[int, int]], int, int]:
-    """The Segre series of the single step whose shifted factors are
-    ``factors``, a level of a validated tower, with only the pivot exponents
-    in ``low..high``, sliced by the pivot's exponent; ``memo`` is the walk's
-    (``_expansion``)."""
-    return _level_product(factors, taut_variable, memo, low, high)
+    return _unsliced(_level_product(factors, taut_variable, {}, min_exponent, top), PIVOT)
 
 
 def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
     """Tower Segre series by the closed formula, restricted to the window.
 
-    The levels are taken from the top.  Level i's shifted factors, with its
-    auxiliary series, are multiplied on their own (``_level_product``),
-    and the running product of the levels above meets that level product
-    once, through the windowed ``series._product``, both sliced by u_i.
-    Every returned coefficient is exact, and the pruned product already is
-    the window, so no projection follows it: the meeting keeps the exponent
-    of u_i in [-a_i-1, -1], and the lower levels, whose twists involve only
-    u_1..u_{i-1}, never shift u_i again.  An auxiliary variable enters only
-    through ``geometric_expand``, with exponents in [-b-1, -1].
+    The levels are taken from the top.  Each level step is one
+    ``_level_product`` on the window [-a_i-1, -1] of u_i: level i's shifted
+    factors, its auxiliary series and, last, the running product of the
+    levels above, sliced by u_i.  Every returned coefficient is exact, and
+    the pruned product already is the window, so no projection follows it:
+    the step keeps the exponent of u_i in [-a_i-1, -1], and the lower
+    levels, whose twists involve only u_1..u_{i-1}, never shift u_i again.
+    An auxiliary variable enters only through its geometric series
+    (``series._geometric``), with exponents in [-b-1, -1].
 
-    The running product holds u_i only through shifts, at exponents m..M.
-    A running slice at e meets only the level slices at -a_i-1-e..-1-e,
-    so the level product is formed on [-a_i-1-M, -1-m] alone, and each
-    factor's expansion stops at its source floor -a_i-1-M - U + own
+    The running product holds u_i only through shifts, at exponents m..M,
+    so the floor and ceiling rules keep the factors and auxiliary series to
+    [-a_i-1-M, -1-m] before it meets them, and each factor's expansion
+    stops at its source floor -a_i-1 - U + own, with M in U
     (``TruncationRequest`` shows that no cap would stop it sooner).
 
     ``req`` must be derived for ``spec``; one of another shape is refused
@@ -653,16 +642,10 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
         u_i = tower_variable(i)
         a_i = req.tower_orders[i - 1]
         # The only source of each auxiliary variable: exponents in [-b-1, -1].
-        orders = [(name, req.aux_order(name)) for name in lvl.aux]
-        aux_series = [
-            (_sliced(geometric_expand(aux_variable(n, i), u_i, b), u_i), b) for n, b in orders
-        ]
-        running = _sliced(result, u_i)
-        top, least = max(running[0]), min(running[0])
-        level = _level_product(
-            lvl.factors, tower_variable, memo, -a_i - 1 - top, -1 - least, aux_series
-        )
-        result = _unsliced(_product(running, level, -a_i - 1, -1), u_i)
+        extras = [_geometric(aux_variable(n, i), u_i, 0, req.aux_order(n)) for n in lvl.aux]
+        extras.append(_sliced(result, u_i))
+        level = _level_product(lvl.factors, tower_variable, memo, -a_i - 1, -1, extras)
+        result = _unsliced(level, u_i)
     return result
 
 
@@ -681,30 +664,30 @@ def _push_down(spec: TowerSpec, req: TruncationRequest, point: bool = False) -> 
     v^(-b-1) (``pushforward_monomial``).
 
     Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
-    Segre series (``_level_series``); it holds only lower c's and base
-    variables, so the exponents a block sets never change.  The state and
-    the block are sliced by c_j and the level series by the pivot, so that
-    coefficient is the series' slice at -g-1, read with no key decoded.
-    A state slice at s and a block slice at g meet the series only at
-    -(s+g)-1.  So the block is pushed on its own: its slices are paired
-    with the series' through the windowed product (``series._product``)
-    only where g plus the series' exponent is -1 minus some state exponent,
-    and the state meets that pushed block once, at -1: the product's slice
-    at -1 is the next state.  No ``state * block`` is formed.
+    Segre series, a ``_level_product`` of its factors in the pivot; it
+    holds only lower c's and base variables, so the exponents a block sets
+    never change.  The state is sliced by c_j and the level series by the
+    pivot, so that coefficient is the series' slice at -g-1, read with no
+    key decoded, and a state slice at s and a block power g meet the series
+    only at -(s+g)-1.  So the step is one ``_level_product`` on [-1, -1]
+    with no factors, over the geometric series, the level series and the
+    state, in that order: its slice at -1 is the next state, and no
+    ``state * block`` is formed.  Its floor and ceiling rules pair the
+    block with the series only where g plus the series' exponent is -1
+    minus some state exponent.
 
-    The block is one ``_level_product`` in c_j over the geometric series,
-    which are its extras, each with its highest power as its top.  It is
-    formed only at the powers g that can meet the series, and no series
-    holds a power above the highest of those, so a finite level series
-    meets a few powers of c_j however large the order; an infinite one
-    still meets them all.  The series is expanded down to -1 minus the
-    largest s + g, the state's top slice plus the sum of the orders, which
-    the derived cap bounds (``TruncationOverrun``), and up to -1 minus the
-    least, the state's lowest slice plus the sum of the lowest powers, 0
-    for the window and the orders for a point.  Whenever the state, the
-    block and the series are all nonempty, the sum of their three bounds is
-    refused before any pair is formed, even when no pair meets the series.
-    The caller validates ``spec``.
+    Each geometric series stops at the highest power that can meet both a
+    series slice and a state slice, so a finite level series meets a few
+    powers of c_j however large the order; an infinite one still meets them
+    all.  The series is expanded down to -1 minus the state's top slice and
+    the orders, which the derived cap bounds (``TruncationOverrun``), and
+    up to -1 minus the state's lowest slice and the lowest powers: 0 for
+    the window, the orders for a point, whose geometric series so keep
+    their one power.  The step's tops never sum below -1 (a cut adds back
+    the lowest slices of the series and the state, and uncut series add the
+    orders to the tops of the series and the state), so its bound is
+    refused before any pair is formed, even when no pair lands at -1.  The
+    caller validates ``spec``.
     """
     state = LaurentPoly.one()
     memo: dict = {}
@@ -725,20 +708,19 @@ def _push_down(spec: TowerSpec, req: TruncationRequest, point: bool = False) -> 
                 f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
                 f"derived cap {req.shift_caps[j - 1]}"
             )
-        series = _level_series(lvl.factors, memo, -gamma_max - 1, -least - low - 1)
+        series = _level_product(
+            lvl.factors, taut_variable, memo, -gamma_max - 1, -least - low - 1
+        )
         if not series[0]:
             return LaurentPoly()
-        # A power g meets the series only where -(s+g)-1 is one of its
-        # slices, for s from least to top.
-        floor, ceiling = -max(series[0]) - 1 - top, -min(series[0]) - 1 - least
-        extras = []
-        for var, order in orders:
-            cut = min(order, ceiling)
-            extras.append((_geometric(var, c_j, order if point else 0, cut), cut))
-        block = _level_product((), taut_variable, memo, floor, ceiling, extras)
-        _checked(sliced[2] + block[2] + series[2])
-        pushed_block = _product(block, series, -top - 1, -least - 1)
-        pushed, den, bound = _product(sliced, pushed_block, -1, -1)
+        # No power of c_j above this meets both a series and a state slice.
+        ceiling = -min(series[0]) - 1 - least
+        extras = [
+            _geometric(var, c_j, order if point else 0, min(order, ceiling))
+            for var, order in orders
+        ]
+        extras += [series, sliced]
+        pushed, den, bound = _level_product((), taut_variable, memo, -1, -1, extras)
         state = LaurentPoly._wrap(pushed.get(-1, {}), den, bound)
     return state
 
@@ -750,9 +732,9 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     powers, sum_g c_j^g u_j^(-g-1) for g in 0..a_j, times the same for each
     auxiliary variable, and ``_push_down`` replaces every power of c_j by
     the matching descending coefficient of the level's own Segre series.
-    The block is one level product in c_j (``_level_product``), formed only
-    at the powers of c_j that series can meet, which drops only terms the
-    push would pair with no slice.  No closed-form resummation is used, so
+    Each step is one level product in c_j (``_level_product``) that forms
+    the block only at the powers of c_j that series can meet, which drops
+    only terms the push would pair with no slice.  No closed-form resummation is used, so
     this serves as an independent oracle for ``closed_formula_segre``.
 
     Multiplying level j's block in only when c_j is pushed gives the same
@@ -852,7 +834,7 @@ def _dual_push(factors: Sequence[TowerFactor], power: Sequence[int]) -> LaurentP
 
     1/F is the product of the swapped factors, each its denominator over
     its numerator of one term, so a Laurent polynomial whose expansion
-    (``_level_series``) is finite.  Its coefficient of u^(n-m) is
+    (``_level_product``) is finite.  Its coefficient of u^(n-m) is
     (-1)^m * b_m / c, and the entries read are those with odd m negated.
     Each of the lambda_1 rows holds 1/c where the dual matrix holds 1, so
     the value is the sign times c^(k+lambda_1) (``series._leading_power``,
@@ -895,7 +877,9 @@ def _dual_push(factors: Sequence[TowerFactor], power: Sequence[int]) -> LaurentP
             )
             for factor in factors
         ]
-        parts, den, bound = _level_series(swapped, {}, n - first - size + 1, n)
+        parts, den, bound = _level_product(
+            swapped, taut_variable, {}, n - first - size + 1, n
+        )
         if n - min(parts) < first:
             return LaurentPoly()
         _checked(size * bound)

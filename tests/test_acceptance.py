@@ -16,7 +16,6 @@ from segre_towers import (
     closed_formula_segre,
     flag_integral,
     flag_tower,
-    geometric_expand,
     localization_integral,
     random_tower_spec,
     stepwise_pushforward,
@@ -25,7 +24,7 @@ from segre_towers import (
 )
 from segre_towers.cli import flag_exponent_tuples
 from segre_towers.flag import vandermonde_product
-from segre_towers.series import rename_variables, shift_expand
+from segre_towers.series import geometric_expand, rename_variables, shift_expand
 from segre_towers.tower import PIVOT
 
 from _helpers import (

@@ -518,6 +518,35 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, o
     assert captured.err.startswith(f"error: {option}: ")
 
 
+@pytest.mark.parametrize("value", ["\uff13", "1_0", "+3"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["flag-integral", "--exps", "3,2,1", "--k"], "--k"),
+        (["flag-integral", "--k", "2", "--exps", "2,1", "--seed"], "--seed"),
+        (["flag-integral", "--k", "2", "--exps", "2,1", "-v", "--trials"], "--trials"),
+        (["verify", "--towers", "0", "--max-k"], "--max-k"),
+        (["verify", "--max-k", "1", "--towers", "0", "--seed"], "--seed"),
+        (["verify", "--max-k", "1", "--towers", "0", "--trials"], "--trials"),
+        (["verify", "--max-k", "1", "--towers"], "--towers"),
+    ],
+)
+def test_scalar_options_take_ascii_digits_only(capsys, argv, option, value):
+    # ``int()`` reads a full-width digit, ``_`` and a ``+``; each is refused
+    # as argparse refuses ``--k abc``, while the arguments are parsed.
+    with pytest.raises(SystemExit) as info:
+        main([*argv, value])
+    assert info.value.code == 2
+    assert f"error: argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+def test_seed_takes_a_leading_minus(capsys):
+    # The one scalar option whose negative values run; the others reach
+    # their range checks (``test_cli_parse_errors_name_the_option``).
+    assert main(["verify", "--max-k", "1", "--towers", "0", "--seed", "-5"]) == 0
+    assert capsys.readouterr().out.startswith("# segre-towers verify  seed: -5 ")
+
+
 def test_flag_integral_near_the_slot_limit(capsys):
     # At k = 1 and 2 the dual determinant has about 2**31 rows, but its
     # first row reads coefficients of 1/F = u^(k+1) only from u^k down,

@@ -19,12 +19,12 @@ from segre_towers import (
     RationalFunction1V,
     VariableId,
     flag_tower,
-    geometric_expand,
 )
 from segre_towers import series
 from segre_towers.series import (
     coefficient_of,
     descending_expand,
+    geometric_expand,
     negative_part,
     rename_variables,
     shift_expand,

@@ -27,7 +27,6 @@ from segre_towers import (
     closed_formula_segre,
     flag_integral,
     flag_tower,
-    geometric_expand,
     localization_integral,
     pushforward_monomial,
     random_tower_spec,
@@ -42,13 +41,14 @@ from segre_towers.series import (
     ExponentOverflowError,
     coefficient_of,
     descending_expand,
+    geometric_expand,
     rename_variables,
     shift_expand,
     _geometric,
     _sliced,
     _unsliced,
 )
-from segre_towers.tower import PIVOT, individual_segre, _level_product, _level_series
+from segre_towers.tower import PIVOT, individual_segre, _level_product
 
 from _helpers import (
     C,
@@ -431,8 +431,7 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     )
     orders = [rng.randint(0, 2) for _ in range(2 if aux else 0)]
     extras = [
-        (geometric_expand(aux_variable(f"w{n}", level), pivot, b), b)
-        for n, b in enumerate(orders)
+        geometric_expand(aux_variable(f"w{n}", level), pivot, b) for n, b in enumerate(orders)
     ]
     factors = spec.levels[level - 1].factors
     ups = [factor.series.leading_exponent for factor in factors]
@@ -448,7 +447,7 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
                 LaurentPoly(),
             )
             full = full * shift_expand_reference(q, pivot, shift, max(own - depth, 0))
-        for extra, _ in extras:
+        for extra in extras:
             full = full * extra
         return full
 
@@ -459,14 +458,12 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     ceiling = top + sum(ups) + sum(orders) if span is None else floor + span
     slack = floor - top - sum(ups) - sum(orders)
     full = unwindowed([slack + up - rng.randint(0, 2) for up in ups])
-    # As ``closed_formula_segre`` does: the level product on the window
-    # shifted by the running product's pivot exponents, then one meeting.
-    running = _sliced(result, pivot)
-    level_product = _level_product(
-        factors, lower, {}, floor - top, ceiling - min(running[0], default=0),
-        [(_sliced(extra, pivot), b) for extra, b in extras],
+    # As ``closed_formula_segre`` does: one level product on the window,
+    # with the running product as its last extra.
+    sliced = _level_product(
+        factors, lower, {}, floor, ceiling,
+        [*(_sliced(extra, pivot) for extra in extras), _sliced(result, pivot)],
     )
-    sliced = series._product(running, level_product, floor, ceiling)
     assert all(sliced[0].values())
     got = _unsliced(sliced, pivot)
     assert got == full.filter_terms(pivot, floor, ceiling)
@@ -480,7 +477,7 @@ def test_level_product_below_its_tops_expands_nothing(monkeypatch):
     factors = spec.levels[2].factors
     assert [f.series.leading_exponent for f in factors] == [-4, 1, 1]
     memo = {}
-    extra = [(_geometric(aux_variable("w", 3), PIVOT, 0, 2), 2)]
+    extra = [_geometric(aux_variable("w", 3), PIVOT, 0, 2)]
     assert _level_product(factors, C, memo, -2, 0)[0]
     assert _level_product(factors, C, memo, 0, 0, extra)[0]
     expanded = []
@@ -505,7 +502,7 @@ def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
     for level, pivot, lower, result in cases:
         with pytest.raises(ExponentOverflowError):
             _level_product(
-                spec.levels[level - 1].factors, lower, {}, -8, -1, [(_sliced(result, pivot), 0)]
+                spec.levels[level - 1].factors, lower, {}, -8, -1, [_sliced(result, pivot)]
             )
     assert formed == []
 
@@ -526,10 +523,10 @@ def test_level_series_with_a_ceiling_is_the_filtered_level_series():
             factors = spec.levels[level - 1].factors
             top = sum(max(f.series.leading_exponent or 0, 0) for f in factors)
             for floor in (-1, -4):
-                full = _unsliced(_level_series(factors, {}, floor, top), PIVOT)
-                assert full == _unsliced(_level_series(factors, {}, floor, top + 3), PIVOT)
+                full = _unsliced(_level_product(factors, C, {}, floor, top), PIVOT)
+                assert full == _unsliced(_level_product(factors, C, {}, floor, top + 3), PIVOT)
                 for ceiling in range(floor - 1, 2):
-                    got = _unsliced(_level_series(factors, memo, floor, ceiling), PIVOT)
+                    got = _unsliced(_level_product(factors, C, memo, floor, ceiling), PIVOT)
                     assert got == full.filter_terms(PIVOT, high=ceiling)
                     cut += len(got) < len(full)
     assert cut > 200
