@@ -56,7 +56,6 @@ from .tower import (
     TowerFactor,
     TowerLevel,
     TowerSpec,
-    TruncationOverrun,
     TruncationRequest,
     closed_formula_segre,
     random_tower_spec,
@@ -726,7 +725,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SpecFileError, InvalidTowerError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (flag_mod.LocalizationDisagreement, TruncationOverrun) as exc:
+    except flag_mod.LocalizationDisagreement as exc:
         print(f"internal-consistency failure: {exc}", file=sys.stderr)
         return 1
 

@@ -31,14 +31,15 @@ denominator, from the factor expansions to the result.  Its floor and
 ceiling are proved for single terms, and a product slice is a sum of
 products of single slices whose exponents add up to its own, so the same
 bounds drop whole slice pairs.  Each factor's expansion and shift stop at
-the source floor alone: the truncation caps of ``TruncationRequest`` bound
-only the degrees the stepwise push meets, and its docstring proves that no
-cap could stop an expansion earlier.  One walk over the levels (a call of
-``closed_formula_segre``, ``_push_down``, ``_dual_push`` or
-``individual_segre``) expands each pair of a series object and its twists
-from the series' two sides once per floor it lowers to, and hands the
-stored expansion back as it is to the levels above, whose windows drop its
-lower slices (``_expansion``); nothing is kept between walks.
+the source floor alone.  No route reads the truncation caps of
+``TruncationRequest``: they are a proven bound on the degrees the stepwise
+push meets, and its docstring proves that no cap could stop an expansion
+earlier.  One walk over the levels (a call of ``closed_formula_segre``,
+``_push_down``, ``_dual_push`` or ``individual_segre``) expands each pair
+of a series object and its twists from the series' two sides once per
+floor it lowers to, and hands the stored expansion back as it is to the
+levels above, whose windows drop its lower slices (``_expansion``);
+nothing is kept between walks.
 
 Every level step of either route is one such product whose last
 multiplier is the running state, so ``_level_product`` is the one caller
@@ -51,12 +52,13 @@ reserved ``PIVOT``.  So its step multiplies one geometric series in c_j
 per level variable, each kept to a range of powers, then that series, then
 the state, on [-1, -1]; the slice at -1 is the pushed state.
 
-``pushforward_monomial`` needs one coefficient of that window, not all of
-it, so it runs the same top-down push with each range cut to the one power
-that reaches its monomial: a point is a window of one (its docstring
-proves this exact).  The shift expansions stop at the last nonzero
-binomial, which for the flag tower's linear factors is the first power
-(see ``shift_expand``).
+The push (``_push_down``) takes one range of powers per tower and
+auxiliary variable and nothing else.  A window's ranges start at 0.
+``pushforward_monomial`` needs one coefficient of the window, not all of
+it, so it passes ranges of one, the power that reaches its monomial: a
+point is a range of one (its docstring proves this exact).  The shift
+expansions stop at the last nonzero binomial, which for the flag tower's
+linear factors is the first power (see ``shift_expand``).
 
 A flag-type tower whose levels share one F, level i being F(u) *
 prod_(m<i) (u - c_m) with each of F's untwisted numerators one term (flag
@@ -314,14 +316,6 @@ def tower_violations(spec: TowerSpec) -> list[Violation]:
     return out
 
 
-class TruncationOverrun(RuntimeError):
-    """A computation met a degree above its derived truncation cap.
-
-    The derived caps are proven bounds, so this signals an internal
-    inconsistency, never bad input.
-    """
-
-
 def validate_tower(spec: TowerSpec) -> None:
     """Raise ``InvalidTowerError`` listing every invariant breach, if any."""
     violations = tower_violations(spec)
@@ -367,18 +361,18 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
     aux_i the sum of its auxiliary orders, and
     reach_j = sum over i >= j of (lead_i + a_i + 1 + aux_i).  Level j's cap
     is ``shift_caps[j-1] = reach_j``, and ``degree_cap`` is the largest cap,
-    reach_1.  The caps bound only the degrees of c_j that the stepwise push
-    meets, which it checks (``TruncationOverrun``): pushing level i down
+    reach_1.  The caps are a proven bound on the degrees of c_j that the
+    stepwise push meets, and no route reads them: pushing level i down
     replaces c_i^g by a coefficient of total c-degree at most g + lead_i + 1,
     and level i's blocks add at most a_i + aux_i.  So the degree of c_j met
     at level j is at most a_j + aux_j + reach_{j+1} = reach_j - lead_j - 1,
     below level j's cap.
 
-    No expansion reads the caps.  ``_level_product`` stops each factor's
-    expansion and shift at its source floor, floor - U + own, own the
-    factor's leading exponent and U the sum of every multiplier's top (its
-    docstring has the proof), and a cap would stop them at own - cap, never
-    higher.  Each own is at most its factor's positive leading degree.
+    No expansion reads the caps either.  ``_level_product`` stops each
+    factor's expansion and shift at its source floor, floor - U + own, own
+    the factor's leading exponent and U the sum of every multiplier's top
+    (its docstring has the proof), and a cap would stop them at own - cap,
+    never higher.  Each own is at most its factor's positive leading degree.
     Take level i of the closed route, whose step has the floor -a_i-1 and
     U <= lead_i + aux_i + M, M the running product's top exponent of u_i,
     its last multiplier:
@@ -436,9 +430,9 @@ def _check_request(spec: TowerSpec, req: TruncationRequest) -> None:
     """Refuse a ``req`` whose shape is not that of ``spec``: one tower order
     per level and one auxiliary order per auxiliary name of ``spec``.
 
-    Only the shape is checked.  A request of the same shape derived for
-    another tower carries that tower's caps; re-deriving it on every call
-    would repeat the CLI's derivation.
+    Only the shape is checked: the routes read the orders and no cap, so a
+    request of the same shape derived for another tower gives this tower's
+    window at its orders.
     """
     names = sorted(v.name for v in spec.aux_variables())
     got = [name for name, _ in req.aux_orders]
@@ -654,14 +648,14 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
 closed_formula_product = closed_formula_segre
 
 
-def _push_down(spec: TowerSpec, req: TruncationRequest, point: bool = False) -> LaurentPoly:
+def _push_down(spec: TowerSpec, ranges: Mapping[VariableId, tuple[int, int]]) -> LaurentPoly:
     """Multiply in level j's block and push c_j down, for each level j from
-    the top.  The block is the product of sum_g c_j^g x^(-g-1) over u_j, at
-    the order a_j of ``req``, and each auxiliary variable v of level j, at
-    its order b, with g in 0..order: the window of ``stepwise_pushforward``.
-    With ``point``, each geometric series keeps only g = order, so the
-    block is the one term c_j^(a_j + sum of the b) u_j^(-a_j-1) prod
-    v^(-b-1) (``pushforward_monomial``).
+    the top.  ``ranges`` maps each tower and auxiliary variable x of
+    ``spec`` to a range (low, high) of powers, and level j's block is the
+    product of sum_g c_j^g x^(-g-1), g in low..high, over u_j and the
+    auxiliary variables of level j.  A window's ranges start at 0
+    (``stepwise_pushforward``); a point's are ranges of one, so its block
+    is one term (``pushforward_monomial``).
 
     Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
     Segre series, a ``_level_product`` of its factors in the pivot; it
@@ -678,16 +672,16 @@ def _push_down(spec: TowerSpec, req: TruncationRequest, point: bool = False) -> 
 
     Each geometric series stops at the highest power that can meet both a
     series slice and a state slice, so a finite level series meets a few
-    powers of c_j however large the order; an infinite one still meets them
+    powers of c_j however large the range; an infinite one still meets them
     all.  The series is expanded down to -1 minus the state's top slice and
-    the orders, which the derived cap bounds (``TruncationOverrun``), and
-    up to -1 minus the state's lowest slice and the lowest powers: 0 for
-    the window, the orders for a point, whose geometric series so keep
-    their one power.  The step's tops never sum below -1 (a cut adds back
-    the lowest slices of the series and the state, and uncut series add the
-    orders to the tops of the series and the state), so its bound is
-    refused before any pair is formed, even when no pair lands at -1.  The
-    caller validates ``spec``.
+    the highs, a floor read from the state and the ranges and from no cap,
+    and up to -1 minus the state's lowest slice and the lows, so no
+    geometric series is cut below its low and a range of one keeps its
+    power.  The step's tops never sum
+    below -1 (a cut adds back the lowest slices of the series and the
+    state, and uncut series add the highs to the tops of the series and the
+    state), so its bound is refused before any pair is formed, even when no
+    pair lands at -1.  The caller validates ``spec``.
     """
     state = LaurentPoly.one()
     memo: dict = {}
@@ -697,28 +691,18 @@ def _push_down(spec: TowerSpec, req: TruncationRequest, point: bool = False) -> 
         c_j = taut_variable(j)
         lvl = spec.levels[j - 1]
         sliced = _sliced(state, c_j)
-        orders = [(tower_variable(j), req.tower_orders[j - 1])]
-        orders += [(aux_variable(name, j), req.aux_order(name)) for name in lvl.aux]
-        high = sum(order for _, order in orders)
-        low = high if point else 0
+        own = {x: ranges[x] for x in (tower_variable(j), *(aux_variable(n, j) for n in lvl.aux))}
+        low = sum(lo for lo, _ in own.values())
+        high = sum(hi for _, hi in own.values())
         top, least = max(sliced[0]), min(sliced[0])
-        gamma_max = top + high
-        if gamma_max > req.shift_caps[j - 1]:
-            raise TruncationOverrun(
-                f"intermediate degree {gamma_max} in {c_j.name} exceeds the "
-                f"derived cap {req.shift_caps[j - 1]}"
-            )
         series = _level_product(
-            lvl.factors, taut_variable, memo, -gamma_max - 1, -least - low - 1
+            lvl.factors, taut_variable, memo, -(top + high) - 1, -least - low - 1
         )
         if not series[0]:
             return LaurentPoly()
         # No power of c_j above this meets both a series and a state slice.
         ceiling = -min(series[0]) - 1 - least
-        extras = [
-            _geometric(var, c_j, order if point else 0, min(order, ceiling))
-            for var, order in orders
-        ]
+        extras = [_geometric(x, c_j, lo, min(hi, ceiling)) for x, (lo, hi) in own.items()]
         extras += [series, sliced]
         pushed, den, bound = _level_product((), taut_variable, memo, -1, -1, extras)
         state = LaurentPoly._wrap(pushed.get(-1, {}), den, bound)
@@ -740,21 +724,23 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     Multiplying level j's block in only when c_j is pushed gives the same
     terms as starting from the product of all blocks: the push at level i
     changes only c_i and is linear over everything free of c_i, and the
-    blocks of levels below i hold no c_i.  So the slices by c_i and their
-    ``gamma_max`` come out the same.
+    blocks of levels below i hold no c_i.  So the slices by c_i come out
+    the same.
 
     The result is the window with no projection applied: the blocks set
     every u_i exponent to [-a_i-1, -1] and every auxiliary exponent to
     [-b-1, -1], and the level series multiplied in afterwards involve only
     the pivot and the tautological variables c_j.
 
-    ``req`` must be derived for ``spec``; one of another shape is refused
-    (``_check_request``), and one of the same shape is read as it is, its
-    caps checked in place of the tower's own.
+    The push reads ``req``'s orders as the ranges 0..a_i and 0..b, and no
+    cap.  A ``req`` of another shape than ``spec`` is refused
+    (``_check_request``).
     """
     validate_tower(spec)
     _check_request(spec, req)
-    return _push_down(spec, req)
+    aux_vars = spec.aux_variables()
+    orders = (*req.tower_orders, *(req.aux_order(x.name) for x in aux_vars))
+    return _push_down(spec, {x: (0, a) for x, a in zip(spec.tower_variables() + aux_vars, orders)})
 
 
 def pushforward_monomial(
@@ -770,18 +756,18 @@ def pushforward_monomial(
     prod u_j^(-a_j-1) prod v^(-b-1) in ``stepwise_pushforward``'s window at
     the orders a_j and b.  Only the power g = a_j of sum_g c_j^g u_j^(-g-1)
     reaches u_j^(-a_j-1), and only g = b of the series in v reaches
-    v^(-b-1), and no later level moves a u_j or v exponent.  So the point
-    is the window of one: the window's push with each series kept to that
-    power (``_push_down`` with ``point``), under the window's caps.  Every
-    term of that push is the target monomial times a term of the value, so
-    the value is the push with the target's key taken from each key.
+    v^(-b-1), and no later level moves a u_j or v exponent.  So a point is
+    a range of one: the window's push on the ranges (a_j, a_j) and (b, b)
+    (``_push_down``).  Every term of that push is the target monomial times
+    a term of the value, so the value is the push with the target's key
+    taken from each key.
 
     A flag-type tower whose levels share one F with one-term numerators
     (``_flag_type_levels``) takes its value as the dual Jacobi-Trudi
-    determinant (``_dual_push``), which needs no caps; every other tower
-    takes the push.  A level's auxiliary exponents only add to its power of
-    c_i there, since each extra copy of c_i is pushed as c_i is.  The tower
-    is validated first, before any of it is read.
+    determinant (``_dual_push``); every other tower takes the push.  A
+    level's auxiliary exponents only add to its power of c_i there, since
+    each extra copy of c_i is pushed as c_i is.  The tower is validated
+    first, before any of it is read.
     """
     validate_tower(spec)
     exps = _check_exponents("tower_exponents", tower_exponents, spec.k)
@@ -790,10 +776,10 @@ def pushforward_monomial(
     if factors is not None:
         power = [a + sum(aux[name] for name in lvl.aux) for a, lvl in zip(exps, spec.levels)]
         return _dual_push(factors, power)
-    req = TruncationRequest.derive(spec, exps, aux)
     over = spec.tower_variables() + spec.aux_variables()
-    target = _pack(Monomial(zip(over, [-e - 1 for e in (*exps, *aux.values())])))[0]
-    pushed = _push_down(spec, req, point=True)
+    powers = (*exps, *aux.values())
+    target = _pack(Monomial(zip(over, [-e - 1 for e in powers])))[0]
+    pushed = _push_down(spec, {x: (e, e) for x, e in zip(over, powers)})
     return LaurentPoly._wrap(
         {key - target: num for key, num in pushed._terms.items()}, pushed._den, pushed._bound
     )

@@ -126,6 +126,23 @@ def simple_tower(*level_descriptions, base_generators=()):
     return TowerSpec(tuple(levels), tuple(base_generators))
 
 
+def cap_reach(spec, tower_orders, aux_orders=None):
+    """(reach, lead), each a list by level, from ``TruncationRequest``'s
+    docstring: lead_i sums level i's positive factor leading degrees, aux_i
+    its auxiliary orders, and reach_j = sum over i >= j of
+    (lead_i + a_i + 1 + aux_i)."""
+    aux_orders = aux_orders or {}
+    lead = [
+        sum(max(factor.series.leading_exponent or 0, 0) for factor in level.factors)
+        for level in spec.levels
+    ]
+    steps = [
+        lead_i + a + 1 + sum(aux_orders.get(name, 0) for name in level.aux)
+        for lead_i, a, level in zip(lead, tower_orders, spec.levels)
+    ]
+    return [sum(steps[j:]) for j in range(spec.k)], lead
+
+
 def check_window_growth(rng, spec, orders, aux=None):
     """Check, by both routes, that a grown window holds the window at ``orders``.
 

@@ -440,24 +440,24 @@ def test_cmd_tower_segre_aux_orders(tmp_path, capsys):
     assert set(lines[1:]) == {"-1\t-2\t1", "-2\t-1\t1"}
 
 
-def test_cmd_tower_segre_cap_overrun_is_reported(tmp_path, capsys, monkeypatch):
-    # A cap below the stepwise oracle's intermediate degrees is an internal
-    # inconsistency: one reported line and exit 1, not a traceback.
-    from segre_towers import TruncationRequest
+def test_cmd_localization_disagreement_is_reported(capsys, monkeypatch):
+    # Trials that disagree mean a fault, not bad input: one reported line
+    # and exit 1, not a traceback.  The fault is injected into the second
+    # trial's numerator determinant.
+    from segre_towers import flag as flag_mod
 
-    real = TruncationRequest.derive
+    real, calls = flag_mod._determinant, []
 
-    def capped(*args, **kwargs):
-        req = real(*args, **kwargs)
-        return req._replace(shift_caps=(0,) * len(req.shift_caps))
+    def skewed(path):
+        calls.append(path)
+        return real(path) + (len(calls) == 2)
 
-    monkeypatch.setattr(TruncationRequest, "derive", staticmethod(capped))
-    path = write_spec(tmp_path, flag_tower(2))
-    assert main(["tower-segre", path, "--orders", "1,1", "--method", "stepwise"]) == 1
+    monkeypatch.setattr(flag_mod, "_determinant", skewed)
+    argv = ["flag-integral", "--k", "2", "--exps", "2,1", "--verbose", "--trials", "3"]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal-consistency failure: ")
-    assert "exceeds the derived cap 0" in captured.err
     assert len(captured.err.splitlines()) == 1
 
 

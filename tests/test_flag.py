@@ -776,8 +776,9 @@ def _generic_push(spec, exps, aux=None):
     aux = aux or {}
     over = spec.tower_variables() + spec.aux_variables()
     bs = [aux.get(v.name, 0) for v in spec.aux_variables()]
-    target = Monomial(zip(over, [-e - 1 for e in (*exps, *bs)]))
-    pushed = tower_mod._push_down(spec, TruncationRequest.derive(spec, exps, aux), point=True)
+    powers = (*exps, *bs)
+    target = Monomial(zip(over, [-e - 1 for e in powers]))
+    pushed = tower_mod._push_down(spec, {x: (e, e) for x, e in zip(over, powers)})
     return coefficient_of(pushed, target, over)
 
 

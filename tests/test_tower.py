@@ -21,7 +21,6 @@ from segre_towers import (
     TowerFactor,
     TowerLevel,
     TowerSpec,
-    TruncationOverrun,
     TruncationRequest,
     aux_variable,
     closed_formula_segre,
@@ -54,6 +53,7 @@ from _helpers import (
     C,
     G,
     U,
+    cap_reach,
     check_window_growth,
     descending_reference,
     flag_bundle,
@@ -266,8 +266,9 @@ def test_each_computation_validates_its_tower_once(tmp_path, monkeypatch, capsys
         case()
         assert len(calls) == 1
     calls.clear()
-    tower._push_down(generic, req)
-    tower._push_down(generic, req, point=True)
+    over = generic.tower_variables() + generic.aux_variables()
+    tower._push_down(generic, {x: (0, 1) for x in over})
+    tower._push_down(generic, {x: (1, 1) for x in over})
     tower._dual_push(tower._flag_type_levels(flags), power)
     assert calls == []
     path = tmp_path / "tower.json"
@@ -378,15 +379,22 @@ def test_floors_and_levels_must_be_ints():
     )
 
 
-def _pool_tower(index):
-    """Tower ``index`` of the benchmark's pool (``benchmarks/inputs.py``)."""
+def _pool_item(index):
+    """Tower ``index`` of the benchmark's pool (``benchmarks/inputs.py``),
+    with its tower orders and auxiliary orders."""
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
     if "pool_inputs" not in sys.modules:
         module_spec = importlib.util.spec_from_file_location("pool_inputs", path)
         module = importlib.util.module_from_spec(module_spec)
         sys.modules["pool_inputs"] = module
         module_spec.loader.exec_module(module)
-    return tower_spec_from_doc(sys.modules["pool_inputs"].tower_item(index)[0])
+    doc, orders, aux = sys.modules["pool_inputs"].tower_item(index)
+    return tower_spec_from_doc(doc), orders, aux
+
+
+def _pool_tower(index):
+    """Tower ``index`` of the benchmark's pool (``benchmarks/inputs.py``)."""
+    return _pool_item(index)[0]
 
 
 def _with_pivot(value, pivot):
@@ -854,8 +862,7 @@ def test_degenerate_tower_is_constant_one():
 
 def test_window_exactness_under_enlargement():
     # Orders up to 2 against the same orders plus 4, by the closed route;
-    # the stepwise route on the small window also runs its TruncationOverrun
-    # check on every gamma_max it meets.
+    # the stepwise route on the small window must equal the closed one.
     rng = random.Random(5)
     for _ in range(8):
         spec = random_tower_spec(rng)
@@ -1129,27 +1136,51 @@ def test_pushforward_monomial_rejects_negative_exponents():
         pushforward_monomial(flag_tower(2), (-1, 0))
 
 
-def test_push_refuses_a_degree_above_its_cap(monkeypatch):
-    # flag_tower(2) at orders (2, 2) meets c2^2 at level 2 by the stepwise
-    # push; with level 2's cap lowered to 1 the TruncationOverrun check
-    # fires.  A flag-type tower's point value is a determinant that reads no
-    # caps, so the public route's check is taken on a tower the predicate
-    # rejects: the first variant of flag_tower(3) at (2, 2, 2) meets c2^3.
-    derive = TruncationRequest.derive
+def test_a_request_derived_for_another_tower_of_the_same_shape_gives_this_window():
+    # The routes read a request's orders and no cap.  Here the request is
+    # derived with 1 in place of level 2's u^3, so its caps (2, 1) lie below
+    # this tower's (5, 4), and the push meets c1^3 at level 1.
+    spec = simple_tower([((), 1, {4: 1})], [((0,), 1, {1: 1}), ((1,), {3: 1}, 1)])
+    other = simple_tower([((), 1, {4: 1})], [((0,), 1, {1: 1}), ((1,), 1, 1)])
+    req = TruncationRequest.derive(other, (0, 0))
+    assert req.shift_caps == (2, 1) and TruncationRequest.derive(spec, (0, 0)).shift_caps == (5, 4)
+    window = poly({((U(1), -1), (U(2), -1)): 1})
+    assert closed_formula_segre(spec, req) == window
+    assert stepwise_pushforward(spec, req) == window
 
-    def lowered(req, cap):
-        return req._replace(shift_caps=(req.shift_caps[0], cap, *req.shift_caps[2:]))
 
-    spec = flag_tower(2)
-    with pytest.raises(TruncationOverrun, match="degree 2 in c2 exceeds the derived cap 1"):
-        stepwise_pushforward(spec, lowered(derive(spec, (2, 2)), 1))
-    variant = _flag3_variants()[0]
-    assert pushforward_monomial(variant, (2, 2, 2))
-    monkeypatch.setattr(
-        TruncationRequest, "derive", classmethod(lambda cls, *args: lowered(derive(*args), 2))
-    )
-    with pytest.raises(TruncationOverrun, match="degree 3 in c2 exceeds the derived cap 2"):
-        pushforward_monomial(variant, (2, 2, 2))
+def test_every_degree_the_push_meets_is_below_its_cap(monkeypatch):
+    # ``TruncationRequest``'s bound, which no route reads: the degree of c_j
+    # the push meets at level j, the state's top c_j exponent plus the
+    # level's highs, is at most reach_j - lead_j - 1.  The push asks for
+    # level j's own series down to minus that degree minus 1, in the one
+    # ``_level_product`` call of the level that has factors.
+    met = []
+
+    def spy(factors, lower, memo, floor, *rest, _real=tower._level_product):
+        if factors:
+            met.append((factors, -floor - 1))
+        return _real(factors, lower, memo, floor, *rest)
+
+    monkeypatch.setattr(tower, "_level_product", spy)
+    cases = [_pool_item(index) for index in range(400)]
+    cases += [(flag_tower(k), (k,) * k, {}) for k in range(1, 6)]
+    levels = tight = 0
+    for spec, orders, aux in cases:
+        reach, lead = cap_reach(spec, orders, aux)
+        req = TruncationRequest.derive(spec, orders, aux)
+        assert list(req.shift_caps) == reach
+        met.clear()
+        stepwise_pushforward(spec, req)
+        # From the top, one series per level until the state is zero.
+        assert len(met) <= spec.k
+        for j, (factors, degree) in zip(range(spec.k, 0, -1), met):
+            assert factors is spec.levels[j - 1].factors
+            assert degree <= reach[j - 1] - lead[j - 1] - 1, (spec, orders, aux, j)
+            tight += degree == reach[j - 1] - lead[j - 1] - 1
+        levels += len(met)
+    # The bound is tight: 405 of the 792 levels pushed meet it exactly.
+    assert levels > 700 and tight > 300, (levels, tight)
 
 
 def test_push_refuses_its_bound_before_pairing_any_slice(monkeypatch):
@@ -1194,8 +1225,7 @@ def test_generic_push_gives_the_exact_zero_near_the_slot_limit():
     # the push stops before it forms level 1's block, whose bound would
     # take the state's past the slot.
     spec, exps = flag_tower(2), (2147483646, 1)
-    req = TruncationRequest.derive(spec, exps)
-    assert tower._push_down(spec, req, point=True).is_zero()
+    assert tower._push_down(spec, {U(1): (exps[0],) * 2, U(2): (exps[1],) * 2}).is_zero()
     assert pushforward_monomial(spec, exps) == 0
 
 
@@ -1250,6 +1280,20 @@ def test_the_determinant_derives_no_caps(monkeypatch):
     assert pushforward_monomial(flag_bundle(2), (3, 2)).variables()
     with pytest.raises(ValueError, match="tower_exponents"):
         pushforward_monomial(flag_tower(3), (3, 2, -1))
+
+
+def test_the_generic_point_push_derives_no_request(monkeypatch):
+    # The push takes the checked exponents as ranges of one, so no
+    # ``TruncationRequest`` is derived for a point on any tower.
+    def refuse(cls, *args):
+        raise AssertionError("a TruncationRequest was derived")
+
+    monkeypatch.setattr(TruncationRequest, "derive", classmethod(refuse))
+    variant = _flag3_variants()[0]
+    assert tower._flag_type_levels(variant) is None
+    assert pushforward_monomial(variant, (2, 2, 2))
+    with pytest.raises(ValueError, match="tower_exponents"):
+        pushforward_monomial(variant, (2, 2, -1))
 
 
 def test_a_tower_the_predicate_rejects_takes_the_generic_push(monkeypatch):
