@@ -613,7 +613,7 @@ _SUBCOMMANDS = {
         "run the cross-validation sweeps",
         cmd_verify,
         (
-            (("--max-k",), {"type": _integer, "default": 3, "dest": "max_k"}),
+            (("--max-k",), {"type": _integer, "default": 3}),
             (("--seed",), {"type": _integer, "default": DEFAULT_SEED}),
             (("--trials",), {"type": _integer, "default": DEFAULT_TRIALS}),
             (("--towers",), {"type": _integer, "default": DEFAULT_TOWERS}),
@@ -666,7 +666,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             continue
         # argparse's rule: the first long flag, less its dashes, with "_" for "-".
         long_flag = next((f for f in flags if f.startswith("--")), flags[0])
-        dest = kwargs.get("dest", long_flag.lstrip("-").replace("-", "_"))
+        dest = long_flag.lstrip("-").replace("-", "_")
         flag_only = kwargs.get("action") == "store_true"
         values[dest] = kwargs.get("default", False if flag_only else None)
         if kwargs.get("required"):

@@ -700,17 +700,16 @@ def _product(a: _Sliced, b: _Sliced, low: int, high: int) -> _Sliced:
     A product slice at e is the sum of a[e1] * b[e2] over e1 + e2 = e, so a
     pair of slices whose exponents sum outside the window is never formed.
     The bound is the sum of the two bounds, refused before any key is
-    formed whenever both sides are nonempty, even if no pair lands in the
-    window.  Its one caller, ``tower._level_product``, forms each level
-    step of both routes as a chain of these products, whose sides may be
-    sliced by different variables: a stepwise step pairs its block, sliced
-    by c_j, with a level series, sliced by the pivot, then that product
-    with its state, sliced by c_j, and keeps the slice at -1.
+    formed, even if no pair lands in the window.  Its one caller,
+    ``tower._level_product``, forms each level step of both routes as a
+    chain of these products, whose sides may be sliced by different
+    variables: a stepwise step pairs its block, sliced by c_j, with a level
+    series, sliced by the pivot, then that product with its state, sliced
+    by c_j, and keeps the slice at -1.  It passes no empty multiplier, and
+    refuses the whole chain's bound first.
     """
     a_parts, a_den, a_bound = a
     b_parts, b_den, b_bound = b
-    if not a_parts or not b_parts:
-        return {}, 1, 0
     bound = _checked(a_bound + b_bound)
     out: dict[int, dict[int, int]] = {}
     for e1, p1 in a_parts.items():
@@ -818,20 +817,17 @@ def _shifted(
 ) -> _Sliced:
     """``q``, sliced by the pivot, with the pivot shifted by a linear form.
 
-    The form is the sum of t/den * x over ``twists``, (key of x, t) pairs
-    of distinct variables x that ``q`` does not hold.  Returns the expansion
-    of ``shift_expand`` to shift degree ``cap`` (None: no cap, so ``low``
-    must be given), sliced by the pivot: the term (a, b) of q's part at a
-    lands in the slice a - b.  ``shift_expand``'s docstring proves where it
+    The form is the sum of t/den * x over ``twists``, one or more (key of
+    x, t) pairs of distinct variables x that ``q`` does not hold; a caller
+    with a zero shift takes ``q`` as it is.  Returns the expansion of
+    ``shift_expand`` to shift degree ``cap`` (None: no cap, so ``low`` must
+    be given), sliced by the pivot: the term (a, b) of q's part at a lands
+    in the slice a - b.  ``shift_expand``'s docstring proves where it
     stops.  Every power of the form is built from the (key, t) pairs
     straight into keys, with its numerators over den**top, top the highest
     power formed.
     """
     parts, q_den, q_bound = q
-    if not twists:
-        if low is not None:
-            parts = {exp: part for exp, part in parts.items() if exp >= low}
-        return parts, q_den, q_bound
     limits = [] if cap is None else [cap]
     if min(parts, default=0) >= 0:
         limits.append(max(parts, default=0))
@@ -886,9 +882,10 @@ def shift_expand(
     the shift stop at the largest a minus ``low``.
 
     This function checks the shift's form, ``degree_cap``, a non-negative
-    int, and ``low``, None or an int (``_check_int``), and slices ``q`` by
-    the pivot; the expansion itself is ``_shifted``, which level products
-    call on their factors directly.
+    int, and ``low``, None or an int (``_check_int``).  A zero shift gives
+    ``q`` itself, filtered to ``low`` if one is given.  Any other shift
+    slices ``q`` by the pivot and expands it with ``_shifted``, which level
+    products call on their twisted factors directly.
     """
     _check_int("degree_cap", degree_cap, 0)
     if low is not None:
@@ -902,6 +899,8 @@ def shift_expand(
             raise ValueError(f"shift must be a linear form, found the term {_monomial(key)}")
     if any(any(_exponents(q._terms, _VARS[(key.bit_length() - 1) // _W])) for key in shift._terms):
         raise ValueError("q must not involve the shift variables")
+    if not shift._terms:
+        return q.filter_terms(pivot, low)
     twists = list(shift._terms.items())
     return _unsliced(_shifted(_sliced(q, pivot), twists, low, degree_cap, shift._den), pivot)
 
@@ -919,10 +918,8 @@ def geometric_expand(outer: VariableId, inner: VariableId, degree_cap: int) -> L
 
 def _geometric(outer: VariableId, inner: VariableId, low: int, high: int) -> _Sliced:
     """The terms inner^n * outer^(-n-1) of ``geometric_expand`` for n in
-    ``low..high``, ``low`` >= 0, sliced by ``inner``; empty when ``high`` <
-    ``low``.  Its bound, high + 1, is refused before any key is formed."""
-    if high < low:
-        return {}, 1, 0
+    ``low..high``, 0 <= ``low`` <= ``high``, sliced by ``inner``.  Its
+    bound, high + 1, is refused before any key is formed."""
     bound = _checked(high + 1)
     down = _unit(outer)
     return {n: {-(n + 1) * down: 1} for n in range(low, high + 1)}, 1, bound

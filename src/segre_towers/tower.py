@@ -535,7 +535,9 @@ def _level_product(
       ``floor``.  When U is below ``floor`` no slice reaches it, and the
       product is empty before any factor is expanded; so it is when a
       factor's numerator is zero, which has no leading exponent, or an
-      extra is empty.
+      extra is empty.  Only these entry checks decide that: past them a
+      factor's source floor is at most top_f, so its expansion, shifted or
+      not, keeps a slice at top_f, and an empty partial product stays empty.
     * Ceiling.  Every slice of a multiplier is at or above that multiplier's
       lowest pivot exponent, so a partial product's slice above ``ceiling``
       minus the lowest exponents still to come forms only slices above
@@ -565,23 +567,15 @@ def _level_product(
         for factor, own in zip(factors, tops)
     ]
     multipliers += extras
-    lows = []
-    bound = 0
-    for parts, _, part_bound in multipliers:
-        if not parts:
-            return {}, 1, 0
-        lows.append(min(parts))
-        bound += part_bound
+    lows = [min(parts) for parts, _, _ in multipliers]
     # The product's bound, refused before any product slice is formed.
-    _checked(bound)
+    _checked(sum(bound for _, _, bound in multipliers))
     product = {0: {0: 1}}, 1, 0
     future_top, future_low = sum(tops), sum(lows)
     for multiplier, top, least in zip(multipliers, tops, lows):
         future_top -= top
         future_low -= least
         product = _product(product, multiplier, floor - future_top, ceiling - future_low)
-        if not product[0]:
-            break
     return product
 
 
@@ -620,7 +614,8 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     so the floor and ceiling rules keep the factors and auxiliary series to
     [-a_i-1-M, -1-m] before it meets them, and each factor's expansion
     stops at its source floor -a_i-1 - U + own, with M in U
-    (``TruncationRequest`` shows that no cap would stop it sooner).
+    (``TruncationRequest`` shows that no cap would stop it sooner).  An
+    empty running product is an empty extra: the levels below expand nothing.
 
     ``req`` must be derived for ``spec``; one of another shape is refused
     (``_check_request``), and one of the same shape is read as it is.
@@ -630,8 +625,6 @@ def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     result = LaurentPoly.one()
     memo: dict = {}
     for i in range(spec.k, 0, -1):
-        if result.is_zero():
-            break
         lvl = spec.levels[i - 1]
         u_i = tower_variable(i)
         a_i = req.tower_orders[i - 1]

@@ -307,3 +307,16 @@ def alternant(ts, powers):
     powers = tuple(powers)
     weights = tuple(t.numerator * (scale // t.denominator) for t in points)
     return Fraction(_determinant(_eliminate((weights, ()), powers)), scale ** sum(powers))
+
+
+def window_points(window, over):
+    """The coefficients of ``window``, by the part of each monomial over the
+    variables ``over``: {that part: the polynomial in the other variables
+    multiplying it}, read from ``window.items()`` alone.  An absent part has
+    the coefficient 0."""
+    over = frozenset(over)
+    points = {}
+    for mono, coeff in window.items():
+        part = Monomial((v, e) for v, e in mono if v in over)
+        points[part] = points.get(part, LaurentPoly()) + LaurentPoly.monomial(mono.without(over), coeff)
+    return points

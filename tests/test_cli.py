@@ -1,6 +1,7 @@
 """Tests for the command-line front end and the spec-file round trip."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -36,7 +37,7 @@ from segre_towers.series import PIVOT, VariableId
 
 from fractions import Fraction
 
-from _helpers import arrangement_sign, simple_tower
+from _helpers import arrangement_sign, flag_bundle, simple_tower
 
 
 def write_spec(tmp_path, spec, name="tower.json"):
@@ -75,6 +76,16 @@ def test_spec_round_trip_random_corpus():
         spec = random_tower_spec(rng)
         doc = json.loads(json.dumps(tower_spec_to_doc(spec)))
         assert tower_spec_from_doc(doc) == spec
+
+
+def test_spec_with_base_variable_coefficients_is_refused_under_the_field():
+    # flag_bundle's denominators hold the Chern classes e_i, which a spec
+    # file's [exp, num, den] triples cannot carry.
+    with pytest.raises(cli_mod.SpecFileError) as info:
+        tower_spec_to_doc(flag_bundle(2))
+    assert str(info.value) == (
+        "levels[1].factors.q_den: only rational coefficients can be serialized"
+    )
 
 
 def test_spec_file_error_names_the_field(tmp_path, capsys):
@@ -438,6 +449,25 @@ def test_cmd_tower_segre_aux_orders(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "u1\tv\tvalue"
     assert set(lines[1:]) == {"-1\t-2\t1", "-2\t-1\t1"}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cmd_flag_integral_reports_a_cross_check_mismatch(capsys, monkeypatch, fmt):
+    # A localization value one off the other two: every value is printed,
+    # the mismatch goes to stderr and the exit status is 1.
+    real = cli_mod.flag_mod.localization_integral
+    monkeypatch.setattr(
+        cli_mod.flag_mod, "localization_integral", lambda *a, **kw: real(*a, **kw) + 1
+    )
+    argv = ["flag-integral", "--k", "2", "--exps", "2,1", "--verbose", "--format", fmt]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cross-check mismatch\n"
+    if fmt == "json":
+        doc = json.loads(captured.out)
+        assert (doc["value"], doc["vandermonde"], doc["localization"]) == ("1", "1", "2")
+    else:
+        assert captured.out.splitlines()[1:] == ["1", "vandermonde: 1", "localization: 2"]
 
 
 def test_cmd_localization_disagreement_is_reported(capsys, monkeypatch):
@@ -919,6 +949,42 @@ def test_cmd_verify_reports_differing_flag_windows(capsys, monkeypatch):
         f"FAIL flag k=2: closed and stepwise windows of the flag tower k=2 at orders "
         f"(2, 2) first differ at monomial {extra}: closed=1 stepwise=0"
     )
+
+
+def test_cmd_verify_reports_a_differing_random_tower_on_its_own(capsys, monkeypatch):
+    # The second random tower's stepwise window with its first term doubled:
+    # the FAIL case names that monomial with both values, and its spec and
+    # window orders alone rebuild the tower's closed window.
+    real, seen, skewed_case = cli_mod.stepwise_pushforward, [], []
+
+    def skewed(spec, req):
+        window = real(spec, req)
+        if spec.k and spec != flag_tower(spec.k):
+            seen.append(spec)
+            if len(seen) == 2:
+                (extra, value), *_ = window.terms()
+                skewed_case.append((spec, req, extra, value))
+                return window + LaurentPoly.monomial(extra, value)
+        return window
+
+    monkeypatch.setattr(cli_mod, "stepwise_pushforward", skewed)
+    argv = ["verify", "--max-k", "1", "--seed", "2", "--towers", "3", "--trials", "1"]
+    assert main([*argv, "--format", "json"]) == 1
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    (failed,) = [case for case in cases if not case["passed"]]
+    ((spec, req, extra, value),) = skewed_case
+    difference, spec_json = failed["detail"].split("; spec=")
+    assert difference == (
+        f"monomial {extra}: closed={format_rational(value)} stepwise={format_rational(2 * value)}"
+    )
+    name = re.fullmatch(r"tower 02/3 \(k=3, window=(\(.*?\))(\{.*\})?\)", failed["name"])
+    orders, aux = ast.literal_eval(name[1]), ast.literal_eval(name[2] or "{}")
+    rebuilt = tower_spec_from_doc(json.loads(spec_json))
+    closed = cli_mod.closed_formula_segre(spec, req)
+    assert len(closed) == 36
+    assert cli_mod.closed_formula_segre(
+        rebuilt, cli_mod.TruncationRequest.derive(rebuilt, orders, aux)
+    ) == closed
 
 
 @pytest.mark.parametrize(

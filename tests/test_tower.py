@@ -114,6 +114,15 @@ def test_duplicate_aux_name_rejected():
     assert any("not unique" in v.message for v in tower_violations(spec))
 
 
+def test_duplicate_base_generator_rejected():
+    # A generator declared twice, even with another degree, is one name.
+    spec = simple_tower([((), 1, {2: 1})], base_generators=(("g", 1), ("g", 2)))
+    (violation,) = tower_violations(spec)
+    assert violation == (None, "base_generators", "duplicate generator 'g'")
+    with pytest.raises(InvalidTowerError, match="duplicate generator 'g'"):
+        validate_tower(spec)
+
+
 @pytest.mark.parametrize(
     "k, reserved",
     [
