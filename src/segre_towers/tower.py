@@ -34,31 +34,34 @@ bounds drop whole slice pairs.  Each factor's expansion and shift stop at
 the source floor alone.  No route reads the truncation caps of
 ``TruncationRequest``: they are a proven bound on the degrees the stepwise
 push meets, and its docstring proves that no cap could stop an expansion
-earlier.  One walk over the levels (a call of ``closed_formula_segre``,
-``_push_down``, ``_dual_push`` or ``individual_segre``) expands each pair
-of a series object and its twists from the series' two sides once per
-floor it lowers to, and hands the stored expansion back as it is to the
-levels above, whose windows drop its lower slices (``_expansion``);
-nothing is kept between walks.
+earlier.  One walk over the levels (a call of ``_closed``, ``_push_down``,
+``_dual_push`` or ``individual_segre``) expands each pair of a series
+object and its twists from the series' two sides once per floor it lowers
+to, and hands the stored expansion back as it is to the levels above,
+whose windows drop its lower slices (``_expansion``); nothing is kept
+between walks.
 
-Every level step of either route is one such product whose last
-multiplier is the running state, so ``_level_product`` is the one caller
-of ``series._product``.  The closed route multiplies level i's factors,
-its auxiliary series and the running product, sliced by u_i, on the window
-[-a_i-1, -1] of u_i, and packs the slices back into u_i.  The stepwise
+Both walks take one input: a range (low, high) of powers per tower and
+auxiliary variable x, which keeps x to the exponents [-high-1, -low-1].
+A window's ranges start at 0 (``_window_ranges``), and a point's are
+ranges of one.  Every level step of either walk is one such product whose
+last multiplier is the running state, so ``_level_product`` is the one
+caller of ``series._product``.  The closed walk (``_closed``) multiplies
+level i's factors, its auxiliary series and the running product, sliced
+by u_i, on u_i's range, and packs the slices back into u_i.  The stepwise
 push slices its state by c_j: c_j^g stands for the coefficient of
 pivot^(-g-1) in the level's own Segre series, a level product in the
 reserved ``PIVOT``.  So its step multiplies one geometric series in c_j
 per level variable, each kept to a range of powers, then that series, then
 the state, on [-1, -1]; the slice at -1 is the pushed state.
 
-The push (``_push_down``) takes one range of powers per tower and
-auxiliary variable and nothing else.  A window's ranges start at 0.
 ``pushforward_monomial`` needs one coefficient of the window, not all of
-it, so it passes ranges of one, the power that reaches its monomial: a
-point is a range of one (its docstring proves this exact).  The shift
-expansions stop at the last nonzero binomial, which for the flag tower's
-linear factors is the first power (see ``shift_expand``).
+it, so it passes the push (``_push_down``) ranges of one, the power that
+reaches its monomial (its docstring proves this exact).  The closed walk
+at the same ranges gives the same value, and combines the levels without
+the push.  The shift expansions stop at the last nonzero binomial, which
+for the flag tower's linear factors is the first power (see
+``shift_expand``).
 
 A flag-type tower whose levels share one F, level i being F(u) *
 prod_(m<i) (u - c_m) with each of F's untwisted numerators one term (flag
@@ -89,7 +92,6 @@ record equals a plain tuple of the same fields.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
@@ -419,21 +421,17 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
             shift_caps=tuple(sum(steps[j:]) for j in range(k)),
         )
 
-    def aux_order(self, name: str) -> int:
-        for n, b in self.aux_orders:
-            if n == name:
-                return b
-        raise KeyError(name)
 
+def _window_ranges(spec: TowerSpec, req: TruncationRequest) -> dict[VariableId, tuple[int, int]]:
+    """The walks' input for the window ``req`` asks of ``spec``: the range
+    (0, a) for each tower and auxiliary variable of order a.
 
-def _check_request(spec: TowerSpec, req: TruncationRequest) -> None:
-    """Refuse a ``req`` whose shape is not that of ``spec``: one tower order
-    per level and one auxiliary order per auxiliary name of ``spec``.
-
-    Only the shape is checked: the routes read the orders and no cap, so a
-    request of the same shape derived for another tower gives this tower's
-    window at its orders.
+    ``spec`` is validated first, then a ``req`` is refused unless it has
+    one tower order per level and one auxiliary order per auxiliary name of
+    ``spec``.  Only the shape is checked: no walk reads a cap, so a request
+    of that shape derived for another tower gives this tower's window.
     """
+    validate_tower(spec)
     names = sorted(v.name for v in spec.aux_variables())
     got = [name for name, _ in req.aux_orders]
     if len(req.tower_orders) != spec.k or got != names:
@@ -441,6 +439,9 @@ def _check_request(spec: TowerSpec, req: TruncationRequest) -> None:
             f"req: derived for {len(req.tower_orders)} levels and auxiliary variables "
             f"{got}, but the tower has {spec.k} levels and auxiliary variables {names}"
         )
+    aux, aux_vars = dict(req.aux_orders), spec.aux_variables()
+    orders = (*req.tower_orders, *(aux[x.name] for x in aux_vars))
+    return {x: (0, a) for x, a in zip(spec.tower_variables() + aux_vars, orders)}
 
 
 def _expansion(
@@ -449,30 +450,27 @@ def _expansion(
     """``series`` expanded down to ``low`` and shifted by the linear form of
     the (unit key, twist) pairs ``twists``, sliced by the pivot.
 
-    ``memo`` is kept for one walk down a tower: one call of
-    ``closed_formula_segre``, ``_push_down``, ``_dual_push`` or
-    ``individual_segre``.  It maps (``id(series)``, ``twists``) to an
-    expansion and the floor it is exact down to, while the tower keeps every
-    series alive.  An entry whose floor is at or below
-    ``low`` is handed back as it is stored: a slice of ``_descending`` is
-    formed from the slices above it alone, and a slice of ``_shifted`` from
-    the slices at or above it, so no slice at or above a floor depends on
-    where the expansion stopped.  Its slices below ``low`` reach no result,
-    since no caller can use a slice below its own floor: ``_product``'s
-    window drops every pair such a slice could form (``_level_product``'s
-    floor proof), ``_shifted`` forms nothing from one, ``_push_down`` pairs
-    c_j^g only with the level series' slice at -g-1, at or above the floor
-    it asked for, and ``_dual_push`` reads no coefficient of 1/F below the
-    floor it asked for.  Such a slice lowers the least exponent ``_level_product`` reads for its
-    ceiling.  That loosens the ceiling of a partial product, never that of
-    the last one, and an extra partial slice it keeps could reach the
-    window only with a slice below some later floor, a pair the floor
-    drops.  A lower ``low`` recomputes the entry and replaces it, which
-    keeps an infinite expansion exact down to every floor asked of it.  An
-    expansion over a one-term denominator is the numerator's terms moved
-    by one monomial, so when none was cut at ``low`` it is the whole
-    series, exact at every floor: it is stored with the floor -inf and
-    never expanded again in the walk.  The entry with no twists is the
+    ``memo`` is kept for one walk down a tower: one call of ``_closed``,
+    ``_push_down``, ``_dual_push`` or ``individual_segre``.  It maps
+    (``id(series)``, ``twists``) to an expansion and the floor it was
+    formed for, while the tower keeps every series alive.  One rule holds
+    for every entry: it is handed back as it is stored only at or above
+    that floor, that is when its floor is at or below ``low``.  A slice of
+    ``_descending`` is formed from the slices above it alone, and a slice
+    of ``_shifted`` from the slices at or above it, so no slice at or above
+    a floor depends on where the expansion stopped.  Its slices below
+    ``low`` reach no result, since no caller can use a slice below its own
+    floor: ``_product``'s window drops every pair such a slice could form
+    (``_level_product``'s floor proof), ``_shifted`` forms nothing from
+    one, ``_push_down`` pairs c_j^g only with the level series' slice at
+    -g-1, at or above the floor it asked for, and ``_dual_push`` reads no
+    coefficient of 1/F below the floor it asked for.  Such a slice lowers
+    the least exponent ``_level_product`` reads for its ceiling.  That
+    loosens the ceiling of a partial product, never that of the last one,
+    and an extra partial slice it keeps could reach the window only with a
+    slice below some later floor, a pair the floor drops.  A lower ``low``
+    recomputes the entry and replaces it, which keeps every expansion exact
+    down to every floor asked of it.  The entry with no twists is the
     unshifted expansion, so factors that share a series share its long
     division.
 
@@ -488,9 +486,6 @@ def _expansion(
         expanded = _shifted(_expansion(memo, series, (), low), twists, low)
     else:
         expanded = _descending(series, low)
-        terms = sum(map(len, expanded[0].values()))
-        if len(series.denominator) == 1 and terms == len(series.numerator):
-            low = -math.inf
     memo[key] = expanded, low
     return expanded
 
@@ -506,8 +501,8 @@ def _level_product(
     reserved ``PIVOT`` for a level's own series (a call with no extras),
     c_j for a stepwise step, which has no factors.  Each extra comes sliced
     by the pivot's exponent, so this function never names it.  Every level
-    step of ``closed_formula_segre`` and ``_push_down`` is one call whose
-    last extra is the running state.
+    step of ``_closed`` and ``_push_down`` is one call whose last extra is
+    the running state.
 
     The product is held as slices, {pivot exponent: {key of the rest:
     numerator}} over one denominator (``series._product``), from the factor
@@ -598,40 +593,47 @@ def individual_segre(spec: TowerSpec, level: int, min_exponent: int) -> LaurentP
 
 
 def closed_formula_segre(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly:
-    """Tower Segre series by the closed formula, restricted to the window.
+    """Tower Segre series by the closed formula, restricted to the window:
+    the closed walk (``_closed``) on ``req``'s ranges (``_window_ranges``,
+    which refuses a ``req`` of another shape than ``spec``)."""
+    return _closed(spec, _window_ranges(spec, req))
+
+
+def _closed(spec: TowerSpec, ranges: Mapping[VariableId, tuple[int, int]]) -> LaurentPoly:
+    """The closed formula's product, each tower and auxiliary variable x of
+    ``spec`` kept to x^(-g-1) for g in the range (low, high) ``ranges`` maps
+    it to: a window at ranges from 0 (``closed_formula_segre``), a point's
+    term at ranges of one.
 
     The levels are taken from the top.  Each level step is one
-    ``_level_product`` on the window [-a_i-1, -1] of u_i: level i's shifted
+    ``_level_product`` on [-high-1, -low-1] of u_i: level i's shifted
     factors, its auxiliary series and, last, the running product of the
     levels above, sliced by u_i.  Every returned coefficient is exact, and
-    the pruned product already is the window, so no projection follows it:
-    the step keeps the exponent of u_i in [-a_i-1, -1], and the lower
-    levels, whose twists involve only u_1..u_{i-1}, never shift u_i again.
-    An auxiliary variable enters only through its geometric series
-    (``series._geometric``), with exponents in [-b-1, -1].
+    the pruned product already is the result, so no projection follows it:
+    the step keeps the exponent of u_i in its range, and the lower levels,
+    whose twists involve only u_1..u_{i-1}, never shift u_i again.  An
+    auxiliary variable enters only through its geometric series
+    (``series._geometric``), with exponents in [-high-1, -low-1].
 
     The running product holds u_i only through shifts, at exponents m..M,
     so the floor and ceiling rules keep the factors and auxiliary series to
-    [-a_i-1-M, -1-m] before it meets them, and each factor's expansion
-    stops at its source floor -a_i-1 - U + own, with M in U
+    [-high-1-M, -low-1-m] before it meets them, and each factor's expansion
+    stops at its source floor -high-1 - U + own, with M in U
     (``TruncationRequest`` shows that no cap would stop it sooner).  An
-    empty running product is an empty extra: the levels below expand nothing.
-
-    ``req`` must be derived for ``spec``; one of another shape is refused
-    (``_check_request``), and one of the same shape is read as it is.
+    empty running product is an empty extra: the levels below expand
+    nothing.  The caller validates ``spec``.
     """
-    validate_tower(spec)
-    _check_request(spec, req)
     result = LaurentPoly.one()
     memo: dict = {}
     for i in range(spec.k, 0, -1):
         lvl = spec.levels[i - 1]
         u_i = tower_variable(i)
-        a_i = req.tower_orders[i - 1]
-        # The only source of each auxiliary variable: exponents in [-b-1, -1].
-        extras = [_geometric(aux_variable(n, i), u_i, 0, req.aux_order(n)) for n in lvl.aux]
+        low, high = ranges[u_i]
+        # The only source of each auxiliary variable.
+        aux = [aux_variable(n, i) for n in lvl.aux]
+        extras = [_geometric(x, u_i, *ranges[x]) for x in aux]
         extras.append(_sliced(result, u_i))
-        level = _level_product(lvl.factors, tower_variable, memo, -a_i - 1, -1, extras)
+        level = _level_product(lvl.factors, tower_variable, memo, -high - 1, -low - 1, extras)
         result = _unsliced(level, u_i)
     return result
 
@@ -646,8 +648,9 @@ def _push_down(spec: TowerSpec, ranges: Mapping[VariableId, tuple[int, int]]) ->
     the top.  ``ranges`` maps each tower and auxiliary variable x of
     ``spec`` to a range (low, high) of powers, and level j's block is the
     product of sum_g c_j^g x^(-g-1), g in low..high, over u_j and the
-    auxiliary variables of level j.  A window's ranges start at 0
-    (``stepwise_pushforward``); a point's are ranges of one, so its block
+    auxiliary variables of level j.  They are the closed walk's input
+    (``_closed``): a window's ranges start at 0 (``stepwise_pushforward``,
+    through ``_window_ranges``); a point's are ranges of one, so its block
     is one term (``pushforward_monomial``).
 
     Each c_j^g becomes the coefficient of pivot^(-g-1) in the level's own
@@ -670,11 +673,11 @@ def _push_down(spec: TowerSpec, ranges: Mapping[VariableId, tuple[int, int]]) ->
     the highs, a floor read from the state and the ranges and from no cap,
     and up to -1 minus the state's lowest slice and the lows, so no
     geometric series is cut below its low and a range of one keeps its
-    power.  The step's tops never sum
-    below -1 (a cut adds back the lowest slices of the series and the
-    state, and uncut series add the highs to the tops of the series and the
-    state), so its bound is refused before any pair is formed, even when no
-    pair lands at -1.  The caller validates ``spec``.
+    power.  The step's tops never sum below -1 (a cut adds back the lowest
+    slices of the series and the state, and uncut series add the highs to
+    the tops of the series and the state), so its bound is refused before
+    any pair is formed, even when no pair lands at -1.  The caller
+    validates ``spec``.
     """
     state = LaurentPoly.one()
     memo: dict = {}
@@ -725,15 +728,11 @@ def stepwise_pushforward(spec: TowerSpec, req: TruncationRequest) -> LaurentPoly
     [-b-1, -1], and the level series multiplied in afterwards involve only
     the pivot and the tautological variables c_j.
 
-    The push reads ``req``'s orders as the ranges 0..a_i and 0..b, and no
-    cap.  A ``req`` of another shape than ``spec`` is refused
-    (``_check_request``).
+    The push reads ``req``'s orders as the ranges (0, a) and no cap
+    (``_window_ranges``, which refuses a ``req`` of another shape than
+    ``spec``).
     """
-    validate_tower(spec)
-    _check_request(spec, req)
-    aux_vars = spec.aux_variables()
-    orders = (*req.tower_orders, *(req.aux_order(x.name) for x in aux_vars))
-    return _push_down(spec, {x: (0, a) for x, a in zip(spec.tower_variables() + aux_vars, orders)})
+    return _push_down(spec, _window_ranges(spec, req))
 
 
 def pushforward_monomial(

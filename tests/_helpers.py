@@ -152,15 +152,16 @@ def check_window_growth(rng, spec, orders, aux=None):
     window at a and b.  Returns whether any order grew.
     """
     small = TruncationRequest.derive(spec, orders, aux)
+    small_aux = dict(small.aux_orders)
     grown = tuple(a + rng.randint(0, 2) for a in orders)
-    grown_aux = {v.name: small.aux_order(v.name) + rng.randint(0, 2) for v in spec.aux_variables()}
+    grown_aux = {v.name: small_aux[v.name] + rng.randint(0, 2) for v in spec.aux_variables()}
     big = TruncationRequest.derive(spec, grown, grown_aux)
     for route in (closed_formula_segre, stepwise_pushforward):
         window = route(spec, big)
         for i, a in enumerate(orders, 1):
             window = window.filter_terms(U(i), -a - 1, -1)
         for v in spec.aux_variables():
-            window = window.filter_terms(v, -small.aux_order(v.name) - 1, -1)
+            window = window.filter_terms(v, -small_aux[v.name] - 1, -1)
         assert window == route(spec, small), (route.__name__, spec, small, big)
     return big.tower_orders != small.tower_orders or big.aux_orders != small.aux_orders
 

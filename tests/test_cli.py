@@ -130,6 +130,22 @@ def test_spec_file_error_names_the_field(tmp_path, capsys):
             assert all(int(n) <= sys.maxsize for n in re.findall(r"\d+", str(info.value)))
 
 
+def test_spec_file_of_the_wrong_json_shape_names_the_field(tmp_path, capsys):
+    # A top level that is not an object, and a factor that is not one, are
+    # refused under their place in the document, with no traceback.
+    bad_factor = tower_spec_to_doc(flag_tower(1))
+    bad_factor["levels"][0]["factors"][0] = 3
+    for doc, message in (
+        ([1], "error: top level: expected a JSON object"),
+        (bad_factor, "error: levels[1].factors[0]: expected an object"),
+    ):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["tower-segre", str(path), "--orders", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message and not captured.out
+
+
 def test_spec_file_refuses_a_huge_level_count_at_once():
     start = time.perf_counter()
     with pytest.raises(cli_mod.SpecFileError) as info:
@@ -449,6 +465,18 @@ def test_cmd_tower_segre_aux_orders(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "u1\tv\tvalue"
     assert set(lines[1:]) == {"-1\t-2\t1", "-2\t-1\t1"}
+
+
+def test_cmd_tower_segre_without_levels_prints_the_value_one(tmp_path, capsys):
+    # A tower of no levels takes no orders: its window is the constant 1,
+    # one row with no exponent columns.
+    path = write_spec(tmp_path, simple_tower())
+    assert main(["tower-segre", path, "--orders", ""]) == 0
+    assert capsys.readouterr().out == "value\n1\n"
+    assert main(["tower-segre", path, "--orders", "", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "header": [], "rows": [{"exponents": [], "value": "1"}]
+    }
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -949,6 +977,23 @@ def test_cmd_verify_reports_differing_flag_windows(capsys, monkeypatch):
         f"FAIL flag k=2: closed and stepwise windows of the flag tower k=2 at orders "
         f"(2, 2) first differ at monomial {extra}: closed=1 stepwise=0"
     )
+
+
+def test_cmd_verify_reports_a_degenerate_tower_that_is_not_one(capsys, monkeypatch):
+    # A closed window of the tower without levels that is not 1 fails the
+    # degenerate case, and only it.
+    real = cli_mod.closed_formula_segre
+
+    def skewed(spec, req):
+        window = real(spec, req)
+        return window + 1 if spec.k == 0 else window
+
+    monkeypatch.setattr(cli_mod, "closed_formula_segre", skewed)
+    code = main(["verify", "--max-k", "1", "--seed", "7", "--towers", "0", "--trials", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line == "FAIL degenerate k=0 tower: degenerate tower does not reduce to the constant 1"
 
 
 def test_cmd_verify_reports_a_differing_random_tower_on_its_own(capsys, monkeypatch):

@@ -34,7 +34,13 @@ from segre_towers import (
     validate_tower,
     vandermonde_integral,
 )
-from segre_towers.cli import SpecFileError, main, tower_spec_from_doc, tower_spec_to_doc
+from segre_towers.cli import (
+    SpecFileError,
+    flag_exponent_tuples,
+    main,
+    tower_spec_from_doc,
+    tower_spec_to_doc,
+)
 from segre_towers import series, tower
 from segre_towers.series import (
     ExponentOverflowError,
@@ -61,6 +67,7 @@ from _helpers import (
     mono,
     partial_flag,
     poly,
+    rational_root_flag,
     rf,
     shift_expand_reference,
     simple_tower,
@@ -617,7 +624,7 @@ def test_closed_formula_output_is_all_negative():
             {v.name: rng.randint(0, 1) for v in spec.aux_variables()},
         )
         bounds = list(zip(spec.tower_variables(), req.tower_orders))
-        bounds += [(v, req.aux_order(v.name)) for v in spec.aux_variables()]
+        bounds += [(v, dict(req.aux_orders)[v.name]) for v in spec.aux_variables()]
         for route in (closed_formula_segre, stepwise_pushforward):
             out = route(spec, req)
             nonempty += not out.is_zero()
@@ -700,7 +707,7 @@ def unpruned_window(spec, req):
     every level's shifted factors (expanded to depth own - cap) and
     auxiliary series are multiplied in, and u_i is filtered to its window
     [-a_i-1, -1] only once level i is done."""
-    result = LaurentPoly.one()
+    result, aux = LaurentPoly.one(), dict(req.aux_orders)
     for i in range(spec.k, 0, -1):
         lvl, u_i, cap = spec.levels[i - 1], U(i), req.shift_caps[i - 1]
         for factor in lvl.factors:
@@ -711,7 +718,7 @@ def unpruned_window(spec, req):
             )
             result = result * shift_expand(expansion, u_i, shift, cap)
         for name in lvl.aux:
-            result = result * geometric_expand(aux_variable(name, i), u_i, req.aux_order(name))
+            result = result * geometric_expand(aux_variable(name, i), u_i, aux[name])
         a_i = req.tower_orders[i - 1]
         result = result.filter_terms(u_i, -a_i - 1, -1)
     return result
@@ -757,7 +764,7 @@ def sympy_window(sp, spec, req):
             q = side(factor.series.numerator) / side(factor.series.denominator)
             factors.append(q.subs(pivot, shifted))
         factors += [1 / (sp.Symbol(aux_variable(n, i).name) - u_i) for n in lvl.aux]
-    order = [(aux_variable(n, i), req.aux_order(n)) for i, lvl in enumerate(spec.levels, 1)
+    order = [(aux_variable(n, i), dict(req.aux_orders)[n]) for i, lvl in enumerate(spec.levels, 1)
              for n in lvl.aux]
     order += [(U(i), req.tower_orders[i - 1]) for i in range(spec.k, 0, -1)]
     terms = {(): factors}
@@ -1138,6 +1145,66 @@ def test_pushforward_monomial_matches_window_coefficients():
                 nonzero += not value.is_zero()
                 with_base += not value.variables().isdisjoint(spec.base_variables())
     assert nonzero > 0 and with_base > 0
+
+
+def test_both_walks_on_ranges_give_the_window_filtered_to_them():
+    # Each walk takes a range (low, high) per tower and auxiliary variable x
+    # and keeps x to [-high-1, -low-1]: the window at the highs, filtered.
+    rng = random.Random(5)
+    cut = nonempty = 0
+    for _ in range(60):
+        spec = random_tower_spec(rng, 4)
+        ranges = {}
+        for x in spec.tower_variables() + spec.aux_variables():
+            low = rng.randint(0, 2)
+            ranges[x] = (low, low + rng.randint(0, 1))
+        highs = [ranges[x][1] for x in spec.tower_variables()]
+        aux = {x.name: ranges[x][1] for x in spec.aux_variables()}
+        window = closed_formula_segre(spec, TruncationRequest.derive(spec, highs, aux))
+        want = window
+        for x, (low, high) in ranges.items():
+            want = want.filter_terms(x, -high - 1, -low - 1)
+        assert tower._closed(spec, ranges) == want, (spec, ranges)
+        assert tower._push_down(spec, ranges) == want, (spec, ranges)
+        cut += want != window
+        nonempty += not want.is_zero()
+    assert cut >= 30 and nonempty >= 30, (cut, nonempty)
+
+
+def test_the_closed_walk_at_ranges_of_one_gives_every_point_value():
+    # At ranges of one the closed walk holds one term, the point's monomial
+    # times its value: a second route to ``pushforward_monomial``, for the
+    # generic push (random towers, auxiliary exponents included) and for the
+    # determinant (flag-type towers, flag tuples and lambda_1 > k).
+    def check(spec, exps, aux=None):
+        aux = aux or {}
+        over = spec.tower_variables() + spec.aux_variables()
+        powers = (*exps, *(aux.get(x.name, 0) for x in spec.aux_variables()))
+        point = tower._closed(spec, {x: (e, e) for x, e in zip(over, powers)})
+        target = Monomial((x, -e - 1) for x, e in zip(over, powers))
+        value = pushforward_monomial(spec, exps, aux)
+        assert point == value * LaurentPoly.monomial(target), (spec, exps, aux)
+        return bool(value)
+
+    rng = random.Random(23)
+    nonzero = points = 0
+    for _ in range(30):
+        spec = random_tower_spec(rng, 3)
+        assert tower._flag_type_levels(spec) is None
+        orders = [rng.randint(0, 2) for _ in range(spec.k)]
+        aux_vars = spec.aux_variables()
+        aux_ranges = [range(rng.randint(0, 1) + 1) for _ in aux_vars]
+        for exps in itertools.product(*(range(a + 1) for a in orders)):
+            for bs in itertools.product(*aux_ranges):
+                nonzero += check(spec, exps, {x.name: b for x, b in zip(aux_vars, bs)})
+                points += 1
+    deep = [(7, 2, 1), (2, 8, 3), (9, 5, 4), (8, 4, 2)]
+    for spec in (flag_bundle(3), rational_root_flag(3)):
+        assert tower._flag_type_levels(spec) is not None
+        for exps in flag_exponent_tuples(3) + deep:
+            nonzero += check(spec, exps)
+            points += 1
+    assert points >= 500 and nonzero >= 150, (points, nonzero)
 
 
 def test_pushforward_monomial_rejects_negative_exponents():
