@@ -36,10 +36,8 @@ the source floor alone.  No route reads the truncation caps of
 push meets, and its docstring proves that no cap could stop an expansion
 earlier.  One walk over the levels (a call of ``_closed``, ``_push_down``,
 ``_dual_push`` or ``individual_segre``) expands each pair of a series
-object and its twists from the series' two sides once per floor it lowers
-to, and hands the stored expansion back as it is to the levels above,
-whose windows drop its lower slices (``_expansion``); nothing is kept
-between walks.
+object and its twists once per floor, and hands that expansion back only
+at that floor (``_expansion``); nothing is kept between walks.
 
 Both walks take one input: a range (low, high) of powers per tower and
 auxiliary variable x, which keeps x to the exponents [-high-1, -low-1].
@@ -452,41 +450,21 @@ def _expansion(
 
     ``memo`` is kept for one walk down a tower: one call of ``_closed``,
     ``_push_down``, ``_dual_push`` or ``individual_segre``.  It maps
-    (``id(series)``, ``twists``) to an expansion and the floor it was
-    formed for, while the tower keeps every series alive.  One rule holds
-    for every entry: it is handed back as it is stored only at or above
-    that floor, that is when its floor is at or below ``low``.  A slice of
-    ``_descending`` is formed from the slices above it alone, and a slice
-    of ``_shifted`` from the slices at or above it, so no slice at or above
-    a floor depends on where the expansion stopped.  Its slices below
-    ``low`` reach no result, since no caller can use a slice below its own
-    floor: ``_product``'s window drops every pair such a slice could form
-    (``_level_product``'s floor proof), ``_shifted`` forms nothing from
-    one, ``_push_down`` pairs c_j^g only with the level series' slice at
-    -g-1, at or above the floor it asked for, and ``_dual_push`` reads no
-    coefficient of 1/F below the floor it asked for.  Such a slice lowers
-    the least exponent ``_level_product`` reads for its ceiling.  That
-    loosens the ceiling of a partial product, never that of the last one,
-    and an extra partial slice it keeps could reach the window only with a
-    slice below some later floor, a pair the floor drops.  A lower ``low``
-    recomputes the entry and replaces it, which keeps every expansion exact
-    down to every floor asked of it.  The entry with no twists is the
-    unshifted expansion, so factors that share a series share its long
-    division.
-
-    A reused expansion, and a shift of one, may carry a larger bound than a
-    fresh one at ``low``, its own from the lower floor; that can only move a
-    refusal of an exponent near 2**31.
+    (``id(series)``, ``twists``, ``low``) to the expansion formed for that
+    floor, while the tower keeps every series alive, so an entry is handed
+    back only to a call that would form it again: a walk's results and
+    refusals are those of the same tower with a fresh series per factor.
+    The entry with no twists is the unshifted expansion, so factors that
+    share a series share its long division at each floor.
     """
-    key = id(series), twists
-    hit = memo.get(key)
-    if hit is not None and hit[1] <= low:
-        return hit[0]
-    if twists:
-        expanded = _shifted(_expansion(memo, series, (), low), twists, low)
-    else:
-        expanded = _descending(series, low)
-    memo[key] = expanded, low
+    key = id(series), twists, low
+    expanded = memo.get(key)
+    if expanded is None:
+        if twists:
+            expanded = _shifted(_expansion(memo, series, (), low), twists, low)
+        else:
+            expanded = _descending(series, low)
+        memo[key] = expanded
     return expanded
 
 
@@ -542,9 +520,11 @@ def _level_product(
     two bounds, so the result is the full product filtered to the window.
 
     Each factor's shifted expansion comes from ``memo`` (``_expansion``),
-    which the caller keeps for one walk over the levels and drops after it.
+    which the caller keeps for one walk over the levels and drops after it,
+    and which hands an expansion back only at the floor it was formed for.
     A flag tower's levels share two series objects, and the linear factor
     twisted by level m's variable recurs on every level above m, so a walk
+    whose levels meet it at one floor, as a window at equal orders does,
     forms O(k) factor expansions, not O(k**2).
     """
     tops = [factor.series.leading_exponent for factor in factors]

@@ -629,22 +629,17 @@ def test_antisymmetry_of_segre_numerator():
 
 
 def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
-    # A walk down a tower keeps one expansion per (series object, twists)
-    # pair (``tower._expansion``).  flag_tower's linear factors share one
+    # A walk down a tower keeps one expansion per (series object, twists,
+    # floor) (``tower._expansion``).  flag_tower's linear factors share one
     # series object, and in ``shared`` every level's bundle factor shares one
     # too.  Copies with a fresh, equal series per factor must give the same
-    # windows and point values.  The flag series have finite expansions, so
-    # no floor changes them; the bundle series' expansion is infinite, so a
-    # level that reuses it at a higher floor gets the stored expansion with
-    # slices below its own floor, and one that recomputes it at a lower
-    # floor gets a different expansion from the one stored.  The point
-    # values are taken by the determinant, which forms its rows from the
-    # lowest floor up and so only reuses, and by the generic push, which
-    # also recomputes; the two must agree.  A bundle value of top degree is
-    # a constant, which no term of positive degree in the e's can reach, so
-    # the bundle is also pushed at degrees 11 and 12.  Its window at orders
-    # (5, 4, 3, 2) lowers the floor from level to level, so the closed route
-    # recomputes the shared expansion there too.
+    # windows and point values, by the determinant and by the generic push.
+    # The memo still shares: each shared window forms fewer long divisions
+    # than its copy (2 against 10 at equal orders, and 7 against 10 for the
+    # bundle at (5, 4, 3, 2), whose floors differ from level to level).  A
+    # bundle value of top degree is a constant, which no term of positive
+    # degree in the e's can reach, so the bundle is also pushed at degrees
+    # 11 and 12.
     above = [a for a in itertools.product(range(7), repeat=4) if 10 < sum(a) <= 12]
     bundle = flag_bundle(4)
     point = bundle.levels[0].factors[0].series
@@ -659,20 +654,14 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
         num, den = (LaurentPoly(p.items()) for p in (f.series.numerator, f.series.denominator))
         return TowerFactor(f.twists, RationalFunction1V(num, den))
 
-    met = []
+    divisions = []
 
-    def spy(memo, series, twists, low):
-        if series is point and (id(series), twists) in memo:
-            stored = memo[id(series), twists][1]
-            met.append(
-                "reuse higher" if stored < low else "reuse" if stored == low else "recompute"
-            )
-        return expansion(memo, series, twists, low)
+    def spy(*args, _real=tower_mod._descending):
+        divisions.append(args)
+        return _real(*args)
 
-    expansion = tower_mod._expansion
-    monkeypatch.setattr(tower_mod, "_expansion", spy)
+    monkeypatch.setattr(tower_mod, "_descending", spy)
     cases = [(flag_tower(4), [(4,) * 4], []), (shared, [(5,) * 4, (5, 4, 3, 2)], above)]
-    closed_met = set()
     for spec, windows, more in cases:
         copy = spec._replace(
             levels=tuple(TowerLevel(tuple(map(fresh, lvl.factors))) for lvl in spec.levels)
@@ -681,19 +670,19 @@ def test_shared_factor_series_give_the_results_of_fresh_copies(monkeypatch):
         assert len({id(f.series) for lvl in spec.levels for f in lvl.factors}) == 2
         assert len({id(f.series) for lvl in copy.levels for f in lvl.factors}) == 10
         for route, orders in itertools.product((closed_formula_segre, stepwise_pushforward), windows):
-            start = len(met)
-            got = [route(s, TruncationRequest.derive(s, orders)) for s in (spec, copy)]
+            got, formed = [], []
+            for s in (spec, copy):
+                divisions.clear()
+                got.append(route(s, TruncationRequest.derive(s, orders)))
+                formed.append(len(divisions))
             assert got[0] == got[1] and got[0]
-            if route is closed_formula_segre:
-                closed_met.update(met[start:])
+            assert formed[0] < formed[1], (route, orders, formed)
         tuples = flag_exponent_tuples(4) + more
         values = [pushforward_monomial(copy, exps) for exps in tuples]
         assert values == [pushforward_monomial(spec, exps) for exps in tuples]
         for tower in (spec, copy):
             assert [_generic_push(tower, exps) for exps in tuples] == values
         assert any(values)
-    assert {"reuse higher", "recompute"} <= set(met)
-    assert "recompute" in closed_met
 
 
 def test_a_pickled_bundle_gives_the_same_windows_in_a_process_with_other_slots():

@@ -179,6 +179,19 @@ def test_poly_str_is_deterministic():
     assert str(p) == "u1^-2 - 1/2*u2^-3"
 
 
+def test_other_operands_are_refused_and_zero_prints_as_0():
+    # A str is no coefficient: subtraction on either side raises and
+    # equality is False, as for a rational function against an int.
+    p = poly({((U(1), -2),): 1})
+    for op in (lambda: p - "x", lambda: "x" - p):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            op()
+    assert (p == "x") is False
+    assert (RationalFunction1V(LaurentPoly.one(), LaurentPoly.one()) == 1) is False
+    assert repr(Monomial.of(PIVOT, 2)) == "Monomial([(VariableId('u', 'tower', level=0), 2)])"
+    assert repr(LaurentPoly()) == "LaurentPoly(0)" and str(LaurentPoly()) == "0"
+
+
 def test_constant_value():
     assert LaurentPoly.constant(5).constant_value() == 5
     assert LaurentPoly.zero().constant_value() == 0

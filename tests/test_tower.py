@@ -538,7 +538,8 @@ def test_level_series_with_a_ceiling_is_the_filtered_level_series():
     specs += [random_tower_spec(rng, max_k=4) for _ in range(6)]
     specs += [flag_bundle(3), flag_bundle(4)]
     # ``got`` shares one memo per tower, as a walk does: its floors fall and
-    # rise between levels, so expansions are both recomputed and reused.
+    # rise between levels, so expansions are both formed anew and handed
+    # back at a floor met before.
     cut = 0
     for spec in specs:
         memo = {}
@@ -1303,6 +1304,37 @@ def test_generic_push_gives_the_exact_zero_near_the_slot_limit():
     spec, exps = flag_tower(2), (2147483646, 1)
     assert tower._push_down(spec, {U(1): (exps[0],) * 2, U(2): (exps[1],) * 2}).is_zero()
     assert pushforward_monomial(spec, exps) == 0
+
+
+_D = 5 * 10**8
+
+
+@pytest.mark.parametrize(
+    "walk, expected",
+    [
+        (
+            lambda spec: closed_formula_segre(spec, TruncationRequest.derive(spec, (_D, 3 * _D))),
+            poly({((U(1), -_D), (U(2), -n * _D)): 1 for n in (1, 2, 3)}),
+        ),
+        (lambda spec: closed_formula_segre(spec, TruncationRequest.derive(spec, (0, 3 * _D))), 0),
+        (lambda spec: tower._closed(spec, {U(1): (0, 0), U(2): (4 * _D - 1,) * 2}), 0),
+    ],
+    ids=["window", "zero-window", "zero-point"],
+)
+def test_levels_that_share_a_series_object_give_the_results_of_fresh_copies(walk, expected):
+    # Both levels hold one series object s = 1/(1 - u^-D), level 2 with a
+    # zero twist, so both meet the walk memo's unshifted entry of s.  The
+    # closed walk expands s for level 2 far below level 1's floor.  An
+    # expansion is handed back only at the floor it was formed for, so
+    # level 1 forms its own, and the shared tower gives the results of a
+    # copy with a fresh, equal series per level, not a refusal of the
+    # deeper expansion's exponents.  The push is not run here: its level 2
+    # series is infinite and meets every power of c_2 up to the order.
+    s = rf(1, {0: 1, -_D: -1})
+    shared = TowerSpec((TowerLevel((TowerFactor((), s),)), TowerLevel((TowerFactor((0,), s),))))
+    fresh = simple_tower([((), 1, {0: 1, -_D: -1})], [((0,), 1, {0: 1, -_D: -1})])
+    assert fresh == shared
+    assert walk(shared) == walk(fresh) == expected
 
 
 # -- the flag-type point push ---------------------------------------------------
