@@ -913,13 +913,14 @@ def geometric_expand(outer: VariableId, inner: VariableId, degree_cap: int) -> L
     if outer == inner:
         raise ValueError("geometric_expand requires two distinct variables")
     _check_int("degree_cap", degree_cap, 0)
-    return _unsliced(_geometric(outer, inner, 0, degree_cap), inner)
+    return _unsliced(_geometric(outer, 0, degree_cap), inner)
 
 
-def _geometric(outer: VariableId, inner: VariableId, low: int, high: int) -> _Sliced:
+def _geometric(outer: VariableId, low: int, high: int) -> _Sliced:
     """The terms inner^n * outer^(-n-1) of ``geometric_expand`` for n in
-    ``low..high``, 0 <= ``low`` <= ``high``, sliced by ``inner``.  Its
-    bound, high + 1, is refused before any key is formed."""
+    ``low..high``, 0 <= ``low`` <= ``high``, sliced by the exponent n of an
+    inner variable that no key names.  Its bound, high + 1, is refused
+    before any key is formed."""
     bound = _checked(high + 1)
     down = _unit(outer)
     return {n: {-(n + 1) * down: 1} for n in range(low, high + 1)}, 1, bound

@@ -470,17 +470,21 @@ def _expansion(
 
 def _level_product(
     factors: Sequence[TowerFactor], lower: Callable[[int], VariableId], memo: dict,
-    floor: int, ceiling: int, extras: Sequence[tuple[dict[int, dict[int, int]], int, int]] = (),
+    floor: int, ceiling: int, series: Sequence[tuple[VariableId, int, int]] = (),
+    extras: Sequence[tuple[dict[int, dict[int, int]], int, int]] = (),
 ) -> tuple[dict[int, dict[int, int]], int, int]:
-    """The product of a level's shifted ``factors``, then ``extras``,
-    keeping the terms whose pivot exponent lies in ``floor..ceiling``.
+    """The product of a level's shifted ``factors``, then the geometric
+    ``series``, then ``extras``, keeping the terms whose pivot exponent lies
+    in ``floor..ceiling``.
 
     The pivot is the level's variable: u_i on the closed route, the
     reserved ``PIVOT`` for a level's own series (a call with no extras),
-    c_j for a stepwise step, which has no factors.  Each extra comes sliced
-    by the pivot's exponent, so this function never names it.  Every level
-    step of ``_closed`` and ``_push_down`` is one call whose last extra is
-    the running state.
+    c_j for a stepwise step, which has no factors.  Each (x, low, high) of
+    ``series`` stands for sum_n pivot^n x^(-n-1), n in low..high
+    (``series._geometric``), and each extra comes sliced by the pivot's
+    exponent, so this function never names the pivot.  Every level step of
+    ``_closed`` and ``_push_down`` is one call whose last extra is the
+    running state.
 
     The product is held as slices, {pivot exponent: {key of the rest:
     numerator}} over one denominator (``series._product``), from the factor
@@ -492,13 +496,15 @@ def _level_product(
     whoever unpacks the slices.  The product's bound, the sum of every
     multiplier's, is refused before any product slice is formed.
 
-    Each multiplier has a top, the highest pivot exponent it can hold: a
-    factor's is its series' ``leading_exponent``, since a shift never
-    raises the pivot's exponent (``shift_expand``), and an extra's top is
-    its highest slice.  No slice outside the window is formed, and none that
-    could only form slices outside it.  A product slice at e is a sum of
-    products of one slice of each multiplier whose exponents sum to e, so
-    the bounds below, proved for single terms, hold for whole slices:
+    Each multiplier has a top and a lowest exponent, the highest and lowest
+    pivot exponents it can hold: a factor's top is its series'
+    ``leading_exponent``, since a shift never raises the pivot's exponent
+    (``shift_expand``), and its lowest is its expansion's; a geometric
+    series' are its high and its low, an extra's its highest and lowest
+    slices.  No slice outside the window is formed, and none that could
+    only form slices outside it.  A product slice at e is a sum of products
+    of one slice of each multiplier whose exponents sum to e, so the bounds
+    below, proved for single terms, hold for whole slices:
 
     * Floor.  Let U be the sum of all the tops.  A slice of multiplier f at
       exponent e forms only slices at or below e + U - top_f, so one below
@@ -508,16 +514,19 @@ def _level_product(
       ``floor``.  When U is below ``floor`` no slice reaches it, and the
       product is empty before any factor is expanded; so it is when a
       factor's numerator is zero, which has no leading exponent, or an
-      extra is empty.  Only these entry checks decide that: past them a
-      factor's source floor is at most top_f, so its expansion, shifted or
-      not, keeps a slice at top_f, and an empty partial product stays empty.
-    * Ceiling.  Every slice of a multiplier is at or above that multiplier's
-      lowest pivot exponent, so a partial product's slice above ``ceiling``
-      minus the lowest exponents still to come forms only slices above
-      ``ceiling``.
+      extra is empty.  Past these entry checks a factor's source floor is
+      at most top_f, so its expansion, shifted or not, keeps a slice at
+      top_f, and an empty partial product stays empty.
+    * Ceiling.  Let L be the sum of all the lowest exponents.  A slice of
+      multiplier f at e forms only slices at or above e + L - lowest_f, and
+      a partial product's slice above ``ceiling`` minus the lowest
+      exponents still to come forms only slices above ``ceiling``.
 
-    Each product pairs only the slices whose exponents sum between those
-    two bounds, so the result is the full product filtered to the window.
+    So a geometric series is formed only at the powers from
+    max(low, floor - U + high) to min(high, ceiling - L + low), once the
+    factors are expanded, and an empty cut leaves the product empty.  Each
+    product pairs only the slices whose exponents sum between the two
+    bounds, so the result is the full product filtered to the window.
 
     Each factor's shifted expansion comes from ``memo`` (``_expansion``),
     which the caller keeps for one walk over the levels and drops after it,
@@ -530,7 +539,7 @@ def _level_product(
     tops = [factor.series.leading_exponent for factor in factors]
     if None in tops or not all(parts for parts, _, _ in extras):
         return {}, 1, 0
-    tops += [max(parts) for parts, _, _ in extras]
+    tops += [high for _, _, high in series] + [max(parts) for parts, _, _ in extras]
     slack = floor - sum(tops)
     if slack > 0:
         return {}, 1, 0
@@ -541,16 +550,19 @@ def _level_product(
         )
         for factor, own in zip(factors, tops)
     ]
-    multipliers += extras
     lows = [min(parts) for parts, _, _ in multipliers]
-    # The product's bound, refused before any product slice is formed.
+    lows += [low for _, low, _ in series] + [min(parts) for parts, _, _ in extras]
+    up, down = sum(tops), sum(lows)
+    cuts = [(max(lo, floor - up + hi), min(hi, ceiling - down + lo)) for _, lo, hi in series]
+    if any(lo > hi for lo, hi in cuts):
+        return {}, 1, 0
+    multipliers += [_geometric(x, *cut) for (x, _, _), cut in zip(series, cuts)] + [*extras]
     _checked(sum(bound for _, _, bound in multipliers))
     product = {0: {0: 1}}, 1, 0
-    future_top, future_low = sum(tops), sum(lows)
     for multiplier, top, least in zip(multipliers, tops, lows):
-        future_top -= top
-        future_low -= least
-        product = _product(product, multiplier, floor - future_top, ceiling - future_low)
+        up -= top
+        down -= least
+        product = _product(product, multiplier, floor - up, ceiling - down)
     return product
 
 
@@ -592,16 +604,16 @@ def _closed(spec: TowerSpec, ranges: Mapping[VariableId, tuple[int, int]]) -> La
     the pruned product already is the result, so no projection follows it:
     the step keeps the exponent of u_i in its range, and the lower levels,
     whose twists involve only u_1..u_{i-1}, never shift u_i again.  An
-    auxiliary variable enters only through its geometric series
-    (``series._geometric``), with exponents in [-high-1, -low-1].
+    auxiliary variable enters only through its geometric series.
 
     The running product holds u_i only through shifts, at exponents m..M,
     so the floor and ceiling rules keep the factors and auxiliary series to
-    [-high-1-M, -low-1-m] before it meets them, and each factor's expansion
+    [-high-1-M, -low-1-m] before it meets them: each factor's expansion
     stops at its source floor -high-1 - U + own, with M in U
-    (``TruncationRequest`` shows that no cap would stop it sooner).  An
-    empty running product is an empty extra: the levels below expand
-    nothing.  The caller validates ``spec``.
+    (``TruncationRequest`` shows that no cap would stop it sooner), and an
+    auxiliary series is formed only at the powers of u_i it keeps.  An empty
+    running product is an empty extra: the levels below expand nothing and
+    form no series.  The caller validates ``spec``.
     """
     result = LaurentPoly.one()
     memo: dict = {}
@@ -610,10 +622,9 @@ def _closed(spec: TowerSpec, ranges: Mapping[VariableId, tuple[int, int]]) -> La
         u_i = tower_variable(i)
         low, high = ranges[u_i]
         # The only source of each auxiliary variable.
-        aux = [aux_variable(n, i) for n in lvl.aux]
-        extras = [_geometric(x, u_i, *ranges[x]) for x in aux]
-        extras.append(_sliced(result, u_i))
-        level = _level_product(lvl.factors, tower_variable, memo, -high - 1, -low - 1, extras)
+        aux = [(x, *ranges[x]) for x in (aux_variable(n, i) for n in lvl.aux)]
+        running = [_sliced(result, u_i)]
+        level = _level_product(lvl.factors, tower_variable, memo, -high - 1, -low - 1, aux, running)
         result = _unsliced(level, u_i)
     return result
 
@@ -646,18 +657,12 @@ def _push_down(spec: TowerSpec, ranges: Mapping[VariableId, tuple[int, int]]) ->
     block with the series only where g plus the series' exponent is -1
     minus some state exponent.
 
-    Each geometric series stops at the highest power that can meet both a
-    series slice and a state slice, so a finite level series meets a few
-    powers of c_j however large the range; an infinite one still meets them
-    all.  The series is expanded down to -1 minus the state's top slice and
-    the highs, a floor read from the state and the ranges and from no cap,
-    and up to -1 minus the state's lowest slice and the lows, so no
-    geometric series is cut below its low and a range of one keeps its
-    power.  The step's tops never sum below -1 (a cut adds back the lowest
-    slices of the series and the state, and uncut series add the highs to
-    the tops of the series and the state), so its bound is refused before
-    any pair is formed, even when no pair lands at -1.  The caller
-    validates ``spec``.
+    The series is expanded down to -1 minus the state's top slice and the
+    highs, a floor read from the state and the ranges and from no cap, and
+    up to -1 minus the state's lowest slice and the lows.  So the step's
+    tops never sum below -1 nor its lows above it, no cut is empty, and its
+    bound is refused before any pair is formed, even when no pair lands at
+    -1.  The caller validates ``spec``.
     """
     state = LaurentPoly.one()
     memo: dict = {}
@@ -667,20 +672,14 @@ def _push_down(spec: TowerSpec, ranges: Mapping[VariableId, tuple[int, int]]) ->
         c_j = taut_variable(j)
         lvl = spec.levels[j - 1]
         sliced = _sliced(state, c_j)
-        own = {x: ranges[x] for x in (tower_variable(j), *(aux_variable(n, j) for n in lvl.aux))}
-        low = sum(lo for lo, _ in own.values())
-        high = sum(hi for _, hi in own.values())
+        own = [(x, *ranges[x]) for x in (tower_variable(j), *(aux_variable(n, j) for n in lvl.aux))]
+        low = sum(lo for _, lo, _ in own)
+        high = sum(hi for _, _, hi in own)
         top, least = max(sliced[0]), min(sliced[0])
         series = _level_product(
             lvl.factors, taut_variable, memo, -(top + high) - 1, -least - low - 1
         )
-        if not series[0]:
-            return LaurentPoly()
-        # No power of c_j above this meets both a series and a state slice.
-        ceiling = -min(series[0]) - 1 - least
-        extras = [_geometric(x, c_j, lo, min(hi, ceiling)) for x, (lo, hi) in own.items()]
-        extras += [series, sliced]
-        pushed, den, bound = _level_product((), taut_variable, memo, -1, -1, extras)
+        pushed, den, bound = _level_product((), taut_variable, memo, -1, -1, own, [series, sliced])
         state = LaurentPoly._wrap(pushed.get(-1, {}), den, bound)
     return state
 

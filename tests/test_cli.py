@@ -479,6 +479,17 @@ def test_cmd_tower_segre_without_levels_prints_the_value_one(tmp_path, capsys):
     }
 
 
+def test_cmd_tower_segre_passes_on_a_request_error_of_no_option(tmp_path, capsys, monkeypatch):
+    # A ``derive`` error under a name that is no option's is printed as the
+    # library words it, not renamed.
+    def derive(cls, *args):
+        raise ValueError("req: no option names this")
+
+    monkeypatch.setattr(cli_mod.TruncationRequest, "derive", classmethod(derive))
+    assert main(["tower-segre", write_spec(tmp_path, flag_tower(1)), "--orders", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: req: no option names this\n")
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_cmd_flag_integral_reports_a_cross_check_mismatch(capsys, monkeypatch, fmt):
     # A localization value one off the other two: every value is printed,
@@ -620,11 +631,29 @@ def test_flag_integral_near_the_slot_limit(capsys):
 def test_stepwise_window_at_the_largest_order_forms_only_the_powers_met(tmp_path):
     # flag_tower(1)'s level series is 1/u^2, a single slice, so the stepwise
     # block meets it only at c1^1: its other 2^31 - 2 powers are never
-    # formed, and both methods print the one row at once.  Each runs in a
-    # child with a 512 MiB address space and a timeout, so a block formed in
-    # full fails the test with a MemoryError or a timeout instead of hanging.
-    path = tmp_path / "flag1.json"
-    path.write_text(json.dumps(tower_spec_to_doc(flag_tower(1))), encoding="utf-8")
+    # formed, and both methods print the one row at once.  So it is for an
+    # auxiliary w at its largest order on the same factor: both walks form
+    # w's series at the two powers that reach the window.  Under 1/(u^2 - 1),
+    # which meets every power, both refuse the level's expansion first.
+    # Each runs in a child with a 512 MiB address space and a timeout, so a
+    # series formed in full fails the test with a MemoryError or a timeout
+    # instead of hanging.
+    refused = (
+        "error: exponents up to 2147483648 do not fit a packed monomial (at most 2147483647)\n"
+    )
+    cases = [
+        (flag_tower(1), ["--orders", "2147483646"], (0, "u1\tvalue\n-2\t1\n", "")),
+        (
+            simple_tower(([((), 1, {2: 1})], ("w",))),
+            ["--orders", "1", "--aux-orders", "w=2147483646"],
+            (0, "u1\tw\tvalue\n-2\t-1\t1\n-1\t-2\t1\n", ""),
+        ),
+        (
+            simple_tower(([((), 1, {2: 1, 0: -1})], ("w",))),
+            ["--orders", "1", "--aux-orders", "w=2147483646"],
+            (1, "", refused),
+        ),
+    ]
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
@@ -632,12 +661,14 @@ def test_stepwise_window_at_the_largest_order_forms_only_the_powers_met(tmp_path
         "from segre_towers.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    for method in ("closed", "stepwise"):
-        argv = ["tower-segre", str(path), "--orders", "2147483646", "--method", method]
-        done = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "u1\tvalue\n-2\t1\n", ""), method
+    for spec, options, expected in cases:
+        path = write_spec(tmp_path, spec)
+        for method in ("closed", "stepwise"):
+            argv = ["tower-segre", path, *options, "--method", method]
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60
+            )
+            assert (done.returncode, done.stdout, done.stderr) == expected, argv
 
 
 def test_largest_exponents_that_fit_a_slot_are_accepted():

@@ -574,7 +574,7 @@ def test_geometric_range_is_the_filtered_expansion():
     u, v = U(2), U(1)
     for low in range(4):
         for high in range(4):
-            got = series._unsliced(series._geometric(u, v, low, high), v)
+            got = series._unsliced(series._geometric(u, low, high), v)
             assert got == geometric_expand(u, v, high).filter_terms(v, low, high), (low, high)
             if got:
                 assert got._bound == high + 1

@@ -486,7 +486,7 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
     # with the running product as its last extra.
     sliced = _level_product(
         factors, lower, {}, floor, ceiling,
-        [*(_sliced(extra, pivot) for extra in extras), _sliced(result, pivot)],
+        extras=[*(_sliced(extra, pivot) for extra in extras), _sliced(result, pivot)],
     )
     assert all(sliced[0].values())
     got = _unsliced(sliced, pivot)
@@ -495,19 +495,22 @@ def test_level_product_is_the_filtered_unwindowed_product(seed, flags, closed, a
 
 def test_level_product_below_its_tops_expands_nothing(monkeypatch):
     # Each factor's top is its leading exponent, so a floor above the sum of
-    # the tops and the extras' leaves the product empty before any factor is
-    # expanded.  flag_tower(3)'s level 3 has the tops -4, 1 and 1.
+    # the tops and the series' and extras' leaves the product empty before
+    # any factor is expanded.  flag_tower(3)'s level 3 has the tops -4, 1
+    # and 1; a geometric series' top is its high, as a formed one's is.
     spec = flag_tower(3)
     factors = spec.levels[2].factors
     assert [f.series.leading_exponent for f in factors] == [-4, 1, 1]
     memo = {}
-    extra = [_geometric(aux_variable("w", 3), PIVOT, 0, 2)]
+    aux = [(aux_variable("w", 3), 0, 2)]
+    extra = [_geometric(aux_variable("w", 3), 0, 2)]
     assert _level_product(factors, C, memo, -2, 0)[0]
-    assert _level_product(factors, C, memo, 0, 0, extra)[0]
+    assert _level_product(factors, C, memo, 0, 0, aux)[0]
+    assert _level_product(factors, C, memo, 0, 0, extras=extra)[0]
     expanded = []
     monkeypatch.setattr(tower, "_expansion", lambda *args: expanded.append(args))
-    for floor, extras in ((-1, ()), (1, extra)):
-        assert _level_product(factors, C, {}, floor, floor + 3, extras) == ({}, 1, 0)
+    for floor, geometric, extras in ((-1, (), ()), (1, aux, ()), (1, (), extra)):
+        assert _level_product(factors, C, {}, floor, floor + 3, geometric, extras) == ({}, 1, 0)
     assert expanded == []
 
 
@@ -526,7 +529,7 @@ def test_level_product_refuses_its_bound_before_forming_a_key(monkeypatch):
     for level, pivot, lower, result in cases:
         with pytest.raises(ExponentOverflowError):
             _level_product(
-                spec.levels[level - 1].factors, lower, {}, -8, -1, [_sliced(result, pivot)]
+                spec.levels[level - 1].factors, lower, {}, -8, -1, extras=[_sliced(result, pivot)]
             )
     assert formed == []
 
@@ -1148,28 +1151,43 @@ def test_pushforward_monomial_matches_window_coefficients():
     assert nonzero > 0 and with_base > 0
 
 
-def test_both_walks_on_ranges_give_the_window_filtered_to_them():
+def test_both_walks_on_ranges_give_the_window_filtered_to_them(monkeypatch):
     # Each walk takes a range (low, high) per tower and auxiliary variable x
     # and keeps x to [-high-1, -low-1]: the window at the highs, filtered.
+    # On 40 more towers, of at most two levels, one auxiliary high is drawn
+    # up to 50, so the walks form series cut above their low and below
+    # their high.
+    formed = []
+
+    def spy(x, low, high, _real=tower._geometric):
+        formed.append((x, low, high))
+        return _real(x, low, high)
+
+    monkeypatch.setattr(tower, "_geometric", spy)
     rng = random.Random(5)
-    cut = nonempty = 0
-    for _ in range(60):
-        spec = random_tower_spec(rng, 4)
+    cut = nonempty = raised = lowered = 0
+    for n in range(100):
+        spec = random_tower_spec(rng, 4 if n < 60 else 2)
+        stretched = rng.choice(spec.aux_variables() or [None]) if n >= 60 else None
         ranges = {}
         for x in spec.tower_variables() + spec.aux_variables():
             low = rng.randint(0, 2)
-            ranges[x] = (low, low + rng.randint(0, 1))
+            ranges[x] = (low, rng.randint(low, 50) if x == stretched else low + rng.randint(0, 1))
         highs = [ranges[x][1] for x in spec.tower_variables()]
         aux = {x.name: ranges[x][1] for x in spec.aux_variables()}
         window = closed_formula_segre(spec, TruncationRequest.derive(spec, highs, aux))
         want = window
         for x, (low, high) in ranges.items():
             want = want.filter_terms(x, -high - 1, -low - 1)
+        formed.clear()
         assert tower._closed(spec, ranges) == want, (spec, ranges)
         assert tower._push_down(spec, ranges) == want, (spec, ranges)
+        raised += sum(low > ranges[x][0] for x, low, _ in formed)
+        lowered += sum(high < ranges[x][1] for x, _, high in formed)
         cut += want != window
         nonempty += not want.is_zero()
-    assert cut >= 30 and nonempty >= 30, (cut, nonempty)
+    assert cut >= 50 and nonempty >= 50, (cut, nonempty)
+    assert raised >= 5 and lowered >= 5, (raised, lowered)
 
 
 def test_the_closed_walk_at_ranges_of_one_gives_every_point_value():
@@ -1304,6 +1322,59 @@ def test_generic_push_gives_the_exact_zero_near_the_slot_limit():
     spec, exps = flag_tower(2), (2147483646, 1)
     assert tower._push_down(spec, {U(1): (exps[0],) * 2, U(2): (exps[1],) * 2}).is_zero()
     assert pushforward_monomial(spec, exps) == 0
+
+
+def _counted_geometric(monkeypatch):
+    """Spy on the walks' ``_geometric``: the number of terms of each series
+    formed, refusing a range of 2 * 10**6 powers or more before forming it."""
+    formed = []
+
+    def spy(x, low, high, _real=tower._geometric):
+        assert high - low < 2 * 10**6, (x, low, high)
+        formed.append(high - low + 1)
+        return _real(x, low, high)
+
+    monkeypatch.setattr(tower, "_geometric", spy)
+    return formed
+
+
+def test_both_walks_form_an_auxiliary_series_only_at_the_powers_met(monkeypatch):
+    # One level with the factor 1/u^2, a single slice, and an auxiliary w:
+    # at tower order 1 the window holds two terms however large w's order,
+    # so the closed walk forms w's series at two powers and the push forms
+    # the two series of its block at two powers each.
+    spec = simple_tower(([((), 1, {2: 1})], ("w",)))
+    w = aux_variable("w", 1)
+    formed = _counted_geometric(monkeypatch)
+    for order in (10**3, 10**6):
+        req = TruncationRequest.derive(spec, (1,), {"w": order})
+        formed.clear()
+        closed = closed_formula_segre(spec, req)
+        assert sum(formed) <= 2, formed
+        formed.clear()
+        assert stepwise_pushforward(spec, req) == closed
+        assert sum(formed) <= 4, formed
+        assert closed == poly({((U(1), -2), (w, -1)): 1, ((U(1), -1), (w, -2)): 1})
+
+
+def test_both_walks_agree_on_an_infinite_level_series_up_to_the_slot(monkeypatch):
+    # 1/(u^2 - 1) meets every power of w: both walks give the same 1,001
+    # terms at w's order 10^3.  At 2^31 - 2 both refuse the level's
+    # expansion, whose floor leaves the slot, before any series is formed.
+    spec = simple_tower(([((), 1, {2: 1, 0: -1})], ("w",)))
+    formed = _counted_geometric(monkeypatch)
+    req = TruncationRequest.derive(spec, (1,), {"w": 10**3})
+    closed = closed_formula_segre(spec, req)
+    assert len(closed) == 1001 and stepwise_pushforward(spec, req) == closed
+    req = TruncationRequest.derive(spec, (1,), {"w": 2**31 - 2})
+    for walk in (closed_formula_segre, stepwise_pushforward):
+        formed.clear()
+        with pytest.raises(ExponentOverflowError) as caught:
+            walk(spec, req)
+        assert str(caught.value) == (
+            "exponents up to 2147483648 do not fit a packed monomial (at most 2147483647)"
+        )
+        assert formed == []
 
 
 _D = 5 * 10**8
