@@ -24,6 +24,12 @@ plain ``flag-integral`` call and every ``tower-segre`` call load neither
 module, and the import of this module loads only the standard library
 every call needs.
 
+Every integer option and list entry is read by ``_integer``.  The front
+end keeps only its ceilings (``MAX_ORDER`` and the others below); every
+other input rule, such as an entry's sign, the ``--exps`` count or the
+flag dimension, is the library's and is checked before any work, and
+``main`` renames the parameter a refusal names to its option.
+
 Output is deterministic: identical inputs and seeds produce byte-identical
 text, and all rationals are printed exactly as ``num/den`` in lowest terms.
 A table row, and a plain ``flag-integral`` value, is read straight from the
@@ -57,9 +63,11 @@ from .tower import (
     TowerLevel,
     TowerSpec,
     TruncationRequest,
+    _check_exponents,
     closed_formula_segre,
     random_tower_spec,
     stepwise_pushforward,
+    validate_tower,
 )
 
 #: Largest ``--max-k`` of verify.  With each route batched per k and the
@@ -129,17 +137,20 @@ def _poly_to_triples(poly: LaurentPoly, where: str) -> list[list[int]]:
     return triples
 
 
-def _poly_from_triples(raw, where: str) -> LaurentPoly:
+def _triples(raw, where: str) -> tuple[tuple[int, int, int], ...]:
+    """``raw`` as a tuple of integer triples, a key for the series they build."""
     if not isinstance(raw, list):
         raise SpecFileError(f"{where}: expected a list of [exp, num, den] triples")
     for pos, item in enumerate(raw):
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or not all(_is_int(x) for x in item)
-        ):
+        if not isinstance(item, list) or len(item) != 3 or not all(map(_is_int, item)):
             raise SpecFileError(f"{where}[{pos}]: expected an [exp, num, den] integer triple")
-        exp, num, den = item
+    return tuple(map(tuple, raw))
+
+
+def _poly_from_triples(triples, where: str) -> LaurentPoly:
+    """The polynomial of integer ``triples`` (``_triples``), refused under
+    ``where`` if a denominator is 0 or an exponent leaves its slot."""
+    for pos, (exp, _, den) in enumerate(triples):
         if den == 0:
             raise SpecFileError(f"{where}[{pos}]: zero denominator")
         if abs(exp) >= _HALF:
@@ -147,35 +158,43 @@ def _poly_from_triples(raw, where: str) -> LaurentPoly:
                 f"{where}[{pos}]: exponent {exp} does not fit a packed monomial "
                 f"(at most {_HALF - 1} in absolute value)"
             )
-    return LaurentPoly._from_triples(PIVOT, raw)
+    return LaurentPoly._from_triples(PIVOT, triples)
 
 
 def tower_spec_to_doc(spec: TowerSpec) -> dict:
-    """JSON-ready document for a tower (rational-coefficient factors only)."""
-    return {
-        "k": spec.k,
-        "base_generators": [
-            {"name": name, "degree": degree} for name, degree in spec.base_generators
-        ],
-        "levels": [
-            {
-                "factors": [
-                    {
-                        "m": list(f.twists),
-                        "q_num": _poly_to_triples(
-                            f.series.numerator, f"levels[{index}].factors.q_num"
-                        ),
-                        "q_den": _poly_to_triples(
-                            f.series.denominator, f"levels[{index}].factors.q_den"
-                        ),
-                    }
-                    for f in lvl.factors
-                ],
-                "aux": list(lvl.aux),
-            }
-            for index, lvl in enumerate(spec.levels, 1)
-        ],
-    }
+    """JSON-ready document for a tower (rational-coefficient factors only).
+
+    Only a read that fails validates the tower, so a record of the wrong
+    shape is refused under its field and a well-shaped invalid tower is
+    written as it is."""
+    try:
+        return {
+            "k": spec.k,
+            "base_generators": [
+                {"name": name, "degree": degree} for name, degree in spec.base_generators
+            ],
+            "levels": [
+                {
+                    "factors": [
+                        {
+                            "m": list(f.twists),
+                            "q_num": _poly_to_triples(
+                                f.series.numerator, f"levels[{index}].factors.q_num"
+                            ),
+                            "q_den": _poly_to_triples(
+                                f.series.denominator, f"levels[{index}].factors.q_den"
+                            ),
+                        }
+                        for f in lvl.factors
+                    ],
+                    "aux": list(lvl.aux),
+                }
+                for index, lvl in enumerate(spec.levels, 1)
+            ],
+        }
+    except (AttributeError, TypeError, ValueError):
+        validate_tower(spec)
+        raise
 
 
 def tower_spec_from_doc(doc) -> TowerSpec:
@@ -186,6 +205,11 @@ def tower_spec_from_doc(doc) -> TowerSpec:
     the number of levels, so it is checked against them before any level
     is decoded.  The tower itself is validated by the computation it is
     given to, once (``validate_tower``).
+
+    Factors with the same ``q_num`` and ``q_den`` triples share one series
+    object, decoded once per document, so the walk memo (``tower._expansion``,
+    keyed on the series' identity) hands their expansions back as it does
+    for a tower built in process.
     """
     if not isinstance(doc, dict):
         raise SpecFileError("top level: expected a JSON object")
@@ -211,7 +235,7 @@ def tower_spec_from_doc(doc) -> TowerSpec:
         raise SpecFileError("levels: expected a list")
     if len(raw_levels) != k:
         raise SpecFileError(f"levels: expected {k} levels, found {len(raw_levels)}")
-    levels = []
+    levels, shared = [], {}
     for index, raw_level in enumerate(raw_levels, 1):
         where = f"levels[{index}]"
         if not isinstance(raw_level, dict):
@@ -227,12 +251,18 @@ def tower_spec_from_doc(doc) -> TowerSpec:
             m = raw_factor.get("m")
             if not isinstance(m, list) or not all(_is_int(x) for x in m):
                 raise SpecFileError(f"{fwhere}.m: expected a list of integers")
-            num = _poly_from_triples(raw_factor.get("q_num"), f"{fwhere}.q_num")
-            den = _poly_from_triples(raw_factor.get("q_den"), f"{fwhere}.q_den")
-            try:
-                series = RationalFunction1V(num, den)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SpecFileError(f"{fwhere}.q_den: {exc}") from exc
+            key = (
+                _triples(raw_factor.get("q_num"), f"{fwhere}.q_num"),
+                _triples(raw_factor.get("q_den"), f"{fwhere}.q_den"),
+            )
+            series = shared.get(key)
+            if series is None:
+                num = _poly_from_triples(key[0], f"{fwhere}.q_num")
+                den = _poly_from_triples(key[1], f"{fwhere}.q_den")
+                try:
+                    series = shared[key] = RationalFunction1V(num, den)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise SpecFileError(f"{fwhere}.q_den: {exc}") from exc
             factors.append(TowerFactor(tuple(m), series))
         raw_aux = raw_level.get("aux", [])
         if not isinstance(raw_aux, list) or not all(isinstance(x, str) for x in raw_aux):
@@ -419,18 +449,9 @@ def run_verify(
 # -- subcommands -------------------------------------------------------------
 
 
-def _decimal(text: str) -> int:
-    """``text`` as an int if, stripped, it is ASCII decimal digits alone;
-    ``int()`` also reads a sign, ``_`` and other scripts' digits."""
-    text = text.strip()
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
-    return int(text)
-
-
 def _integer(text: str) -> int:
     """``text`` as an int if, stripped, it is ASCII decimal digits after an
-    optional ``-``: the type of every scalar integer option."""
+    optional ``-``, as every integer option and list entry is read."""
     digits = text.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(text)
@@ -446,11 +467,9 @@ def _parse_int_list(raw: str, option: str) -> tuple[int, ...]:
     if not raw:
         return ()
     try:
-        values = tuple(map(_decimal, raw.split(",")))
+        values = tuple(map(_integer, raw.split(",")))
     except ValueError as exc:
-        raise ValueError(
-            f"{option}: expected comma-separated decimal digits, got {raw!r}"
-        ) from exc
+        raise ValueError(f"{option}: expected comma-separated integers, got {raw!r}") from exc
     for value in values:
         _check_int(option, value, 0, MAX_ORDER)
     return values
@@ -467,18 +486,16 @@ def _parse_assignments(raw: str, option: str) -> dict[str, int]:
         if name in out:
             raise ValueError(f"{option}: {name!r} is given more than once")
         try:
-            out[name] = _decimal(value)
+            out[name] = _integer(value)
         except ValueError as exc:
-            raise ValueError(f"{option}: expected a value of decimal digits, got {item!r}") from exc
+            raise ValueError(f"{option}: expected an integer value, got {item!r}") from exc
         _check_int(option, out[name], 0, MAX_ORDER)
     return out
 
 
 def cmd_flag_integral(args) -> int:
     _check_int("--k", args.k, 1, MAX_FLAG_K)
-    exps = _parse_int_list(args.exps, "--exps")
-    if len(exps) != args.k:
-        raise ValueError(f"--exps: needs exactly {args.k} entries, got {len(exps)}")
+    exps = _check_exponents("--exps", _parse_int_list(args.exps, "--exps"), args.k)
     _check_int("--trials", args.trials, 1, MAX_TRIALS)
     if not (args.verbose or args.format == "json"):
         # The push's constant is printed from its numerator and denominator,
@@ -486,20 +503,11 @@ def cmd_flag_integral(args) -> int:
         push = flag_mod._flag_pushforward(args.k, exps)
         print(_format_quotient(*push._constant_ratio()))
         return 0
-    # Above the dimension the fixed-point sum is no integral, and
-    # localization_integral refuses it under its parameter; refused here
-    # under the option, before any work.
-    dim = args.k * (args.k + 1) // 2
-    if sum(exps) > dim:
-        raise ValueError(
-            f"--exps: the cross-checks need a total degree of at most the flag "
-            f"dimension {dim}, got {sum(exps)}"
-        )
+    # Above the flag dimension the fixed-point sum is no integral, and
+    # localization_integral refuses it before it draws a weight: so it runs first.
+    loc = flag_mod.localization_integral(args.k, exps, trials=args.trials, seed=args.seed)
     value = flag_mod.flag_integral(args.k, exps)
     vdm = flag_mod.vandermonde_integral(args.k, exps)
-    loc = flag_mod.localization_integral(
-        args.k, exps, trials=args.trials, seed=args.seed
-    )
     if args.format == "json":
         print(
             json.dumps(
@@ -523,21 +531,11 @@ def cmd_flag_integral(args) -> int:
     return 0
 
 
-_OPTION_OF_PARAMETER = {"tower_orders": "--orders", "aux_orders": "--aux-orders"}
-
-
 def cmd_tower_segre(args) -> int:
     orders = _parse_int_list(args.orders, "--orders")
     aux_orders = _parse_assignments(args.aux_orders, "--aux-orders")
     spec = load_tower_spec(args.spec)
-    try:
-        req = TruncationRequest.derive(spec, orders, aux_orders)
-    except ValueError as exc:
-        # The library names its parameters; the user gave options.
-        param, _, rest = str(exc).partition(": ")
-        if param not in _OPTION_OF_PARAMETER:
-            raise
-        raise ValueError(f"{_OPTION_OF_PARAMETER[param]}: {rest}") from exc
+    req = TruncationRequest.derive(spec, orders, aux_orders)
     if args.method == "stepwise":
         series = stepwise_pushforward(spec, req)
     else:
@@ -718,12 +716,22 @@ def _parse_args(argv: Sequence[str]):
     return build_parser().parse_args(argv) if args is None else args
 
 
+#: The option that feeds each library parameter a refusal may start with.
+_OPTION_OF_PARAMETER = {
+    "tower_orders": "--orders", "aux_orders": "--aux-orders", "exponents": "--exps"
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (SpecFileError, InvalidTowerError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # The library names its parameters; the user gave options.
+        param, colon, rest = str(exc).partition(": ")
+        option = _OPTION_OF_PARAMETER.get(param)
+        message = f"{option}: {rest}" if colon and option else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     except flag_mod.LocalizationDisagreement as exc:
         print(f"internal-consistency failure: {exc}", file=sys.stderr)

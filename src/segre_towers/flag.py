@@ -153,9 +153,11 @@ def localization_integral(
 
     exps = _check_exponents("exponents", exponents, _check_int("k", k, 1, sys.maxsize))
     _check_int("trials", trials, 1, sys.maxsize)
-    dim = k * (k + 1) // 2
-    if sum(exps) > dim:
-        raise ValueError(f"exponents: total degree must be at most the flag dimension {dim}")
+    dim, total = k * (k + 1) // 2, sum(exps)
+    if total > dim:
+        # As in ``_check_int``, a total beyond sys.maxsize is not echoed.
+        got = f", got {total}" if total <= sys.maxsize else ""
+        raise ValueError(f"exponents: total degree must be at most the flag dimension {dim}{got}")
     powers = (0,) + exps
     sign = -1 if k * (k - 1) // 2 % 2 else 1
     key = (k, trials, seed)

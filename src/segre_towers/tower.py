@@ -405,14 +405,20 @@ class TruncationRequest(namedtuple("TruncationRequest", "tower_orders aux_orders
         tower_orders: Sequence[int],
         aux_orders: Mapping[str, int] | None = None,
     ) -> "TruncationRequest":
-        k = spec.k
-        orders = _check_exponents("tower_orders", tower_orders, k)
-        aux_map = _aux_exponents(spec, aux_orders, "aux_orders")
-
-        steps = [
-            sum(map(_lead_plus, lvl.factors)) + a + 1 + sum(aux_map[name] for name in lvl.aux)
-            for lvl, a in zip(spec.levels, orders)
-        ]
+        """The request for ``spec``'s window at these orders.  The route it
+        is given to validates ``spec``; a read that fails here does, so a
+        record of the wrong shape is refused under its field."""
+        try:
+            k = spec.k
+            orders = _check_exponents("tower_orders", tower_orders, k)
+            aux_map = _aux_exponents(spec, aux_orders, "aux_orders")
+            steps = [
+                sum(map(_lead_plus, lvl.factors)) + a + 1 + sum(aux_map[name] for name in lvl.aux)
+                for lvl, a in zip(spec.levels, orders)
+            ]
+        except (AttributeError, TypeError):
+            validate_tower(spec)
+            raise
         return cls(
             tower_orders=orders,
             aux_orders=tuple(sorted(aux_map.items())),

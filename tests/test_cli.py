@@ -258,6 +258,24 @@ def test_spec_decoder_fuzz_returns_a_spec_or_names_the_fault(doc):
     assert tower_spec_from_doc(json.loads(json.dumps(tower_spec_to_doc(spec)))) == spec
 
 
+def test_spec_decoder_builds_one_series_per_distinct_triples(monkeypatch):
+    # Factors with equal q_num and q_den triples share one series object,
+    # built once per document, so the walk memo hands their expansions back
+    # as in process (the ``root_flag`` digest guards it); an equal function
+    # written with other triples, or read from another document, gets its own.
+    built, real = [], cli_mod.RationalFunction1V
+    monkeypatch.setattr(cli_mod, "RationalFunction1V", lambda *a: built.append(a) or real(*a))
+    doc = tower_spec_to_doc(flag_tower(3))
+    doc["levels"][2]["factors"][0]["q_den"] = [[4, 2, 2]]
+    spec = tower_spec_from_doc(doc)
+    assert spec == flag_tower(3)
+    series = [factor.series for level in spec.levels for factor in level.factors]
+    assert len(built) == len({id(s) for s in series}) == 3
+    assert series[0] is series[1] and series[2] is series[4] is series[5]
+    assert series[3] == series[0] and series[3] is not series[0]
+    assert tower_spec_from_doc(doc).levels[0].factors[0].series is not series[0]
+
+
 def test_spec_file_rejects_zero_denominator_triples():
     doc = tower_spec_to_doc(flag_tower(1))
     doc["levels"][0]["factors"][0]["q_den"] = [[2, 1, 0]]
@@ -585,6 +603,46 @@ def test_cli_parse_errors_name_the_option(tmp_path, capsys, monkeypatch, argv, o
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["flag-integral", "--k", "3", "--exps", "3,2"], "--exps: expected 3 entries, got 2"),
+        (["flag-integral", "--k", "2", "--exps", "1,2,3"], "--exps: expected 2 entries, got 3"),
+        (["flag-integral", "--k", "3", "--exps", "4,4,4", "--verbose"],
+         "--exps: total degree must be at most the flag dimension 6, got 12"),
+        (["flag-integral", "--k", "3", "--exps", "4,4,4", "--format", "json"],
+         "--exps: total degree must be at most the flag dimension 6, got 12"),
+        (["flag-integral", "--k", "2", "--exps", "1,-1"], "--exps: must be at least 0, got -1"),
+        (["flag-integral", "--k", "2", "--exps", "1,-1", "--verbose"],
+         "--exps: must be at least 0, got -1"),
+        (["flag-integral", "--k", "2", "--exps", "+1,2"],
+         "--exps: expected comma-separated integers, got '+1,2'"),
+        (["tower-segre", "SPEC", "--orders", "-1"], "--orders: must be at least 0, got -1"),
+        (["tower-segre", "SPEC", "--orders", "1_0"],
+         "--orders: expected comma-separated integers, got '1_0'"),
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=-1"],
+         "--aux-orders: must be at least 0, got -1"),
+        (["tower-segre", "SPEC", "--orders", "1", "--aux-orders", "w=x"],
+         "--aux-orders: expected an integer value, got 'w=x'"),
+    ],
+)
+def test_list_option_refusals_read_exactly(tmp_path, capsys, monkeypatch, argv, message):
+    # A list entry is read as a scalar option is, and a sign is refused by
+    # the range check; the entry count and the flag-dimension bound are the
+    # library's own refusals, under the option's name.  None draws a weight
+    # or starts a route.
+    def no_work(*args, **kwargs):
+        raise AssertionError("computation started before the refusal")
+
+    for name in ("closed_formula_segre", "stepwise_pushforward"):
+        monkeypatch.setattr(cli_mod, name, no_work)
+    for name in ("flag_integral", "_flag_pushforward", "vandermonde_integral", "_draw_distinct"):
+        monkeypatch.setattr(cli_mod.flag_mod, name, no_work)
+    path = write_spec(tmp_path, simple_tower(([((), 1, {2: 1})], ("w",))))
+    code = main([path if arg == "SPEC" else arg for arg in argv])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("value", ["\uff13", "1_0", "+3"])

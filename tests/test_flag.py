@@ -320,6 +320,13 @@ def test_localization_refuses_exponents_above_the_dimension(monkeypatch, trials)
     assert flag_integral(2, (3, 1)) == vandermonde_integral(2, (3, 1)) == 0
 
 
+def test_localization_refusal_gives_the_total_unless_it_is_too_long_to_echo():
+    for exps, got in (((4, 4, 4), ", got 12"), ((10**5000, 0, 0), "")):
+        with pytest.raises(ValueError) as info:
+            localization_integral(3, exps)
+        assert str(info.value) == f"exponents: total degree must be at most the flag dimension 6{got}"
+
+
 def walk(ts, exps):
     """The fixed-point sum as a walk over all orderings w of the weights:
     sum_w prod_i t_w(k+1-i)^a_i / prod_{p<q} (t_w(q) - t_w(p))."""

@@ -297,6 +297,35 @@ def test_each_computation_validates_its_tower_once(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "level, field",
+    [
+        (1, "level 1, factors: "),
+        (TowerLevel(5), "level 1, factors: "),
+        (TowerLevel((5,)), "level 1, factors[0]: "),
+        (TowerLevel((TowerFactor((), 5),)), "level 1, factors[0].q: "),
+        (TowerLevel(flag_tower(1).levels[0].factors, 5), "level 1, aux: "),
+    ],
+    ids=["non-level", "non-sequence-factors", "non-factor", "non-series", "non-sequence-aux"],
+)
+def test_a_wrong_shape_record_is_refused_under_its_field(level, field):
+    # A request and the spec-file encoder read the tower without validating
+    # it (the route it is given to does); a read that fails on a record of
+    # the wrong shape is refused as that route would refuse the tower.
+    spec = TowerSpec((level,))
+    for read in (lambda: TruncationRequest.derive(spec, (0,)), lambda: tower_spec_to_doc(spec)):
+        with pytest.raises(InvalidTowerError) as info:
+            read()
+        assert field in str(info.value)
+
+
+def test_the_encoder_refuses_a_base_generator_that_is_no_pair():
+    # Unpacking a triple raises ValueError, not TypeError, in the encoder.
+    spec = TowerSpec(flag_tower(1).levels, (("s", 1, 2),))
+    with pytest.raises(InvalidTowerError, match=r"^tower, base_generators: entry \('s', 1, 2\)"):
+        tower_spec_to_doc(spec)
+
+
 def test_pushforward_monomial_validates_before_reading_the_tower(monkeypatch):
     # An over-long twist vector is refused before the tower is classified or
     # its auxiliary names are read.
